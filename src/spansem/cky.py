@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Category, Span, SpanTree
 from .scorer import ScoreTable

@@ -10,7 +10,8 @@ tree is null when no gold tree is available.
 
 Every flag default can be overridden through an environment variable with
 the SPANSEM_ prefix, e.g. SPANSEM_SEED=7.  Exit codes: 0 success, 2 no
-valid parse, 3 configuration error.
+valid parse, 3 configuration error (including an empty or whitespace-only
+utterance to parse or in an evaluation file, and eval --jobs below 1).
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import sys
 from pathlib import Path
 
 from .cky import Grammar, dump_chart, parse_kbest, best_valid_tree
-from .core import Utterance, labeled_spans, tree_from_json, tree_to_json
-from .data.metrics import f1_from_counts, span_f1_counts
+from .core import Utterance, tree_from_json, tree_to_json
 from .data.geo import (
     exec_funql,
     geo_lexicon_entries,
@@ -50,7 +50,6 @@ from .trainer import (
     TrainConfig,
     TrainExample,
     evaluate,
-    predict,
     train,
 )
 from .typesys import load_schema, parse_program, save_schema
@@ -98,11 +97,14 @@ def write_jsonl(path: Path, records) -> None:
 def read_examples(path: Path, schema) -> list:
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             obj = json.loads(line)
+            utt = Utterance.from_text(obj["utterance"])
+            if not utt.tokens:
+                raise ConfigError(f"{path}:{lineno}: empty utterance")
             tree = obj.get("tree")
             out.append(TrainExample(
-                utterance=Utterance.from_text(obj["utterance"]),
+                utterance=utt,
                 program=parse_program(obj["program"], schema),
                 tree=None if tree is None else tree_from_json(tree),
             ))
@@ -248,71 +250,22 @@ def cmd_train(args) -> int:
 
 # -- eval --------------------------------------------------------------------
 
-_WORKER = {}
-
-
-def _init_worker(checkpoint_path, data_dir, no_lexicon, ternary, K):
-    scorer, _ = load_checkpoint(checkpoint_path)
-    _WORKER["scorer"] = scorer
-    _WORKER["domain"] = load_domain(Path(data_dir), no_lexicon=no_lexicon)
-    _WORKER["grammar"] = Grammar(ternary=ternary)
-    _WORKER["K"] = K
-
-
-def _eval_one(payload):
-    obj = json.loads(payload)
-    utt = Utterance.from_text(obj["utterance"])
-    domain = _WORKER["domain"]
-    result = predict(_WORKER["scorer"], utt, domain, _WORKER["grammar"],
-                     _WORKER["K"])
-    gold = parse_program(obj["program"], domain.schema)
-    denotation = domain.run(None if result is None else result.program)
-    record = {
-        "utterance": obj["utterance"],
-        "gold_program": obj["program"],
-        "predicted_program": None if result is None else str(result.program),
-        "correct": denotation is not None and denotation == domain.run(gold),
-    }
-    counts = None
-    if obj.get("tree") is not None:
-        gold_tree = tree_from_json(obj["tree"])
-        if result is None:
-            counts = (0, 0, len(labeled_spans(gold_tree)))
-        else:
-            counts = span_f1_counts(result.tree, gold_tree)
-    return record, counts
-
-
 def cmd_eval(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
     scorer, extra = load_checkpoint(args.checkpoint)
     data_path = Path(args.data)
-    data_dir = data_path.parent
-    domain = load_domain(data_dir, no_lexicon=extra.get("no_lexicon", False))
+    domain = load_domain(data_path.parent,
+                         no_lexicon=extra.get("no_lexicon", False))
     examples = read_examples(data_path, domain.schema)
     if not examples:
         raise ConfigError(f"empty evaluation file {data_path}")
     grammar = Grammar(ternary=extra.get("ternary", False))
     K = extra.get("K", 5)
     if args.jobs > 1:
-        with open(data_path) as fh:
-            lines = [line for line in fh if line.strip()]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(args.jobs, _init_worker,
-                      (args.checkpoint, str(data_dir),
-                       extra.get("no_lexicon", False),
-                       extra.get("ternary", False), K)) as pool:
-            results = pool.map(_eval_one, lines)
-        records = [rec for rec, _ in results]
-        report = {
-            "accuracy": sum(1 for r in records if r["correct"]) / len(records),
-            "failures": sum(1 for r in records
-                            if r["predicted_program"] is None),
-            "per_example": records,
-        }
-        counts = [c for _, c in results if c is not None]
-        if counts:
-            tp, n_pred, n_gold = (sum(col) for col in zip(*counts))
-            report["f1"] = f1_from_counts(tp, n_pred, n_gold)
+        with multiprocessing.get_context("fork").Pool(args.jobs) as pool:
+            report = evaluate(scorer, examples, domain, grammar, K,
+                              map=pool.map)
     else:
         report = evaluate(scorer, examples, domain, grammar, K)
     if args.out:
@@ -337,6 +290,8 @@ def cmd_parse(args) -> int:
     grammar = Grammar(ternary=ternary)
     K = extra.get("K", 5)
     utt = Utterance.from_text(args.utterance)
+    if not utt.tokens:
+        raise ConfigError("empty utterance")
     table = scorer.score_spans(utt, domain.lexicon)
     candidates, chart = parse_kbest(table, grammar, K, return_chart=True)
     if args.dump_chart:

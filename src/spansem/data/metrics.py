@@ -20,9 +20,10 @@ def denotation_accuracy(pred_denotations: list, gold_denotations: list) -> float
     return hits / len(gold_denotations)
 
 
-def span_f1_counts(pred_tree: SpanTree, gold_tree: SpanTree):
-    """(true positives, predicted, gold) over labeled spans, NoSem excluded."""
-    pred = labeled_spans(pred_tree)
+def span_f1_counts(pred_tree: SpanTree | None, gold_tree: SpanTree):
+    """(true positives, predicted, gold) over labeled spans, NoSem excluded;
+    a None prediction has no spans."""
+    pred = set() if pred_tree is None else labeled_spans(pred_tree)
     gold = labeled_spans(gold_tree)
     return len(pred & gold), len(pred), len(gold)
 
@@ -47,9 +48,6 @@ def corpus_labeled_span_f1(pairs: list) -> float:
     prediction contributes its gold spans as misses."""
     tp = n_pred = n_gold = 0
     for pred, gold in pairs:
-        if pred is None:
-            n_gold += len(labeled_spans(gold))
-            continue
         a, b, c = span_f1_counts(pred, gold)
         tp, n_pred, n_gold = tp + a, n_pred + b, n_gold + c
     return f1_from_counts(tp, n_pred, n_gold)

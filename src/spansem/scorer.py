@@ -33,14 +33,10 @@ class DimensionMismatch(ValueError):
 
 @dataclass
 class Lexicon:
-    """Exact-match phrase -> constant-name lookup.
-
-    ``source`` records provenance ("auto-entity", "manual", or "merged");
-    lookup is exact on the token-joined, lowercased span string.
-    """
+    """Exact-match phrase -> constant-name lookup; lookup is exact on the
+    token-joined, lowercased span string."""
 
     entries: dict = field(default_factory=dict)
-    source: str = "manual"
 
     def add(self, phrase: str, constant: str) -> None:
         self.entries.setdefault(phrase.lower(), set()).add(constant)
@@ -49,7 +45,7 @@ class Lexicon:
         return self.entries.get(phrase.lower(), set())
 
     def merged_with(self, other: "Lexicon") -> "Lexicon":
-        out = Lexicon(source="merged")
+        out = Lexicon()
         for lex in (self, other):
             for phrase, names in lex.entries.items():
                 for name in names:
@@ -57,15 +53,15 @@ class Lexicon:
         return out
 
     @classmethod
-    def from_pairs(cls, pairs, source: str = "manual") -> "Lexicon":
-        lex = cls(source=source)
+    def from_pairs(cls, pairs) -> "Lexicon":
+        lex = cls()
         for phrase, constant in pairs:
             lex.add(phrase, constant)
         return lex
 
     @classmethod
     def from_entity_lexicon(cls, entity_lexicon: dict) -> "Lexicon":
-        lex = cls(source="auto-entity")
+        lex = cls()
         for phrase, names in entity_lexicon.items():
             for name in names:
                 lex.add(phrase, name)
@@ -78,8 +74,8 @@ class Lexicon:
                     fh.write(f"{phrase}\t{name}\n")
 
     @classmethod
-    def load_tsv(cls, path, source: str = "manual") -> "Lexicon":
-        lex = cls(source=source)
+    def load_tsv(cls, path) -> "Lexicon":
+        lex = cls()
         with open(path) as fh:
             for line in fh:
                 line = line.rstrip("\n")
@@ -107,13 +103,6 @@ class ScoreTable:
         self.raw = raw
         nosem_col = self.cat_index[Category.nosem()]
         self.shifted = raw - raw[:, nosem_col:nosem_col + 1]
-
-    @property
-    def constant_categories(self) -> list:
-        return [c for c in self.categories if c.is_constant]
-
-    def raw_score(self, span: Span, category: Category) -> float:
-        return float(self.raw[self.span_index[span], self.cat_index[category]])
 
     def shifted_score(self, span: Span, category: Category) -> float:
         return float(

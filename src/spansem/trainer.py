@@ -10,13 +10,14 @@ are available the E-step is bypassed and they are used directly.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .cky import Grammar, best_valid_tree, constrained_parse, parse_kbest
 from .core import SpanTree, Utterance
-from .data.metrics import corpus_labeled_span_f1, denotation_accuracy
+from .data.metrics import f1_from_counts, span_f1_counts
 from .scorer import Lexicon, SpanScorer, sgd_step
 from .typesys import DomainSchema, Program
 
@@ -134,33 +135,44 @@ def predict(scorer: SpanScorer, utt: Utterance, domain: Domain,
     return best_valid_tree(parse_kbest(table, grammar, K), domain.schema)
 
 
-def evaluate(scorer: SpanScorer, examples: list, domain: Domain,
-             grammar: Grammar, K: int = 5) -> dict:
-    """Denotation accuracy, labeled-span F1 (examples with gold trees),
-    and per-example records."""
-    preds, golds, pairs, records = [], [], [], []
-    for ex in examples:
-        result = predict(scorer, ex.utterance, domain, grammar, K)
-        denotation = domain.run(None if result is None else result.program)
-        gold = ex.denotation if ex.denotation is not None else domain.run(ex.program)
-        preds.append(denotation)
-        golds.append(gold)
-        if ex.tree is not None:
-            pairs.append((None if result is None else result.tree, ex.tree))
-        records.append({
-            "utterance": ex.utterance.raw_text,
-            "gold_program": str(ex.program),
-            "predicted_program":
-                None if result is None else str(result.program),
-            "correct": denotation is not None and denotation == gold,
-        })
-    report = {
-        "accuracy": denotation_accuracy(preds, golds),
-        "failures": sum(1 for p in preds if p is None),
-        "per_example": records,
+def evaluate_example(scorer: SpanScorer, domain: Domain, grammar: Grammar,
+                     K: int, ex: TrainExample):
+    """One example's report record, whether its prediction has no
+    denotation (no valid tree, or an executor error), and its labeled-span
+    counts (None without a gold tree)."""
+    result = predict(scorer, ex.utterance, domain, grammar, K)
+    denotation = domain.run(None if result is None else result.program)
+    gold = ex.denotation if ex.denotation is not None else domain.run(ex.program)
+    record = {
+        "utterance": ex.utterance.raw_text,
+        "gold_program": str(ex.program),
+        "predicted_program": None if result is None else str(result.program),
+        "correct": denotation is not None and denotation == gold,
     }
-    if pairs:
-        report["f1"] = corpus_labeled_span_f1(pairs)
+    counts = None
+    if ex.tree is not None:
+        counts = span_f1_counts(None if result is None else result.tree, ex.tree)
+    return record, denotation is None, counts
+
+
+def evaluate(scorer: SpanScorer, examples: list, domain: Domain,
+             grammar: Grammar, K: int = 5, map=map) -> dict:
+    """Denotation accuracy, failures, labeled-span F1 (examples with gold
+    trees), and per-example records.  ``map`` applies ``evaluate_example``
+    to the examples in order; a process pool's ``map`` gives the same
+    report."""
+    if not examples:
+        raise ValueError("empty evaluation set")
+    step = functools.partial(evaluate_example, scorer, domain, grammar, K)
+    records, failed, counts = zip(*map(step, examples))
+    report = {
+        "accuracy": sum(r["correct"] for r in records) / len(records),
+        "failures": sum(failed),
+        "per_example": list(records),
+    }
+    counts = [c for c in counts if c is not None]
+    if counts:
+        report["f1"] = f1_from_counts(*(sum(col) for col in zip(*counts)))
     return report
 
 

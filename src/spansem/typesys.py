@@ -184,18 +184,6 @@ class DomainSchema:
         return Program(prog.head, tuple(args))
 
 
-def build_entity_lexicon(schema: DomainSchema) -> dict:
-    """Phrase -> entity constant names, from entity payloads or bare names."""
-    lex = {}
-    for const in schema.constants.values():
-        if const.kind != ENTITY:
-            continue
-        m = _ENTITY_NAME_RE.match(const.name)
-        phrase = m.group("payload") if m else const.name
-        lex.setdefault(phrase.lower(), set()).add(const.name)
-    return lex
-
-
 def _as_argument(prog: Program, schema: DomainSchema):
     """The value form of ``prog`` when used as an argument, or None.
 
@@ -283,22 +271,6 @@ def program_of_tree(tree: SpanTree, schema: DomainSchema) -> Program:
     if program is None:
         raise CompositionFailure(tree.span, "tree carries no semantics")
     return program
-
-
-def annotate_programs(tree: SpanTree, schema: DomainSchema) -> SpanTree:
-    """Copy of ``tree`` with ``sub_program`` filled at every semantic node."""
-
-    def visit(node: SpanTree) -> SpanTree:
-        children = tuple(visit(c) for c in node.children)
-        rebuilt = SpanTree(node.span, node.category, children, node.is_root)
-        if node.category.is_nosem:
-            return rebuilt
-        sub = program_of_tree(rebuilt, schema)
-        return SpanTree(
-            node.span, node.category, children, node.is_root, sub_program=sub
-        )
-
-    return visit(tree)
 
 
 def constants_of(z: Program) -> Counter:
@@ -404,7 +376,6 @@ def schema_from_json(obj: dict) -> DomainSchema:
                 min_args=c.get("min_args", -1),
             )
         )
-    schema.entity_lexicon = build_entity_lexicon(schema)
     return schema
 
 

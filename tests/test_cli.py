@@ -7,10 +7,11 @@ import random
 import pytest
 
 from spansem import cli
+from spansem.core import Utterance
 from spansem.data.scan import generate_scan_sp, scan_lexicon_entries, scan_schema
 from spansem.data.splits import program_token_length
 from spansem.scorer import Lexicon, SpanScorer, load_checkpoint, save_checkpoint
-from spansem.typesys import save_schema
+from spansem.typesys import parse_program, save_schema
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,30 @@ def trained_run(tiny_scan_dir, tmp_path_factory):
                      "--max-epochs", "10", "--patience", "5", "--seed", "0"])
     assert code == cli.EXIT_OK
     return run
+
+
+@pytest.fixture(scope="module")
+def exec_error_run(tmp_path_factory):
+    """A random-init checkpoint whose lexicon maps "turn" to the bare
+    ``turn``: that prediction composes but does not execute."""
+    out = tmp_path_factory.mktemp("exec-error")
+    schema = scan_schema()
+    save_schema(schema, out / "schema.json")
+    Lexicon.from_pairs([("turn", "turn"), ("left", "l"),
+                        ("walk", "walk")]).save_tsv(out / "lexicon.tsv")
+    pool = {e.utterance.raw_text: e for e in generate_scan_sp(schema)
+            if len(e.utterance) <= 2}
+    records = [cli.example_record(e.utterance, e.program, e.tree,
+                                  list(e.actions))
+               for e in (pool["walk"], pool["turn left"], pool["walk left"])]
+    records.append(cli.example_record(Utterance.from_text("turn"),
+                                      parse_program("turn(l)", schema),
+                                      None, ["LTURN"]))
+    cli.write_jsonl(out / "test.jsonl", records)
+    scorer = SpanScorer(["turn", "left", "walk"], schema.categories(), seed=0)
+    save_checkpoint(scorer, out / "model.npz",
+                    extra={"domain": "scan", "data_dir": str(out), "K": 5})
+    return out
 
 
 # --- gen-data ---------------------------------------------------------------
@@ -171,19 +196,41 @@ def test_eval_is_deterministic(trained_run, tiny_scan_dir, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_eval_parallel_matches_serial(trained_run, tiny_scan_dir, tmp_path):
-    serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
-    cli.main(["eval", "--checkpoint", str(trained_run / "model.npz"),
-              "--data", str(tiny_scan_dir / "test.jsonl"),
-              "--out", str(serial), "--jobs", "1"])
-    cli.main(["eval", "--checkpoint", str(trained_run / "model.npz"),
-              "--data", str(tiny_scan_dir / "test.jsonl"),
-              "--out", str(parallel), "--jobs", "2"])
-    a, b = json.loads(serial.read_text()), json.loads(parallel.read_text())
-    assert a["accuracy"] == b["accuracy"]
-    assert a["failures"] == b["failures"]
-    assert a["per_example"] == b["per_example"]
-    assert a.get("f1") == pytest.approx(b.get("f1"))
+def test_eval_parallel_matches_serial(trained_run, tiny_scan_dir,
+                                      exec_error_run, tmp_path):
+    cases = [(trained_run / "model.npz", tiny_scan_dir / "test.jsonl"),
+             (exec_error_run / "model.npz", exec_error_run / "test.jsonl")]
+    for i, (checkpoint, data) in enumerate(cases):
+        paths = [tmp_path / f"{i}-jobs{jobs}.json" for jobs in (1, 2)]
+        for jobs, path in zip((1, 2), paths):
+            assert cli.main(["eval", "--checkpoint", str(checkpoint),
+                             "--data", str(data), "--out", str(path),
+                             "--jobs", str(jobs)]) == cli.EXIT_OK
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+    # An executor error counts as a failure, whatever the number of jobs.
+    report = json.loads(paths[1].read_text())
+    assert report["per_example"][-1]["predicted_program"] == "turn"
+    assert report["failures"] == 1
+
+
+def test_eval_rejects_jobs_below_one(exec_error_run, capsys):
+    for jobs in ("0", "-2"):
+        code = cli.main(["eval",
+                         "--checkpoint", str(exec_error_run / "model.npz"),
+                         "--data", str(exec_error_run / "test.jsonl"),
+                         "--jobs", jobs])
+        assert code == cli.EXIT_CONFIG
+    assert "configuration error: --jobs" in capsys.readouterr().err
+
+
+def test_eval_rejects_whitespace_utterance(exec_error_run, capsys):
+    blank = exec_error_run / "blank.jsonl"
+    blank.write_text(json.dumps({"utterance": " \t", "program": "walk",
+                                 "tree": None, "denotation": ["WALK"]}) + "\n")
+    code = cli.main(["eval", "--checkpoint", str(exec_error_run / "model.npz"),
+                     "--data", str(blank)])
+    assert code == cli.EXIT_CONFIG
+    assert "empty utterance" in capsys.readouterr().err
 
 
 def test_eval_rejects_empty_file(trained_run, tmp_path, tiny_scan_dir):
@@ -238,3 +285,12 @@ def test_parse_exit_code_when_nothing_valid(tmp_path, capsys):
                      "--data", str(trap)])
     assert code == cli.EXIT_NO_PARSE
     assert "no semantically valid tree" in capsys.readouterr().err
+
+
+def test_parse_empty_utterance_is_config_error(exec_error_run, capsys):
+    for text in ("", "   "):
+        code = cli.main(["parse", text,
+                         "--checkpoint", str(exec_error_run / "model.npz"),
+                         "--data", str(exec_error_run)])
+        assert code == cli.EXIT_CONFIG
+    assert "configuration error: empty utterance" in capsys.readouterr().err
