@@ -9,13 +9,16 @@ explored without materializing K^2 candidates per split.
 Binary rules: root -> Join Join | NoSem Join; Join -> Join Join
 | Join NoSem.  With the non-projective extension on, Join -> Join Join
 Join is added: the two outer children compose first, then the middle.
+
+The constrained variant composes every node as ``program_of_tree`` does
+(``typesys.compose_children``) and keeps it only while its program is
+admissible against the gold program, so every tree it returns maps to gold.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import Category, Span, SpanTree
@@ -24,10 +27,11 @@ from .typesys import (
     CompositionFailure,
     DomainSchema,
     Program,
-    compose_candidates,
-    constants_of,
+    compose_children,
     program_of_tree,
 )
+# Unused here; bound so that perfbench/tracing.py can patch it in this module.
+from .typesys import compose_candidates  # noqa: F401
 
 NEG_INF = -1e9  # -infinity sentinel immune to NaN propagation
 
@@ -51,7 +55,6 @@ class Derivation:
     category: Category
     children: tuple = ()
     program: Program | None = None
-    counts: Counter | None = None
 
     def to_tree(self, is_root: bool = False) -> SpanTree:
         return SpanTree(
@@ -59,7 +62,6 @@ class Derivation:
             self.category,
             tuple(c.to_tree() for c in self.children),
             is_root=is_root,
-            sub_program=self.program,
         )
 
 
@@ -74,28 +76,28 @@ class ParseResult:
 class _Source:
     """One combination (rule + split points) feeding a cell's k-best merge.
 
-    ``base`` is the root-label score added on top of the child scores
-    (zero for leaf and pass-through sources, whose derivations already
-    carry complete scores).
+    A source with one child list (leaf constants, or the root's whole-span
+    Join) passes its derivations through; a rule source adds ``base``, the
+    span's Join score, to its children's scores.
     """
 
     order: tuple  # deterministic tie-break key (kind, splits)
     child_lists: list
-    make: object  # fn(children) -> list[Derivation]
     base: float = 0.0
 
 
 class _Constraint:
-    """Pruning data for the hard-EM search: constants of the gold program,
-    and the partial-program admissibility test against its subterms."""
+    """Pruning data for the hard-EM search: the gold program's constant
+    names (the leaf mask), and the partial-program admissibility test
+    against its subterms."""
 
     def __init__(self, gold: Program, schema: DomainSchema):
         self.gold = gold
         self.schema = schema
-        self.allowed = Counter(c.name for c in constants_of(gold).elements())
         self.by_head: dict = {}
         for sub in gold.subterms():
             self.by_head.setdefault(sub.head.name, []).append(sub)
+        self.names = set(self.by_head)
 
     def admissible(self, program: Program) -> bool:
         for sub in self.by_head.get(program.head.name, ()):
@@ -104,8 +106,13 @@ class _Constraint:
                 return True
         return False
 
-    def within_budget(self, counts: Counter) -> bool:
-        return all(v <= self.allowed.get(k, 0) for k, v in counts.items())
+    def compose(self, programs: list):
+        """The node's program as ``program_of_tree`` composes it, or None
+        when it does not compose or is not admissible."""
+        program = compose_children(programs, self.schema)
+        if program is None or not self.admissible(program):
+            return None
+        return program
 
 
 class _Chart:
@@ -133,14 +140,14 @@ class _Chart:
     def _rank_constants(self) -> dict:
         """Per span: constant categories sorted by shifted score, best first."""
         table = self.table
-        allowed = self.constraint.allowed if self.constraint else None
+        names = self.constraint.names if self.constraint else None
         ranked = {}
         for span in table.spans:
             row = table.shifted[table.span_index[span]]
             cats = [
                 (float(row[table.cat_index[c]]), c)
                 for c in table.categories
-                if c.is_constant and (allowed is None or allowed.get(c.label))
+                if c.is_constant and (names is None or c.label in names)
             ]
             cats.sort(key=lambda sc: (-sc[0], sc[1].label))
             ranked[span] = cats
@@ -152,65 +159,36 @@ class _Chart:
         for score, cat in self._leaf_order[span][: self.K]:
             if score <= NEG_INF / 2:
                 continue
-            program = counts = None
+            program = None
             if self.constraint is not None:
                 program = self.constraint.schema.atom(cat.label)
-                counts = Counter({cat.label: 1})
-            out.append(Derivation(score, span, cat, (), program, counts))
+            out.append(Derivation(score, span, cat, (), program))
         return out
 
     def _nosem_leaf(self, i: int, j: int) -> Derivation:
-        counts = Counter() if self.constraint is not None else None
-        return Derivation(0.0, Span(i, j), Category.nosem(), (), None, counts)
+        return Derivation(0.0, Span(i, j), Category.nosem())
 
-    # -- combination builders ---------------------------------------------
+    # -- combination ------------------------------------------------------
 
-    def _combine_binary(self, span: Span, base: float, left: Derivation,
-                        right: Derivation) -> list:
-        children = (left, right)
-        score = base + left.score + right.score
-        if self.constraint is None:
-            return [Derivation(score, span, Category.join(), children)]
-        counts = (left.counts or Counter()) + (right.counts or Counter())
-        if not self.constraint.within_budget(counts):
-            return []
-        if left.program is None or right.program is None:
-            program = left.program if right.program is None else right.program
+    def _derive(self, span: Span, source: _Source, children: tuple):
+        """The derivation a source builds from one choice of children, or
+        None when the constraint rejects the node's program."""
+        if len(children) == 1:
+            return children[0]
+        # base + c1 + c2 (+ c3), in this order: sum() rounds differently.
+        score = source.base
+        for child in children:
+            score += child.score
+        program = None
+        if self.constraint is not None:
+            program = self.constraint.compose([c.program for c in children])
             if program is None:
-                return []
-            return [Derivation(score, span, Category.join(), children,
-                               program, counts)]
-        out = []
-        for program in compose_candidates(left.program, right.program,
-                                          self.constraint.schema):
-            if self.constraint.admissible(program):
-                out.append(Derivation(score, span, Category.join(), children,
-                                      program, counts))
-        return out
-
-    def _combine_ternary(self, span: Span, base: float, a: Derivation,
-                         b: Derivation, c: Derivation) -> list:
-        children = (a, b, c)
-        score = base + a.score + b.score + c.score
-        if self.constraint is None:
-            return [Derivation(score, span, Category.join(), children)]
-        counts = a.counts + b.counts + c.counts
-        if not self.constraint.within_budget(counts):
-            return []
-        out = []
-        schema = self.constraint.schema
-        for outer in compose_candidates(a.program, c.program, schema):
-            if not self.constraint.admissible(outer):
-                continue
-            for program in compose_candidates(outer, b.program, schema):
-                if self.constraint.admissible(program):
-                    out.append(Derivation(score, span, Category.join(),
-                                          children, program, counts))
-        return out
+                return None
+        return Derivation(score, span, Category.join(), children, program)
 
     # -- k-best cell fill --------------------------------------------------
 
-    def _merge(self, sources: list) -> list:
+    def _merge(self, span: Span, sources: list) -> list:
         """Lazy k-best merge over combination sources via a priority queue."""
         heap = []
         seen = set()
@@ -237,9 +215,9 @@ class _Chart:
         out = []
         while heap and len(out) < self.K:
             _, _, ranks, _, si, children = heapq.heappop(heap)
-            for deriv in sources[si].make(children):
-                if len(out) < self.K:
-                    out.append(deriv)
+            deriv = self._derive(span, sources[si], children)
+            if deriv is not None:
+                out.append(deriv)
             for pos in range(len(ranks)):
                 nxt = list(ranks)
                 nxt[pos] += 1
@@ -249,27 +227,18 @@ class _Chart:
     def _fill_join_cell(self, i: int, j: int) -> list:
         span = Span(i, j)
         base = float(self.table.shifted[self.table.span_index[span], self.join_col])
-        sources = [
-            _Source((0, ()), [self._leaf_derivs(i, j)], lambda ch: list(ch))
-        ]
-
-        def binary_make(ch, span=span, base=base):
-            return self._combine_binary(span, base, ch[0], ch[1])
-
+        sources = [_Source((0, ()), [self._leaf_derivs(i, j)])]
         for s in range(i, j):
             self.stats["combinations"] += 1
             sources.append(_Source((1, (s,)),
                                    [self.cells[(i, s)], self.cells[(s + 1, j)]],
-                                   binary_make, base))
+                                   base))
             self.stats["combinations"] += 1
             sources.append(_Source((2, (s,)),
                                    [self.cells[(i, s)], [self._nosem_leaf(s + 1, j)]],
-                                   binary_make, base))
+                                   base))
 
         if self.grammar.ternary and j - i >= 2:
-            def ternary_make(ch, span=span, base=base):
-                return self._combine_ternary(span, base, ch[0], ch[1], ch[2])
-
             for s1 in range(i, j - 1):
                 for s2 in range(s1 + 1, j):
                     self.stats["combinations"] += 1
@@ -277,26 +246,20 @@ class _Chart:
                         (3, (s1, s2)),
                         [self.cells[(i, s1)], self.cells[(s1 + 1, s2)],
                          self.cells[(s2 + 1, j)]],
-                        ternary_make, base))
-        return self._merge(sources)
+                        base))
+        return self._merge(span, sources)
 
     def _fill_root_cell(self) -> list:
         i, j = 1, self.table.n
         span = Span(i, j)
         base = float(self.table.shifted[self.table.span_index[span], self.join_col])
-        sources = [
-            _Source((0, ()), [self.cells[(i, j)]], lambda ch: list(ch))
-        ]
-
-        def binary_make(ch, span=span, base=base):
-            return self._combine_binary(span, base, ch[0], ch[1])
-
+        sources = [_Source((0, ()), [self.cells[(i, j)]])]
         for s in range(i, j):
             self.stats["combinations"] += 1
             sources.append(_Source((2, (s,)),
                                    [[self._nosem_leaf(i, s)], self.cells[(s + 1, j)]],
-                                   binary_make, base))
-        return self._merge(sources)
+                                   base))
+        return self._merge(span, sources)
 
     def to_json(self) -> dict:
         def entry(deriv: Derivation) -> dict:
@@ -342,10 +305,10 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
                       stats: dict | None = None):
     """Highest-scoring tree whose program equals ``gold``, or None.
 
-    Constants absent from the gold program are masked out, compositions
-    must stay within the gold program's subterms (partial applications
-    included), and each constant may be used at most as often as it occurs
-    in the gold program.
+    Constants absent from the gold program are masked out, and every node
+    composes as ``program_of_tree`` composes it, kept only while its
+    program stays within the gold program's subterms (partial applications
+    included).  So every returned tree maps to ``gold``.
     """
     constraint = _Constraint(gold, schema)
     chart = _Chart(table, grammar, K, constraint=constraint, stats=stats)

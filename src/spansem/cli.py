@@ -10,8 +10,9 @@ tree is null when no gold tree is available.
 
 Every flag default can be overridden through an environment variable with
 the SPANSEM_ prefix, e.g. SPANSEM_SEED=7.  Exit codes: 0 success, 2 no
-valid parse, 3 configuration error (including an empty or whitespace-only
-utterance to parse or in an evaluation file, and eval --jobs below 1).
+valid parse, 3 configuration error (including an empty utterance to parse,
+a malformed dataset line, a checkpoint whose categories differ from the
+dataset's schema, and eval --jobs below 1).
 """
 
 from __future__ import annotations
@@ -95,19 +96,29 @@ def write_jsonl(path: Path, records) -> None:
 
 
 def read_examples(path: Path, schema) -> list:
+    """The examples of a JSONL file; a malformed line is a ConfigError
+    naming the file and line."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            obj = json.loads(line)
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{where}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict) or not all(
+                    isinstance(obj.get(k), str) for k in ("utterance", "program")):
+                raise ConfigError(f'{where}: needs string "utterance" and "program"')
             utt = Utterance.from_text(obj["utterance"])
             if not utt.tokens:
-                raise ConfigError(f"{path}:{lineno}: empty utterance")
+                raise ConfigError(f"{where}: empty utterance")
+            try:
+                program = parse_program(obj["program"], schema)
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"{where}: bad program ({exc})") from None
             tree = obj.get("tree")
-            out.append(TrainExample(
-                utterance=utt,
-                program=parse_program(obj["program"], schema),
-                tree=None if tree is None else tree_from_json(tree),
-            ))
+            out.append(TrainExample(utt, program,
+                                    None if tree is None else tree_from_json(tree)))
     return out
 
 
@@ -132,6 +143,12 @@ def load_domain(data_dir: Path, no_lexicon: bool = False) -> Domain:
     if not lexicon.entries:
         lexicon = None
     return Domain(schema.name, schema, lexicon, execute)
+
+
+def check_checkpoint_domain(scorer, domain: Domain) -> None:
+    if scorer.categories != domain.schema.categories():
+        raise ConfigError(f"checkpoint categories do not match the "
+                          f"{domain.name} schema of the dataset")
 
 
 def write_config(out_dir: Path, resolved: dict) -> None:
@@ -257,6 +274,7 @@ def cmd_eval(args) -> int:
     data_path = Path(args.data)
     domain = load_domain(data_path.parent,
                          no_lexicon=extra.get("no_lexicon", False))
+    check_checkpoint_domain(scorer, domain)
     examples = read_examples(data_path, domain.schema)
     if not examples:
         raise ConfigError(f"empty evaluation file {data_path}")
@@ -286,6 +304,7 @@ def cmd_parse(args) -> int:
     scorer, extra = load_checkpoint(args.checkpoint)
     data_dir = Path(args.data) if args.data else Path(extra["data_dir"])
     domain = load_domain(data_dir, no_lexicon=extra.get("no_lexicon", False))
+    check_checkpoint_domain(scorer, domain)
     ternary = args.ternary or extra.get("ternary", False)
     grammar = Grammar(ternary=ternary)
     K = extra.get("K", 5)

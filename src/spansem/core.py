@@ -10,7 +10,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 NOSEM = "NoSem"
 JOIN = "Join"
@@ -91,15 +91,12 @@ class SpanTree:
     """A tree assigning categories to spans.
 
     Leaves carry a constant or NoSem category; internal nodes carry Join.
-    ``sub_program`` is filled by program composition and ignored for
-    equality and hashing.
     """
 
     span: Span
     category: Category
     children: tuple = ()
     is_root: bool = False
-    sub_program: object = field(default=None, compare=False, hash=False)
 
     def __post_init__(self):
         if self.children:

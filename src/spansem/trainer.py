@@ -109,7 +109,8 @@ def target_tree(scorer: SpanScorer, ex: TrainExample, domain: Domain,
 
 def hard_em_step(scorer: SpanScorer, batch: list, domain: Domain,
                  grammar: Grammar, config: TrainConfig):
-    """One E+M step on a batch; returns (loss, used, skipped)."""
+    """One E+M step on a batch; returns (loss, used, skipped, grads), the
+    gradients averaged over the examples used."""
     grads = scorer.zero_grads()
     loss, used, skipped = 0.0, 0, 0
     for ex in batch:

@@ -228,6 +228,23 @@ def compose(a: Program, b: Program, schema: DomainSchema):
     return candidates[0] if candidates else None
 
 
+def compose_children(programs, schema: DomainSchema):
+    """An internal node's program from its children's (None for NoSem), or
+    None: one semantic child passes through, two compose by ``compose``, and
+    three compose the outer pair first, then the middle one."""
+    if len(programs) == 3:
+        if any(p is None for p in programs):
+            return None
+        outer = compose(programs[0], programs[2], schema)
+        return None if outer is None else compose(outer, programs[1], schema)
+    semantic = [p for p in programs if p is not None]
+    if len(semantic) == 1:
+        return semantic[0]
+    if len(semantic) == 2:
+        return compose(semantic[0], semantic[1], schema)
+    return None
+
+
 def program_of_tree(tree: SpanTree, schema: DomainSchema) -> Program:
     """Deterministic bottom-up mapping from a span tree to its program.
 
@@ -248,24 +265,10 @@ def program_of_tree(tree: SpanTree, schema: DomainSchema) -> Program:
                 raise CompositionFailure(
                     node.span, f"unknown constant {node.category.label}"
                 ) from None
-        programs = [visit(c) for c in node.children]
-        semantic = [p for p in programs if p is not None]
-        if len(node.children) == 3:
-            if len(semantic) != 3:
-                raise CompositionFailure(node.span, "ternary node with NoSem child")
-            outer = compose(semantic[0], semantic[2], schema)
-            if outer is None:
-                raise CompositionFailure(node.span)
-            result = compose(outer, semantic[1], schema)
-            if result is None:
-                raise CompositionFailure(node.span)
-            return result
-        if len(semantic) == 1:
-            return semantic[0]
-        result = compose(semantic[0], semantic[1], schema)
-        if result is None:
+        program = compose_children([visit(c) for c in node.children], schema)
+        if program is None:
             raise CompositionFailure(node.span)
-        return result
+        return program
 
     program = visit(tree)
     if program is None:
@@ -331,7 +334,10 @@ def parse_program(text: str, schema: DomainSchema) -> Program:
             return prog, idx
         return schema.atom(name), idx
 
-    program, end = parse(0)
+    try:
+        program, end = parse(0)
+    except IndexError:
+        raise ValueError(f"truncated program {text!r}") from None
     if end != len(tokens):
         raise ValueError(f"trailing input in program {text!r}")
     return program

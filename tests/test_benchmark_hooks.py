@@ -5,8 +5,15 @@ here rather than in a benchmark run."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import spansem
 import spansem.cli
+from spansem.cky import Grammar
+from spansem.core import all_spans
+from spansem.data.scan import scan_schema
+from spansem.scorer import ScoreTable
+from spansem.typesys import parse_program
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,3 +49,23 @@ def test_tracing_hooks_install_and_restore():
     for (mod, name), original in originals.items():
         assert getattr(getattr(spansem, mod), name) is original, \
             f"{mod}.{name} not restored"
+
+
+def test_traced_estep_counts_compositions():
+    """The per-layer counts see the E-step's compositions, however the chart
+    reaches ``compose_candidates``."""
+    tracing = load_tracing()
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    schema = scan_schema()
+    cats = schema.categories()
+    raw = np.random.default_rng(0).normal(size=(len(all_spans(2)), len(cats)))
+    gold = parse_program("twice(jump)", schema)
+    try:
+        tracing.install(tracer, patches, spansem)
+        spansem.trainer.constrained_parse(ScoreTable(2, cats, raw), Grammar(),
+                                          gold, schema, 5)
+    finally:
+        patches.restore()
+    totals = tracer.totals[tracer.phase]
+    assert totals["typesys.compose_candidates.calls"] > 0
+    assert totals["cky.combinations"] > 0

@@ -15,11 +15,16 @@ from spansem.cky import (
     constrained_parse,
     parse_kbest,
 )
-from spansem.core import Category, Span, Utterance, all_spans, validate_tree
-from spansem.data.geo import geo_schema
-from spansem.data.scan import scan_schema
+from spansem.core import Category, Span, SpanTree, all_spans, validate_tree
+from spansem.data.geo import geo_schema, mini_geo_corpus, mini_kb
+from spansem.data.scan import generate_scan_sp, scan_schema
 from spansem.scorer import ScoreTable
-from spansem.typesys import parse_program, program_of_tree
+from spansem.typesys import (
+    CompositionFailure,
+    constants_of,
+    parse_program,
+    program_of_tree,
+)
 
 
 def toy_categories(n_constants):
@@ -332,6 +337,131 @@ def test_constrained_trees_always_map_to_gold():
                                    gold, schema, 5)
         if result is not None:
             assert program_of_tree(result.tree, schema) == gold
+
+
+def oracle_gold_trees(table, ternary):
+    """Every grammar-legal tree with its score, by literal enumeration
+    (small n only).  A leaf scored at NEG_INF is absent, as in the chart."""
+    consts = [c for c in table.categories if c.is_constant]
+    jc = table.cat_index[Category.join()]
+    join_cat, nosem_cat = Category.join(), Category.nosem()
+
+    def shifted(i, j, col):
+        return float(table.shifted[table.span_index[Span(i, j)], col])
+
+    def node(i, j, score, children):
+        return score, SpanTree(Span(i, j), join_cat, tuple(children))
+
+    @lru_cache(None)
+    def join(i, j):
+        out = []
+        for c in consts:
+            score = shifted(i, j, table.cat_index[c])
+            if score > NEG_INF / 2:
+                out.append((score, SpanTree(Span(i, j), c)))
+        base = shifted(i, j, jc)
+        for k in range(i, j):
+            nosem = SpanTree(Span(k + 1, j), nosem_cat)
+            for a, ta in join(i, k):
+                out.append(node(i, j, base + a, (ta, nosem)))
+                for b, tb in join(k + 1, j):
+                    out.append(node(i, j, base + a + b, (ta, tb)))
+        if ternary and j - i >= 2:
+            for s1 in range(i, j - 1):
+                for s2 in range(s1 + 1, j):
+                    for a, ta in join(i, s1):
+                        for b, tb in join(s1 + 1, s2):
+                            for c, tc in join(s2 + 1, j):
+                                out.append(node(i, j, base + a + b + c,
+                                                (ta, tb, tc)))
+        return tuple(out)
+
+    n = table.n
+    base = shifted(1, n, jc)
+    trees = list(join(1, n))
+    for k in range(1, n):
+        nosem = SpanTree(Span(1, k), nosem_cat)
+        trees.extend(node(1, n, base + b, (nosem, tb))
+                     for b, tb in join(k + 1, n))
+    return trees
+
+
+def oracle_best_gold_score(table, ternary, gold, schema):
+    """Best score among trees whose program is ``gold``, or None."""
+    best = None
+    for score, tree in oracle_gold_trees(table, ternary):
+        try:
+            program = program_of_tree(tree, schema)
+        except CompositionFailure:
+            continue
+        if program == gold and (best is None or score > best):
+            best = score
+    return best
+
+
+def small_gold_programs(schema, texts, max_constants=4):
+    programs = {str(p): p for p in (parse_program(t, schema) for t in texts)
+                if sum(constants_of(p).values()) <= max_constants}
+    return [programs[k] for k in sorted(programs)]
+
+
+def assert_constrained_matches_oracle(table, gold, schema, ternary):
+    grammar = Grammar(ternary=ternary)
+    result = constrained_parse(table, grammar, gold, schema, 10**6)
+    want = oracle_best_gold_score(table, ternary, gold, schema)
+    if want is None:
+        assert result is None
+        return False
+    assert result is not None and result.program == gold
+    assert program_of_tree(result.tree, schema) == gold
+    validate_tree(result.tree, table.n, ternary=ternary)
+    assert result.score == pytest.approx(want)
+    return True
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_constrained_parse_matches_gold_oracle(ternary):
+    """With a beam that keeps every derivation, the E-step finds the best
+    tree that maps to gold, and finds none exactly when no tree does.  Gold
+    constants and one or two others score finitely on every span."""
+    rng = random.Random(29)
+    scan = scan_schema()
+    geo = geo_schema()
+    cases = [
+        (scan, small_gold_programs(
+            scan, [str(e.program) for e in generate_scan_sp(scan)
+                   if len(e.utterance) <= 4])),
+        (geo, small_gold_programs(
+            geo, [p for _, p in mini_geo_corpus(mini_kb())])),
+    ]
+    found = {True: 0, False: 0}
+    for schema, golds in cases:
+        cats = schema.categories()
+        for _ in range(25):
+            gold = rng.choice(golds)
+            names = {c.name for c in constants_of(gold)}
+            others = sorted(c.name for c in schema.sigma if c.name not in names)
+            names.update(rng.sample(others, rng.randint(1, 2)))
+            n = rng.randint(1, 4)
+            raw = np.array([[rng.gauss(0, 2) if not c.is_constant
+                             or c.label in names else NEG_INF for c in cats]
+                            for _ in all_spans(n)])
+            table = ScoreTable(n, cats, raw)
+            found[assert_constrained_matches_oracle(table, gold, schema,
+                                                    ternary)] += 1
+    assert found[True] and found[False]
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_constrained_parse_composes_like_program_of_tree(ternary):
+    """[state largest] composes to state(largest(all)) under
+    program_of_tree, so it is no E-step target for largest(state(all))."""
+    schema = geo_schema()
+    gold = parse_program("largest(state(all))", schema)
+    table = anchored_table(schema, 2, {1: "state", 2: "largest"})
+    assert constrained_parse(table, Grammar(ternary=ternary), gold, schema,
+                             5) is None
+    assert not assert_constrained_matches_oracle(table, gold, schema, ternary)
 
 
 # -- complexity counter ------------------------------------------------------

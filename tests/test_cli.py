@@ -233,6 +233,37 @@ def test_eval_rejects_whitespace_utterance(exec_error_run, capsys):
     assert "empty utterance" in capsys.readouterr().err
 
 
+def test_eval_rejects_malformed_lines(exec_error_run, capsys):
+    good = json.dumps({"utterance": "walk", "program": "walk", "tree": None,
+                       "denotation": ["WALK"]})
+    bad_lines = ["", "{not json",
+                 json.dumps({"utterance": "walk", "denotation": ["WALK"]}),
+                 json.dumps({"utterance": "walk", "program": "walk(",
+                             "tree": None, "denotation": ["WALK"]})]
+    bad = exec_error_run / "bad.jsonl"
+    for line in bad_lines:
+        bad.write_text(good + "\n" + line + "\n")
+        code = cli.main(["eval",
+                         "--checkpoint", str(exec_error_run / "model.npz"),
+                         "--data", str(bad)])
+        assert code == cli.EXIT_CONFIG, line
+        assert f"configuration error: {bad}:2:" in capsys.readouterr().err
+
+
+def test_checkpoint_must_match_dataset_schema(exec_error_run, tmp_path,
+                                              capsys):
+    geo = tmp_path / "geo"
+    assert cli.main(["gen-data", "--domain", "geo", "--out", str(geo)]) \
+        == cli.EXIT_OK
+    scan_checkpoint = str(exec_error_run / "model.npz")
+    assert cli.main(["eval", "--checkpoint", scan_checkpoint,
+                     "--data", str(geo / "test.jsonl")]) == cli.EXIT_CONFIG
+    assert cli.main(["parse", "texas", "--checkpoint", scan_checkpoint,
+                     "--data", str(geo)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count(
+        "checkpoint categories do not match the geo schema") == 2
+
+
 def test_eval_rejects_empty_file(trained_run, tmp_path, tiny_scan_dir):
     empty = tiny_scan_dir / "empty.jsonl"
     empty.write_text("")

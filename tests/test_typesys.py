@@ -126,11 +126,15 @@ def test_program_of_tree_ternary_outer_first(geo):
 
 
 def test_program_of_tree_failure_carries_span(scan):
-    tree = SpanTree(Span(1, 2), Category.join(),
-                    (leaf(1, 1, "l"), leaf(2, 2, "r")), is_root=True)
-    with pytest.raises(CompositionFailure) as err:
-        program_of_tree(tree, scan)
-    assert err.value.span == Span(1, 2)
+    inner = SpanTree(Span(1, 2), Category.join(),
+                     (leaf(1, 1, "NoSem"), leaf(2, 2, "NoSem")))
+    for children in [(leaf(1, 1, "l"), leaf(2, 2, "r")),
+                     (inner, leaf(3, 3, "walk"))]:
+        tree = SpanTree(Span(1, children[-1].span.end), Category.join(),
+                        children, is_root=True)
+        with pytest.raises(CompositionFailure) as err:
+            program_of_tree(tree, scan)
+        assert err.value.span == Span(1, 2)
 
 
 def test_constants_of_multiset(scan):
@@ -147,6 +151,9 @@ def test_parse_program_round_trip(geo):
         parse_program("capital(placeid('mount mckinley'))", geo)
     with pytest.raises(KeyError):
         parse_program("nonsense(all)", geo)
+    for truncated in ("capital(", "capital(stateid('maine')", "count(", ""):
+        with pytest.raises(ValueError):
+            parse_program(truncated, geo)
 
 
 def test_subterms_of_parsed_program(geo):
