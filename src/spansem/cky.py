@@ -1,18 +1,24 @@
-"""Approximate K-best CKY inference and its program-constrained variant.
+"""CKY inference: an approximate K-best chart, and an exact chart
+constrained to a gold program.
 
-The chart keeps, per span, a ranked list of up to K derivations for the
-Join nonterminal (which also hosts bare constant leaves) and a fixed
-zero-score NoSem entry.  Cells are filled by lazy pairwise merging of the
-children's rank lists through a priority queue, so the K-best frontier is
-explored without materializing K^2 candidates per split.
+Both parse the same grammar.  Binary rules: root -> Join | NoSem Join;
+Join -> Join Join | Join NoSem.  With the non-projective extension on,
+Join -> Join Join Join is added: the two outer children compose first,
+then the middle.  Join also hosts bare constant leaves.
 
-Binary rules: root -> Join Join | NoSem Join; Join -> Join Join
-| Join NoSem.  With the non-projective extension on, Join -> Join Join
-Join is added: the two outer children compose first, then the middle.
+``parse_kbest`` keeps, per span, a ranked list of up to K derivations for
+Join and a fixed zero-score NoSem entry.  Cells are filled by lazy pairwise
+merging of the children's rank lists through a priority queue, so the
+K-best frontier is explored without materializing K^2 candidates per split.
+It is approximate: a derivation outside some cell's top K is lost.
 
-The constrained variant composes every node as ``program_of_tree`` does
+``constrained_parse`` is an exact Viterbi whose nonterminals are program
+states: each cell keeps the best derivation per program its span can
+compose to, which is a subterm of the gold program or a partial
+application of one.  It composes every node as ``program_of_tree`` does
 (``typesys.compose_children``) and keeps it only while its program is
-admissible against the gold program, so every tree it returns maps to gold.
+admissible against the gold program, so every tree it returns maps to gold
+and it returns None only when no tree does.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .typesys import (
 from .typesys import compose_candidates  # noqa: F401
 
 NEG_INF = -1e9  # -infinity sentinel immune to NaN propagation
+_JOIN, _NOSEM = Category.join(), Category.nosem()  # shared by every tree built here
 
 
 class EmptyInput(ValueError):
@@ -54,7 +61,6 @@ class Derivation:
     span: Span
     category: Category
     children: tuple = ()
-    program: Program | None = None
 
     def to_tree(self, is_root: bool = False) -> SpanTree:
         return SpanTree(
@@ -65,7 +71,7 @@ class Derivation:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ParseResult:
     tree: SpanTree
     score: float
@@ -86,44 +92,14 @@ class _Source:
     base: float = 0.0
 
 
-class _Constraint:
-    """Pruning data for the hard-EM search: the gold program's constant
-    names (the leaf mask), and the partial-program admissibility test
-    against its subterms."""
-
-    def __init__(self, gold: Program, schema: DomainSchema):
-        self.gold = gold
-        self.schema = schema
-        self.by_head: dict = {}
-        for sub in gold.subterms():
-            self.by_head.setdefault(sub.head.name, []).append(sub)
-        self.names = set(self.by_head)
-
-    def admissible(self, program: Program) -> bool:
-        for sub in self.by_head.get(program.head.name, ()):
-            if all(pa is None or pa == ga
-                   for pa, ga in zip(program.args, sub.args)):
-                return True
-        return False
-
-    def compose(self, programs: list):
-        """The node's program as ``program_of_tree`` composes it, or None
-        when it does not compose or is not admissible."""
-        program = compose_children(programs, self.schema)
-        if program is None or not self.admissible(program):
-            return None
-        return program
-
-
 class _Chart:
     def __init__(self, table: ScoreTable, grammar: Grammar, K: int,
-                 constraint: _Constraint | None = None, stats: dict | None = None):
+                 stats: dict | None = None):
         if table.n < 1:
             raise EmptyInput("empty utterance")
         self.table = table
         self.grammar = grammar
         self.K = K
-        self.constraint = constraint
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("combinations", 0)
         self.join_col = table.cat_index[Category.join()]
@@ -140,14 +116,13 @@ class _Chart:
     def _rank_constants(self) -> dict:
         """Per span: constant categories sorted by shifted score, best first."""
         table = self.table
-        names = self.constraint.names if self.constraint else None
         ranked = {}
         for span in table.spans:
             row = table.shifted[table.span_index[span]]
             cats = [
                 (float(row[table.cat_index[c]]), c)
                 for c in table.categories
-                if c.is_constant and (names is None or c.label in names)
+                if c.is_constant
             ]
             cats.sort(key=lambda sc: (-sc[0], sc[1].label))
             ranked[span] = cats
@@ -159,10 +134,7 @@ class _Chart:
         for score, cat in self._leaf_order[span][: self.K]:
             if score <= NEG_INF / 2:
                 continue
-            program = None
-            if self.constraint is not None:
-                program = self.constraint.schema.atom(cat.label)
-            out.append(Derivation(score, span, cat, (), program))
+            out.append(Derivation(score, span, cat))
         return out
 
     def _nosem_leaf(self, i: int, j: int) -> Derivation:
@@ -171,20 +143,14 @@ class _Chart:
     # -- combination ------------------------------------------------------
 
     def _derive(self, span: Span, source: _Source, children: tuple):
-        """The derivation a source builds from one choice of children, or
-        None when the constraint rejects the node's program."""
+        """The derivation a source builds from one choice of children."""
         if len(children) == 1:
             return children[0]
         # base + c1 + c2 (+ c3), in this order: sum() rounds differently.
         score = source.base
         for child in children:
             score += child.score
-        program = None
-        if self.constraint is not None:
-            program = self.constraint.compose([c.program for c in children])
-            if program is None:
-                return None
-        return Derivation(score, span, Category.join(), children, program)
+        return Derivation(score, span, Category.join(), children)
 
     # -- k-best cell fill --------------------------------------------------
 
@@ -215,9 +181,7 @@ class _Chart:
         out = []
         while heap and len(out) < self.K:
             _, _, ranks, _, si, children = heapq.heappop(heap)
-            deriv = self._derive(span, sources[si], children)
-            if deriv is not None:
-                out.append(deriv)
+            out.append(self._derive(span, sources[si], children))
             for pos in range(len(ranks)):
                 nxt = list(ranks)
                 nxt[pos] += 1
@@ -268,8 +232,6 @@ class _Chart:
             if deriv.children:
                 out["children"] = [[c.span.start, c.span.end,
                                     c.category.label] for c in deriv.children]
-            if deriv.program is not None:
-                out["program"] = str(deriv.program)
             return out
 
         cells = {f"{i},{j}": [entry(d) for d in derivs]
@@ -281,7 +243,7 @@ class _Chart:
 def parse_kbest(table: ScoreTable, grammar: Grammar, K: int,
                 stats: dict | None = None, return_chart: bool = False):
     """Top-K grammar-legal trees for the whole utterance, best first."""
-    chart = _Chart(table, grammar, K, constraint=None, stats=stats)
+    chart = _Chart(table, grammar, K, stats=stats)
     results = [ParseResult(d.to_tree(is_root=True), d.score) for d in chart.root]
     if return_chart:
         return results, chart
@@ -300,22 +262,173 @@ def best_valid_tree(candidates: list, schema: DomainSchema):
     return None
 
 
-def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
-                      schema: DomainSchema, K: int,
-                      stats: dict | None = None):
-    """Highest-scoring tree whose program equals ``gold``, or None.
+class _States:
+    """The program states of one constrained parse, interned to ints, and
+    their admissible compositions, memoized per pair of ids.
 
-    Constants absent from the gold program are masked out, and every node
-    composes as ``program_of_tree`` composes it, kept only while its
-    program stays within the gold program's subterms (partial applications
-    included).  So every returned tree maps to ``gold``.
+    A state is a subterm of the gold program or a partial application of
+    one.  ``tried[x]`` maps every state ``y`` composed with ``x`` so far to
+    the id of the program ``compose_children([x, y])`` gives when it is
+    admissible, else -1; ``found[x]`` keeps the admissible ones.
     """
-    constraint = _Constraint(gold, schema)
-    chart = _Chart(table, grammar, K, constraint=constraint, stats=stats)
-    for deriv in chart.root:
-        if deriv.program == gold:
-            return ParseResult(deriv.to_tree(is_root=True), deriv.score, gold)
-    return None
+
+    def __init__(self, gold: Program, schema: DomainSchema):
+        self.schema = schema
+        self.by_head: dict = {}
+        for sub in gold.subterms():
+            self.by_head.setdefault(sub.head.name, []).append(sub)
+        self.programs: list = []
+        self.ids: dict = {}
+        self.tried: dict = {}
+        self.found: dict = {}
+
+    def intern(self, program: Program) -> int:
+        sid = self.ids.get(program)
+        if sid is None:
+            sid = self.ids[program] = len(self.programs)
+            self.programs.append(program)
+            self.tried[sid], self.found[sid] = {}, {}
+        return sid
+
+    def admissible(self, program: Program) -> bool:
+        """Some gold subterm has the head and every filled argument of
+        ``program``."""
+        for sub in self.by_head.get(program.head.name, ()):
+            if all(pa is None or pa == ga
+                   for pa, ga in zip(program.args, sub.args)):
+                return True
+        return False
+
+    def meet(self, x: int, cell: dict) -> None:
+        """Composes ``x`` with the states of ``cell`` not yet tried with it."""
+        tried, found = self.tried[x], self.found[x]
+        for y in cell:
+            if y in tried:
+                continue
+            program = compose_children([self.programs[x], self.programs[y]],
+                                       self.schema)
+            if program is None or not self.admissible(program):
+                tried[y] = -1
+            else:
+                tried[y] = found[y] = self.intern(program)
+
+
+def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
+                      schema: DomainSchema, stats: dict | None = None):
+    """Highest-scoring tree whose program equals ``gold``, or None when no
+    grammar-legal tree maps to it.
+
+    An exact Viterbi over (span, program state).  A span's state is the
+    program its subtree composes to, as ``program_of_tree`` composes it:
+    constants absent from ``gold`` are masked out, and a node is kept only
+    while its program is admissible.  So the returned tree maps to
+    ``gold``.  Scores are summed as in ``parse_kbest``, and exact ties
+    mostly resolve as its merge pops them: rule sources are tried in its
+    order (leaf, Join Join by split, Join NoSem by split, ternary by
+    splits), cells are kept best first, and only a strictly greater score
+    replaces an entry.
+    """
+    n = table.n
+    if n < 1:
+        raise EmptyInput("empty utterance")
+    if stats is None:
+        stats = {}
+    stats.setdefault("combinations", 0)
+    states = _States(gold, schema)
+    gold_id = states.intern(gold)
+    tried, found = states.tried, states.found
+    leaves = [(states.intern(schema.atom(c.label)), table.cat_index[c], c)
+              for c in sorted(table.categories, key=lambda c: c.label)
+              if c.is_constant and c.label in states.by_head]
+    rows = table.shifted.tolist()
+    row_of = {(s.start, s.end): k for k, s in enumerate(table.spans)}
+    join_col = table.cat_index[_JOIN]
+    ternary = grammar.ternary
+    # chart[i][j]: state id -> (score, back), best score first; back is the
+    # leaf's Category or (splits, child ids) with None for a NoSem child.
+    chart = [[None] * (n + 1) for _ in range(n + 2)]
+    for length in range(1, n + 1):
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            row = rows[row_of[(i, j)]]
+            base = row[join_col]
+            cell = {}
+            for sid, col, cat in leaves:
+                if row[col] > NEG_INF / 2:
+                    cell[sid] = (row[col], cat)
+            for s in range(i, j):
+                right = chart[s + 1][j]
+                for a, (sa, _) in chart[i][s].items():
+                    if not right.keys() <= tried[a].keys():
+                        states.meet(a, right)
+                    for b, r in found[a].items():
+                        entry = right.get(b)
+                        if entry is not None:
+                            score = base + sa + entry[0]
+                            old = cell.get(r)
+                            if old is None or score > old[0]:
+                                cell[r] = (score, ((s,), (a, b)))
+            for s in range(i, j):
+                for a, (sa, _) in chart[i][s].items():
+                    score = base + sa + 0.0  # + NoSem, as parse_kbest sums
+                    old = cell.get(a)
+                    if old is None or score > old[0]:
+                        cell[a] = (score, ((s,), (a, None)))
+            m = j - i
+            stats["combinations"] += 2 * m + (m * (m - 1) // 2 if ternary else 0)
+            if ternary:
+                # The outer pair composes first and must be admissible as
+                # well: the middle child either fills more of its slots or
+                # takes it, completed by defaults, as an argument, and
+                # neither makes an inadmissible program admissible.
+                for s1 in range(i, j - 1):
+                    left = chart[i][s1]
+                    for s2 in range(s1 + 1, j):
+                        mid, right = chart[s1 + 1][s2], chart[s2 + 1][j]
+                        for a, (sa, _) in left.items():
+                            if not right.keys() <= tried[a].keys():
+                                states.meet(a, right)
+                            for c, o in found[a].items():
+                                entry = right.get(c)
+                                if entry is None:
+                                    continue
+                                sc = entry[0]
+                                if not mid.keys() <= tried[o].keys():
+                                    states.meet(o, mid)
+                                for b, r in found[o].items():
+                                    entry = mid.get(b)
+                                    if entry is not None:
+                                        score = base + sa + entry[0] + sc
+                                        old = cell.get(r)
+                                        if old is None or score > old[0]:
+                                            cell[r] = (score, ((s1, s2), (a, b, c)))
+            chart[i][j] = dict(sorted(cell.items(), key=lambda kv: -kv[1][0]))
+
+    # Root: the whole-span Join, or NoSem(1, s) Join(s + 1, n).
+    best = chart[1][n].get(gold_id)
+    base = rows[row_of[(1, n)]][join_col]
+    for s in range(1, n):
+        stats["combinations"] += 1
+        entry = chart[s + 1][n].get(gold_id)
+        if entry is not None:
+            score = base + 0.0 + entry[0]
+            if best is None or score > best[0]:
+                best = (score, ((s,), (None, gold_id)))
+    if best is None:
+        return None
+
+    def node(i: int, j: int, back, is_root: bool = False) -> SpanTree:
+        if isinstance(back, Category):
+            return SpanTree(Span(i, j), back, is_root=is_root)
+        splits, kids = back
+        bounds = (i - 1, *splits, j)
+        children = tuple(
+            SpanTree(Span(lo + 1, hi), _NOSEM) if k is None
+            else node(lo + 1, hi, chart[lo + 1][hi][k][1])
+            for lo, hi, k in zip(bounds, bounds[1:], kids))
+        return SpanTree(Span(i, j), _JOIN, children, is_root=is_root)
+
+    return ParseResult(node(1, n, best[1], is_root=True), best[0], gold)
 
 
 def dump_chart(chart: _Chart, path) -> None:

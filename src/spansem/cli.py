@@ -11,8 +11,9 @@ tree is null when no gold tree is available.
 Every flag default can be overridden through an environment variable with
 the SPANSEM_ prefix, e.g. SPANSEM_SEED=7.  Exit codes: 0 success, 2 no
 valid parse, 3 configuration error (including an empty utterance to parse,
-a malformed dataset line, a checkpoint whose categories differ from the
-dataset's schema, and eval --jobs below 1).
+a malformed dataset line or tree, a checkpoint whose categories differ from
+the dataset's schema or whose parameter shapes differ from its sizes, a
+non-finite training loss, and eval --jobs below 1).
 """
 
 from __future__ import annotations
@@ -117,8 +118,12 @@ def read_examples(path: Path, schema) -> list:
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"{where}: bad program ({exc})") from None
             tree = obj.get("tree")
-            out.append(TrainExample(utt, program,
-                                    None if tree is None else tree_from_json(tree)))
+            if tree is not None:
+                try:
+                    tree = tree_from_json(tree)
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise ConfigError(f"{where}: bad tree ({exc!r})") from None
+            out.append(TrainExample(utt, program, tree))
     return out
 
 
@@ -143,6 +148,15 @@ def load_domain(data_dir: Path, no_lexicon: bool = False) -> Domain:
     if not lexicon.entries:
         lexicon = None
     return Domain(schema.name, schema, lexicon, execute)
+
+
+def read_checkpoint(path):
+    """``load_checkpoint``, with an unreadable or mis-shaped checkpoint a
+    ConfigError."""
+    try:
+        return load_checkpoint(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def check_checkpoint_domain(scorer, domain: Domain) -> None:
@@ -270,7 +284,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
-    scorer, extra = load_checkpoint(args.checkpoint)
+    scorer, extra = read_checkpoint(args.checkpoint)
     data_path = Path(args.data)
     domain = load_domain(data_path.parent,
                          no_lexicon=extra.get("no_lexicon", False))
@@ -301,7 +315,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    scorer, extra = load_checkpoint(args.checkpoint)
+    scorer, extra = read_checkpoint(args.checkpoint)
     data_dir = Path(args.data) if args.data else Path(extra["data_dir"])
     domain = load_domain(data_dir, no_lexicon=extra.get("no_lexicon", False))
     check_checkpoint_domain(scorer, domain)

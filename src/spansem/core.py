@@ -26,7 +26,7 @@ class ArityError(ValueError):
     """A node of the span map cannot be binarized under the tree grammar."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Category:
     """A span label: a domain constant name, Join, or NoSem."""
 
@@ -62,7 +62,7 @@ class Category:
         return self.label
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Span:
     """A token span, 1-based and inclusive on both ends."""
 
@@ -86,7 +86,7 @@ class Span:
         return not (self.contains(other) or other.contains(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanTree:
     """A tree assigning categories to spans.
 

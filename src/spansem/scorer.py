@@ -312,7 +312,8 @@ def save_checkpoint(scorer: SpanScorer, path, extra: dict | None = None) -> None
 
 
 def load_checkpoint(path):
-    """Returns (scorer, extra)."""
+    """Returns (scorer, extra); a ValueError when a stored parameter's shape
+    differs from the one the stored sizes build."""
     blob = np.load(path, allow_pickle=False)
     meta = json.loads(str(blob["meta"]))
     if meta["version"] != CHECKPOINT_VERSION:
@@ -328,6 +329,10 @@ def load_checkpoint(path):
         lam=meta["lam"],
         seed=meta["seed"],
     )
-    for key in scorer.params:
-        scorer.params[key] = blob[f"param_{key}"]
+    for key, built in scorer.params.items():
+        stored = blob[f"param_{key}"]
+        if stored.shape != built.shape:
+            raise ValueError(f"checkpoint parameter {key} has shape "
+                             f"{stored.shape}, its sizes give {built.shape}")
+        scorer.params[key] = stored
     return scorer, meta["extra"]

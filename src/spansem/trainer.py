@@ -2,8 +2,9 @@
 
 Each batch runs an E-step: for every example, the constrained parser finds
 the highest-scoring tree under the current model whose program equals the
-gold program (examples with no such tree in the beam are skipped for that
-batch).  The M-step treats the found trees as supervision and takes one
+gold program.  The search is exact, so an example is skipped for that
+batch only when no grammar-legal tree over its utterance maps to the gold
+program.  The M-step treats the found trees as supervision and takes one
 momentum-SGD step on the summed per-span cross-entropy.  When gold trees
 are available the E-step is bypassed and they are used directly.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -97,13 +99,12 @@ def vocabulary(examples) -> list:
 def target_tree(scorer: SpanScorer, ex: TrainExample, domain: Domain,
                 grammar: Grammar, config: TrainConfig) -> SpanTree | None:
     """Supervision tree for one example: the gold tree when configured and
-    present, otherwise the best constrained parse (None when the beam has
-    no tree composing to the gold program)."""
+    present, otherwise the best constrained parse (None when no tree over
+    the utterance composes to the gold program)."""
     if config.use_gold_trees and ex.tree is not None:
         return ex.tree
     table = scorer.score_spans(ex.utterance, domain.lexicon)
-    result = constrained_parse(table, grammar, ex.program, domain.schema,
-                               config.K)
+    result = constrained_parse(table, grammar, ex.program, domain.schema)
     return None if result is None else result.tree
 
 
@@ -181,7 +182,9 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
           config: TrainConfig, log_path=None) -> TrainResult:
     """Hard-EM training with early stopping on dev denotation accuracy.
 
-    The returned scorer carries the parameters of the best dev epoch.
+    The returned scorer carries the parameters of the best dev epoch.  A
+    NaN or infinite batch loss stops training with a ConfigError before
+    the step is taken.
     """
     config.validate()
     if not train_examples:
@@ -209,6 +212,9 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
                 batch = order[lo:lo + config.batch_size]
                 loss, used, skipped, grads = hard_em_step(
                     scorer, batch, domain, grammar, config)
+                if not math.isfinite(loss):
+                    raise ConfigError(f"non-finite loss at epoch {epoch}, "
+                                      f"batch {lo // config.batch_size}; lower lr")
                 epoch_loss += loss
                 epoch_used += used
                 epoch_skipped += skipped

@@ -158,9 +158,9 @@ def test_discontinuous_composition_needs_ternary(announce):
     anchors = {1: "state", 5: "largest_one", 6: "pop_1"}
     table = anchored_table(schema, 7, anchors)
     with_ternary = constrained_parse(table, Grammar(ternary=True), gold,
-                                     schema, 5)
+                                     schema)
     without = constrained_parse(table, Grammar(ternary=False), gold,
-                                schema, 5)
+                                schema)
     ok = (with_ternary is not None and with_ternary.program == gold
           and any(len(node.children) == 3
                   for node in with_ternary.tree.nodes())

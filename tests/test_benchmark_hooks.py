@@ -63,7 +63,7 @@ def test_traced_estep_counts_compositions():
     try:
         tracing.install(tracer, patches, spansem)
         spansem.trainer.constrained_parse(ScoreTable(2, cats, raw), Grammar(),
-                                          gold, schema, 5)
+                                          gold, schema)
     finally:
         patches.restore()
     totals = tracer.totals[tracer.phase]

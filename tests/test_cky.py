@@ -20,7 +20,7 @@ from spansem.data.geo import geo_schema, mini_geo_corpus, mini_kb
 from spansem.data.scan import generate_scan_sp, scan_schema
 from spansem.scorer import ScoreTable
 from spansem.typesys import (
-    CompositionFailure,
+    compose_children,
     constants_of,
     parse_program,
     program_of_tree,
@@ -255,7 +255,7 @@ def test_constrained_parse_recovers_gold_scan():
     anchors = {1: "walk", 2: "r", 3: "after", 4: "turn", 5: "op",
                6: "l", 7: "twice"}
     table = anchored_table(schema, 7, anchors)
-    result = constrained_parse(table, Grammar(), gold, schema, 5)
+    result = constrained_parse(table, Grammar(), gold, schema)
     assert result is not None
     assert result.program == gold
     assert program_of_tree(result.tree, schema) == gold
@@ -280,7 +280,7 @@ def test_constrained_parse_geo_entity_span():
         if span in anchors:
             raw[row, ci[Category.constant(anchors[span])]] = 5.0
     result = constrained_parse(ScoreTable(n, cats, raw), Grammar(), gold,
-                               schema, 5)
+                               schema)
     assert result is not None and result.program == gold
     # the two-token entity span is a leaf of the returned tree
     leaves = {(node.span, node.category.label)
@@ -298,7 +298,7 @@ def test_constrained_parse_masks_other_constants():
                 if c.label == "walk"][0]
     table.raw[:, walk_col] = 50.0
     boosted = ScoreTable(2, schema.categories(), table.raw)
-    result = constrained_parse(boosted, Grammar(), gold, schema, 5)
+    result = constrained_parse(boosted, Grammar(), gold, schema)
     assert result is not None and result.program == gold
     assert all(node.category.label != "walk" for node in result.tree.nodes())
 
@@ -309,7 +309,7 @@ def test_constrained_parse_none_when_unreachable():
     # jump is forced onto both tokens; no tree yields twice(jump)
     anchors = {1: "jump", 2: "jump"}
     table = anchored_table(schema, 2, anchors)
-    assert constrained_parse(table, Grammar(), gold, schema, 5) is None
+    assert constrained_parse(table, Grammar(), gold, schema) is None
 
 
 def test_nonprojective_case_needs_ternary_rule():
@@ -318,8 +318,8 @@ def test_nonprojective_case_needs_ternary_rule():
     # "State that has the most people ?"
     anchors = {1: "state", 5: "largest_one", 6: "pop_1"}
     table = anchored_table(schema, 7, anchors)
-    with_t = constrained_parse(table, Grammar(ternary=True), gold, schema, 5)
-    without = constrained_parse(table, Grammar(ternary=False), gold, schema, 5)
+    with_t = constrained_parse(table, Grammar(ternary=True), gold, schema)
+    without = constrained_parse(table, Grammar(ternary=False), gold, schema)
     assert with_t is not None and with_t.program == gold
     assert any(len(node.children) == 3 for node in with_t.tree.nodes())
     assert without is None
@@ -334,14 +334,17 @@ def test_constrained_trees_always_map_to_gold():
         raw = np.array([[rng.gauss(0, 2) for _ in cats]
                         for _ in all_spans(5)])
         result = constrained_parse(ScoreTable(5, cats, raw), Grammar(),
-                                   gold, schema, 5)
+                                   gold, schema)
         if result is not None:
             assert program_of_tree(result.tree, schema) == gold
 
 
-def oracle_gold_trees(table, ternary):
-    """Every grammar-legal tree with its score, by literal enumeration
-    (small n only).  A leaf scored at NEG_INF is absent, as in the chart."""
+def oracle_composing_trees(table, ternary, schema):
+    """Every grammar-legal tree that composes to a program, with its score
+    and program, by literal enumeration (small n only).  A leaf scored at
+    NEG_INF is absent, as in the chart.  Each node composes its children's
+    programs as ``program_of_tree`` does, and a subtree that fails is
+    dropped, since every tree containing it fails too."""
     consts = [c for c in table.categories if c.is_constant]
     jc = table.cat_index[Category.join()]
     join_cat, nosem_cat = Category.join(), Category.nosem()
@@ -349,8 +352,11 @@ def oracle_gold_trees(table, ternary):
     def shifted(i, j, col):
         return float(table.shifted[table.span_index[Span(i, j)], col])
 
-    def node(i, j, score, children):
-        return score, SpanTree(Span(i, j), join_cat, tuple(children))
+    def node(i, j, score, children, programs):
+        program = compose_children(programs, schema)
+        if program is None:
+            return None
+        return score, program, SpanTree(Span(i, j), join_cat, tuple(children))
 
     @lru_cache(None)
     def join(i, j):
@@ -358,44 +364,42 @@ def oracle_gold_trees(table, ternary):
         for c in consts:
             score = shifted(i, j, table.cat_index[c])
             if score > NEG_INF / 2:
-                out.append((score, SpanTree(Span(i, j), c)))
+                out.append((score, schema.atom(c.label), SpanTree(Span(i, j), c)))
         base = shifted(i, j, jc)
         for k in range(i, j):
             nosem = SpanTree(Span(k + 1, j), nosem_cat)
-            for a, ta in join(i, k):
-                out.append(node(i, j, base + a, (ta, nosem)))
-                for b, tb in join(k + 1, j):
-                    out.append(node(i, j, base + a + b, (ta, tb)))
+            for a, pa, ta in join(i, k):
+                out.append(node(i, j, base + a, (ta, nosem), (pa, None)))
+                for b, pb, tb in join(k + 1, j):
+                    out.append(node(i, j, base + a + b, (ta, tb), (pa, pb)))
         if ternary and j - i >= 2:
             for s1 in range(i, j - 1):
                 for s2 in range(s1 + 1, j):
-                    for a, ta in join(i, s1):
-                        for b, tb in join(s1 + 1, s2):
-                            for c, tc in join(s2 + 1, j):
+                    for a, pa, ta in join(i, s1):
+                        for b, pb, tb in join(s1 + 1, s2):
+                            for c, pc, tc in join(s2 + 1, j):
                                 out.append(node(i, j, base + a + b + c,
-                                                (ta, tb, tc)))
-        return tuple(out)
+                                                (ta, tb, tc), (pa, pb, pc)))
+        return tuple(t for t in out if t is not None)
 
     n = table.n
     base = shifted(1, n, jc)
     trees = list(join(1, n))
     for k in range(1, n):
         nosem = SpanTree(Span(1, k), nosem_cat)
-        trees.extend(node(1, n, base + b, (nosem, tb))
-                     for b, tb in join(k + 1, n))
+        trees.extend((base + b, pb, SpanTree(Span(1, n), join_cat, (nosem, tb)))
+                     for b, pb, tb in join(k + 1, n))
     return trees
 
 
 def oracle_best_gold_score(table, ternary, gold, schema):
     """Best score among trees whose program is ``gold``, or None."""
     best = None
-    for score, tree in oracle_gold_trees(table, ternary):
-        try:
-            program = program_of_tree(tree, schema)
-        except CompositionFailure:
-            continue
-        if program == gold and (best is None or score > best):
-            best = score
+    for score, program, tree in oracle_composing_trees(table, ternary, schema):
+        if program == gold:
+            assert program_of_tree(tree, schema) == gold
+            if best is None or score > best:
+                best = score
     return best
 
 
@@ -407,7 +411,7 @@ def small_gold_programs(schema, texts, max_constants=4):
 
 def assert_constrained_matches_oracle(table, gold, schema, ternary):
     grammar = Grammar(ternary=ternary)
-    result = constrained_parse(table, grammar, gold, schema, 10**6)
+    result = constrained_parse(table, grammar, gold, schema)
     want = oracle_best_gold_score(table, ternary, gold, schema)
     if want is None:
         assert result is None
@@ -415,15 +419,17 @@ def assert_constrained_matches_oracle(table, gold, schema, ternary):
     assert result is not None and result.program == gold
     assert program_of_tree(result.tree, schema) == gold
     validate_tree(result.tree, table.n, ternary=ternary)
-    assert result.score == pytest.approx(want)
+    assert result.score == want
     return True
 
 
 @pytest.mark.parametrize("ternary", [False, True])
 def test_constrained_parse_matches_gold_oracle(ternary):
-    """With a beam that keeps every derivation, the E-step finds the best
-    tree that maps to gold, and finds none exactly when no tree does.  Gold
-    constants and one or two others score finitely on every span."""
+    """The E-step finds the best tree that maps to gold, with the score
+    summed in the same order, and finds none exactly when no tree does.
+    Gold constants and one or two others score finitely on every span;
+    utterances have up to 5 tokens with the binary grammar and up to 4
+    with the ternary one."""
     rng = random.Random(29)
     scan = scan_schema()
     geo = geo_schema()
@@ -442,7 +448,7 @@ def test_constrained_parse_matches_gold_oracle(ternary):
             names = {c.name for c in constants_of(gold)}
             others = sorted(c.name for c in schema.sigma if c.name not in names)
             names.update(rng.sample(others, rng.randint(1, 2)))
-            n = rng.randint(1, 4)
+            n = rng.randint(1, 4 if ternary else 5)
             raw = np.array([[rng.gauss(0, 2) if not c.is_constant
                              or c.label in names else NEG_INF for c in cats]
                             for _ in all_spans(n)])
@@ -459,8 +465,7 @@ def test_constrained_parse_composes_like_program_of_tree(ternary):
     schema = geo_schema()
     gold = parse_program("largest(state(all))", schema)
     table = anchored_table(schema, 2, {1: "state", 2: "largest"})
-    assert constrained_parse(table, Grammar(ternary=ternary), gold, schema,
-                             5) is None
+    assert constrained_parse(table, Grammar(ternary=ternary), gold, schema) is None
     assert not assert_constrained_matches_oracle(table, gold, schema, ternary)
 
 
@@ -473,6 +478,22 @@ def combination_count(n, ternary, seed=0):
     stats = {}
     parse_kbest(table, Grammar(ternary=ternary), 5, stats)
     return stats["combinations"]
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_constrained_parse_counts_combinations_like_parse_kbest(ternary):
+    """Both charts count one combination per rule source per cell."""
+    rng = random.Random(31)
+    schema = scan_schema()
+    cats = schema.categories()
+    gold = parse_program("after(walk(r),twice(turn(l,op)))", schema)
+    for n in range(1, 9):
+        raw = np.array([[rng.gauss(0, 2) for _ in cats] for _ in all_spans(n)])
+        table = ScoreTable(n, cats, raw)
+        kbest, exact = {}, {}
+        parse_kbest(table, Grammar(ternary=ternary), 5, kbest)
+        constrained_parse(table, Grammar(ternary=ternary), gold, schema, exact)
+        assert exact["combinations"] == kbest["combinations"]
 
 
 def test_combination_growth_matches_complexity():

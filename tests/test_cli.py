@@ -4,6 +4,7 @@ parsing, exit codes, and environment-variable overrides."""
 import json
 import random
 
+import numpy as np
 import pytest
 
 from spansem import cli
@@ -239,7 +240,11 @@ def test_eval_rejects_malformed_lines(exec_error_run, capsys):
     bad_lines = ["", "{not json",
                  json.dumps({"utterance": "walk", "denotation": ["WALK"]}),
                  json.dumps({"utterance": "walk", "program": "walk(",
-                             "tree": None, "denotation": ["WALK"]})]
+                             "tree": None, "denotation": ["WALK"]}),
+                 json.dumps({"utterance": "walk", "program": "walk",
+                             "tree": 5, "denotation": ["WALK"]}),
+                 json.dumps({"utterance": "walk", "program": "walk",
+                             "tree": {"span": "x"}, "denotation": ["WALK"]})]
     bad = exec_error_run / "bad.jsonl"
     for line in bad_lines:
         bad.write_text(good + "\n" + line + "\n")
@@ -262,6 +267,37 @@ def test_checkpoint_must_match_dataset_schema(exec_error_run, tmp_path,
                      "--data", str(geo)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.count(
         "checkpoint categories do not match the geo schema") == 2
+
+
+def test_checkpoint_parameter_shapes_are_checked(exec_error_run, tmp_path,
+                                                 capsys):
+    """A stored parameter whose shape differs from the one the checkpoint's
+    sizes build is a configuration error for eval and parse."""
+    with np.load(exec_error_run / "model.npz") as blob:
+        arrays = dict(blob)
+    arrays["param_W2"] = arrays["param_W2"][:, :-1]
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    with pytest.raises(ValueError, match=r"W2 has shape \(\d+, \d+\)"):
+        load_checkpoint(bad)
+    assert cli.main(["eval", "--checkpoint", str(bad),
+                     "--data", str(exec_error_run / "test.jsonl")]) \
+        == cli.EXIT_CONFIG
+    assert cli.main(["parse", "walk", "--checkpoint", str(bad),
+                     "--data", str(exec_error_run)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count(
+        "configuration error: " + str(bad) + ": checkpoint parameter W2") == 2
+
+
+def test_train_stops_on_non_finite_loss(tiny_scan_dir, tmp_path, monkeypatch,
+                                        capsys):
+    monkeypatch.setattr(SpanScorer, "loss_and_grads",
+                        lambda self, *args, **kwargs: (float("nan"), None))
+    code = cli.main(["train", "--data", str(tiny_scan_dir),
+                     "--out", str(tmp_path / "nan"), "--max-epochs", "1"])
+    assert code == cli.EXIT_CONFIG
+    assert ("configuration error: non-finite loss at epoch 0, batch 0; "
+            "lower lr") in capsys.readouterr().err
 
 
 def test_eval_rejects_empty_file(trained_run, tmp_path, tiny_scan_dir):
