@@ -1,16 +1,21 @@
-"""CKY inference: an approximate K-best chart, and an exact chart
-constrained to a gold program.
+"""CKY inference: a lazy K-best chart, and an exact chart constrained to a
+gold program.
 
 Both parse the same grammar.  Binary rules: root -> Join | NoSem Join;
 Join -> Join Join | Join NoSem.  With the non-projective extension on,
 Join -> Join Join Join is added: the two outer children compose first,
 then the middle.  Join also hosts bare constant leaves.
 
-``parse_kbest`` keeps, per span, a ranked list of up to K derivations for
-Join and a fixed zero-score NoSem entry.  Cells are filled by lazy pairwise
-merging of the children's rank lists through a priority queue, so the
-K-best frontier is explored without materializing K^2 candidates per split.
-It is approximate: a derivation outside some cell's top K is lost.
+``parse_kbest`` ranks, per span, up to K derivations for Join (a span's
+NoSem entry is fixed at zero), lazily, after Huang & Chiang 2005 (*Better
+k-best parsing*, Algorithm 3).  One Viterbi pass keeps each cell's best
+derivation.  A cell's deeper ranks are computed only when a consumer asks
+for them: its rule sources' best combinations go into a priority queue,
+and each pop pushes the successors that take one child one rank deeper,
+extending the child cells only as far as that needs.  A caller that keeps
+the first candidate, as ``best_valid_tree`` does when it is valid, pays
+for the Viterbi pass alone.  The chart is approximate: a derivation
+outside some cell's top K is lost.
 
 ``constrained_parse`` is an exact Viterbi whose nonterminals are program
 states: each cell keeps the best derivation per program its span can
@@ -19,13 +24,18 @@ application of one.  It composes every node as ``program_of_tree`` does
 (``typesys.compose_children``) and keeps it only while its program is
 admissible against the gold program, so every tree it returns maps to gold
 and it returns None only when no tree does.
+
+Both Viterbi loops visit cells by increasing length, then start, and try a
+cell's rule sources in one order: the leaf constants, Join Join by split,
+Join NoSem by split, then the ternary rule by split pair.  Scores are
+summed ``base + c1 + c2 (+ c3)`` left to right, with ``+ 0.0`` for NoSem.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Category, Span, SpanTree
 from .scorer import ScoreTable
@@ -41,6 +51,7 @@ from .typesys import compose_candidates  # noqa: F401
 
 NEG_INF = -1e9  # -infinity sentinel immune to NaN propagation
 _JOIN, _NOSEM = Category.join(), Category.nosem()  # shared by every tree built here
+_ROOT = "root"  # the root's key in a _Chart; a Join cell's key is (i, j)
 
 
 class EmptyInput(ValueError):
@@ -55,22 +66,6 @@ class Grammar:
     ternary: bool = False
 
 
-@dataclass
-class Derivation:
-    score: float
-    span: Span
-    category: Category
-    children: tuple = ()
-
-    def to_tree(self, is_root: bool = False) -> SpanTree:
-        return SpanTree(
-            self.span,
-            self.category,
-            tuple(c.to_tree() for c in self.children),
-            is_root=is_root,
-        )
-
-
 @dataclass(slots=True)
 class ParseResult:
     tree: SpanTree
@@ -78,21 +73,30 @@ class ParseResult:
     program: Program | None = None
 
 
-@dataclass
-class _Source:
-    """One combination (rule + split points) feeding a cell's k-best merge.
+@dataclass(slots=True)
+class _Frontier:
+    """The merge state of one list: its rule sources, the queued
+    combinations, every ``(source, ranks)`` queued so far, and the last pop,
+    whose successors are queued just before the next pop."""
 
-    A source with one child list (leaf constants, or the root's whole-span
-    Join) passes its derivations through; a rule source adds ``base``, the
-    span's Join score, to its children's scores.
-    """
-
-    order: tuple  # deterministic tie-break key (kind, splits)
-    child_lists: list
-    base: float = 0.0
+    sources: list
+    heap: list = field(default_factory=list)
+    seen: set = field(default_factory=set)
+    last: tuple | None = None
 
 
 class _Chart:
+    """Best-first lists of up to K derivations for every Join cell and for
+    the root, each extended only as far as it is read.
+
+    A derivation is a tuple ``(score, i, j, category, children)`` whose
+    children are derivations.  The constructor runs the Viterbi pass, which
+    keeps each list's best derivation; ``at`` ranks deeper ones on demand.
+    A list's merge order is the key ``(-(base + (c1 + c2)), order, ranks)``:
+    its sum, then the rule source's ``(kind, splits)``, then the children's
+    ranks.
+    """
+
     def __init__(self, table: ScoreTable, grammar: Grammar, K: int,
                  stats: dict | None = None):
         if table.n < 1:
@@ -102,157 +106,227 @@ class _Chart:
         self.K = K
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("combinations", 0)
-        self.join_col = table.cat_index[Category.join()]
-        self.cells: dict = {}
-        self._leaf_order = self._rank_constants()
-        for length in range(1, table.n + 1):
-            for i in range(1, table.n - length + 2):
+        self.row_of = {(s.start, s.end): k for k, s in enumerate(table.spans)}
+        self.join_col = table.cat_index[_JOIN]
+        self.constants = sorted((c for c in table.categories if c.is_constant),
+                                key=lambda c: c.label)
+        self.cells: dict = {}  # (i, j) -> ranked derivations, best first
+        self.frontiers: dict = {}  # key -> _Frontier, once rank 1 is asked for
+        self.root = self._viterbi()
+
+    def _viterbi(self) -> list:
+        """Keeps the best derivation of every cell; returns the root's list."""
+        table, n, row_of = self.table, self.table.n, self.row_of
+        bases = table.shifted[:, self.join_col].tolist()
+        cols = [table.cat_index[c] for c in self.constants]
+        leaves = [None] * len(table.spans)
+        if cols:
+            # argmax keeps the first best column: ties go to the lower label.
+            consts = table.shifted[:, cols]
+            for k, (score, c) in enumerate(zip(consts.max(axis=1).tolist(),
+                                               consts.argmax(axis=1).tolist())):
+                if score > NEG_INF / 2:
+                    leaves[k] = (score, self.constants[c])
+        ternary = self.grammar.ternary
+        best = [[None] * (n + 2) for _ in range(n + 2)]
+        combinations = 0
+        for length in range(1, n + 1):
+            for i in range(1, n - length + 2):
                 j = i + length - 1
-                self.cells[(i, j)] = self._fill_join_cell(i, j)
-        self.root = self._fill_root_cell()
+                k = row_of[(i, j)]
+                base = bases[k]
+                top = key = None
+                if leaves[k] is not None:
+                    key = leaves[k][0]
+                    top = (key, i, j, leaves[k][1], ())
+                # Sources in merge order; only a greater key replaces.
+                for s in range(i, j):
+                    a, b = best[i][s], best[s + 1][j]
+                    if a is not None and b is not None:
+                        score = base + (a[0] + b[0])
+                        if top is None or score > key:
+                            key = score
+                            top = (base + a[0] + b[0], i, j, _JOIN, (a, b))
+                for s in range(i, j):
+                    a = best[i][s]
+                    if a is not None and (top is None or base + a[0] > key):
+                        key = base + a[0]
+                        top = (base + a[0] + 0.0, i, j, _JOIN,
+                               (a, (0.0, s + 1, j, _NOSEM, ())))
+                m = j - i
+                combinations += 2 * m
+                if ternary:
+                    combinations += m * (m - 1) // 2
+                    for s1 in range(i, j - 1):
+                        a = best[i][s1]
+                        if a is None:
+                            continue
+                        for s2 in range(s1 + 1, j):
+                            b, c = best[s1 + 1][s2], best[s2 + 1][j]
+                            if b is not None and c is not None:
+                                score = base + (a[0] + b[0] + c[0])
+                                if top is None or score > key:
+                                    key = score
+                                    top = (base + a[0] + b[0] + c[0], i, j,
+                                           _JOIN, (a, b, c))
+                best[i][j] = top
+                self.cells[(i, j)] = [] if top is None else [top]
 
-    # -- leaf constants ----------------------------------------------------
+        # Root: the whole-span Join, or NoSem(1, s) Join(s + 1, n).
+        base = bases[row_of[(1, n)]]
+        top = best[1][n]
+        key = None if top is None else top[0]
+        for s in range(1, n):
+            b = best[s + 1][n]
+            if b is not None and (top is None or base + b[0] > key):
+                key = base + b[0]
+                top = (base + 0.0 + b[0], 1, n, _JOIN,
+                       ((0.0, 1, s, _NOSEM, ()), b))
+        self.stats["combinations"] += combinations + n - 1
+        return [] if top is None else [top]
 
-    def _rank_constants(self) -> dict:
-        """Per span: constant categories sorted by shifted score, best first."""
-        table = self.table
-        ranked = {}
-        for span in table.spans:
-            row = table.shifted[table.span_index[span]]
-            cats = [
-                (float(row[table.cat_index[c]]), c)
-                for c in table.categories
-                if c.is_constant
-            ]
-            cats.sort(key=lambda sc: (-sc[0], sc[1].label))
-            ranked[span] = cats
-        return ranked
+    def at(self, key, r: int):
+        """Rank ``r`` (0 is the best) of a list, or None past its end or K."""
+        if r >= self.K:
+            return None
+        entries = self.root if key is _ROOT else self.cells[key]
+        while len(entries) <= r:
+            if not self._extend(key, entries):
+                return None
+        return entries[r]
 
-    def _leaf_derivs(self, i: int, j: int) -> list:
-        span = Span(i, j)
-        out = []
-        for score, cat in self._leaf_order[span][: self.K]:
-            if score <= NEG_INF / 2:
-                continue
-            out.append(Derivation(score, span, cat))
-        return out
+    def ranked(self, key):
+        """A list's derivations, best first, each ranked when it is read."""
+        r = 0
+        while (entry := self.at(key, r)) is not None:
+            yield entry
+            r += 1
 
-    def _nosem_leaf(self, i: int, j: int) -> Derivation:
-        return Derivation(0.0, Span(i, j), Category.nosem())
+    def _sources(self, key) -> list:
+        """A list's rule sources, ``(order, base, children)``.  A child is
+        ``(derivations, key)``: a cell's list with its key, extended on
+        demand, or a complete list (leaf constants, one NoSem) with None."""
+        if key is _ROOT:
+            i, j = 1, self.table.n
+        else:
+            i, j = key
+        row = self.table.shifted[self.row_of[(i, j)]].tolist()
+        base = row[self.join_col]
 
-    # -- combination ------------------------------------------------------
+        def cell(a, b):
+            return self.cells[(a, b)], (a, b)
 
-    def _derive(self, span: Span, source: _Source, children: tuple):
-        """The derivation a source builds from one choice of children."""
-        if len(children) == 1:
-            return children[0]
-        # base + c1 + c2 (+ c3), in this order: sum() rounds differently.
-        score = source.base
-        for child in children:
-            score += child.score
-        return Derivation(score, span, Category.join(), children)
+        def nosem(a, b):
+            return [(0.0, a, b, _NOSEM, ())], None
 
-    # -- k-best cell fill --------------------------------------------------
+        if key is _ROOT:
+            return [((0, ()), 0.0, [cell(1, j)])] + [
+                ((2, (s,)), base, [nosem(1, s), cell(s + 1, j)])
+                for s in range(1, j)]
+        # A stable sort of the label-ordered constants: ties go to the
+        # lower label, as in the Viterbi pass.
+        consts = sorted(((row[self.table.cat_index[c]], i, j, c, ())
+                         for c in self.constants), key=lambda d: -d[0])
+        sources = [((0, ()), 0.0, [([d for d in consts[: self.K]
+                                     if d[0] > NEG_INF / 2], None)])]
+        for s in range(i, j):
+            sources.append(((1, (s,)), base, [cell(i, s), cell(s + 1, j)]))
+            sources.append(((2, (s,)), base, [cell(i, s), nosem(s + 1, j)]))
+        if self.grammar.ternary:
+            sources.extend(
+                ((3, (s1, s2)), base,
+                 [cell(i, s1), cell(s1 + 1, s2), cell(s2 + 1, j)])
+                for s1 in range(i, j - 1) for s2 in range(s1 + 1, j))
+        return sources
 
-    def _merge(self, span: Span, sources: list) -> list:
-        """Lazy k-best merge over combination sources via a priority queue."""
-        heap = []
-        seen = set()
-        seq = 0
-
-        def push(si: int, ranks: tuple):
-            nonlocal seq
-            if (si, ranks) in seen:
+    def _push(self, frontier: _Frontier, si: int, ranks: tuple) -> None:
+        """Queues source ``si`` with its children at ``ranks``, once, when
+        each of those ranks exists."""
+        if (si, ranks) in frontier.seen:
+            return
+        order, base, refs = frontier.sources[si]
+        children = []
+        for (entries, key), r in zip(refs, ranks):
+            if key is None:
+                child = entries[r] if r < len(entries) else None
+            else:
+                child = self.at(key, r)
+            if child is None:
                 return
-            source = sources[si]
-            children = []
-            for lst, r in zip(source.child_lists, ranks):
-                if r >= len(lst):
-                    return
-                children.append(lst[r])
-            seen.add((si, ranks))
-            score = source.base + sum(c.score for c in children)
-            heapq.heappush(heap, (-score, source.order, ranks, seq, si, tuple(children)))
-            seq += 1
+            children.append(child)
+        frontier.seen.add((si, ranks))
+        heapq.heappush(frontier.heap, (-(base + sum(c[0] for c in children)), order,
+                              ranks, si, tuple(children)))
 
-        for si in range(len(sources)):
-            push(si, (0,) * len(sources[si].child_lists))
-
-        out = []
-        while heap and len(out) < self.K:
-            _, _, ranks, _, si, children = heapq.heappop(heap)
-            out.append(self._derive(span, sources[si], children))
+    def _extend(self, key, entries: list) -> bool:
+        """Appends a list's next derivation; False when it has no more."""
+        frontier = self.frontiers.get(key)
+        if frontier is None:
+            # Every source's best combination; the first pop is the rank 0
+            # that the Viterbi pass kept.
+            frontier = self.frontiers[key] = _Frontier(self._sources(key))
+            for si, (_, _, refs) in enumerate(frontier.sources):
+                self._push(frontier, si, (0,) * len(refs))
+            if frontier.heap:
+                frontier.last = heapq.heappop(frontier.heap)
+        if frontier.last is not None:
+            _, _, ranks, si, _ = frontier.last
+            frontier.last = None
             for pos in range(len(ranks)):
-                nxt = list(ranks)
-                nxt[pos] += 1
-                push(si, tuple(nxt))
-        return out
-
-    def _fill_join_cell(self, i: int, j: int) -> list:
-        span = Span(i, j)
-        base = float(self.table.shifted[self.table.span_index[span], self.join_col])
-        sources = [_Source((0, ()), [self._leaf_derivs(i, j)])]
-        for s in range(i, j):
-            self.stats["combinations"] += 1
-            sources.append(_Source((1, (s,)),
-                                   [self.cells[(i, s)], self.cells[(s + 1, j)]],
-                                   base))
-            self.stats["combinations"] += 1
-            sources.append(_Source((2, (s,)),
-                                   [self.cells[(i, s)], [self._nosem_leaf(s + 1, j)]],
-                                   base))
-
-        if self.grammar.ternary and j - i >= 2:
-            for s1 in range(i, j - 1):
-                for s2 in range(s1 + 1, j):
-                    self.stats["combinations"] += 1
-                    sources.append(_Source(
-                        (3, (s1, s2)),
-                        [self.cells[(i, s1)], self.cells[(s1 + 1, s2)],
-                         self.cells[(s2 + 1, j)]],
-                        base))
-        return self._merge(span, sources)
-
-    def _fill_root_cell(self) -> list:
-        i, j = 1, self.table.n
-        span = Span(i, j)
-        base = float(self.table.shifted[self.table.span_index[span], self.join_col])
-        sources = [_Source((0, ()), [self.cells[(i, j)]])]
-        for s in range(i, j):
-            self.stats["combinations"] += 1
-            sources.append(_Source((2, (s,)),
-                                   [[self._nosem_leaf(i, s)], self.cells[(s + 1, j)]],
-                                   base))
-        return self._merge(span, sources)
+                self._push(frontier, si,
+                           ranks[:pos] + (ranks[pos] + 1,) + ranks[pos + 1:])
+        if not frontier.heap:
+            return False
+        frontier.last = heapq.heappop(frontier.heap)
+        _, _, _, si, children = frontier.last
+        if len(children) == 1:
+            entries.append(children[0])
+            return True
+        score = frontier.sources[si][1]
+        for child in children:  # base + c1 + c2 (+ c3), left to right
+            score += child[0]
+        i, j = (1, self.table.n) if key is _ROOT else key
+        entries.append((score, i, j, _JOIN, children))
+        return True
 
     def to_json(self) -> dict:
-        def entry(deriv: Derivation) -> dict:
-            out = {"score": deriv.score, "category": deriv.category.label,
-                   "span": [deriv.span.start, deriv.span.end]}
-            if deriv.children:
-                out["children"] = [[c.span.start, c.span.end,
-                                    c.category.label] for c in deriv.children]
+        """Every list ranked out to K."""
+        def entry(deriv: tuple) -> dict:
+            score, i, j, category, children = deriv
+            out = {"score": score, "category": category.label, "span": [i, j]}
+            if children:
+                out["children"] = [[c[1], c[2], c[3].label] for c in children]
             return out
 
-        cells = {f"{i},{j}": [entry(d) for d in derivs]
-                 for (i, j), derivs in sorted(self.cells.items())}
+        cells = {f"{i},{j}": [entry(d) for d in self.ranked((i, j))]
+                 for i, j in sorted(self.cells)}
         return {"n": self.table.n, "K": self.K, "cells": cells,
-                "root": [entry(d) for d in self.root]}
+                "root": [entry(d) for d in self.ranked(_ROOT)]}
+
+
+def _tree(deriv: tuple, is_root: bool = False) -> SpanTree:
+    _, i, j, category, children = deriv
+    return SpanTree(Span(i, j), category, tuple(_tree(c) for c in children),
+                    is_root=is_root)
 
 
 def parse_kbest(table: ScoreTable, grammar: Grammar, K: int,
                 stats: dict | None = None, return_chart: bool = False):
-    """Top-K grammar-legal trees for the whole utterance, best first."""
+    """An iterator over the top-K grammar-legal trees for the whole
+    utterance, best first.  The Viterbi pass runs in this call; each later
+    candidate is ranked, and its tree built, when it is asked for."""
     chart = _Chart(table, grammar, K, stats=stats)
-    results = [ParseResult(d.to_tree(is_root=True), d.score) for d in chart.root]
+    results = (ParseResult(_tree(d, is_root=True), d[0])
+               for d in chart.ranked(_ROOT))
     if return_chart:
         return results, chart
     return results
 
 
-def best_valid_tree(candidates: list, schema: DomainSchema):
+def best_valid_tree(candidates, schema: DomainSchema):
     """First candidate (descending score) whose tree composes to a program;
-    None when all of them are semantically invalid."""
+    None when all of them are semantically invalid.  Reads no candidate
+    past the first valid one."""
     for cand in candidates:
         try:
             program = program_of_tree(cand.tree, schema)

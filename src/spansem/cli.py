@@ -11,9 +11,10 @@ tree is null when no gold tree is available.
 Every flag default can be overridden through an environment variable with
 the SPANSEM_ prefix, e.g. SPANSEM_SEED=7.  Exit codes: 0 success, 2 no
 valid parse, 3 configuration error (including an empty utterance to parse,
-a malformed dataset line or tree, a checkpoint whose categories differ from
-the dataset's schema or whose parameter shapes differ from its sizes, a
-non-finite training loss, and eval --jobs below 1).
+a malformed dataset line, a gold tree that is malformed or runs past its
+utterance, a checkpoint whose categories differ from the dataset's schema
+or whose parameter shapes differ from its sizes, a non-finite training
+loss, and eval --jobs below 1).
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import multiprocessing
 import os
 import sys
 from pathlib import Path
 
 from .cky import Grammar, dump_chart, parse_kbest, best_valid_tree
-from .core import Utterance, tree_from_json, tree_to_json
+from .core import Utterance, tree_from_json, tree_to_json, validate_tree
 from .data.geo import (
     exec_funql,
     geo_lexicon_entries,
@@ -97,8 +99,10 @@ def write_jsonl(path: Path, records) -> None:
 
 
 def read_examples(path: Path, schema) -> list:
-    """The examples of a JSONL file; a malformed line is a ConfigError
-    naming the file and line."""
+    """The examples of a JSONL file.  A malformed line is a ConfigError
+    naming the file and line; so is a tree that is not grammar-legal over
+    its utterance (the ternary rule allowed), such as one whose spans run
+    past it."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -121,6 +125,7 @@ def read_examples(path: Path, schema) -> list:
             if tree is not None:
                 try:
                     tree = tree_from_json(tree)
+                    validate_tree(tree, len(utt), ternary=True)
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"{where}: bad tree ({exc!r})") from None
             out.append(TrainExample(utt, program, tree))
@@ -295,9 +300,12 @@ def cmd_eval(args) -> int:
     grammar = Grammar(ternary=extra.get("ternary", False))
     K = extra.get("K", 5)
     if args.jobs > 1:
+        # One chunk per worker, so the scorer is pickled once per worker.
+        chunksize = math.ceil(len(examples) / args.jobs)
         with multiprocessing.get_context("fork").Pool(args.jobs) as pool:
             report = evaluate(scorer, examples, domain, grammar, K,
-                              map=pool.map)
+                              map=functools.partial(pool.map,
+                                                    chunksize=chunksize))
     else:
         report = evaluate(scorer, examples, domain, grammar, K)
     if args.out:

@@ -139,7 +139,7 @@ def test_parser_matches_brute_force(announce):
         for trial in range(100):
             n = rng.randint(1, 7)
             table = random_table(rng, n, n_constants=5)
-            got = parse_kbest(table, Grammar(ternary=ternary), 5)[0].score
+            got = list(parse_kbest(table, Grammar(ternary=ternary), 5))[0].score
             want = oracle_best_score(table, ternary)
             assert got == pytest.approx(want), (ternary, trial)
             checked += 1
@@ -245,8 +245,8 @@ def test_invariance_suite(announce, corpus, scan_examples):
 
     shifted_raw = raw + rng.normal(size=(raw.shape[0], 1))
     other = ScoreTable(4, cats, shifted_raw)
-    before = parse_kbest(table, Grammar(), 5)
-    after = parse_kbest(other, Grammar(), 5)
+    before = list(parse_kbest(table, Grammar(), 5))
+    after = list(parse_kbest(other, Grammar(), 5))
     if [r.tree for r in before] != [r.tree for r in after]:
         failures.append("per-span shifts changed the tree ranking")
     if not all(a.score == pytest.approx(b.score)

@@ -1,11 +1,13 @@
 """K-best chart parsing against brute-force oracles, plus the constrained
 variant used during training."""
 
+import itertools
 import random
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spansem.cky import (
     EmptyInput,
@@ -15,7 +17,15 @@ from spansem.cky import (
     constrained_parse,
     parse_kbest,
 )
-from spansem.core import Category, Span, SpanTree, all_spans, validate_tree
+from spansem.core import (
+    Category,
+    Span,
+    SpanTree,
+    all_spans,
+    span_map,
+    tree_from_span_map,
+    validate_tree,
+)
 from spansem.data.geo import geo_schema, mini_geo_corpus, mini_kb
 from spansem.data.scan import generate_scan_sp, scan_schema
 from spansem.scorer import ScoreTable
@@ -113,7 +123,7 @@ def oracle_all_scores(table, ternary):
 def test_single_token_leaf():
     cats = toy_categories(2)
     raw = np.array([[0.0, -5.0, 2.0, 1.0]])
-    results = parse_kbest(ScoreTable(1, cats, raw), Grammar(), 5)
+    results = list(parse_kbest(ScoreTable(1, cats, raw), Grammar(), 5))
     assert results[0].tree.category == Category("c0")
     assert results[0].score == pytest.approx(2.0)
     assert [r.score for r in results] == pytest.approx([2.0, 1.0])
@@ -131,7 +141,7 @@ def test_top1_equals_oracle_max(ternary):
     for _ in range(100):
         n = rng.randint(1, 7)
         table = random_table(rng, n, rng.randint(1, 4))
-        got = parse_kbest(table, Grammar(ternary=ternary), 5)[0].score
+        got = list(parse_kbest(table, Grammar(ternary=ternary), 5))[0].score
         assert got == pytest.approx(oracle_best_score(table, ternary))
 
 
@@ -158,15 +168,75 @@ def test_returned_trees_are_grammar_legal():
                 validate_tree(result.tree, n, ternary=ternary)
 
 
-def test_beams_are_prefix_stable():
-    rng = random.Random(17)
-    for _ in range(30):
-        n = rng.randint(1, 6)
-        table = random_table(rng, n)
-        wide = [r.score for r in parse_kbest(table, Grammar(), 8)]
-        narrow = [r.score for r in parse_kbest(table, Grammar(), 3)]
-        assert wide[: len(narrow)] == pytest.approx(narrow)
+def tie_heavy_table(rng, n, n_constants=3):
+    """Small integer scores, so that many trees tie, with about a third of
+    the constant leaves masked to NEG_INF."""
+    cats = toy_categories(n_constants)
+    raw = np.array([[NEG_INF if c.is_constant and rng.random() < 0.3
+                     else float(rng.randint(-2, 2)) for c in cats]
+                    for _ in all_spans(n)])
+    return ScoreTable(n, cats, raw)
 
+
+def ranked(table, ternary, K):
+    return [(r.tree, r.score)
+            for r in parse_kbest(table, Grammar(ternary=ternary), K)]
+
+
+def test_beams_are_prefix_stable():
+    """A narrower beam ranks the same trees with the same scores first, on
+    both grammars, with real and with tie-heavy scores."""
+    rng = random.Random(17)
+    for trial in range(120):
+        ternary = trial % 4 >= 2
+        n = rng.randint(1, 6)
+        make = random_table if trial % 2 else tie_heavy_table
+        table = make(rng, n)
+        wide = ranked(table, ternary, 8)
+        narrow = ranked(table, ternary, 3)
+        assert wide[: len(narrow)] == narrow
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_taking_a_prefix_of_candidates_matches_the_list(ternary):
+    """Reading only the first k candidates ranks exactly the first k of
+    the full list, whatever k is."""
+    rng = random.Random(37)
+    for trial in range(60):
+        n = rng.randint(1, 7)
+        K = rng.choice([1, 3, 5, 8])
+        make = random_table if trial % 2 else tie_heavy_table
+        table = make(rng, n)
+        full = ranked(table, ternary, K)
+        for k in range(len(full) + 1):
+            candidates = parse_kbest(table, Grammar(ternary=ternary), K)
+            head = [(r.tree, r.score) for r in itertools.islice(candidates, k)]
+            assert head == full[:k]
+
+
+
+@st.composite
+def score_tables(draw):
+    """Tables of up to 6 tokens whose scores are small integers (many
+    ties), masked leaves, or arbitrary floats."""
+    n = draw(st.integers(1, 6))
+    cats = toy_categories(draw(st.integers(1, 3)))
+    score = st.one_of(st.integers(-2, 2).map(float),
+                      st.floats(-5.0, 5.0, allow_nan=False),
+                      st.just(NEG_INF))
+    rows = draw(st.lists(st.lists(score, min_size=len(cats),
+                                  max_size=len(cats)),
+                         min_size=len(all_spans(n)), max_size=len(all_spans(n))))
+    return ScoreTable(n, cats, np.array(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=score_tables(), ternary=st.booleans(), K=st.integers(1, 5))
+def test_span_map_round_trips_parsed_trees(table, ternary, K):
+    """tree_from_span_map inverts span_map on every tree the chart returns."""
+    for result in parse_kbest(table, Grammar(ternary=ternary), K):
+        n = table.n
+        assert tree_from_span_map(span_map(result.tree, n), n) == result.tree
 
 def test_nosem_neutrality():
     """Raising raw NoSem scores on one span rescales that span's shifted
@@ -203,7 +273,7 @@ def test_best_valid_tree_skips_invalid():
     raw[s22, ci[Category.constant("r")]] = 6.0
     raw[:, ci[Category.join()]] = 1.0
     table = ScoreTable(2, cats, raw)
-    candidates = parse_kbest(table, Grammar(), 5)
+    candidates = list(parse_kbest(table, Grammar(), 5))
     top_program = lambda r: program_of_tree(r.tree, schema)
     with pytest.raises(Exception):
         top_program(candidates[0])

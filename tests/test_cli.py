@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spansem import cli
+from spansem.cky import Grammar, parse_kbest
 from spansem.core import Utterance
 from spansem.data.scan import generate_scan_sp, scan_lexicon_entries, scan_schema
 from spansem.data.splits import program_token_length
@@ -244,7 +245,10 @@ def test_eval_rejects_malformed_lines(exec_error_run, capsys):
                  json.dumps({"utterance": "walk", "program": "walk",
                              "tree": 5, "denotation": ["WALK"]}),
                  json.dumps({"utterance": "walk", "program": "walk",
-                             "tree": {"span": "x"}, "denotation": ["WALK"]})]
+                             "tree": {"span": "x"}, "denotation": ["WALK"]}),
+                 json.dumps({"utterance": "walk", "program": "walk",
+                             "tree": {"span": [1, 3], "category": "walk"},
+                             "denotation": ["WALK"]})]
     bad = exec_error_run / "bad.jsonl"
     for line in bad_lines:
         bad.write_text(good + "\n" + line + "\n")
@@ -332,6 +336,16 @@ def test_parse_dump_chart(trained_run, tiny_scan_dir, tmp_path):
     assert code == cli.EXIT_OK
     chart = json.loads(chart_path.read_text())
     assert chart["n"] == 2 and chart["K"] == 5
+    # Every list is ranked out to at most K, best first.
+    for entries in [*chart["cells"].values(), chart["root"]]:
+        scores = [e["score"] for e in entries]
+        assert len(scores) <= 5 and scores == sorted(scores, reverse=True)
+    assert chart["cells"]["1,1"] and chart["cells"]["1,2"]
+    scorer, extra = load_checkpoint(trained_run / "model.npz")
+    domain = cli.load_domain(tiny_scan_dir)
+    table = scorer.score_spans(Utterance.from_text("walk right"), domain.lexicon)
+    candidates = parse_kbest(table, Grammar(), extra["K"])
+    assert [e["score"] for e in chart["root"]] == [c.score for c in candidates]
 
 
 def test_parse_exit_code_when_nothing_valid(tmp_path, capsys):
