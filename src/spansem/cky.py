@@ -25,10 +25,14 @@ application of one.  It composes every node as ``program_of_tree`` does
 admissible against the gold program, so every tree it returns maps to gold
 and it returns None only when no tree does.
 
-Both Viterbi loops visit cells by increasing length, then start, and try a
-cell's rule sources in one order: the leaf constants, Join Join by split,
-Join NoSem by split, then the ternary rule by split pair.  Scores are
-summed ``base + c1 + c2 (+ c3)`` left to right, with ``+ 0.0`` for NoSem.
+Both charts keep one derivation format, the tuple ``(score, i, j,
+category, children)`` whose children are derivations (a NoSem child is
+``(0.0, i, j, NoSem, ())``).  Both choose the root with ``_root`` and build
+the returned trees with ``_tree``.  Both Viterbi loops visit cells by
+increasing length, then start, and try a cell's rule sources in one order:
+the leaf constants, Join Join by split, Join NoSem by split, then the
+ternary rule by split pair.  Scores are summed ``base + c1 + c2 (+ c3)``
+left to right, with ``+ 0.0`` for NoSem.
 """
 
 from __future__ import annotations
@@ -89,9 +93,8 @@ class _Chart:
     """Best-first lists of up to K derivations for every Join cell and for
     the root, each extended only as far as it is read.
 
-    A derivation is a tuple ``(score, i, j, category, children)`` whose
-    children are derivations.  The constructor runs the Viterbi pass, which
-    keeps each list's best derivation; ``at`` ranks deeper ones on demand.
+    The constructor runs the Viterbi pass, which keeps each list's best
+    derivation; ``at`` ranks deeper ones on demand.
     A list's merge order is the key ``(-(base + (c1 + c2)), order, ranks)``:
     its sum, then the rule source's ``(kind, splits)``, then the children's
     ranks.
@@ -172,16 +175,8 @@ class _Chart:
                 best[i][j] = top
                 self.cells[(i, j)] = [] if top is None else [top]
 
-        # Root: the whole-span Join, or NoSem(1, s) Join(s + 1, n).
-        base = bases[row_of[(1, n)]]
-        top = best[1][n]
-        key = None if top is None else top[0]
-        for s in range(1, n):
-            b = best[s + 1][n]
-            if b is not None and (top is None or base + b[0] > key):
-                key = base + b[0]
-                top = (base + 0.0 + b[0], 1, n, _JOIN,
-                       ((0.0, 1, s, _NOSEM, ()), b))
+        top = _root(bases[row_of[(1, n)]], best[1][n],
+                    [best[s + 1][n] for s in range(1, n)])
         self.stats["combinations"] += combinations + n - 1
         return [] if top is None else [top]
 
@@ -304,6 +299,19 @@ class _Chart:
                 "root": [entry(d) for d in self.ranked(_ROOT)]}
 
 
+def _root(base: float, whole, suffixes: list):
+    """The root's best derivation, or None: the whole-span Join ``whole``,
+    or NoSem(1, s) Join(s + 1, n) with ``suffixes[s - 1]`` the Join over
+    (s + 1, n), tried by increasing s; only a greater score replaces."""
+    top = whole
+    for s, b in enumerate(suffixes, 1):
+        if b is not None:
+            score = base + 0.0 + b[0]
+            if top is None or score > top[0]:
+                top = (score, 1, b[2], _JOIN, ((0.0, 1, s, _NOSEM, ()), b))
+    return top
+
+
 def _tree(deriv: tuple, is_root: bool = False) -> SpanTree:
     _, i, j, category, children = deriv
     return SpanTree(Span(i, j), category, tuple(_tree(c) for c in children),
@@ -311,16 +319,13 @@ def _tree(deriv: tuple, is_root: bool = False) -> SpanTree:
 
 
 def parse_kbest(table: ScoreTable, grammar: Grammar, K: int,
-                stats: dict | None = None, return_chart: bool = False):
+                stats: dict | None = None):
     """An iterator over the top-K grammar-legal trees for the whole
     utterance, best first.  The Viterbi pass runs in this call; each later
     candidate is ranked, and its tree built, when it is asked for."""
     chart = _Chart(table, grammar, K, stats=stats)
-    results = (ParseResult(_tree(d, is_root=True), d[0])
-               for d in chart.ranked(_ROOT))
-    if return_chart:
-        return results, chart
-    return results
+    return (ParseResult(_tree(d, is_root=True), d[0])
+            for d in chart.ranked(_ROOT))
 
 
 def best_valid_tree(candidates, schema: DomainSchema):
@@ -418,8 +423,7 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     row_of = {(s.start, s.end): k for k, s in enumerate(table.spans)}
     join_col = table.cat_index[_JOIN]
     ternary = grammar.ternary
-    # chart[i][j]: state id -> (score, back), best score first; back is the
-    # leaf's Category or (splits, child ids) with None for a NoSem child.
+    # chart[i][j]: state id -> its best derivation, best score first.
     chart = [[None] * (n + 1) for _ in range(n + 2)]
     for length in range(1, n + 1):
         for i in range(1, n - length + 2):
@@ -429,25 +433,26 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
             cell = {}
             for sid, col, cat in leaves:
                 if row[col] > NEG_INF / 2:
-                    cell[sid] = (row[col], cat)
+                    cell[sid] = (row[col], i, j, cat, ())
             for s in range(i, j):
                 right = chart[s + 1][j]
-                for a, (sa, _) in chart[i][s].items():
+                for a, da in chart[i][s].items():
                     if not right.keys() <= tried[a].keys():
                         states.meet(a, right)
                     for b, r in found[a].items():
-                        entry = right.get(b)
-                        if entry is not None:
-                            score = base + sa + entry[0]
+                        db = right.get(b)
+                        if db is not None:
+                            score = base + da[0] + db[0]
                             old = cell.get(r)
                             if old is None or score > old[0]:
-                                cell[r] = (score, ((s,), (a, b)))
+                                cell[r] = (score, i, j, _JOIN, (da, db))
             for s in range(i, j):
-                for a, (sa, _) in chart[i][s].items():
-                    score = base + sa + 0.0  # + NoSem, as parse_kbest sums
+                for a, da in chart[i][s].items():
+                    score = base + da[0] + 0.0  # + NoSem, as parse_kbest sums
                     old = cell.get(a)
                     if old is None or score > old[0]:
-                        cell[a] = (score, ((s,), (a, None)))
+                        cell[a] = (score, i, j, _JOIN,
+                                   (da, (0.0, s + 1, j, _NOSEM, ())))
             m = j - i
             stats["combinations"] += 2 * m + (m * (m - 1) // 2 if ternary else 0)
             if ternary:
@@ -459,52 +464,35 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
                     left = chart[i][s1]
                     for s2 in range(s1 + 1, j):
                         mid, right = chart[s1 + 1][s2], chart[s2 + 1][j]
-                        for a, (sa, _) in left.items():
+                        for a, da in left.items():
                             if not right.keys() <= tried[a].keys():
                                 states.meet(a, right)
                             for c, o in found[a].items():
-                                entry = right.get(c)
-                                if entry is None:
+                                dc = right.get(c)
+                                if dc is None:
                                     continue
-                                sc = entry[0]
                                 if not mid.keys() <= tried[o].keys():
                                     states.meet(o, mid)
                                 for b, r in found[o].items():
-                                    entry = mid.get(b)
-                                    if entry is not None:
-                                        score = base + sa + entry[0] + sc
+                                    db = mid.get(b)
+                                    if db is not None:
+                                        score = base + da[0] + db[0] + dc[0]
                                         old = cell.get(r)
                                         if old is None or score > old[0]:
-                                            cell[r] = (score, ((s1, s2), (a, b, c)))
+                                            cell[r] = (score, i, j, _JOIN,
+                                                       (da, db, dc))
             chart[i][j] = dict(sorted(cell.items(), key=lambda kv: -kv[1][0]))
 
-    # Root: the whole-span Join, or NoSem(1, s) Join(s + 1, n).
-    best = chart[1][n].get(gold_id)
-    base = rows[row_of[(1, n)]][join_col]
-    for s in range(1, n):
-        stats["combinations"] += 1
-        entry = chart[s + 1][n].get(gold_id)
-        if entry is not None:
-            score = base + 0.0 + entry[0]
-            if best is None or score > best[0]:
-                best = (score, ((s,), (None, gold_id)))
+    stats["combinations"] += n - 1
+    best = _root(rows[row_of[(1, n)]][join_col], chart[1][n].get(gold_id),
+                 [chart[s + 1][n].get(gold_id) for s in range(1, n)])
     if best is None:
         return None
-
-    def node(i: int, j: int, back, is_root: bool = False) -> SpanTree:
-        if isinstance(back, Category):
-            return SpanTree(Span(i, j), back, is_root=is_root)
-        splits, kids = back
-        bounds = (i - 1, *splits, j)
-        children = tuple(
-            SpanTree(Span(lo + 1, hi), _NOSEM) if k is None
-            else node(lo + 1, hi, chart[lo + 1][hi][k][1])
-            for lo, hi, k in zip(bounds, bounds[1:], kids))
-        return SpanTree(Span(i, j), _JOIN, children, is_root=is_root)
-
-    return ParseResult(node(1, n, best[1], is_root=True), best[0], gold)
+    return ParseResult(_tree(best, is_root=True), best[0], gold)
 
 
-def dump_chart(chart: _Chart, path) -> None:
+def dump_chart(table: ScoreTable, grammar: Grammar, K: int, path) -> None:
+    """Writes the K-best chart of ``table``, every list ranked out to K."""
     with open(path, "w") as fh:
-        json.dump(chart.to_json(), fh, indent=2, sort_keys=True)
+        json.dump(_Chart(table, grammar, K).to_json(), fh, indent=2,
+                  sort_keys=True)

@@ -28,7 +28,7 @@ import os
 import sys
 from pathlib import Path
 
-from .cky import Grammar, dump_chart, parse_kbest, best_valid_tree
+from .cky import Grammar, dump_chart
 from .core import Utterance, tree_from_json, tree_to_json, validate_tree
 from .data.geo import (
     exec_funql,
@@ -54,6 +54,7 @@ from .trainer import (
     TrainConfig,
     TrainExample,
     evaluate,
+    predict,
     train,
 )
 from .typesys import load_schema, parse_program, save_schema
@@ -309,9 +310,11 @@ def cmd_eval(args) -> int:
     else:
         report = evaluate(scorer, examples, domain, grammar, K)
     if args.out:
-        with open(args.out, "w") as fh:
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with open(out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
-        write_config(Path(args.out).parent,
+        write_config(out.parent,
                      {"command": "eval", "checkpoint": str(args.checkpoint),
                       "data": str(data_path), "jobs": args.jobs})
     print(f"accuracy {report['accuracy']:.4f}  failures {report['failures']}"
@@ -333,11 +336,10 @@ def cmd_parse(args) -> int:
     utt = Utterance.from_text(args.utterance)
     if not utt.tokens:
         raise ConfigError("empty utterance")
-    table = scorer.score_spans(utt, domain.lexicon)
-    candidates, chart = parse_kbest(table, grammar, K, return_chart=True)
     if args.dump_chart:
-        dump_chart(chart, args.dump_chart)
-    result = best_valid_tree(candidates, domain.schema)
+        dump_chart(scorer.score_spans(utt, domain.lexicon), grammar, K,
+                   args.dump_chart)
+    result = predict(scorer, utt, domain, grammar, K)
     if result is None:
         print("no semantically valid tree in the beam", file=sys.stderr)
         return EXIT_NO_PARSE

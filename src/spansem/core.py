@@ -9,7 +9,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 NOSEM = "NoSem"
@@ -294,10 +293,3 @@ def tree_from_json(obj: dict, is_root: bool = True) -> SpanTree:
         is_root=is_root,
     )
 
-
-def tree_dumps(tree: SpanTree) -> str:
-    return json.dumps(tree_to_json(tree), sort_keys=True)
-
-
-def tree_loads(text: str) -> SpanTree:
-    return tree_from_json(json.loads(text))

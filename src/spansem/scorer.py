@@ -104,10 +104,6 @@ class ScoreTable:
         nosem_col = self.cat_index[Category.nosem()]
         self.shifted = raw - raw[:, nosem_col:nosem_col + 1]
 
-    def shifted_score(self, span: Span, category: Category) -> float:
-        return float(
-            self.shifted[self.span_index[span], self.cat_index[category]])
-
 
 def span_probability(table: ScoreTable, span: Span, category: Category) -> float:
     """Softmax probability over categories at one span (shift-invariant)."""

@@ -3,15 +3,14 @@
 A program is an applicative term over domain constants.  Predicates may be
 partially applied: argument slots are filled one at a time, each argument
 going to the first open slot whose type accepts it.  Composition of two
-programs tries both orientations (left as function, right as function) and
-prefers the left child as function when both type-check.
+programs applies the left one as function to the right one, and only when
+that fails to type-check the right one to the left one.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import Category, Span, SpanTree
@@ -210,20 +209,17 @@ def _apply(fn: Program, arg: Program, schema: DomainSchema):
 
 
 def compose_candidates(a: Program, b: Program, schema: DomainSchema) -> list:
-    """Both orientations of function application, left-as-function first."""
-    out = []
-    left = _apply(a, b, schema)
-    if left is not None:
-        out.append(left)
-    right = _apply(b, a, schema)
-    if right is not None and right not in out:
-        out.append(right)
-    return out
+    """Function application as a list of at most one program: the left
+    child as function, or the right one, built only when the left fails."""
+    program = _apply(a, b, schema)
+    if program is None:
+        program = _apply(b, a, schema)
+    return [] if program is None else [program]
 
 
 def compose(a: Program, b: Program, schema: DomainSchema):
-    """Deterministic composition: the left child is preferred as function
-    when both orientations type-check.  Returns None when neither does."""
+    """Deterministic composition: the program ``compose_candidates``
+    builds, or None when neither orientation type-checks."""
     candidates = compose_candidates(a, b, schema)
     return candidates[0] if candidates else None
 
@@ -274,16 +270,6 @@ def program_of_tree(tree: SpanTree, schema: DomainSchema) -> Program:
     if program is None:
         raise CompositionFailure(tree.span, "tree carries no semantics")
     return program
-
-
-def constants_of(z: Program) -> Counter:
-    """Multiset of domain constants appearing in ``z``."""
-    counts: Counter = Counter()
-    counts[z.head] += 1
-    for a in z.args:
-        if a is not None:
-            counts += constants_of(a)
-    return counts
 
 
 # --- program surface syntax -------------------------------------------------

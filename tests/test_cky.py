@@ -31,7 +31,6 @@ from spansem.data.scan import generate_scan_sp, scan_schema
 from spansem.scorer import ScoreTable
 from spansem.typesys import (
     compose_children,
-    constants_of,
     parse_program,
     program_of_tree,
 )
@@ -475,7 +474,7 @@ def oracle_best_gold_score(table, ternary, gold, schema):
 
 def small_gold_programs(schema, texts, max_constants=4):
     programs = {str(p): p for p in (parse_program(t, schema) for t in texts)
-                if sum(constants_of(p).values()) <= max_constants}
+                if sum(1 for _ in p.subterms()) <= max_constants}
     return [programs[k] for k in sorted(programs)]
 
 
@@ -515,7 +514,7 @@ def test_constrained_parse_matches_gold_oracle(ternary):
         cats = schema.categories()
         for _ in range(25):
             gold = rng.choice(golds)
-            names = {c.name for c in constants_of(gold)}
+            names = {s.head.name for s in gold.subterms()}
             others = sorted(c.name for c in schema.sigma if c.name not in names)
             names.update(rng.sample(others, rng.randint(1, 2)))
             n = rng.randint(1, 4 if ternary else 5)

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spansem import cli
 from spansem.cky import Grammar, parse_kbest
@@ -177,7 +178,7 @@ def test_train_gold_trees_requires_trees(tmp_path):
 
 
 def test_eval_report(trained_run, tiny_scan_dir, tmp_path, capsys):
-    report_path = tmp_path / "report.json"
+    report_path = tmp_path / "missing" / "report.json"  # --out makes the directory
     code = cli.main(["eval", "--checkpoint", str(trained_run / "model.npz"),
                      "--data", str(tiny_scan_dir / "test.jsonl"),
                      "--out", str(report_path)])
@@ -187,6 +188,8 @@ def test_eval_report(trained_run, tiny_scan_dir, tmp_path, capsys):
     assert len(report["per_example"]) == 15
     assert "f1" in report
     assert "accuracy" in capsys.readouterr().out
+    config = json.loads((report_path.parent / "config.json").read_text())
+    assert config["command"] == "eval"
 
 
 def test_eval_is_deterministic(trained_run, tiny_scan_dir, tmp_path):
@@ -375,3 +378,23 @@ def test_parse_empty_utterance_is_config_error(exec_error_run, capsys):
                          "--data", str(exec_error_run)])
         assert code == cli.EXIT_CONFIG
     assert "configuration error: empty utterance" in capsys.readouterr().err
+
+
+PARSE_TOKENS = st.one_of(
+    st.sampled_from(["walk", "jump", "left", "right", "twice", "and",
+                     "after", "around", "opposite", "thrice", "?", ",", "."]),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz'(", min_size=1, max_size=6))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tokens=st.lists(PARSE_TOKENS, max_size=12), ternary=st.booleans())
+def test_parse_exits_with_a_documented_code(trained_run, tiny_scan_dir,
+                                            tokens, ternary):
+    """Any string of at most 12 tokens, known or not, parses to exit 0, 2
+    or 3 and never raises."""
+    code = cli.main(["parse", " ".join(tokens),
+                     "--checkpoint", str(trained_run / "model.npz"),
+                     "--data", str(tiny_scan_dir)]
+                    + (["--ternary"] if ternary else []))
+    assert code in (cli.EXIT_OK, cli.EXIT_NO_PARSE, cli.EXIT_CONFIG)

@@ -35,7 +35,7 @@ from spansem.data.splits import (
     split_scan_primitive,
     split_template,
 )
-from spansem.typesys import constants_of, parse_program, program_of_tree
+from spansem.typesys import parse_program, program_of_tree
 
 
 @pytest.fixture(scope="module")
@@ -306,8 +306,8 @@ def test_mini_corpus_parses_and_executes(geo, kb):
         denotation = exec_funql(program, kb)
         assert denotation is not None
         # entity constants in the program have lexicon entries via the schema
-        for const in constants_of(program):
-            assert const.name in geo.constants
+        for sub in program.subterms():
+            assert sub.head.name in geo.constants
     assert len({t for t, _ in items}) == len(items)
 
 

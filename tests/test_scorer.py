@@ -32,7 +32,8 @@ def test_score_table_shapes_and_shift():
     table = ScoreTable(3, CATS, raw)
     nosem_idx = table.cat_index[Category.nosem()]
     assert np.allclose(table.shifted[:, nosem_idx], 0.0)
-    assert table.shifted_score(Span(1, 2), Category.join()) == \
+    assert table.shifted[table.span_index[Span(1, 2)],
+                         table.cat_index[Category.join()]] == \
         pytest.approx(raw[table.span_index[Span(1, 2)], 1] -
                       raw[table.span_index[Span(1, 2)], 0])
 

@@ -1,6 +1,10 @@
 """Typed program composition and schema behavior."""
 
+import itertools
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spansem.core import Category, Span, SpanTree
 from spansem.typesys import (
@@ -8,16 +12,16 @@ from spansem.typesys import (
     DomainConstant,
     DomainSchema,
     Program,
+    _apply,
     compose,
     compose_candidates,
-    constants_of,
     parse_program,
     program_of_tree,
     schema_from_json,
     schema_to_json,
 )
-from spansem.data.scan import scan_schema
-from spansem.data.geo import geo_schema
+from spansem.data.scan import generate_scan_sp, scan_schema
+from spansem.data.geo import geo_schema, mini_geo_corpus, mini_kb
 
 
 @pytest.fixture
@@ -70,10 +74,86 @@ def test_compose_prefers_left_as_function(scan):
         "twice(walk)"
 
 
-def test_compose_candidates_keeps_both_orientations(geo):
+def test_compose_candidates_builds_one_orientation(geo, scan):
+    # Both orientations type-check: only the left-as-function one is built.
     cands = compose_candidates(geo.atom("largest"), geo.atom("smallest"), geo)
-    assert [str(c) for c in cands] == \
-        ["largest(smallest(all))", "smallest(largest(all))"]
+    assert [str(c) for c in cands] == ["largest(smallest(all))"]
+    # The left one fails: the right child is the function.
+    cands = compose_candidates(scan.atom("walk"), scan.atom("twice"), scan)
+    assert [str(c) for c in cands] == ["twice(walk)"]
+    assert compose_candidates(scan.atom("l"), scan.atom("r"), scan) == []
+
+
+def two_orientation_compose(a, b, schema):
+    """The reference rule: build both orientations of function application
+    and keep the left-as-function one when it type-checks."""
+    out = [p for p in (_apply(a, b, schema), _apply(b, a, schema))
+           if p is not None]
+    return out[0] if out else None
+
+
+def subterms_and_partials(programs):
+    """Every subterm of ``programs``, and every partial application of one
+    (any subset of its filled slots kept), sorted by surface form."""
+    pool = set()
+    for sub in {s for p in programs for s in p.subterms()}:
+        filled = sub.filled
+        for r in range(len(filled) + 1):
+            for keep in itertools.combinations(filled, r):
+                pool.add(Program(sub.head, tuple(
+                    a if k in keep else None for k, a in enumerate(sub.args))))
+    return sorted(pool, key=str)
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    """(schema, corpus programs, utterance lengths) for scan and geo."""
+    scan = scan_schema()
+    scan_examples = generate_scan_sp(scan)
+    kb = mini_kb()
+    geo = geo_schema(kb)
+    return {
+        "scan": (scan, [e.program for e in scan_examples],
+                 [len(e.utterance) for e in scan_examples]),
+        "geo": (geo, [parse_program(p, geo) for _, p in mini_geo_corpus(kb)],
+                [len(t.split()) for t, _ in mini_geo_corpus(kb)]),
+    }
+
+
+def test_compose_matches_two_orientation_rule(corpora):
+    """On every pair of geo subterms and partial applications, and of scan
+    ones from commands of at most 4 tokens (529 programs), ``compose``
+    gives the program that building both orientations and keeping the
+    first one gives."""
+    for name, (schema, programs, lengths) in corpora.items():
+        pool = subterms_and_partials(
+            [p for p, n in zip(programs, lengths) if name == "geo" or n <= 4])
+        composed = 0
+        for a in pool:
+            for b in pool:
+                got = compose(a, b, schema)
+                assert got == two_orientation_compose(a, b, schema), (a, b)
+                composed += got is not None
+        assert composed
+
+
+def test_compose_matches_two_orientation_rule_on_all_scan(corpora):
+    schema, programs, _ = corpora["scan"]
+    pool = subterms_and_partials(programs)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.sampled_from(pool), st.sampled_from(pool))
+    def check(a, b):
+        assert compose(a, b, schema) == two_orientation_compose(a, b, schema)
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["scan", "geo"])
+def test_corpus_programs_round_trip_through_text(corpora, name):
+    schema, programs, _ = corpora[name]
+    for program in programs:
+        assert parse_program(str(program), schema) == program
 
 
 def test_default_coercion_geo(geo):
@@ -137,11 +217,13 @@ def test_program_of_tree_failure_carries_span(scan):
         assert err.value.span == Span(1, 2)
 
 
-def test_constants_of_multiset(scan):
+def test_subterm_heads_are_the_constant_multiset(scan):
     z = parse_program("after(walk(r),twice(turn(l,op)))", scan)
-    counts = {c.name: k for c, k in constants_of(z).items()}
+    counts = Counter(s.head.name for s in z.subterms())
     assert counts == {"after": 1, "walk": 1, "r": 1, "twice": 1,
                       "turn": 1, "l": 1, "op": 1}
+    z = parse_program("and(walk,walk)", scan)
+    assert Counter(s.head.name for s in z.subterms()) == {"and": 1, "walk": 2}
 
 
 def test_parse_program_round_trip(geo):
