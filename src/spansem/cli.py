@@ -10,8 +10,12 @@ tree is null when no gold tree is available.
 
 Every flag default can be overridden through an environment variable with
 the SPANSEM_ prefix, e.g. SPANSEM_SEED=7.  Exit codes: 0 success, 2 no
-valid parse, 3 configuration error (including an empty utterance to parse,
-a malformed dataset line, a gold tree that is malformed or runs past its
+valid parse or, for parse, a composed program the executor rejects, 3
+configuration error (including an empty utterance to parse, a missing
+checkpoint, dataset directory, schema.json or JSONL file, a lexicon.tsv
+line that is not a phrase and a constant separated by a tab, a --config
+file that is not a JSON object of valid training settings, a
+malformed dataset line, a gold tree that is malformed or runs past its
 utterance, a checkpoint whose categories differ from the dataset's schema
 or whose parameter shapes differ from its sizes, a non-finite training
 loss, and eval --jobs below 1).
@@ -105,7 +109,7 @@ def read_examples(path: Path, schema) -> list:
     its utterance (the ternary rule allowed), such as one whose spans run
     past it."""
     out = []
-    with open(path) as fh:
+    with read_file(path, open) as fh:
         for lineno, line in enumerate(fh, 1):
             where = f"{path}:{lineno}"
             try:
@@ -139,29 +143,31 @@ def load_domain(data_dir: Path, no_lexicon: bool = False) -> Domain:
     --no-lexicon drops the manual lexicon but keeps the automatic
     entity-name entries, which require no annotation effort.
     """
-    schema = load_schema(data_dir / "schema.json")
+    schema = read_file(data_dir / "schema.json", load_schema)
     if schema.name == "scan":
         execute = exec_scan
     elif schema.name == "geo":
-        kb = load_kb(data_dir / "kb.json")
+        kb = read_file(data_dir / "kb.json", load_kb)
         execute = functools.partial(exec_funql, kb=kb)
     else:
         raise ConfigError(f"unknown domain {schema.name!r}")
     lexicon = Lexicon.from_entity_lexicon(schema.entity_lexicon)
     lex_path = data_dir / "lexicon.tsv"
     if not no_lexicon and lex_path.exists():
-        lexicon = lexicon.merged_with(Lexicon.load_tsv(lex_path))
+        lexicon = lexicon.merged_with(read_file(lex_path, Lexicon.load_tsv))
     if not lexicon.entries:
         lexicon = None
     return Domain(schema.name, schema, lexicon, execute)
 
 
-def read_checkpoint(path):
-    """``load_checkpoint``, with an unreadable or mis-shaped checkpoint a
-    ConfigError."""
+def read_file(path, load):
+    """``load(path)``, with a missing, unreadable or malformed file a
+    ConfigError naming it."""
     try:
-        return load_checkpoint(path)
-    except ValueError as exc:
+        return load(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -232,12 +238,21 @@ def cmd_gen_data(args) -> int:
 # -- train -------------------------------------------------------------------
 
 
+def read_config_file(path) -> dict:
+    """The settings of a --config file: a JSON object that is a valid
+    TrainConfig on its own, before flags are merged over it."""
+    with open(path) as fh:
+        settings = json.load(fh)
+    if not isinstance(settings, dict):
+        raise ValueError("needs a JSON object of training settings")
+    TrainConfig(**settings).validate()
+    return settings
+
+
 def train_config_from(args) -> TrainConfig:
-    file_cfg = {}
+    merged = {}
     if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-    merged = dict(file_cfg)
+        merged = read_file(args.config, read_config_file)
     for key in ("lr", "batch_size", "max_epochs", "patience", "K", "lam",
                 "momentum", "seed", "curriculum_epochs"):
         value = getattr(args, key.lower())
@@ -247,10 +262,7 @@ def train_config_from(args) -> TrainConfig:
     merged["use_gold_trees"] = args.gold_trees
     if args.no_lexicon:
         merged["lam"] = 0.0
-    try:
-        return TrainConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    return TrainConfig(**merged)
 
 
 def cmd_train(args) -> int:
@@ -290,7 +302,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
-    scorer, extra = read_checkpoint(args.checkpoint)
+    scorer, extra = read_file(args.checkpoint, load_checkpoint)
     data_path = Path(args.data)
     domain = load_domain(data_path.parent,
                          no_lexicon=extra.get("no_lexicon", False))
@@ -326,7 +338,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    scorer, extra = read_checkpoint(args.checkpoint)
+    scorer, extra = read_file(args.checkpoint, load_checkpoint)
     data_dir = Path(args.data) if args.data else Path(extra["data_dir"])
     domain = load_domain(data_dir, no_lexicon=extra.get("no_lexicon", False))
     check_checkpoint_domain(scorer, domain)
@@ -347,12 +359,13 @@ def cmd_parse(args) -> int:
     print(result.tree.pretty())
     print(str(result.program))
     if denotation is None:
-        printable = None
-    elif domain.name == "geo":
-        printable = render_denotation(denotation)
+        print("no denotation: the executor rejects the composed program",
+              file=sys.stderr)
+        return EXIT_NO_PARSE
+    if domain.name == "geo":
+        print(json.dumps(render_denotation(denotation)))
     else:
-        printable = list(denotation)
-    print(json.dumps(printable))
+        print(json.dumps(list(denotation)))
     return EXIT_OK
 
 

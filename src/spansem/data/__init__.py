@@ -1,11 +1,6 @@
 """Dataset construction, executors, splits, and evaluation metrics."""
 
-from .metrics import (
-    corpus_labeled_span_f1,
-    denotation_accuracy,
-    f1_from_counts,
-    labeled_span_f1,
-)
+from .metrics import f1_from_counts
 from .splits import (
     split_iid,
     split_length,
@@ -14,10 +9,7 @@ from .splits import (
 )
 
 __all__ = [
-    "corpus_labeled_span_f1",
-    "denotation_accuracy",
     "f1_from_counts",
-    "labeled_span_f1",
     "split_iid",
     "split_length",
     "split_scan_primitive",

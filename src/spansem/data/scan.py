@@ -5,6 +5,11 @@ induced by the grammar derivation, and the executed action sequence.  The
 DSL uses predicates and/after (sequencing), walk/jump/run/look/turn
 (actions with optional direction and manner slots), twice/thrice
 (repetition) and the constants l, r (directions), op, ar (manners).
+
+Programs are composed with ``typesys.compose_children``, the one rule the
+parser and ``program_of_tree`` use, and trees and programs are immutable,
+so each clause's subtree is built once and shared by the commands that
+contain it.
 """
 
 from __future__ import annotations
@@ -12,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import Category, Span, SpanTree, Utterance
-from ..typesys import DomainConstant, DomainSchema, ENTITY, PREDICATE, Program
+from ..typesys import (DomainConstant, DomainSchema, ENTITY, PREDICATE, Program,
+                       compose_children)
 
 ACT, DIR, MAN = "act", "dir", "man"
 
+_VERBS = ("walk", "jump", "run", "look", "turn")
 _ACTION_WORDS = {"walk": "WALK", "jump": "JUMP", "run": "RUN", "look": "LOOK"}
 _TURN = {"l": "LTURN", "r": "RTURN"}
-_DIR_WORDS = {"left": "l", "right": "r"}
-_MAN_WORDS = {"opposite": "op", "around": "ar"}
 
 
 class ExecError(ValueError):
@@ -32,7 +37,7 @@ def scan_schema() -> DomainSchema:
         schema.add(DomainConstant(name, ENTITY, DIR))
     for name in ("op", "ar"):
         schema.add(DomainConstant(name, ENTITY, MAN))
-    for name in ("walk", "jump", "run", "look", "turn"):
+    for name in _VERBS:
         schema.add(DomainConstant(name, PREDICATE, ACT, (DIR, MAN), min_args=0))
     for name in ("twice", "thrice"):
         schema.add(DomainConstant(name, PREDICATE, ACT, (ACT,)))
@@ -59,86 +64,57 @@ class ScanExample:
 
 # --- generation -------------------------------------------------------------
 
-# A phrase is (tokens, builder) where builder(start) returns (tree, program)
-# with leaf spans laid out from token index `start`.
+# A phrase is a word or a (left, right) pair of phrases; each pair is a Join
+# node of the span tree.
 
 
-def _leaf(word: str, const: str, schema: DomainSchema):
-    def build(start: int):
-        tree = SpanTree(Span(start, start), Category.constant(const))
-        return tree, schema.atom(const)
-
-    return [word], build
-
-
-def _join(left, right):
-    """Combine two phrases under a Join node, the function child being
-    whichever side has an open slot matching the other's result type."""
-    ltoks, lbuild = left
-    rtoks, rbuild = right
-
-    def build(start: int):
-        ltree, lprog = lbuild(start)
-        rtree, rprog = rbuild(start + len(ltoks))
-        span = Span(ltree.span.start, rtree.span.end)
-        tree = SpanTree(span, Category.join(), (ltree, rtree))
-        try:
-            prog = lprog.fill(_slot_for(lprog, rprog), rprog)
-        except ValueError:
-            prog = rprog.fill(_slot_for(rprog, lprog), lprog)
-        return tree, prog
-
-    return ltoks + rtoks, build
-
-
-def _slot_for(fn: Program, arg: Program) -> int:
-    for i, existing in enumerate(fn.args):
-        if existing is None and fn.head.arg_types[i] == arg.result_type:
-            return i
-    raise ValueError(f"no open slot of {fn.head.name} accepts {arg.head.name}")
-
-
-def _verb_phrases(schema: DomainSchema):
-    """All 34 verb phrases of the command grammar."""
-    phrases = []
-    actions = list(_ACTION_WORDS) + ["turn"]
-    for word in _ACTION_WORDS:
-        phrases.append(_leaf(word, word, schema))  # bare action
-    for word in actions:
-        for dword, dconst in _DIR_WORDS.items():
-            head = _leaf(word, word, schema)
-            phrases.append(_join(head, _leaf(dword, dconst, schema)))
-            for mword, mconst in _MAN_WORDS.items():
-                modified = _join(_leaf(word, word, schema),
-                                 _leaf(mword, mconst, schema))
-                phrases.append(_join(modified, _leaf(dword, dconst, schema)))
-    return phrases
-
-
-def _clauses(schema: DomainSchema):
-    clauses = []
-    for vp in _verb_phrases(schema):
-        clauses.append(vp)
-        for rep in ("twice", "thrice"):
-            clauses.append(_join(vp, _leaf(rep, rep, schema)))
-    return clauses
+def _clauses() -> list:
+    """The 102 clauses: each of the 34 verb phrases bare, twice and thrice."""
+    vps = [verb for verb in _VERBS if verb != "turn"]  # bare actions
+    for verb in _VERBS:
+        for direction in ("left", "right"):
+            vps.append((verb, direction))
+            for manner in ("opposite", "around"):
+                vps.append(((verb, manner), direction))
+    return [c for vp in vps for c in (vp, (vp, "twice"), (vp, "thrice"))]
 
 
 def generate_scan_sp(schema: DomainSchema | None = None) -> list:
-    """Exhaustively enumerate the command grammar (20,910 commands)."""
-    schema = schema or scan_schema()
-    clauses = _clauses(schema)
-    phrases = list(clauses)
-    for conj in ("and", "after"):
-        for left in clauses:
-            for right in clauses:
-                phrases.append(_join(_join(left, _leaf(conj, conj, schema)), right))
+    """Exhaustively enumerate the command grammar (20,910 commands).
 
+    Each Join node's program is ``compose_children`` of its children's, the
+    step ``program_of_tree`` takes, so every gold program is its tree's
+    program by construction.  A phrase's tree, program and tokens are built
+    once per start index and shared by every command that contains it there.
+    """
+    schema = schema or scan_schema()
+    constant_of = dict(scan_lexicon_entries())
+    built = {}
+
+    def build(phrase, start: int):
+        key = (phrase, start)
+        if key not in built:
+            if isinstance(phrase, str):
+                name = constant_of[phrase]
+                tree = SpanTree(Span(start, start), Category.constant(name))
+                built[key] = tree, schema.atom(name), (phrase,)
+            else:
+                ltree, lprog, ltoks = build(phrase[0], start)
+                rtree, rprog, rtoks = build(phrase[1], start + len(ltoks))
+                tree = SpanTree(Span(start, rtree.span.end), Category.join(),
+                                (ltree, rtree))
+                built[key] = (tree, compose_children([lprog, rprog], schema),
+                              ltoks + rtoks)
+        return built[key]
+
+    clauses = _clauses()
+    phrases = clauses + [((left, conj), right) for conj in ("and", "after")
+                         for left in clauses for right in clauses]
     examples = []
-    for tokens, build in phrases:
-        tree, program = build(1)
+    for phrase in phrases:
+        tree, program, tokens = build(phrase, 1)
         tree = SpanTree(tree.span, tree.category, tree.children, is_root=True)
-        utt = Utterance(raw_text=" ".join(tokens), tokens=tuple(tokens))
+        utt = Utterance(raw_text=" ".join(tokens), tokens=tokens)
         examples.append(
             ScanExample(utt, program, tree, actions=exec_scan(program))
         )
@@ -161,7 +137,7 @@ def exec_scan(z: Program) -> tuple:
         if z.args[0] is None:
             raise ExecError(f"unsaturated {name}")
         return exec_scan(z.args[0]) * (2 if name == "twice" else 3)
-    if name in _ACTION_WORDS or name == "turn":
+    if name in _VERBS:
         direction, manner = z.args
         if direction is None and manner is not None:
             raise ExecError(f"{name} has a manner but no direction")

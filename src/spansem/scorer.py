@@ -77,12 +77,15 @@ class Lexicon:
     def load_tsv(cls, path) -> "Lexicon":
         lex = cls()
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                phrase, name = line.split("\t")
-                lex.add(phrase, name)
+                fields = line.split("\t")
+                if len(fields) != 2:
+                    raise ValueError(f"line {lineno}: needs a phrase and a "
+                                     f"constant separated by one tab")
+                lex.add(*fields)
         return lex
 
 

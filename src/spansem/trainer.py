@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cky import Grammar, best_valid_tree, constrained_parse, parse_kbest
 from .core import SpanTree, Utterance
@@ -70,6 +70,12 @@ class TrainConfig:
     curriculum_epochs: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            accepted = (int, float) if kind is float else kind
+            if (isinstance(value, bool) != (kind is bool)
+                    or not isinstance(value, accepted)):
+                raise ConfigError(f"{f.name} must be a {kind.__name__}, not {value!r}")
         for name in ("lr", "batch_size", "max_epochs", "patience", "K"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")

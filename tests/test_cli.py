@@ -3,6 +3,7 @@ parsing, exit codes, and environment-variable overrides."""
 
 import json
 import random
+import shutil
 
 import numpy as np
 import pytest
@@ -315,7 +316,106 @@ def test_eval_rejects_empty_file(trained_run, tmp_path, tiny_scan_dir):
     assert code == cli.EXIT_CONFIG
 
 
+# --- files the CLI reads ----------------------------------------------------
+
+
+def copy_without(src, dst, *dropped):
+    """A copy of dataset directory ``src`` without the files named."""
+    shutil.copytree(src, dst, ignore=lambda _, names: [n for n in names
+                                                       if n in dropped])
+    return dst
+
+
+def run_all(commands, capsys):
+    """Exit codes of ``cli.main`` on each argv, and the stderr they wrote."""
+    codes = [cli.main(argv) for argv in commands]
+    return codes, capsys.readouterr().err
+
+
+def test_missing_checkpoint_is_config_error(exec_error_run, tmp_path, capsys):
+    missing = tmp_path / "missing.npz"
+    codes, err = run_all([
+        ["eval", "--checkpoint", str(missing),
+         "--data", str(exec_error_run / "test.jsonl")],
+        ["parse", "walk", "--checkpoint", str(missing),
+         "--data", str(exec_error_run)]], capsys)
+    assert codes == [cli.EXIT_CONFIG] * 2
+    assert err.count(f"configuration error: {missing}: No such file") == 2
+
+
+@pytest.mark.parametrize("dropped", ["directory", "schema.json"])
+def test_missing_dataset_schema_is_config_error(tiny_scan_dir, exec_error_run,
+                                                tmp_path, capsys, dropped):
+    """A dataset directory, or its schema.json, that does not exist."""
+    data = tmp_path / "data"
+    if dropped != "directory":
+        copy_without(tiny_scan_dir, data, dropped)
+    checkpoint = str(exec_error_run / "model.npz")
+    codes, err = run_all([
+        ["train", "--data", str(data), "--out", str(tmp_path / "run")],
+        ["eval", "--checkpoint", checkpoint, "--data", str(data / "test.jsonl")],
+        ["parse", "walk", "--checkpoint", checkpoint, "--data", str(data)]],
+        capsys)
+    assert codes == [cli.EXIT_CONFIG] * 3
+    assert err.count(
+        f"configuration error: {data / 'schema.json'}: No such file") == 3
+
+
+def test_missing_jsonl_file_is_config_error(tiny_scan_dir, exec_error_run,
+                                            tmp_path, capsys):
+    data = copy_without(tiny_scan_dir, tmp_path / "data", "train.jsonl",
+                        "test.jsonl")
+    codes, err = run_all([
+        ["train", "--data", str(data), "--out", str(tmp_path / "run")],
+        ["eval", "--checkpoint", str(exec_error_run / "model.npz"),
+         "--data", str(data / "test.jsonl")]], capsys)
+    assert codes == [cli.EXIT_CONFIG] * 2
+    for name in ("train.jsonl", "test.jsonl"):
+        assert f"configuration error: {data / name}: No such file" in err
+
+
+def test_lexicon_line_without_tab_is_config_error(tiny_scan_dir,
+                                                  exec_error_run, tmp_path,
+                                                  capsys):
+    data = copy_without(tiny_scan_dir, tmp_path / "data")
+    lexicon = data / "lexicon.tsv"
+    lexicon.write_text("walk\twalk\nleft l\n")
+    checkpoint = str(exec_error_run / "model.npz")
+    codes, err = run_all([
+        ["train", "--data", str(data), "--out", str(tmp_path / "run")],
+        ["eval", "--checkpoint", checkpoint, "--data", str(data / "test.jsonl")],
+        ["parse", "walk", "--checkpoint", checkpoint, "--data", str(data)]],
+        capsys)
+    assert codes == [cli.EXIT_CONFIG] * 3
+    assert err.count(f"configuration error: {lexicon}: line 2: needs a phrase "
+                     f"and a constant separated by one tab") == 3
+
+
+@pytest.mark.parametrize("settings", [[1, 2], {"lr": "fast"}],
+                         ids=["list", "string-lr"])
+def test_train_config_file_of_wrong_shape_is_config_error(
+        tiny_scan_dir, tmp_path, capsys, settings):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    code = cli.main(["train", "--data", str(tiny_scan_dir),
+                     "--out", str(tmp_path / "run"), "--config", str(cfg)])
+    assert code == cli.EXIT_CONFIG
+    assert f"configuration error: {cfg}: " in capsys.readouterr().err
+
+
 # --- parse ------------------------------------------------------------------
+
+
+def test_parse_exec_error_exits_no_parse(exec_error_run, capsys):
+    """A bare "turn" composes but does not execute: the tree and program
+    are printed, and the exit code is 2."""
+    code = cli.main(["parse", "turn",
+                     "--checkpoint", str(exec_error_run / "model.npz"),
+                     "--data", str(exec_error_run)])
+    assert code == cli.EXIT_NO_PARSE
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["[turn 1:1]", "turn"]
+    assert "no denotation: the executor rejects the composed program" in err
 
 
 def test_parse_prints_tree_program_denotation(trained_run, tiny_scan_dir,

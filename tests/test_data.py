@@ -1,8 +1,12 @@
 """Corpus generation, executors, splits, and evaluation metrics."""
 
+import hashlib
+import json
+
 import pytest
 
-from spansem.core import Span, validate_tree
+from spansem import cli
+from spansem.core import Span, labeled_spans, validate_tree
 from spansem.data.geo import (
     GeoKb,
     exec_funql,
@@ -14,12 +18,7 @@ from spansem.data.geo import (
     render_denotation,
     save_kb,
 )
-from spansem.data.metrics import (
-    corpus_labeled_span_f1,
-    denotation_accuracy,
-    f1_from_counts,
-    labeled_span_f1,
-)
+from spansem.data.metrics import f1_from_counts, span_f1_counts
 from spansem.data.scan import (
     ExecError,
     exec_scan,
@@ -91,18 +90,31 @@ def test_executor_agrees_with_reference_interpreter(corpus):
 
 def test_generated_trees_are_legal_and_match_programs(corpus):
     schema = scan_schema()
-    for ex in corpus[::97]:
+    word_of = {c: w for w, c in scan_lexicon_entries()}
+    for ex in corpus:
         n = len(ex.utterance)
         validate_tree(ex.tree, n)
         composed = program_of_tree(ex.tree, schema)
         assert composed == ex.program
         # every leaf constant names a token that the manual lexicon maps to it
-        word_of = {c: w for w, c in scan_lexicon_entries()}
         for node in ex.tree.nodes():
             if node.category.is_constant:
                 assert len(node.span) == 1
                 token = ex.utterance.tokens[node.span.start - 1]
                 assert word_of[node.category.label] == token
+
+
+def test_corpus_digest_is_pinned(corpus):
+    """The corpus, in order, as the dataset files record it plus each tree's
+    repr: a change to the generator that shifts any example shows here."""
+    digest = hashlib.sha256()
+    for e in corpus:
+        record = cli.example_record(e.utterance, e.program, e.tree,
+                                    list(e.actions))
+        digest.update(json.dumps(record, sort_keys=True).encode())
+        digest.update(repr(e.tree).encode())
+    assert digest.hexdigest() == (
+        "91e529124c5dd4eb869d68071159dfaac23b717a64866a629667a7e9067c2e5d")
 
 
 def test_exec_scan_sample_values(corpus):
@@ -326,16 +338,6 @@ def test_render_denotation_sorts_and_unwraps():
 # --- metrics ----------------------------------------------------------------
 
 
-def test_denotation_accuracy_counts_failures_in_denominator():
-    preds = [frozenset({1}), None, frozenset({2})]
-    golds = [frozenset({1}), frozenset({9}), frozenset({3})]
-    assert denotation_accuracy(preds, golds) == pytest.approx(1 / 3)
-    with pytest.raises(ValueError):
-        denotation_accuracy([], [])
-    with pytest.raises(ValueError):
-        denotation_accuracy([None], [])
-
-
 def test_f1_from_counts_cases():
     assert f1_from_counts(8, 9, 9) == pytest.approx(8 / 9)
     assert f1_from_counts(0, 0, 0) == 1.0
@@ -343,8 +345,12 @@ def test_f1_from_counts_cases():
     assert f1_from_counts(2, 4, 2) == pytest.approx(2 * (0.5 * 1.0) / 1.5)
 
 
-def test_labeled_span_f1_on_trees(corpus):
+def test_span_f1_counts_on_trees(corpus):
+    """A tree against itself is all hits; a None prediction has no spans,
+    so its gold spans count as misses."""
     ex = corpus[40]
-    assert labeled_span_f1(ex.tree, ex.tree) == 1.0
-    assert corpus_labeled_span_f1([(ex.tree, ex.tree), (None, ex.tree)]) < 1.0
-    assert corpus_labeled_span_f1([(ex.tree, ex.tree)]) == 1.0
+    n = len(labeled_spans(ex.tree))
+    assert n > 0
+    assert span_f1_counts(ex.tree, ex.tree) == (n, n, n)
+    assert span_f1_counts(None, ex.tree) == (0, 0, n)
+    assert f1_from_counts(n, n, 2 * n) < 1.0

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from spansem.cky import Grammar
-from spansem.core import Utterance
+from spansem import trainer
+from spansem.cky import Grammar, ParseResult
+from spansem.core import Utterance, labeled_spans
 from spansem.data.geo import (
     exec_funql,
     geo_lexicon_entries,
@@ -59,6 +60,8 @@ def short_examples(scan_domain):
     dict(lr=0.0), dict(lr=-1.0), dict(batch_size=0), dict(max_epochs=0),
     dict(patience=0), dict(K=0), dict(lam=-0.5), dict(momentum=1.0),
     dict(momentum=-0.1), dict(curriculum_epochs=-1),
+    dict(lr="fast"), dict(max_epochs=2.5), dict(batch_size=True),
+    dict(ternary=1),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
@@ -154,6 +157,27 @@ def test_evaluate_report_shape(scan_domain, short_examples):
     record = report["per_example"][0]
     assert set(record) == {"utterance", "gold_program", "predicted_program",
                            "correct"}
+
+
+def test_evaluate_counts_a_no_parse_as_a_miss(scan_domain, short_examples,
+                                              monkeypatch):
+    """A None prediction is a failure that stays in the accuracy
+    denominator, and its gold spans count as F1 misses."""
+    examples = short_examples[:3]
+
+    def gold_except_first(scorer, utt, domain, grammar, K):
+        ex = next(ex for ex in examples if ex.utterance == utt)
+        return None if ex is examples[0] else ParseResult(ex.tree, 0.0, ex.program)
+
+    monkeypatch.setattr(trainer, "predict", gold_except_first)
+    report = evaluate(None, examples, scan_domain, Grammar())
+    assert report["accuracy"] == pytest.approx(2 / 3)
+    assert report["failures"] == 1
+    hits = sum(len(labeled_spans(ex.tree)) for ex in examples[1:])
+    missed = len(labeled_spans(examples[0].tree))
+    assert report["f1"] == pytest.approx(2 * hits / (2 * hits + missed))
+    with pytest.raises(ValueError):
+        evaluate(None, [], scan_domain, Grammar())
 
 
 def test_evaluate_omits_f1_without_gold_trees(scan_domain, short_examples):
