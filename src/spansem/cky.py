@@ -20,10 +20,12 @@ outside some cell's top K is lost.
 ``constrained_parse`` is an exact Viterbi whose nonterminals are program
 states: each cell keeps the best derivation per program its span can
 compose to, which is a subterm of the gold program or a partial
-application of one.  It composes every node as ``program_of_tree`` does
-(``typesys.compose_children``) and keeps it only while its program is
-admissible against the gold program, so every tree it returns maps to gold
-and it returns None only when no tree does.
+application of one.  It composes every node as ``program_of_tree`` does,
+through the schema's composition table (``typesys.CompositionTable``), so
+its cells are keyed on program ids and a pair of programs is composed once
+per schema.  A node is kept only while its program is admissible against
+the gold program, so every tree it returns maps to gold and it returns
+None only when no tree does.
 
 Both charts keep one derivation format, the tuple ``(score, i, j,
 category, children)`` whose children are derivations (a NoSem child is
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .core import Category, Span, SpanTree
@@ -47,7 +50,6 @@ from .typesys import (
     CompositionFailure,
     DomainSchema,
     Program,
-    compose_children,
     program_of_tree,
 )
 # Unused here; bound so that perfbench/tracing.py can patch it in this module.
@@ -342,54 +344,51 @@ def best_valid_tree(candidates, schema: DomainSchema):
 
 
 class _States:
-    """The program states of one constrained parse, interned to ints, and
-    their admissible compositions, memoized per pair of ids.
+    """One constrained parse's view of the schema's composition table: the
+    admissibility filter against its gold program, memoized per program id,
+    and the partner maps of this call.
 
-    A state is a subterm of the gold program or a partial application of
-    one.  ``tried[x]`` maps every state ``y`` composed with ``x`` so far to
-    the id of the program ``compose_children([x, y])`` gives when it is
-    admissible, else -1; ``found[x]`` keeps the admissible ones.
+    A state is the id of a subterm of the gold program or of a partial
+    application of one.  ``tried[x]`` maps every state ``y`` composed with
+    ``x`` so far in this parse to ``table.compose(x, y)`` when that is
+    admissible, else -1; ``found[x]`` keeps the admissible ones.  Both are
+    filled in the order the chart meets its cells, so the chart's tie
+    order never depends on ids or on what the table already holds.
     """
 
     def __init__(self, gold: Program, schema: DomainSchema):
-        self.schema = schema
+        self.table = schema.table
         self.by_head: dict = {}
         for sub in gold.subterms():
             self.by_head.setdefault(sub.head.name, []).append(sub)
-        self.programs: list = []
-        self.ids: dict = {}
-        self.tried: dict = {}
-        self.found: dict = {}
+        self.admits: dict = {}
+        self.tried = defaultdict(dict)
+        self.found = defaultdict(dict)
 
-    def intern(self, program: Program) -> int:
-        sid = self.ids.get(program)
-        if sid is None:
-            sid = self.ids[program] = len(self.programs)
-            self.programs.append(program)
-            self.tried[sid], self.found[sid] = {}, {}
-        return sid
-
-    def admissible(self, program: Program) -> bool:
+    def admissible(self, pid: int) -> bool:
         """Some gold subterm has the head and every filled argument of
-        ``program``."""
-        for sub in self.by_head.get(program.head.name, ()):
-            if all(pa is None or pa == ga
-                   for pa, ga in zip(program.args, sub.args)):
-                return True
-        return False
+        program ``pid``."""
+        ok = self.admits.get(pid)
+        if ok is None:
+            program = self.table.programs[pid]
+            ok = self.admits[pid] = any(
+                all(pa is None or pa == ga
+                    for pa, ga in zip(program.args, sub.args))
+                for sub in self.by_head.get(program.head.name, ()))
+        return ok
 
     def meet(self, x: int, cell: dict) -> None:
         """Composes ``x`` with the states of ``cell`` not yet tried with it."""
         tried, found = self.tried[x], self.found[x]
+        compose, admissible = self.table.compose, self.admissible
         for y in cell:
             if y in tried:
                 continue
-            program = compose_children([self.programs[x], self.programs[y]],
-                                       self.schema)
-            if program is None or not self.admissible(program):
-                tried[y] = -1
+            pid = compose(x, y)
+            if pid >= 0 and admissible(pid):
+                tried[y] = found[y] = pid
             else:
-                tried[y] = found[y] = self.intern(program)
+                tried[y] = -1
 
 
 def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
@@ -414,9 +413,9 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
         stats = {}
     stats.setdefault("combinations", 0)
     states = _States(gold, schema)
-    gold_id = states.intern(gold)
+    gold_id = states.table.intern(gold)
     tried, found = states.tried, states.found
-    leaves = [(states.intern(schema.atom(c.label)), table.cat_index[c], c)
+    leaves = [(states.table.atom(c.label), table.cat_index[c], c)
               for c in sorted(table.categories, key=lambda c: c.label)
               if c.is_constant and c.label in states.by_head]
     rows = table.shifted.tolist()

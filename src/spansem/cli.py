@@ -17,8 +17,12 @@ line that is not a phrase and a constant separated by a tab, a --config
 file that is not a JSON object of valid training settings, a
 malformed dataset line, a gold tree that is malformed or runs past its
 utterance, a checkpoint whose categories differ from the dataset's schema
-or whose parameter shapes differ from its sizes, a non-finite training
-loss, and eval --jobs below 1).
+or whose parameter shapes differ from its sizes, a parse without --data
+whose checkpoint records no dataset directory, an output directory that
+cannot be created, such as a train --out naming a file, a non-finite
+training loss, and eval --jobs below 1).  Output directories (gen-data
+and train --out, the directories of eval --out and parse --dump-chart)
+are created when missing.
 """
 
 from __future__ import annotations
@@ -171,6 +175,15 @@ def read_file(path, load):
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def make_dir(path: Path) -> None:
+    """Creates directory ``path`` and its missing parents; an OSError, as
+    from a file already at ``path``, is a ConfigError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+
+
 def check_checkpoint_domain(scorer, domain: Domain) -> None:
     if scorer.categories != domain.schema.categories():
         raise ConfigError(f"checkpoint categories do not match the "
@@ -187,7 +200,7 @@ def write_config(out_dir: Path, resolved: dict) -> None:
 
 def cmd_gen_data(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     if args.domain == "scan":
         if args.split not in SCAN_SPLITS:
             raise ConfigError(f"scan supports splits {SCAN_SPLITS}")
@@ -268,7 +281,7 @@ def train_config_from(args) -> TrainConfig:
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     config = train_config_from(args)
     config.validate()
     domain = load_domain(data_dir, no_lexicon=args.no_lexicon)
@@ -323,7 +336,7 @@ def cmd_eval(args) -> int:
         report = evaluate(scorer, examples, domain, grammar, K)
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
+        make_dir(out.parent)
         with open(out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
         write_config(out.parent,
@@ -339,7 +352,11 @@ def cmd_eval(args) -> int:
 
 def cmd_parse(args) -> int:
     scorer, extra = read_file(args.checkpoint, load_checkpoint)
-    data_dir = Path(args.data) if args.data else Path(extra["data_dir"])
+    data_dir = args.data or extra.get("data_dir")
+    if data_dir is None:
+        raise ConfigError(f"{args.checkpoint}: the checkpoint records no "
+                          f"dataset directory; pass --data")
+    data_dir = Path(data_dir)
     domain = load_domain(data_dir, no_lexicon=extra.get("no_lexicon", False))
     check_checkpoint_domain(scorer, domain)
     ternary = args.ternary or extra.get("ternary", False)
@@ -349,6 +366,7 @@ def cmd_parse(args) -> int:
     if not utt.tokens:
         raise ConfigError("empty utterance")
     if args.dump_chart:
+        make_dir(Path(args.dump_chart).parent)
         dump_chart(scorer.score_spans(utt, domain.lexicon), grammar, K,
                    args.dump_chart)
     result = predict(scorer, utt, domain, grammar, K)

@@ -8,6 +8,14 @@ a 1-hidden-layer network over the concatenation [h_i ; h_j], with hidden
 width 250, plus an exact-match lexicon bonus of lambda per matching
 category.  All arithmetic is float64 numpy; gradients are hand-derived
 and checked against finite differences in the test suite.
+
+One forward serves both steps of hard EM: ``score_spans`` returns a
+``ScoreTable`` that carries its forward cache and the parameter dict that
+produced it, and ``loss_and_grads`` backpropagates from that table rather
+than running the forward again.  A table scored with another parameter
+dict (``sgd_step`` returns a new one) is refused.  The lexicon memoizes
+its matches per token tuple, so the bonus of a seen utterance is a
+scatter.
 """
 
 from __future__ import annotations
@@ -37,12 +45,28 @@ class Lexicon:
     token-joined, lowercased span string."""
 
     entries: dict = field(default_factory=dict)
+    _matches: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)  # tokens -> [(span row, name)]
 
     def add(self, phrase: str, constant: str) -> None:
         self.entries.setdefault(phrase.lower(), set()).add(constant)
+        self._matches.clear()
 
     def lookup(self, phrase: str) -> set:
         return self.entries.get(phrase.lower(), set())
+
+    def matches(self, tokens: tuple) -> list:
+        """``(row, name)`` for every span of ``tokens``, by its row in
+        ``all_spans`` order, whose phrase the lexicon maps to ``name``;
+        memoized per token tuple."""
+        hits = self._matches.get(tokens)
+        if hits is None:
+            n = len(tokens)
+            hits = self._matches[tokens] = [
+                (row, name)
+                for row, span in enumerate(all_spans(n))
+                for name in self.lookup(" ".join(tokens[span.start - 1:span.end]))]
+        return hits
 
     def merged_with(self, other: "Lexicon") -> "Lexicon":
         out = Lexicon()
@@ -91,9 +115,16 @@ class Lexicon:
 
 class ScoreTable:
     """Raw scores s(x_{i:j}, c) for every span and category, plus the
-    shifted scores s' with the NoSem column pinned to zero."""
+    shifted scores s' with the NoSem column pinned to zero.
 
-    def __init__(self, n: int, categories: list, raw: np.ndarray):
+    A table from ``SpanScorer.score_spans`` also keeps the parameter dict
+    that scored it (``params``) and its forward activations (``cache``),
+    which ``loss_and_grads`` backpropagates from; a table built from raw
+    scores has neither.
+    """
+
+    def __init__(self, n: int, categories: list, raw: np.ndarray,
+                 params: dict | None = None, cache: dict | None = None):
         self.n = n
         self.categories = list(categories)
         self.cat_index = {c: k for k, c in enumerate(self.categories)}
@@ -106,6 +137,8 @@ class ScoreTable:
         self.raw = raw
         nosem_col = self.cat_index[Category.nosem()]
         self.shifted = raw - raw[:, nosem_col:nosem_col + 1]
+        self.params = params
+        self.cache = cache
 
 
 def span_probability(table: ScoreTable, span: Span, category: Category) -> float:
@@ -203,15 +236,15 @@ class SpanScorer:
         return spans, ii, jj
 
     def lexicon_delta(self, utt: Utterance, lexicon: Lexicon | None) -> np.ndarray:
-        spans, _, _ = self._span_indices(len(utt))
-        delta = np.zeros((len(spans), len(self.categories)))
+        n = len(utt)
+        delta = np.zeros((n * (n + 1) // 2, len(self.categories)))
         if lexicon is None:
             return delta
-        for row, span in enumerate(spans):
-            for name in lexicon.lookup(utt.phrase(span)):
-                col = self.cat_index.get(Category.constant(name))
-                if col is not None:
-                    delta[row, col] = 1.0
+        hits = [(row, col) for row, name in lexicon.matches(utt.tokens)
+                if (col := self.cat_index.get(Category.constant(name))) is not None]
+        if hits:
+            rows, cols = zip(*hits)
+            delta[rows, cols] = 1.0
         return delta
 
     def _forward(self, utt: Utterance, lexicon: Lexicon | None):
@@ -229,22 +262,28 @@ class SpanScorer:
         return raw, cache
 
     def score_spans(self, utt: Utterance, lexicon: Lexicon | None = None) -> ScoreTable:
-        raw, _ = self._forward(utt, lexicon)
-        return ScoreTable(len(utt), self.categories, raw)
+        raw, cache = self._forward(utt, lexicon)
+        return ScoreTable(len(utt), self.categories, raw, self.params, cache)
 
     # -- training ----------------------------------------------------------
 
     def zero_grads(self) -> dict:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def loss_and_grads(self, utt: Utterance, labels: np.ndarray,
-                       lexicon: Lexicon | None = None, grads: dict | None = None):
-        """Summed cross-entropy over all spans and its parameter gradients.
+    def loss_and_grads(self, table: ScoreTable, labels: np.ndarray,
+                       grads: dict | None = None):
+        """Summed cross-entropy over all spans of a scored table and its
+        parameter gradients, backpropagated from the table's forward cache.
 
-        ``labels`` holds one category index per span, in all_spans order.
-        Gradients are accumulated into ``grads`` when given.
+        ``table`` must come from ``score_spans`` under the current parameter
+        dict, else ValueError.  ``labels`` holds one category index per
+        span, in all_spans order.  Gradients are accumulated into ``grads``
+        when given.
         """
-        raw, cache = self._forward(utt, lexicon)
+        if table.params is not self.params:
+            raise ValueError("the table was not scored with this scorer's "
+                             "current parameters")
+        raw, cache = table.raw, table.cache
         shift = raw - raw.max(axis=1, keepdims=True)
         expd = np.exp(shift)
         logz = np.log(expd.sum(axis=1)) + raw.max(axis=1)
@@ -261,7 +300,7 @@ class SpanScorer:
         grads["W1"] += dA.T @ cache["F"]
         dF = dA @ self.params["W1"]
         h = self.h_dim
-        dH = np.zeros((len(utt), h))
+        dH = np.zeros((table.n, h))
         np.add.at(dH, cache["ii"], dF[:, :h])
         np.add.at(dH, cache["jj"], dF[:, h:])
         self._encode_backward(cache["enc"], dH, grads)

@@ -6,7 +6,9 @@ gold program.  The search is exact, so an example is skipped for that
 batch only when no grammar-legal tree over its utterance maps to the gold
 program.  The M-step treats the found trees as supervision and takes one
 momentum-SGD step on the summed per-span cross-entropy.  When gold trees
-are available the E-step is bypassed and they are used directly.
+are available the E-step is bypassed and they are used directly.  Each
+example is scored once per batch: the E-step's table carries the forward
+cache that the M-step's backward pass reads.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, fields
 from .cky import Grammar, best_valid_tree, constrained_parse, parse_kbest
 from .core import SpanTree, Utterance
 from .data.metrics import f1_from_counts, span_f1_counts
-from .scorer import Lexicon, SpanScorer, sgd_step
+from .scorer import Lexicon, ScoreTable, SpanScorer, sgd_step
 from .typesys import DomainSchema, Program
 
 
@@ -102,14 +104,13 @@ def vocabulary(examples) -> list:
     return sorted(tokens)
 
 
-def target_tree(scorer: SpanScorer, ex: TrainExample, domain: Domain,
+def target_tree(table: ScoreTable, ex: TrainExample, domain: Domain,
                 grammar: Grammar, config: TrainConfig) -> SpanTree | None:
-    """Supervision tree for one example: the gold tree when configured and
-    present, otherwise the best constrained parse (None when no tree over
-    the utterance composes to the gold program)."""
+    """Supervision tree for one example scored as ``table``: the gold tree
+    when configured and present, otherwise the best constrained parse (None
+    when no tree over the utterance composes to the gold program)."""
     if config.use_gold_trees and ex.tree is not None:
         return ex.tree
-    table = scorer.score_spans(ex.utterance, domain.lexicon)
     result = constrained_parse(table, grammar, ex.program, domain.schema)
     return None if result is None else result.tree
 
@@ -121,13 +122,13 @@ def hard_em_step(scorer: SpanScorer, batch: list, domain: Domain,
     grads = scorer.zero_grads()
     loss, used, skipped = 0.0, 0, 0
     for ex in batch:
-        tree = target_tree(scorer, ex, domain, grammar, config)
+        table = scorer.score_spans(ex.utterance, domain.lexicon)
+        tree = target_tree(table, ex, domain, grammar, config)
         if tree is None:
             skipped += 1
             continue
         labels = scorer.labels_for_tree(tree, len(ex.utterance))
-        ex_loss, _ = scorer.loss_and_grads(ex.utterance, labels,
-                                           domain.lexicon, grads)
+        ex_loss, _ = scorer.loss_and_grads(table, labels, grads)
         loss += ex_loss
         used += 1
     if used:

@@ -5,6 +5,13 @@ partially applied: argument slots are filled one at a time, each argument
 going to the first open slot whose type accepts it.  Composition of two
 programs applies the left one as function to the right one, and only when
 that fails to type-check the right one to the left one.
+
+Each schema owns one ``CompositionTable``, built on first use: programs are
+hash-consed to ints (Filliâtre & Conchon 2006, *Type-safe modular
+hash-consing*) and composition is memoized over id pairs, so a pair of
+programs is composed once per schema however many parses, examples and
+epochs meet it.  A miss composes through ``compose_children``.  The table
+is not pickled with its schema, and ``DomainSchema.add`` clears it.
 """
 
 from __future__ import annotations
@@ -120,9 +127,21 @@ class DomainSchema:
     subtypes: dict = field(default_factory=dict)  # type -> parent type
     type_defaults: dict = field(default_factory=dict)  # type -> constant name
     entity_lexicon: dict = field(default_factory=dict)  # phrase -> set of names
+    _table: "CompositionTable | None" = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     def __post_init__(self):
         self._check_acyclic()
+
+    def __getstate__(self):
+        return {**self.__dict__, "_table": None}
+
+    @property
+    def table(self) -> "CompositionTable":
+        """The schema's composition table, built on first use."""
+        if self._table is None:
+            self._table = CompositionTable(self)
+        return self._table
 
     def _check_acyclic(self):
         for t in self.subtypes:
@@ -138,6 +157,7 @@ class DomainSchema:
         if const.name in self.constants:
             raise ValueError(f"duplicate constant {const.name}")
         self.constants[const.name] = const
+        self._table = None
         if const.kind == ENTITY:
             m = _ENTITY_NAME_RE.match(const.name)
             phrase = m.group("payload") if m else const.name
@@ -224,30 +244,88 @@ def compose(a: Program, b: Program, schema: DomainSchema):
     return candidates[0] if candidates else None
 
 
-def compose_children(programs, schema: DomainSchema):
-    """An internal node's program from its children's (None for NoSem), or
-    None: one semantic child passes through, two compose by ``compose``, and
-    three compose the outer pair first, then the middle one."""
-    if len(programs) == 3:
-        if any(p is None for p in programs):
+def _node(children, compose_pair):
+    """The internal-node rule over programs or their ids (None for NoSem):
+    one semantic child passes through, two compose by ``compose_pair``, and
+    three compose the outer pair first, then the middle one.  None when the
+    rule or ``compose_pair`` fails."""
+    if len(children) == 3:
+        if any(c is None for c in children):
             return None
-        outer = compose(programs[0], programs[2], schema)
-        return None if outer is None else compose(outer, programs[1], schema)
-    semantic = [p for p in programs if p is not None]
+        outer = compose_pair(children[0], children[2])
+        return None if outer is None else compose_pair(outer, children[1])
+    semantic = [c for c in children if c is not None]
     if len(semantic) == 1:
         return semantic[0]
     if len(semantic) == 2:
-        return compose(semantic[0], semantic[1], schema)
+        return compose_pair(*semantic)
     return None
 
 
+def compose_children(programs, schema: DomainSchema):
+    """An internal node's program from its children's (None for NoSem), or
+    None, by ``_node``'s rule with ``compose``."""
+    return _node(programs, lambda a, b: compose(a, b, schema))
+
+
+class CompositionTable:
+    """One schema's programs interned to ints, with composition memoized
+    over pairs of ids.
+
+    ``programs[x]`` is the program of id ``x``.  ``compose(x, y)`` is the
+    id of ``compose_children([programs[x], programs[y]])``, or -1 when it
+    is None; the first call for a pair composes, later ones look it up.
+    Ids follow first use, so they differ between a cold table and a warm
+    one: nothing may be ordered by them.
+    """
+
+    def __init__(self, schema: DomainSchema):
+        self.schema = schema
+        self.programs: list = []
+        self.ids: dict = {}  # program -> id
+        self.atoms: dict = {}  # constant name -> id of its bare program
+        self.composed: list = []  # x -> {y: compose(x, y)}
+
+    def intern(self, program: Program) -> int:
+        pid = self.ids.get(program)
+        if pid is None:
+            pid = self.ids[program] = len(self.programs)
+            self.programs.append(program)
+            self.composed.append({})
+        return pid
+
+    def atom(self, name: str) -> int:
+        """The id of constant ``name``'s bare program; KeyError when the
+        schema has no such constant."""
+        pid = self.atoms.get(name)
+        if pid is None:
+            pid = self.atoms[name] = self.intern(self.schema.atom(name))
+        return pid
+
+    def compose(self, x: int, y: int) -> int:
+        memo = self.composed[x]
+        pid = memo.get(y)
+        if pid is None:
+            program = compose_children([self.programs[x], self.programs[y]],
+                                       self.schema)
+            pid = memo[y] = -1 if program is None else self.intern(program)
+        return pid
+
+    def compose_children(self, ids):
+        """``compose_children`` over ids (None for NoSem): an id, or None."""
+        return _node(ids, lambda x, y: None if (pid := self.compose(x, y)) < 0
+                     else pid)
+
+
 def program_of_tree(tree: SpanTree, schema: DomainSchema) -> Program:
-    """Deterministic bottom-up mapping from a span tree to its program.
+    """Deterministic bottom-up mapping from a span tree to its program,
+    composed through the schema's table.
 
     Raises CompositionFailure (carrying the offending span) when some node
     admits no type-legal combination; that failure is the semantic-validity
     signal used during CKY inference.
     """
+    table = schema.table
 
     def visit(node: SpanTree):
         if node.is_leaf:
@@ -256,20 +334,20 @@ def program_of_tree(tree: SpanTree, schema: DomainSchema) -> Program:
             if node.category.is_join:
                 raise CompositionFailure(node.span, "Join leaf has no program")
             try:
-                return schema.atom(node.category.label)
+                return table.atom(node.category.label)
             except KeyError:
                 raise CompositionFailure(
                     node.span, f"unknown constant {node.category.label}"
                 ) from None
-        program = compose_children([visit(c) for c in node.children], schema)
-        if program is None:
+        pid = table.compose_children([visit(c) for c in node.children])
+        if pid is None:
             raise CompositionFailure(node.span)
-        return program
+        return pid
 
-    program = visit(tree)
-    if program is None:
+    pid = visit(tree)
+    if pid is None:
         raise CompositionFailure(tree.span, "tree carries no semantics")
-    return program
+    return table.programs[pid]
 
 
 # --- program surface syntax -------------------------------------------------

@@ -538,6 +538,54 @@ def test_constrained_parse_composes_like_program_of_tree(ternary):
     assert not assert_constrained_matches_oracle(table, gold, schema, ternary)
 
 
+@pytest.mark.parametrize("ternary", [False, True])
+def test_constrained_parse_same_on_cold_and_warm_tables(ternary):
+    """Program ids follow the history of the schema's composition table,
+    and nothing the chart returns depends on them: on random tie-heavy
+    tables with corpus gold programs, a fresh schema gives the same tree ``repr``,
+    score ``repr`` and combination count as one whose table was warmed,
+    in another order, by corpus trees and every earlier example."""
+    scan, geo = scan_schema(), geo_schema()
+    scan_examples = [e for e in generate_scan_sp(scan) if len(e.utterance) <= 5]
+    for e in reversed(scan_examples[::7]):
+        program_of_tree(e.tree, scan)
+    geo_texts = [p for _, p in mini_geo_corpus(mini_kb())]
+    for text in reversed(geo_texts):
+        geo.table.intern(parse_program(text, geo))
+    cases = {"scan": (scan, scan_schema, sorted({str(e.program) for e in scan_examples})),
+             "geo": (geo, geo_schema, geo_texts)}
+    found = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(cases)), st.integers(1, 5 if ternary else 6),
+           st.integers(0, 2**32 - 1))
+    def check(name, n, seed):
+        warm, fresh, texts = cases[name]
+        rng = random.Random(seed)
+        text = rng.choice(texts)
+        gold = parse_program(text, warm)
+        names = {s.head.name for s in gold.subterms()}
+        names.update(rng.sample(sorted(c.name for c in warm.sigma), 2))
+        cats = warm.categories()
+        # Scores of 0 or 1: exact ties are common.
+        raw = np.array([[float(rng.randint(0, 1)) if not c.is_constant
+                         or c.label in names else NEG_INF for c in cats]
+                        for _ in all_spans(n)])
+        results = []
+        for schema in (fresh(), warm):
+            stats = {}
+            result = constrained_parse(ScoreTable(n, cats, raw), Grammar(ternary=ternary),
+                                       parse_program(text, schema), schema, stats)
+            results.append((None if result is None else
+                            (repr(result.tree), repr(result.score), str(result.program)),
+                            stats["combinations"]))
+        assert results[0] == results[1]
+        found.append(results[0][0] is not None)
+
+    check()
+    assert any(found) and not all(found)
+
+
 # -- complexity counter ------------------------------------------------------
 
 

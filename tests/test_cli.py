@@ -403,6 +403,29 @@ def test_train_config_file_of_wrong_shape_is_config_error(
     assert f"configuration error: {cfg}: " in capsys.readouterr().err
 
 
+def test_train_out_naming_a_file_is_config_error(tiny_scan_dir, tmp_path,
+                                                 capsys):
+    out = tmp_path / "run"
+    out.write_text("")
+    code = cli.main(["train", "--data", str(tiny_scan_dir), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert f"configuration error: {out}: File exists" in capsys.readouterr().err
+
+
+def test_parse_without_data_needs_a_recorded_dataset(exec_error_run, tmp_path,
+                                                     capsys):
+    """A checkpoint saved without ``data_dir`` in its extra needs --data."""
+    scorer, _ = load_checkpoint(exec_error_run / "model.npz")
+    checkpoint = tmp_path / "bare.npz"
+    save_checkpoint(scorer, checkpoint, extra={"domain": "scan", "K": 5})
+    code = cli.main(["parse", "walk", "--checkpoint", str(checkpoint)])
+    assert code == cli.EXIT_CONFIG
+    assert (f"configuration error: {checkpoint}: the checkpoint records no "
+            f"dataset directory; pass --data") in capsys.readouterr().err
+    assert cli.main(["parse", "walk", "--checkpoint", str(checkpoint),
+                     "--data", str(exec_error_run)]) == cli.EXIT_OK
+
+
 # --- parse ------------------------------------------------------------------
 
 
@@ -449,6 +472,16 @@ def test_parse_dump_chart(trained_run, tiny_scan_dir, tmp_path):
     table = scorer.score_spans(Utterance.from_text("walk right"), domain.lexicon)
     candidates = parse_kbest(table, Grammar(), extra["K"])
     assert [e["score"] for e in chart["root"]] == [c.score for c in candidates]
+
+
+def test_parse_dump_chart_creates_its_directory(exec_error_run, tmp_path):
+    chart_path = tmp_path / "missing" / "charts" / "chart.json"
+    code = cli.main(["parse", "walk", "--checkpoint",
+                     str(exec_error_run / "model.npz"),
+                     "--data", str(exec_error_run),
+                     "--dump-chart", str(chart_path)])
+    assert code == cli.EXIT_OK
+    assert json.loads(chart_path.read_text())["n"] == 1
 
 
 def test_parse_exit_code_when_nothing_valid(tmp_path, capsys):

@@ -132,9 +132,9 @@ def test_loss_and_grads_matches_tree_loss():
     scorer = tiny_scorer()
     utt = Utterance.from_text("walk right")
     labels = scorer.labels_for_tree(gold_tree(), 2)
-    loss, _ = scorer.loss_and_grads(utt, labels)
-    assert loss == pytest.approx(tree_loss(scorer.score_spans(utt),
-                                           gold_tree()))
+    table = scorer.score_spans(utt)
+    loss, _ = scorer.loss_and_grads(table, labels)
+    assert loss == pytest.approx(tree_loss(table, gold_tree()))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -146,16 +146,16 @@ def test_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, len(CATS), size=len(all_spans(3)))
 
-    _, grads = scorer.loss_and_grads(utt, labels, lex)
+    _, grads = scorer.loss_and_grads(scorer.score_spans(utt, lex), labels)
     eps = 1e-5  # large enough that roundoff stays below the 1e-4 gate
     for _ in range(10):
         key = rng.choice(list(scorer.params))
         idx = tuple(rng.integers(0, d) for d in scorer.params[key].shape)
         orig = scorer.params[key][idx]
         scorer.params[key][idx] = orig + eps
-        up, _ = scorer.loss_and_grads(utt, labels, lex)
+        up, _ = scorer.loss_and_grads(scorer.score_spans(utt, lex), labels)
         scorer.params[key][idx] = orig - eps
-        down, _ = scorer.loss_and_grads(utt, labels, lex)
+        down, _ = scorer.loss_and_grads(scorer.score_spans(utt, lex), labels)
         scorer.params[key][idx] = orig
         numeric = (up - down) / (2 * eps)
         analytic = grads[key][idx]
@@ -167,10 +167,62 @@ def test_sgd_step_moves_against_gradient():
     scorer = tiny_scorer()
     utt = Utterance.from_text("walk right")
     labels = scorer.labels_for_tree(gold_tree(), 2)
-    loss0, grads = scorer.loss_and_grads(utt, labels)
+    loss0, grads = scorer.loss_and_grads(scorer.score_spans(utt), labels)
     scorer.params = sgd_step(scorer.params, grads, 0.01)
-    loss1, _ = scorer.loss_and_grads(utt, labels)
+    loss1, _ = scorer.loss_and_grads(scorer.score_spans(utt), labels)
     assert loss1 < loss0
+
+
+def test_loss_and_grads_reads_the_scored_table():
+    """The table carries the forward it was scored with: its raw scores and
+    activations equal a fresh ``_forward`` under the same parameters, and
+    so do its loss and gradients, bit for bit, though another utterance
+    was scored in between."""
+    scorer = tiny_scorer(seed=3, lam=2.0)
+    utt = Utterance.from_text("walk right twice")
+    lex = Lexicon.from_pairs([("walk", "walk"), ("right twice", "r")])
+    labels = np.random.default_rng(3).integers(0, len(CATS), len(all_spans(3)))
+    table = scorer.score_spans(utt, lex)
+    scorer.score_spans(Utterance.from_text("twice walk"), lex)
+    raw, cache = scorer._forward(utt, lex)
+    assert np.array_equal(table.raw, raw)
+    for key in ("F", "A", "R"):
+        assert np.array_equal(table.cache[key], cache[key])
+    loss, grads = scorer.loss_and_grads(table, labels)
+    fresh_loss, fresh_grads = scorer.loss_and_grads(
+        ScoreTable(3, CATS, raw, scorer.params, cache), labels)
+    assert loss == fresh_loss
+    for key in grads:
+        assert np.array_equal(grads[key], fresh_grads[key]), key
+
+
+def test_loss_and_grads_rejects_a_table_of_other_parameters():
+    scorer = tiny_scorer()
+    utt = Utterance.from_text("walk right")
+    labels = scorer.labels_for_tree(gold_tree(), 2)
+    table = scorer.score_spans(utt)
+    _, grads = scorer.loss_and_grads(table, labels)
+    scorer.params = sgd_step(scorer.params, grads, 0.01)
+    with pytest.raises(ValueError, match="not scored with"):
+        scorer.loss_and_grads(table, labels)
+    with pytest.raises(ValueError, match="not scored with"):
+        scorer.loss_and_grads(ScoreTable(2, CATS, table.raw), labels)
+
+
+def test_lexicon_matches_are_memoized_and_add_clears_them():
+    scorer = tiny_scorer()
+    lex = Lexicon.from_pairs([("walk", "walk"), ("Right twice", "r")])
+    utt = Utterance.from_text("walk right twice walk")
+    hits = lex.matches(utt.tokens)
+    assert lex.matches(utt.tokens) is hits
+    lex.add("walk", "r")
+    assert lex.matches(utt.tokens) is not hits
+    delta = scorer.lexicon_delta(utt, lex)
+    want = np.zeros_like(delta)
+    for row, span in enumerate(all_spans(len(utt))):
+        for name in lex.lookup(utt.phrase(span)):
+            want[row, CATS.index(Category.constant(name))] = 1.0
+    assert np.array_equal(delta, want) and want.sum() == 5
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -1,12 +1,17 @@
 """Typed program composition and schema behavior."""
 
 import itertools
+import pickle
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spansem.core import Category, Span, SpanTree
+from spansem.cky import Grammar, parse_kbest
+from spansem.core import Category, Span, SpanTree, all_spans
+from spansem.scorer import ScoreTable
 from spansem.typesys import (
     CompositionFailure,
     DomainConstant,
@@ -15,6 +20,7 @@ from spansem.typesys import (
     _apply,
     compose,
     compose_candidates,
+    compose_children,
     parse_program,
     program_of_tree,
     schema_from_json,
@@ -147,6 +153,97 @@ def test_compose_matches_two_orientation_rule_on_all_scan(corpora):
         assert compose(a, b, schema) == two_orientation_compose(a, b, schema)
 
     check()
+
+
+@pytest.mark.parametrize("name", ["scan", "geo"])
+def test_table_compose_matches_compose_children(corpora, name):
+    """The schema table's id-level composition gives the program
+    ``compose_children`` builds, on pairs and triples of corpus subterms
+    and partial applications (None for a NoSem child), on a first call and
+    on a memoized one."""
+    schema, programs, lengths = corpora[name]
+    pool = subterms_and_partials(
+        [p for p, n in zip(programs, lengths) if name == "geo" or n <= 5])
+    table = schema.table
+    children = st.one_of(st.none(), st.sampled_from(pool))
+    # Triples whose outer pair composes, so that the middle child is tried.
+    sample = random.Random(0).sample(pool, min(len(pool), 150))
+    outer = [(a, c) for a in sample for c in sample
+             if compose(a, c, schema) is not None]
+    triples = st.builds(lambda ac, b: [ac[0], b, ac[1]],
+                        st.sampled_from(outer), st.sampled_from(pool))
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.one_of(st.lists(children, min_size=2, max_size=3), triples))
+    def check(kids):
+        want = compose_children(kids, schema)
+        ids = [None if p is None else table.intern(p) for p in kids]
+        for _ in range(2):
+            got = table.compose_children(ids)
+            assert (got is None) == (want is None), kids
+            if want is not None:
+                assert table.programs[got] == want, kids
+                assert table.intern(want) == got
+
+    check()
+
+
+def reference_program_of_tree(tree, schema):
+    """``program_of_tree`` composed program by program, without the table."""
+
+    def visit(node):
+        if node.is_leaf:
+            if node.category.is_nosem:
+                return None
+            if node.category.is_join:
+                raise CompositionFailure(node.span)
+            return schema.atom(node.category.label)
+        program = compose_children([visit(c) for c in node.children], schema)
+        if program is None:
+            raise CompositionFailure(node.span)
+        return program
+
+    program = visit(tree)
+    if program is None:
+        raise CompositionFailure(tree.span)
+    return program
+
+
+@pytest.mark.parametrize("name", ["scan", "geo"])
+def test_program_of_tree_through_table_matches_reference(corpora, name):
+    """On the K-best candidates of random score tables over the schema's
+    categories, both grammars, ``program_of_tree`` gives the reference's
+    program, or fails at the same span."""
+    schema = corpora[name][0]
+    cats = schema.categories()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    def check(n, ternary, seed):
+        rng = np.random.default_rng(seed)
+        table = ScoreTable(n, cats, rng.normal(0, 2, (len(all_spans(n)), len(cats))))
+        for cand in parse_kbest(table, Grammar(ternary=ternary), 8):
+            try:
+                want = reference_program_of_tree(cand.tree, schema)
+            except CompositionFailure as exc:
+                with pytest.raises(CompositionFailure) as got:
+                    program_of_tree(cand.tree, schema)
+                assert got.value.span == exc.span
+                continue
+            assert program_of_tree(cand.tree, schema) == want
+
+    check()
+
+
+def test_schema_table_is_not_pickled_and_add_clears_it(scan):
+    walk = scan.table.atom("walk")
+    assert scan.table.compose(walk, scan.table.atom("l")) >= 0
+    again = pickle.loads(pickle.dumps(scan))
+    assert again._table is None and again == scan
+    assert again.table.programs == [] and len(scan.table.programs) >= 2
+    table = scan.table
+    scan.add(DomainConstant("hop", "predicate", "act", ("dir", "man"), min_args=0))
+    assert scan.table is not table and scan.table.programs == []
 
 
 @pytest.mark.parametrize("name", ["scan", "geo"])
