@@ -314,10 +314,9 @@ def _root(base: float, whole, suffixes: list):
     return top
 
 
-def _tree(deriv: tuple, is_root: bool = False) -> SpanTree:
+def _tree(deriv: tuple) -> SpanTree:
     _, i, j, category, children = deriv
-    return SpanTree(Span(i, j), category, tuple(_tree(c) for c in children),
-                    is_root=is_root)
+    return SpanTree(Span(i, j), category, tuple(_tree(c) for c in children))
 
 
 def parse_kbest(table: ScoreTable, grammar: Grammar, K: int,
@@ -326,7 +325,7 @@ def parse_kbest(table: ScoreTable, grammar: Grammar, K: int,
     utterance, best first.  The Viterbi pass runs in this call; each later
     candidate is ranked, and its tree built, when it is asked for."""
     chart = _Chart(table, grammar, K, stats=stats)
-    return (ParseResult(_tree(d, is_root=True), d[0])
+    return (ParseResult(_tree(d), d[0])
             for d in chart.ranked(_ROOT))
 
 
@@ -487,7 +486,7 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
                  [chart[s + 1][n].get(gold_id) for s in range(1, n)])
     if best is None:
         return None
-    return ParseResult(_tree(best, is_root=True), best[0], gold)
+    return ParseResult(_tree(best), best[0], gold)
 
 
 def dump_chart(table: ScoreTable, grammar: Grammar, K: int, path) -> None:

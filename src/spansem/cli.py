@@ -8,21 +8,20 @@ Dataset directory layout:
 Each JSONL record is {"utterance", "program", "tree", "denotation"}; the
 tree is null when no gold tree is available.
 
-Every flag default can be overridden through an environment variable with
-the SPANSEM_ prefix, e.g. SPANSEM_SEED=7.  Exit codes: 0 success, 2 no
-valid parse or, for parse, a composed program the executor rejects, 3
-configuration error (including an empty utterance to parse, a missing
-checkpoint, dataset directory, schema.json or JSONL file, a lexicon.tsv
-line that is not a phrase and a constant separated by a tab, a --config
-file that is not a JSON object of valid training settings, a
-malformed dataset line, a gold tree that is malformed or runs past its
-utterance, a checkpoint whose categories differ from the dataset's schema
-or whose parameter shapes differ from its sizes, a parse without --data
-whose checkpoint records no dataset directory, an output directory that
-cannot be created, such as a train --out naming a file, a non-finite
-training loss, and eval --jobs below 1).  Output directories (gen-data
-and train --out, the directories of eval --out and parse --dump-chart)
-are created when missing.
+Every setting comes from a flag (or train --config); no environment
+variable changes a default.  Exit codes: 0 success, 2 no valid parse or,
+for parse, a composed program the executor rejects, 3 configuration error
+(including an empty utterance to parse, a missing checkpoint, dataset
+directory, schema.json or JSONL file, a lexicon.tsv line that is not a
+phrase and a constant separated by a tab, a --config file that is not a
+JSON object of valid training settings, a malformed dataset line, a gold
+tree that is malformed or runs past its utterance, a checkpoint whose
+categories differ from the dataset's schema or whose parameter shapes
+differ from its sizes, a parse without --data whose checkpoint records no
+dataset directory, an output directory that cannot be created, such as a
+train --out naming a file, a non-finite training loss, and eval --jobs
+below 1).  Output directories (gen-data and train --out, the directories
+of eval --out and parse --dump-chart) are created when missing.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import functools
 import json
 import math
 import multiprocessing
-import os
 import sys
 from pathlib import Path
 
@@ -67,26 +65,12 @@ from .trainer import (
 )
 from .typesys import load_schema, parse_program, save_schema
 
-ENV_PREFIX = "SPANSEM_"
-
 EXIT_OK = 0
 EXIT_NO_PARSE = 2
 EXIT_CONFIG = 3
 
 SCAN_SPLITS = ("iid", "right", "aroundRight")
 GEO_SPLITS = ("iid", "template", "length")
-
-
-def env_default(name: str, fallback):
-    """Environment override for a flag: SPANSEM_<NAME>."""
-    raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
-    if raw is None:
-        return fallback
-    if isinstance(fallback, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if fallback is None:
-        return raw
-    return type(fallback)(raw)
 
 
 # -- dataset files -----------------------------------------------------------
@@ -397,17 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-data", help="generate a dataset directory")
-    gen.add_argument("--domain", choices=("scan", "geo"),
-                     default=env_default("domain", "scan"))
-    gen.add_argument("--split", default=env_default("split", "iid"))
+    gen.add_argument("--domain", choices=("scan", "geo"), default="scan")
+    gen.add_argument("--split", default="iid")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=env_default("seed", 0))
+    gen.add_argument("--seed", type=int, default=0)
     gen.set_defaults(func=cmd_gen_data)
 
     tr = sub.add_parser("train", help="train a model on a dataset directory")
     tr.add_argument("--data", required=True)
     tr.add_argument("--out", required=True)
-    tr.add_argument("--config", default=env_default("config", None),
+    tr.add_argument("--config", default=None,
                     help="JSON config file; CLI flags override its values")
     tr.add_argument("--lr", type=float, default=None)
     tr.add_argument("--batch-size", type=int, dest="batch_size", default=None)
@@ -416,15 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--k", type=int, default=None)
     tr.add_argument("--lam", type=float, default=None)
     tr.add_argument("--momentum", type=float, default=None)
-    tr.add_argument("--seed", type=int, default=env_default("seed", None))
+    tr.add_argument("--seed", type=int, default=None)
     tr.add_argument("--curriculum-epochs", type=int,
                     dest="curriculum_epochs", default=None)
-    tr.add_argument("--ternary", action="store_true",
-                    default=env_default("ternary", False))
-    tr.add_argument("--no-lexicon", action="store_true", dest="no_lexicon",
-                    default=env_default("no_lexicon", False))
-    tr.add_argument("--gold-trees", action="store_true", dest="gold_trees",
-                    default=env_default("gold_trees", False))
+    tr.add_argument("--ternary", action="store_true")
+    tr.add_argument("--no-lexicon", action="store_true", dest="no_lexicon")
+    tr.add_argument("--gold-trees", action="store_true", dest="gold_trees")
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a JSONL file")
@@ -432,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True,
                     help="JSONL file inside a dataset directory")
     ev.add_argument("--out", default=None, help="report JSON path")
-    ev.add_argument("--jobs", type=int, default=env_default("jobs", 1))
+    ev.add_argument("--jobs", type=int, default=1)
     ev.set_defaults(func=cmd_eval)
 
     pa = sub.add_parser("parse", help="parse one utterance")
@@ -440,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--checkpoint", required=True)
     pa.add_argument("--data", default=None,
                     help="dataset directory (defaults to the training one)")
-    pa.add_argument("--ternary", action="store_true",
-                    default=env_default("ternary", False))
+    pa.add_argument("--ternary", action="store_true")
     pa.add_argument("--dump-chart", dest="dump_chart", default=None)
     pa.set_defaults(func=cmd_parse)
     return parser

@@ -2,9 +2,10 @@
 
 Conventions used throughout the package:
   - token indices are 1-based and inclusive on both ends;
-  - a span tree is equivalent to a total map from every span (i, j) with
-    i <= j to a category, where spans that are not tree nodes map to NoSem;
-  - the root sentinel is an ordinary Join node with ``is_root`` set.
+  - a span tree determines a total map from every span (i, j) with i <= j
+    to a category, where spans that are not tree nodes map to NoSem; the
+    per-span loss reads that map (``span_map``);
+  - the root is the node whose span covers the whole utterance, (1, n).
 """
 
 from __future__ import annotations
@@ -15,14 +16,6 @@ NOSEM = "NoSem"
 JOIN = "Join"
 
 _TERMINAL_PUNCT = ("?", ".", ",")
-
-
-class OverlapError(ValueError):
-    """Two non-NoSem spans cross without nesting."""
-
-
-class ArityError(ValueError):
-    """A node of the span map cannot be binarized under the tree grammar."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,27 +68,18 @@ class Span:
     def __len__(self) -> int:
         return self.end - self.start + 1
 
-    def contains(self, other: "Span") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
-    def crosses(self, other: "Span") -> bool:
-        """True if the spans overlap without one nesting inside the other."""
-        if self.end < other.start or other.end < self.start:
-            return False
-        return not (self.contains(other) or other.contains(self))
-
 
 @dataclass(frozen=True, slots=True)
 class SpanTree:
     """A tree assigning categories to spans.
 
     Leaves carry a constant or NoSem category; internal nodes carry Join.
+    Children tile their parent's span, left to right.
     """
 
     span: Span
     category: Category
     children: tuple = ()
-    is_root: bool = False
 
     def __post_init__(self):
         if self.children:
@@ -169,66 +153,6 @@ def span_map(tree: SpanTree, n: int) -> dict:
     return mapping
 
 
-def tree_from_span_map(span_to_category: dict, n: int) -> SpanTree:
-    """Rebuild the unique tree whose node labels match the given span map.
-
-    Inverse of :func:`span_map` for every grammar-legal tree.  Raises
-    OverlapError on crossing non-NoSem spans and ArityError when a node
-    cannot be expressed with binary or ternary children.
-    """
-    if n < 1:
-        raise ValueError("empty utterance")
-    labeled = [(s, c) for s, c in span_to_category.items() if not c.is_nosem]
-    for idx, (s, _) in enumerate(labeled):
-        for t, _ in labeled[idx + 1 :]:
-            if s.crosses(t):
-                raise OverlapError(f"spans {s} and {t} cross")
-
-    root_span = Span(1, n)
-    root_cat = span_to_category.get(root_span, Category.nosem())
-    if root_cat.is_nosem:
-        raise ArityError("the full span (1, n) must carry a non-NoSem category")
-
-    by_start = sorted(labeled, key=lambda sc: (sc[0].start, -sc[0].end))
-
-    def build(span: Span, category: Category, is_root: bool = False) -> SpanTree:
-        # Maximal labeled spans strictly inside `span`.
-        parts = []
-        pos = span.start
-        while pos <= span.end:
-            child = None
-            for s, c in by_start:
-                if s.start == pos and s.end <= span.end and s != span:
-                    child = (s, c)
-                    break
-            if child is None:
-                # NoSem gap runs until the next labeled start.
-                nxt = min(
-                    (s.start for s, _ in by_start if span.start < s.start <= span.end
-                     and s.start > pos and span.contains(s)),
-                    default=span.end + 1,
-                )
-                gap = Span(pos, nxt - 1)
-                parts.append(SpanTree(gap, Category.nosem()))
-                pos = nxt
-            else:
-                s, c = child
-                parts.append(build(s, c))
-                pos = s.end + 1
-        if len(parts) == 1 and parts[0].span == span:
-            # No labeled span strictly inside: a leaf.
-            return SpanTree(span, category, is_root=is_root)
-        if category.is_constant:
-            raise ArityError(f"constant-labeled span {span} has labeled sub-spans")
-        if len(parts) not in (2, 3):
-            raise ArityError(f"span {span} has {len(parts)} parts; expected 2 or 3")
-        if sum(1 for p in parts if p.is_leaf and p.category.is_nosem) > 1:
-            raise ArityError(f"span {span} has more than one NoSem child")
-        return SpanTree(span, category, tuple(parts), is_root=is_root)
-
-    return build(root_span, root_cat, is_root=True)
-
-
 def labeled_spans(tree: SpanTree) -> set:
     """All (span, category) pairs of nodes whose category is not NoSem."""
     return {(n.span, n.category) for n in tree.nodes() if not n.category.is_nosem}
@@ -284,12 +208,7 @@ def tree_to_json(tree: SpanTree) -> dict:
     return out
 
 
-def tree_from_json(obj: dict, is_root: bool = True) -> SpanTree:
-    children = tuple(tree_from_json(c, is_root=False) for c in obj.get("children", []))
-    return SpanTree(
-        span=Span(*obj["span"]),
-        category=Category(obj["category"]),
-        children=children,
-        is_root=is_root,
-    )
+def tree_from_json(obj: dict) -> SpanTree:
+    children = tuple(tree_from_json(c) for c in obj.get("children", []))
+    return SpanTree(Span(*obj["span"]), Category(obj["category"]), children)
 

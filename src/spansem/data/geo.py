@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from ..typesys import DomainConstant, DomainSchema, ENTITY, PREDICATE, Program
+from ..typesys import (DomainConstant, DomainSchema, ENTITY, PREDICATE, Program,
+                       entity_name_parts)
 
 STATE, CITY, RIVER, PLACE, NUM, ANY = "state", "city", "river", "place", "num", "any"
 
@@ -171,14 +172,13 @@ class _Keyed(dict):
 
 
 def _entity_atom(name: str):
-    import re
-
-    m = re.match(r"^(\w+)\('([^']*)'\)$", name)
-    if not m:
+    parts = entity_name_parts(name)
+    if parts is None:
         raise ExecError(f"not an entity constant: {name}")
+    function, payload = parts
     kind = {"stateid": STATE, "cityid": CITY, "riverid": RIVER,
-            "placeid": PLACE}[m.group(1)]
-    return (kind, m.group(2))
+            "placeid": PLACE}[function]
+    return (kind, payload)
 
 
 def exec_funql(z: Program, kb: GeoKb):

@@ -113,7 +113,6 @@ def generate_scan_sp(schema: DomainSchema | None = None) -> list:
     examples = []
     for phrase in phrases:
         tree, program, tokens = build(phrase, 1)
-        tree = SpanTree(tree.span, tree.category, tree.children, is_root=True)
         utt = Utterance(raw_text=" ".join(tokens), tokens=tokens)
         examples.append(
             ScanExample(utt, program, tree, actions=exec_scan(program))

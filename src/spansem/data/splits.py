@@ -62,14 +62,12 @@ def split_template(examples: list, program_of, seed: int = 0):
     return train, dev, test
 
 
-def split_length(examples: list, program_of, seed: int = 0,
-                 test_size: int | None = None):
+def split_length(examples: list, program_of, seed: int = 0):
     """Longest programs (by token length) go to test; the remainder splits
-    90/10 train/dev at random.  Default test size follows the 280-of-880
+    90/10 train/dev at random.  The test size follows the 280-of-880
     proportion."""
     n = len(examples)
-    if test_size is None:
-        test_size = round(n * 280 / 880)
+    test_size = round(n * 280 / 880)
     order = sorted(range(n), key=lambda i: (program_token_length(
         program_of(examples[i])), i))
     test = [examples[i] for i in order[n - test_size:]]

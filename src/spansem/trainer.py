@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .cky import Grammar, best_valid_tree, constrained_parse, parse_kbest
 from .core import SpanTree, Utterance
@@ -201,6 +201,10 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
                         domain.schema.categories(),
                         lam=config.lam, seed=config.seed)
     velocity = scorer.zero_grads()
+    # Execute each dev gold program once, not on every dev pass.
+    dev_examples = [ex if ex.denotation is not None
+                    else replace(ex, denotation=domain.run(ex.program))
+                    for ex in dev_examples]
     rng = random.Random(config.seed)
     history = []
     best_params, best_acc, best_epoch, stale = None, -1.0, -1, 0

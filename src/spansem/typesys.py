@@ -25,7 +25,14 @@ from .core import Category, Span, SpanTree
 ENTITY = "entity"
 PREDICATE = "predicate"
 
-_ENTITY_NAME_RE = re.compile(r"^(?P<fn>\w+)\('(?P<payload>[^']*)'\)$")
+_ENTITY_NAME_RE = re.compile(r"^(\w+)\('([^']*)'\)$")
+
+
+def entity_name_parts(name: str):
+    """``(function, payload)`` of an entity name such as ``stateid('utah')``,
+    or None for a name of another form."""
+    m = _ENTITY_NAME_RE.match(name)
+    return m.groups() if m else None
 
 
 class CompositionFailure(ValueError):
@@ -159,8 +166,8 @@ class DomainSchema:
         self.constants[const.name] = const
         self._table = None
         if const.kind == ENTITY:
-            m = _ENTITY_NAME_RE.match(const.name)
-            phrase = m.group("payload") if m else const.name
+            parts = entity_name_parts(const.name)
+            phrase = parts[1] if parts else const.name
             self.entity_lexicon.setdefault(phrase.lower(), set()).add(const.name)
         return const
 

@@ -22,8 +22,6 @@ from spansem.core import (
     Span,
     SpanTree,
     all_spans,
-    span_map,
-    tree_from_span_map,
     validate_tree,
 )
 from spansem.data.geo import geo_schema, mini_geo_corpus, mini_kb
@@ -212,30 +210,6 @@ def test_taking_a_prefix_of_candidates_matches_the_list(ternary):
             head = [(r.tree, r.score) for r in itertools.islice(candidates, k)]
             assert head == full[:k]
 
-
-
-@st.composite
-def score_tables(draw):
-    """Tables of up to 6 tokens whose scores are small integers (many
-    ties), masked leaves, or arbitrary floats."""
-    n = draw(st.integers(1, 6))
-    cats = toy_categories(draw(st.integers(1, 3)))
-    score = st.one_of(st.integers(-2, 2).map(float),
-                      st.floats(-5.0, 5.0, allow_nan=False),
-                      st.just(NEG_INF))
-    rows = draw(st.lists(st.lists(score, min_size=len(cats),
-                                  max_size=len(cats)),
-                         min_size=len(all_spans(n)), max_size=len(all_spans(n))))
-    return ScoreTable(n, cats, np.array(rows))
-
-
-@settings(max_examples=150, deadline=None)
-@given(table=score_tables(), ternary=st.booleans(), K=st.integers(1, 5))
-def test_span_map_round_trips_parsed_trees(table, ternary, K):
-    """tree_from_span_map inverts span_map on every tree the chart returns."""
-    for result in parse_kbest(table, Grammar(ternary=ternary), K):
-        n = table.n
-        assert tree_from_span_map(span_map(result.tree, n), n) == result.tree
 
 def test_nosem_neutrality():
     """Raising raw NoSem scores on one span rescales that span's shifted

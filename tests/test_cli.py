@@ -117,12 +117,15 @@ def test_gen_data_rejects_unknown_split(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
-def test_gen_data_env_override(tmp_path, monkeypatch):
+def test_gen_data_ignores_the_environment(tmp_path, monkeypatch):
+    """Flag defaults are the parser's own: no variable changes them, and a
+    malformed one is not read."""
     monkeypatch.setenv("SPANSEM_SEED", "7")
-    out = tmp_path / "geo7"
+    monkeypatch.setenv("SPANSEM_JOBS", "abc")
+    out = tmp_path / "geo"
     assert cli.main(["gen-data", "--domain", "geo", "--out", str(out)]) \
         == cli.EXIT_OK
-    assert json.loads((out / "config.json").read_text())["seed"] == 7
+    assert json.loads((out / "config.json").read_text())["seed"] == 0
 
 
 # --- train ------------------------------------------------------------------

@@ -34,7 +34,7 @@ from spansem.data.splits import (
     split_scan_primitive,
     split_template,
 )
-from spansem.typesys import parse_program, program_of_tree
+from spansem.typesys import ENTITY, DomainConstant, Program, parse_program, program_of_tree
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,7 @@ def test_corpus_digest_is_pinned(corpus):
         digest.update(json.dumps(record, sort_keys=True).encode())
         digest.update(repr(e.tree).encode())
     assert digest.hexdigest() == (
-        "91e529124c5dd4eb869d68071159dfaac23b717a64866a629667a7e9067c2e5d")
+        "c63a086c103ed19e017b80af65502aa45d8f3047df03f0ab693b3e49bef6db86")
 
 
 def test_exec_scan_sample_values(corpus):
@@ -308,6 +308,9 @@ def test_exec_funql_rejects_type_errors(geo, kb):
         run_geo("largest_one(state(all))", geo, kb)
     with pytest.raises(ValueError):
         exec_funql(geo.atom("capital"), kb)  # unsaturated predicate
+    usa = Program(DomainConstant("usa", ENTITY, "country"))
+    with pytest.raises(ValueError, match=r"^not an entity constant: usa$"):
+        exec_funql(usa, kb)
 
 
 def test_mini_corpus_parses_and_executes(geo, kb):

@@ -118,7 +118,7 @@ def gold_tree():
     return SpanTree(Span(1, 2), Category.join(), (
         SpanTree(Span(1, 1), Category.constant("walk")),
         SpanTree(Span(2, 2), Category.constant("r")),
-    ), is_root=True)
+    ))
 
 
 def test_uniform_tree_loss_value():

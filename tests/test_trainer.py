@@ -230,6 +230,27 @@ def test_training_writes_jsonl_log(tmp_path, scan_domain, short_examples):
                              "dev_accuracy"}
 
 
+def test_dev_gold_programs_execute_once_per_run(scan_domain, short_examples,
+                                                monkeypatch):
+    """Dev examples without a denotation get it once, before the first
+    epoch: with every prediction a no-parse, the executor runs only on gold
+    programs, once each however many epochs run."""
+    calls = []
+
+    def execute(program):
+        calls.append(program)
+        return exec_scan(program)
+
+    domain = Domain("scan", scan_domain.schema, scan_domain.lexicon, execute)
+    dev = [TrainExample(ex.utterance, ex.program)
+           for ex in short_examples[20:26]]
+    monkeypatch.setattr(trainer, "predict", lambda *args: None)
+    result = train(short_examples[:20], dev, domain,
+                   TrainConfig(max_epochs=3, patience=5, seed=0))
+    assert len(result.history) == 3
+    assert calls == [ex.program for ex in dev]
+
+
 def test_early_stopping_keeps_best_parameters(scan_domain, short_examples):
     train_set, dev_set = short_examples[:60], short_examples[60:80]
     result = train(train_set, dev_set, scan_domain,

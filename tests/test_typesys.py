@@ -21,6 +21,7 @@ from spansem.typesys import (
     compose,
     compose_candidates,
     compose_children,
+    entity_name_parts,
     parse_program,
     program_of_tree,
     schema_from_json,
@@ -279,7 +280,7 @@ def test_program_of_tree_binary(scan):
         SpanTree(Span(1, 2), Category.join(),
                  (leaf(1, 1, "walk"), leaf(2, 2, "r"))),
         leaf(3, 3, "twice"),
-    ), is_root=True)
+    ))
     assert str(program_of_tree(tree, scan)) == "twice(walk(r))"
 
 
@@ -289,7 +290,7 @@ def test_program_of_tree_skips_nosem(scan):
                  (leaf(1, 1, "jump"),
                   SpanTree(Span(2, 2), Category.nosem()))),
         leaf(3, 3, "twice"),
-    ), is_root=True)
+    ))
     assert str(program_of_tree(tree, scan)) == "twice(jump)"
 
 
@@ -298,7 +299,7 @@ def test_program_of_tree_ternary_outer_first(geo):
         leaf(1, 1, "state"),
         leaf(2, 2, "largest_one"),
         leaf(3, 3, "pop_1"),
-    ), is_root=True)
+    ))
     assert str(program_of_tree(tree, geo)) == "largest_one(pop_1(state(all)))"
 
 
@@ -308,7 +309,7 @@ def test_program_of_tree_failure_carries_span(scan):
     for children in [(leaf(1, 1, "l"), leaf(2, 2, "r")),
                      (inner, leaf(3, 3, "walk"))]:
         tree = SpanTree(Span(1, children[-1].span.end), Category.join(),
-                        children, is_root=True)
+                        children)
         with pytest.raises(CompositionFailure) as err:
             program_of_tree(tree, scan)
         assert err.value.span == Span(1, 2)
@@ -353,6 +354,12 @@ def test_schema_json_round_trip(geo):
 
 def test_entity_lexicon_payload_phrases(geo):
     assert "stateid('new york')" in geo.entity_lexicon["new york"]
+
+
+def test_entity_name_parts():
+    assert entity_name_parts("stateid('new york')") == ("stateid", "new york")
+    assert entity_name_parts("all") is None
+    assert entity_name_parts("capital(stateid('utah'))") is None
 
 
 def test_subtype_lattice(geo):
