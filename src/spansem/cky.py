@@ -44,7 +44,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .core import Category, Span, SpanTree
+from .core import JOIN, NOSEM, Span, SpanTree
 from .scorer import ScoreTable
 from .typesys import (
     CompositionFailure,
@@ -56,7 +56,6 @@ from .typesys import (
 from .typesys import compose_candidates  # noqa: F401
 
 NEG_INF = -1e9  # -infinity sentinel immune to NaN propagation
-_JOIN, _NOSEM = Category.join(), Category.nosem()  # shared by every tree built here
 _ROOT = "root"  # the root's key in a _Chart; a Join cell's key is (i, j)
 
 
@@ -112,9 +111,9 @@ class _Chart:
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("combinations", 0)
         self.row_of = {(s.start, s.end): k for k, s in enumerate(table.spans)}
-        self.join_col = table.cat_index[_JOIN]
-        self.constants = sorted((c for c in table.categories if c.is_constant),
-                                key=lambda c: c.label)
+        self.join_col = table.cat_index[JOIN]
+        self.constants = sorted(c for c in table.categories
+                                if c not in (NOSEM, JOIN))
         self.cells: dict = {}  # (i, j) -> ranked derivations, best first
         self.frontiers: dict = {}  # key -> _Frontier, once rank 1 is asked for
         self.root = self._viterbi()
@@ -151,13 +150,13 @@ class _Chart:
                         score = base + (a[0] + b[0])
                         if top is None or score > key:
                             key = score
-                            top = (base + a[0] + b[0], i, j, _JOIN, (a, b))
+                            top = (base + a[0] + b[0], i, j, JOIN, (a, b))
                 for s in range(i, j):
                     a = best[i][s]
                     if a is not None and (top is None or base + a[0] > key):
                         key = base + a[0]
-                        top = (base + a[0] + 0.0, i, j, _JOIN,
-                               (a, (0.0, s + 1, j, _NOSEM, ())))
+                        top = (base + a[0] + 0.0, i, j, JOIN,
+                               (a, (0.0, s + 1, j, NOSEM, ())))
                 m = j - i
                 combinations += 2 * m
                 if ternary:
@@ -173,7 +172,7 @@ class _Chart:
                                 if top is None or score > key:
                                     key = score
                                     top = (base + a[0] + b[0] + c[0], i, j,
-                                           _JOIN, (a, b, c))
+                                           JOIN, (a, b, c))
                 best[i][j] = top
                 self.cells[(i, j)] = [] if top is None else [top]
 
@@ -214,7 +213,7 @@ class _Chart:
             return self.cells[(a, b)], (a, b)
 
         def nosem(a, b):
-            return [(0.0, a, b, _NOSEM, ())], None
+            return [(0.0, a, b, NOSEM, ())], None
 
         if key is _ROOT:
             return [((0, ()), 0.0, [cell(1, j)])] + [
@@ -283,16 +282,16 @@ class _Chart:
         for child in children:  # base + c1 + c2 (+ c3), left to right
             score += child[0]
         i, j = (1, self.table.n) if key is _ROOT else key
-        entries.append((score, i, j, _JOIN, children))
+        entries.append((score, i, j, JOIN, children))
         return True
 
     def to_json(self) -> dict:
         """Every list ranked out to K."""
         def entry(deriv: tuple) -> dict:
             score, i, j, category, children = deriv
-            out = {"score": score, "category": category.label, "span": [i, j]}
+            out = {"score": score, "category": category, "span": [i, j]}
             if children:
-                out["children"] = [[c[1], c[2], c[3].label] for c in children]
+                out["children"] = [[c[1], c[2], c[3]] for c in children]
             return out
 
         cells = {f"{i},{j}": [entry(d) for d in self.ranked((i, j))]
@@ -310,7 +309,7 @@ def _root(base: float, whole, suffixes: list):
         if b is not None:
             score = base + 0.0 + b[0]
             if top is None or score > top[0]:
-                top = (score, 1, b[2], _JOIN, ((0.0, 1, s, _NOSEM, ()), b))
+                top = (score, 1, b[2], JOIN, ((0.0, 1, s, NOSEM, ()), b))
     return top
 
 
@@ -414,12 +413,11 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     states = _States(gold, schema)
     gold_id = states.table.intern(gold)
     tried, found = states.tried, states.found
-    leaves = [(states.table.atom(c.label), table.cat_index[c], c)
-              for c in sorted(table.categories, key=lambda c: c.label)
-              if c.is_constant and c.label in states.by_head]
+    leaves = [(states.table.atom(c), table.cat_index[c], c)
+              for c in sorted(table.categories) if c in states.by_head]
     rows = table.shifted.tolist()
     row_of = {(s.start, s.end): k for k, s in enumerate(table.spans)}
-    join_col = table.cat_index[_JOIN]
+    join_col = table.cat_index[JOIN]
     ternary = grammar.ternary
     # chart[i][j]: state id -> its best derivation, best score first.
     chart = [[None] * (n + 1) for _ in range(n + 2)]
@@ -443,14 +441,14 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
                             score = base + da[0] + db[0]
                             old = cell.get(r)
                             if old is None or score > old[0]:
-                                cell[r] = (score, i, j, _JOIN, (da, db))
+                                cell[r] = (score, i, j, JOIN, (da, db))
             for s in range(i, j):
                 for a, da in chart[i][s].items():
                     score = base + da[0] + 0.0  # + NoSem, as parse_kbest sums
                     old = cell.get(a)
                     if old is None or score > old[0]:
-                        cell[a] = (score, i, j, _JOIN,
-                                   (da, (0.0, s + 1, j, _NOSEM, ())))
+                        cell[a] = (score, i, j, JOIN,
+                                   (da, (0.0, s + 1, j, NOSEM, ())))
             m = j - i
             stats["combinations"] += 2 * m + (m * (m - 1) // 2 if ternary else 0)
             if ternary:
@@ -477,7 +475,7 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
                                         score = base + da[0] + db[0] + dc[0]
                                         old = cell.get(r)
                                         if old is None or score > old[0]:
-                                            cell[r] = (score, i, j, _JOIN,
+                                            cell[r] = (score, i, j, JOIN,
                                                        (da, db, dc))
             chart[i][j] = dict(sorted(cell.items(), key=lambda kv: -kv[1][0]))
 

@@ -13,15 +13,17 @@ variable changes a default.  Exit codes: 0 success, 2 no valid parse or,
 for parse, a composed program the executor rejects, 3 configuration error
 (including an empty utterance to parse, a missing checkpoint, dataset
 directory, schema.json or JSONL file, a lexicon.tsv line that is not a
-phrase and a constant separated by a tab, a --config file that is not a
-JSON object of valid training settings, a malformed dataset line, a gold
-tree that is malformed or runs past its utterance, a checkpoint whose
-categories differ from the dataset's schema or whose parameter shapes
-differ from its sizes, a parse without --data whose checkpoint records no
-dataset directory, an output directory that cannot be created, such as a
-train --out naming a file, a non-finite training loss, and eval --jobs
-below 1).  Output directories (gen-data and train --out, the directories
-of eval --out and parse --dump-chart) are created when missing.
+phrase and a schema constant separated by a tab, a schema.json constant
+named NoSem or Join, a --config file that is not a JSON object of valid
+training settings, a malformed dataset line, a gold tree that is
+malformed, runs past its utterance or has a label other than NoSem, Join
+and the schema's constants, a checkpoint whose categories differ from the
+dataset's schema or whose parameter shapes differ from its sizes, a parse
+without --data whose checkpoint records no dataset directory, an output
+directory that cannot be created, such as a train --out naming a file, a
+non-finite training loss, and eval --jobs below 1).  Output directories
+(gen-data and train --out, the directories of eval --out and parse
+--dump-chart) are created when missing.
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ def read_examples(path: Path, schema) -> list:
     """The examples of a JSONL file.  A malformed line is a ConfigError
     naming the file and line; so is a tree that is not grammar-legal over
     its utterance (the ternary rule allowed), such as one whose spans run
-    past it."""
+    past it, or that carries a label other than NoSem, Join and the
+    schema's constants."""
+    labels = set(schema.categories())
     out = []
     with read_file(path, open) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -118,6 +122,9 @@ def read_examples(path: Path, schema) -> list:
             if tree is not None:
                 try:
                     tree = tree_from_json(tree)
+                    for node in tree.nodes():
+                        if node.category not in labels:
+                            raise ValueError(f"unknown category {node.category!r}")
                     validate_tree(tree, len(utt), ternary=True)
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"{where}: bad tree ({exc!r})") from None
@@ -142,7 +149,12 @@ def load_domain(data_dir: Path, no_lexicon: bool = False) -> Domain:
     lexicon = Lexicon.from_entity_lexicon(schema.entity_lexicon)
     lex_path = data_dir / "lexicon.tsv"
     if not no_lexicon and lex_path.exists():
-        lexicon = lexicon.merged_with(read_file(lex_path, Lexicon.load_tsv))
+        manual = read_file(lex_path, Lexicon.load_tsv)
+        unknown = set().union(*manual.entries.values()) - schema.constants.keys()
+        if unknown:
+            raise ConfigError(f"{lex_path}: {min(unknown)!r} is not a "
+                              f"constant of the schema")
+        lexicon = lexicon.merged_with(manual)
     if not lexicon.entries:
         lexicon = None
     return Domain(schema.name, schema, lexicon, execute)

@@ -1,6 +1,9 @@
 """Span-tree and category data model shared by the parser, scorer and trainer.
 
 Conventions used throughout the package:
+  - a category is its label, a plain string: a domain constant's name, or
+    one of the two reserved labels ``NOSEM`` and ``JOIN``, which no
+    constant may take (``typesys.DomainSchema.add`` refuses them);
   - token indices are 1-based and inclusive on both ends;
   - a span tree determines a total map from every span (i, j) with i <= j
     to a category, where spans that are not tree nodes map to NoSem; the
@@ -19,42 +22,6 @@ _TERMINAL_PUNCT = ("?", ".", ",")
 
 
 @dataclass(frozen=True, slots=True)
-class Category:
-    """A span label: a domain constant name, Join, or NoSem."""
-
-    label: str
-
-    @classmethod
-    def nosem(cls) -> "Category":
-        return cls(NOSEM)
-
-    @classmethod
-    def join(cls) -> "Category":
-        return cls(JOIN)
-
-    @classmethod
-    def constant(cls, name: str) -> "Category":
-        if name in (NOSEM, JOIN):
-            raise ValueError(f"{name!r} is reserved and cannot name a constant")
-        return cls(name)
-
-    @property
-    def is_nosem(self) -> bool:
-        return self.label == NOSEM
-
-    @property
-    def is_join(self) -> bool:
-        return self.label == JOIN
-
-    @property
-    def is_constant(self) -> bool:
-        return self.label not in (NOSEM, JOIN)
-
-    def __str__(self) -> str:
-        return self.label
-
-
-@dataclass(frozen=True, order=True, slots=True)
 class Span:
     """A token span, 1-based and inclusive on both ends."""
 
@@ -78,7 +45,7 @@ class SpanTree:
     """
 
     span: Span
-    category: Category
+    category: str
     children: tuple = ()
 
     def __post_init__(self):
@@ -147,7 +114,7 @@ def all_spans(n: int):
 
 def span_map(tree: SpanTree, n: int) -> dict:
     """Flatten a tree into the total span -> category map of length n."""
-    mapping = {s: Category.nosem() for s in all_spans(n)}
+    mapping = {s: NOSEM for s in all_spans(n)}
     for node in tree.nodes():
         mapping[node.span] = node.category
     return mapping
@@ -155,7 +122,7 @@ def span_map(tree: SpanTree, n: int) -> dict:
 
 def labeled_spans(tree: SpanTree) -> set:
     """All (span, category) pairs of nodes whose category is not NoSem."""
-    return {(n.span, n.category) for n in tree.nodes() if not n.category.is_nosem}
+    return {(n.span, n.category) for n in tree.nodes() if n.category != NOSEM}
 
 
 def validate_tree(tree: SpanTree, n: int, ternary: bool = False) -> None:
@@ -170,27 +137,27 @@ def validate_tree(tree: SpanTree, n: int, ternary: bool = False) -> None:
 
     def check(node: SpanTree, at_root: bool) -> None:
         if node.is_leaf:
-            if node.category.is_join:
+            if node.category == JOIN:
                 raise ValueError(f"leaf at {node.span} carries Join")
             return
-        if not node.category.is_join:
+        if node.category != JOIN:
             raise ValueError(f"internal node at {node.span} is not Join")
         cats = [c.category for c in node.children]
         if len(cats) == 2:
             left, right = cats
             # NoSem may sit on the left only at the root (S -> NoSem Join).
-            ok = not left.is_nosem if not at_root else True
-            if not ok or (left.is_nosem and right.is_nosem):
+            ok = left != NOSEM if not at_root else True
+            if not ok or left == right == NOSEM:
                 raise ValueError(f"illegal NoSem placement at {node.span}")
         elif len(cats) == 3:
             if not ternary:
                 raise ValueError(f"ternary node at {node.span} but extension is off")
-            if any(c.is_nosem for c in cats):
+            if NOSEM in cats:
                 raise ValueError(f"ternary node at {node.span} has a NoSem child")
         else:
             raise ValueError(f"node at {node.span} has arity {len(cats)}")
         for child in node.children:
-            if child.category.is_nosem and child.children:
+            if child.category == NOSEM and child.children:
                 raise ValueError("NoSem nodes must be leaves")
             if not child.is_leaf:
                 check(child, at_root=False)
@@ -201,7 +168,7 @@ def validate_tree(tree: SpanTree, n: int, ternary: bool = False) -> None:
 def tree_to_json(tree: SpanTree) -> dict:
     out = {
         "span": [tree.span.start, tree.span.end],
-        "category": tree.category.label,
+        "category": tree.category,
     }
     if tree.children:
         out["children"] = [tree_to_json(c) for c in tree.children]
@@ -210,5 +177,5 @@ def tree_to_json(tree: SpanTree) -> dict:
 
 def tree_from_json(obj: dict) -> SpanTree:
     children = tuple(tree_from_json(c) for c in obj.get("children", []))
-    return SpanTree(Span(*obj["span"]), Category(obj["category"]), children)
+    return SpanTree(Span(*obj["span"]), obj["category"], children)
 

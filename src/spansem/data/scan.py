@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Category, Span, SpanTree, Utterance
+from ..core import JOIN, Span, SpanTree, Utterance
 from ..typesys import (DomainConstant, DomainSchema, ENTITY, PREDICATE, Program,
                        compose_children)
 
@@ -96,12 +96,12 @@ def generate_scan_sp(schema: DomainSchema | None = None) -> list:
         if key not in built:
             if isinstance(phrase, str):
                 name = constant_of[phrase]
-                tree = SpanTree(Span(start, start), Category.constant(name))
+                tree = SpanTree(Span(start, start), name)
                 built[key] = tree, schema.atom(name), (phrase,)
             else:
                 ltree, lprog, ltoks = build(phrase[0], start)
                 rtree, rprog, rtoks = build(phrase[1], start + len(ltoks))
-                tree = SpanTree(Span(start, rtree.span.end), Category.join(),
+                tree = SpanTree(Span(start, rtree.span.end), JOIN,
                                 (ltree, rtree))
                 built[key] = (tree, compose_children([lprog, rprog], schema),
                               ltoks + rtoks)

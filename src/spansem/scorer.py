@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Category, Span, SpanTree, Utterance, all_spans, span_map
+from .core import NOSEM, Span, SpanTree, Utterance, all_spans, span_map
 
 UNK = "<unk>"
 
@@ -135,13 +135,13 @@ class ScoreTable:
                 f"raw table shape {raw.shape}, expected "
                 f"({len(self.spans)}, {len(self.categories)})")
         self.raw = raw
-        nosem_col = self.cat_index[Category.nosem()]
+        nosem_col = self.cat_index[NOSEM]
         self.shifted = raw - raw[:, nosem_col:nosem_col + 1]
         self.params = params
         self.cache = cache
 
 
-def span_probability(table: ScoreTable, span: Span, category: Category) -> float:
+def span_probability(table: ScoreTable, span: Span, category: str) -> float:
     """Softmax probability over categories at one span (shift-invariant)."""
     row = table.raw[table.span_index[span]]
     row = row - row.max()
@@ -241,7 +241,7 @@ class SpanScorer:
         if lexicon is None:
             return delta
         hits = [(row, col) for row, name in lexicon.matches(utt.tokens)
-                if (col := self.cat_index.get(Category.constant(name))) is not None]
+                if (col := self.cat_index.get(name)) is not None]
         if hits:
             rows, cols = zip(*hits)
             delta[rows, cols] = 1.0
@@ -336,7 +336,7 @@ def save_checkpoint(scorer: SpanScorer, path, extra: dict | None = None) -> None
     meta = {
         "version": CHECKPOINT_VERSION,
         "vocab": vocab_tokens,
-        "categories": [c.label for c in scorer.categories],
+        "categories": scorer.categories,
         "h_dim": scorer.h_dim,
         "n_layers": scorer.n_layers,
         "window": scorer.window,
@@ -356,10 +356,9 @@ def load_checkpoint(path):
     meta = json.loads(str(blob["meta"]))
     if meta["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta['version']}")
-    categories = [Category(label) for label in meta["categories"]]
     scorer = SpanScorer(
         vocab_tokens=[t for t in meta["vocab"] if t != UNK],
-        categories=categories,
+        categories=meta["categories"],
         h_dim=meta["h_dim"],
         n_layers=meta["n_layers"],
         window=meta["window"],

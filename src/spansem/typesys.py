@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .core import Category, Span, SpanTree
+from .core import JOIN, NOSEM, Span, SpanTree
 
 ENTITY = "entity"
 PREDICATE = "predicate"
@@ -161,6 +161,8 @@ class DomainSchema:
                 cur = self.subtypes[cur]
 
     def add(self, const: DomainConstant) -> DomainConstant:
+        if const.name in (NOSEM, JOIN):
+            raise ValueError(f"{const.name!r} is reserved and cannot name a constant")
         if const.name in self.constants:
             raise ValueError(f"duplicate constant {const.name}")
         self.constants[const.name] = const
@@ -193,9 +195,7 @@ class DomainSchema:
 
     def categories(self) -> list:
         """NoSem, Join, then constants: the full category set."""
-        return [Category.nosem(), Category.join()] + [
-            Category.constant(c.name) for c in self.sigma
-        ]
+        return [NOSEM, JOIN] + sorted(self.constants)
 
     def default_completion(self, prog: Program):
         """Fill every open slot with its type's default constant, if all
@@ -336,15 +336,15 @@ def program_of_tree(tree: SpanTree, schema: DomainSchema) -> Program:
 
     def visit(node: SpanTree):
         if node.is_leaf:
-            if node.category.is_nosem:
+            if node.category == NOSEM:
                 return None
-            if node.category.is_join:
+            if node.category == JOIN:
                 raise CompositionFailure(node.span, "Join leaf has no program")
             try:
-                return table.atom(node.category.label)
+                return table.atom(node.category)
             except KeyError:
                 raise CompositionFailure(
-                    node.span, f"unknown constant {node.category.label}"
+                    node.span, f"unknown constant {node.category}"
                 ) from None
         pid = table.compose_children([visit(c) for c in node.children])
         if pid is None:

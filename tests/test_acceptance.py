@@ -14,7 +14,7 @@ import pytest
 from test_cky import anchored_table, oracle_best_score, random_table
 
 from spansem.cky import Grammar, constrained_parse, parse_kbest
-from spansem.core import Category, Utterance, all_spans
+from spansem.core import JOIN, NOSEM, Utterance, all_spans
 from spansem.data.geo import geo_schema
 from spansem.data.scan import (
     exec_scan,
@@ -174,8 +174,7 @@ def test_discontinuous_composition_needs_ternary(announce):
 def test_gradients_match_finite_differences(announce):
     """Analytic gradients vs central differences, 1e-4 relative, at 10
     random coordinates for each of 5 random inputs."""
-    cats = [Category.nosem(), Category.join(),
-            Category.constant("walk"), Category.constant("r")]
+    cats = [NOSEM, JOIN, "walk", "r"]
     worst = 0.0
     for seed in range(5):
         scorer = SpanScorer(["walk", "right", "twice"], cats,
@@ -227,13 +226,12 @@ def test_invariance_suite(announce, corpus, scan_examples):
     rules, and executor agreement with an independent interpreter."""
     failures = []
 
-    cats = [Category.nosem(), Category.join(),
-            Category.constant("a"), Category.constant("b")]
+    cats = [NOSEM, JOIN, "a", "b"]
     rng = np.random.default_rng(0)
     raw = rng.normal(scale=20.0, size=(len(all_spans(4)), len(cats)))
     table = ScoreTable(4, cats, raw)
 
-    nosem_col = table.cat_index[Category.nosem()]
+    nosem_col = table.cat_index[NOSEM]
     if not np.all(table.shifted[:, nosem_col] == 0.0):
         failures.append("shifted NoSem scores not identically zero")
 

@@ -1,8 +1,10 @@
 """The benchmark's tracing hooks install on, and restore, the current
-package: a refactor that drops or renames a name the benchmark wraps fails
-here rather than in a benchmark run."""
+package, and its workload module imports against it: a refactor that drops
+or renames a name the benchmark uses fails here rather than in a benchmark
+run."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,8 @@ from spansem.data.scan import scan_schema
 from spansem.scorer import ScoreTable
 from spansem.typesys import parse_program
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 WRAPPED = [
     ("cli", ("multiprocessing", "load_checkpoint", "load_domain",
@@ -27,11 +30,24 @@ WRAPPED = [
 ]
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load(TRACING, "perfbench_tracing")
+
+
+def test_workloads_import_and_package_exports_resolve():
+    """The benchmark's workload module imports against the current package
+    (no workload runs), and every name the package exports exists."""
+    load(PERFBENCH / "workloads.py", "perfbench_workloads")
+    missing = [name for name in spansem.__all__ if not hasattr(spansem, name)]
+    assert missing == []
 
 
 def test_tracing_hooks_install_and_restore():

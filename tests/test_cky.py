@@ -1,6 +1,7 @@
 """K-best chart parsing against brute-force oracles, plus the constrained
 variant used during training."""
 
+import hashlib
 import itertools
 import random
 from functools import lru_cache
@@ -15,10 +16,12 @@ from spansem.cky import (
     NEG_INF,
     best_valid_tree,
     constrained_parse,
+    dump_chart,
     parse_kbest,
 )
 from spansem.core import (
-    Category,
+    JOIN,
+    NOSEM,
     Span,
     SpanTree,
     all_spans,
@@ -35,8 +38,7 @@ from spansem.typesys import (
 
 
 def toy_categories(n_constants):
-    return [Category.nosem(), Category.join()] + [
-        Category.constant(f"c{k}") for k in range(n_constants)]
+    return [NOSEM, JOIN] + [f"c{k}" for k in range(n_constants)]
 
 
 def random_table(rng, n, n_constants=3):
@@ -51,8 +53,8 @@ def random_table(rng, n, n_constants=3):
 def oracle_best_score(table, ternary):
     """Maximum tree score by memoized recursion over the same grammar,
     written independently of the chart code."""
-    consts = [c for c in table.categories if c.is_constant]
-    jc = table.cat_index[Category.join()]
+    consts = [c for c in table.categories if c not in (NOSEM, JOIN)]
+    jc = table.cat_index[JOIN]
 
     def shifted(i, j, col):
         return float(table.shifted[table.span_index[Span(i, j)], col])
@@ -82,8 +84,8 @@ def oracle_best_score(table, ternary):
 
 def oracle_all_scores(table, ternary):
     """Literal enumeration of every legal tree's score (small n only)."""
-    consts = [c for c in table.categories if c.is_constant]
-    jc = table.cat_index[Category.join()]
+    consts = [c for c in table.categories if c not in (NOSEM, JOIN)]
+    jc = table.cat_index[JOIN]
 
     def shifted(i, j, col):
         return float(table.shifted[table.span_index[Span(i, j)], col])
@@ -121,7 +123,7 @@ def test_single_token_leaf():
     cats = toy_categories(2)
     raw = np.array([[0.0, -5.0, 2.0, 1.0]])
     results = list(parse_kbest(ScoreTable(1, cats, raw), Grammar(), 5))
-    assert results[0].tree.category == Category("c0")
+    assert results[0].tree.category == "c0"
     assert results[0].score == pytest.approx(2.0)
     assert [r.score for r in results] == pytest.approx([2.0, 1.0])
 
@@ -169,7 +171,7 @@ def tie_heavy_table(rng, n, n_constants=3):
     """Small integer scores, so that many trees tie, with about a third of
     the constant leaves masked to NEG_INF."""
     cats = toy_categories(n_constants)
-    raw = np.array([[NEG_INF if c.is_constant and rng.random() < 0.3
+    raw = np.array([[NEG_INF if c not in (NOSEM, JOIN) and rng.random() < 0.3
                      else float(rng.randint(-2, 2)) for c in cats]
                     for _ in all_spans(n)])
     return ScoreTable(n, cats, raw)
@@ -211,6 +213,21 @@ def test_taking_a_prefix_of_candidates_matches_the_list(ternary):
             assert head == full[:k]
 
 
+def test_dump_chart_bytes_are_pinned(tmp_path):
+    """The dumped K = 5 chart of seeded tie-heavy tables, n <= 6, on both
+    grammars: a change to tie order, to summation order or to the file's
+    layout shows here.  The scores are integers, so every sum is exact."""
+    rng = random.Random(43)
+    path = tmp_path / "chart.json"
+    digest = hashlib.sha256()
+    for trial in range(40):
+        table = tie_heavy_table(rng, rng.randint(1, 6))
+        dump_chart(table, Grammar(ternary=trial % 2 == 1), 5, path)
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == (
+        "a1b0cdb7772d38aa047c944a0b2519843f167d1c5af811eafb3ce8fae0c14a96")
+
+
 def test_nosem_neutrality():
     """Raising raw NoSem scores on one span rescales that span's shifted
     row but leaves every complete-tree ranking unchanged in shifted terms
@@ -237,14 +254,14 @@ def test_best_valid_tree_skips_invalid():
     cats = schema.categories()
     ci = {c: k for k, c in enumerate(cats)}
     raw = np.full((3, len(cats)), -8.0)
-    raw[:, ci[Category.nosem()]] = 0.0
+    raw[:, ci[NOSEM]] = 0.0
     # two direction entities side by side cannot compose; "l r" beats
     # "walk r" in score but only the latter is valid
     s11, s22 = 0, 2  # span rows for (1,1) and (2,2) with n=2
-    raw[s11, ci[Category.constant("l")]] = 6.0
-    raw[s11, ci[Category.constant("walk")]] = 5.0
-    raw[s22, ci[Category.constant("r")]] = 6.0
-    raw[:, ci[Category.join()]] = 1.0
+    raw[s11, ci["l"]] = 6.0
+    raw[s11, ci["walk"]] = 5.0
+    raw[s22, ci["r"]] = 6.0
+    raw[:, ci[JOIN]] = 1.0
     table = ScoreTable(2, cats, raw)
     candidates = list(parse_kbest(table, Grammar(), 5))
     top_program = lambda r: program_of_tree(r.tree, schema)
@@ -260,14 +277,14 @@ def test_best_valid_tree_none_when_all_invalid():
     cats = schema.categories()
     ci = {c: k for k, c in enumerate(cats)}
     raw = np.full((3, len(cats)), NEG_INF)
-    raw[:, ci[Category.nosem()]] = 0.0
+    raw[:, ci[NOSEM]] = 0.0
     # two direction entities on both tokens: every two-leaf combination
     # fails to compose, and K=4 keeps the valid single-leaf trees out
-    raw[0, ci[Category.constant("l")]] = 50.0
-    raw[0, ci[Category.constant("r")]] = 40.0
-    raw[2, ci[Category.constant("r")]] = 50.0
-    raw[2, ci[Category.constant("l")]] = 40.0
-    raw[1, ci[Category.join()]] = 1.0
+    raw[0, ci["l"]] = 50.0
+    raw[0, ci["r"]] = 40.0
+    raw[2, ci["r"]] = 50.0
+    raw[2, ci["l"]] = 40.0
+    raw[1, ci[JOIN]] = 1.0
     table = ScoreTable(2, cats, raw)
     assert best_valid_tree(parse_kbest(table, Grammar(), 4), schema) is None
 
@@ -283,12 +300,12 @@ def anchored_table(schema, n, anchors, bonus=5.0):
     spans = all_spans(n)
     raw = np.zeros((len(spans), len(cats)))
     for k, c in enumerate(cats):
-        if c.is_constant:
+        if c not in (NOSEM, JOIN):
             raw[:, k] = NEG_INF
     for row, span in enumerate(spans):
         name = anchors.get(span.start)
         if name is not None and span.start == span.end:
-            raw[row, ci[Category.constant(name)]] = bonus
+            raw[row, ci[name]] = bonus
     return ScoreTable(n, cats, raw)
 
 
@@ -314,19 +331,19 @@ def test_constrained_parse_geo_entity_span():
     spans = all_spans(n)
     raw = np.zeros((len(spans), len(cats)))
     for k, c in enumerate(cats):
-        if c.is_constant:
+        if c not in (NOSEM, JOIN):
             raw[:, k] = NEG_INF
     anchors = {Span(4, 4): "capital", Span(6, 6): "state",
                Span(8, 8): "next_to_1", Span(9, 10): "stateid('new york')",
                Span(5, 5): "loc_2"}
     for row, span in enumerate(spans):
         if span in anchors:
-            raw[row, ci[Category.constant(anchors[span])]] = 5.0
+            raw[row, ci[anchors[span]]] = 5.0
     result = constrained_parse(ScoreTable(n, cats, raw), Grammar(), gold,
                                schema)
     assert result is not None and result.program == gold
     # the two-token entity span is a leaf of the returned tree
-    leaves = {(node.span, node.category.label)
+    leaves = {(node.span, node.category)
               for node in result.tree.nodes() if node.is_leaf}
     assert (Span(9, 10), "stateid('new york')") in leaves
 
@@ -338,12 +355,12 @@ def test_constrained_parse_masks_other_constants():
     anchors = {1: "jump", 2: "twice"}
     table = anchored_table(schema, 2, anchors)
     walk_col = [k for k, c in enumerate(schema.categories())
-                if c.label == "walk"][0]
+                if c == "walk"][0]
     table.raw[:, walk_col] = 50.0
     boosted = ScoreTable(2, schema.categories(), table.raw)
     result = constrained_parse(boosted, Grammar(), gold, schema)
     assert result is not None and result.program == gold
-    assert all(node.category.label != "walk" for node in result.tree.nodes())
+    assert all(node.category != "walk" for node in result.tree.nodes())
 
 
 def test_constrained_parse_none_when_unreachable():
@@ -388,9 +405,8 @@ def oracle_composing_trees(table, ternary, schema):
     NEG_INF is absent, as in the chart.  Each node composes its children's
     programs as ``program_of_tree`` does, and a subtree that fails is
     dropped, since every tree containing it fails too."""
-    consts = [c for c in table.categories if c.is_constant]
-    jc = table.cat_index[Category.join()]
-    join_cat, nosem_cat = Category.join(), Category.nosem()
+    consts = [c for c in table.categories if c not in (NOSEM, JOIN)]
+    jc = table.cat_index[JOIN]
 
     def shifted(i, j, col):
         return float(table.shifted[table.span_index[Span(i, j)], col])
@@ -399,7 +415,7 @@ def oracle_composing_trees(table, ternary, schema):
         program = compose_children(programs, schema)
         if program is None:
             return None
-        return score, program, SpanTree(Span(i, j), join_cat, tuple(children))
+        return score, program, SpanTree(Span(i, j), JOIN, tuple(children))
 
     @lru_cache(None)
     def join(i, j):
@@ -407,10 +423,10 @@ def oracle_composing_trees(table, ternary, schema):
         for c in consts:
             score = shifted(i, j, table.cat_index[c])
             if score > NEG_INF / 2:
-                out.append((score, schema.atom(c.label), SpanTree(Span(i, j), c)))
+                out.append((score, schema.atom(c), SpanTree(Span(i, j), c)))
         base = shifted(i, j, jc)
         for k in range(i, j):
-            nosem = SpanTree(Span(k + 1, j), nosem_cat)
+            nosem = SpanTree(Span(k + 1, j), NOSEM)
             for a, pa, ta in join(i, k):
                 out.append(node(i, j, base + a, (ta, nosem), (pa, None)))
                 for b, pb, tb in join(k + 1, j):
@@ -429,8 +445,8 @@ def oracle_composing_trees(table, ternary, schema):
     base = shifted(1, n, jc)
     trees = list(join(1, n))
     for k in range(1, n):
-        nosem = SpanTree(Span(1, k), nosem_cat)
-        trees.extend((base + b, pb, SpanTree(Span(1, n), join_cat, (nosem, tb)))
+        nosem = SpanTree(Span(1, k), NOSEM)
+        trees.extend((base + b, pb, SpanTree(Span(1, n), JOIN, (nosem, tb)))
                      for b, pb, tb in join(k + 1, n))
     return trees
 
@@ -492,8 +508,8 @@ def test_constrained_parse_matches_gold_oracle(ternary):
             others = sorted(c.name for c in schema.sigma if c.name not in names)
             names.update(rng.sample(others, rng.randint(1, 2)))
             n = rng.randint(1, 4 if ternary else 5)
-            raw = np.array([[rng.gauss(0, 2) if not c.is_constant
-                             or c.label in names else NEG_INF for c in cats]
+            raw = np.array([[rng.gauss(0, 2) if c in (NOSEM, JOIN)
+                             or c in names else NEG_INF for c in cats]
                             for _ in all_spans(n)])
             table = ScoreTable(n, cats, raw)
             found[assert_constrained_matches_oracle(table, gold, schema,
@@ -542,8 +558,8 @@ def test_constrained_parse_same_on_cold_and_warm_tables(ternary):
         names.update(rng.sample(sorted(c.name for c in warm.sigma), 2))
         cats = warm.categories()
         # Scores of 0 or 1: exact ties are common.
-        raw = np.array([[float(rng.randint(0, 1)) if not c.is_constant
-                         or c.label in names else NEG_INF for c in cats]
+        raw = np.array([[float(rng.randint(0, 1)) if c in (NOSEM, JOIN)
+                         or c in names else NEG_INF for c in cats]
                         for _ in all_spans(n)])
         results = []
         for schema in (fresh(), warm):

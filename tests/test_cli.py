@@ -255,7 +255,11 @@ def test_eval_rejects_malformed_lines(exec_error_run, capsys):
                              "tree": {"span": "x"}, "denotation": ["WALK"]}),
                  json.dumps({"utterance": "walk", "program": "walk",
                              "tree": {"span": [1, 3], "category": "walk"},
-                             "denotation": ["WALK"]})]
+                             "denotation": ["WALK"]})] + [
+        # labels other than NoSem, Join and the schema's constants
+        json.dumps({"utterance": "walk", "program": "walk",
+                    "tree": {"span": [1, 1], "category": label},
+                    "denotation": ["WALK"]}) for label in ("foo", 5)]
     bad = exec_error_run / "bad.jsonl"
     for line in bad_lines:
         bad.write_text(good + "\n" + line + "\n")
@@ -392,6 +396,46 @@ def test_lexicon_line_without_tab_is_config_error(tiny_scan_dir,
     assert codes == [cli.EXIT_CONFIG] * 3
     assert err.count(f"configuration error: {lexicon}: line 2: needs a phrase "
                      f"and a constant separated by one tab") == 3
+
+
+@pytest.mark.parametrize("constant", ["Join", "NoSem", "sprint"])
+def test_lexicon_constant_outside_the_schema_is_config_error(
+        tiny_scan_dir, exec_error_run, tmp_path, capsys, constant):
+    """A lexicon.tsv constant must be one the schema defines: NoSem and
+    Join are labels, not constants, and an unknown name matches nothing."""
+    data = copy_without(tiny_scan_dir, tmp_path / "data")
+    lexicon = data / "lexicon.tsv"
+    lexicon.write_text(f"walk\twalk\nwhat\t{constant}\n")
+    checkpoint = str(exec_error_run / "model.npz")
+    codes, err = run_all([
+        ["train", "--data", str(data), "--out", str(tmp_path / "run"),
+         "--max-epochs", "1"],
+        ["eval", "--checkpoint", checkpoint, "--data", str(data / "test.jsonl")],
+        ["parse", "walk", "--checkpoint", checkpoint, "--data", str(data)]],
+        capsys)
+    assert codes == [cli.EXIT_CONFIG] * 3
+    assert err.count(f"configuration error: {lexicon}: {constant!r} is not "
+                     f"a constant of the schema") == 3
+
+
+def test_schema_constant_with_a_reserved_name_is_config_error(
+        tiny_scan_dir, exec_error_run, tmp_path, capsys):
+    data = copy_without(tiny_scan_dir, tmp_path / "data")
+    schema_path = data / "schema.json"
+    schema = json.loads(schema_path.read_text())
+    schema["constants"].append({"name": "Join", "kind": "entity",
+                                "result": "dir", "args": [], "min_args": 0})
+    schema_path.write_text(json.dumps(schema))
+    checkpoint = str(exec_error_run / "model.npz")
+    codes, err = run_all([
+        ["train", "--data", str(data), "--out", str(tmp_path / "run"),
+         "--max-epochs", "1"],
+        ["eval", "--checkpoint", checkpoint, "--data", str(data / "test.jsonl")],
+        ["parse", "walk", "--checkpoint", checkpoint, "--data", str(data)]],
+        capsys)
+    assert codes == [cli.EXIT_CONFIG] * 3
+    assert err.count(f"configuration error: {schema_path}: 'Join' is "
+                     f"reserved") == 3
 
 
 @pytest.mark.parametrize("settings", [[1, 2], {"lr": "fast"}],

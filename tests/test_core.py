@@ -5,7 +5,8 @@ import json
 import pytest
 
 from spansem.core import (
-    Category,
+    JOIN,
+    NOSEM,
     Span,
     SpanTree,
     Utterance,
@@ -17,10 +18,11 @@ from spansem.core import (
     tree_to_json,
     validate_tree,
 )
+from spansem.typesys import ENTITY, DomainConstant, DomainSchema
 
 
 def leaf(i, j, label):
-    return SpanTree(Span(i, j), Category(label))
+    return SpanTree(Span(i, j), label)
 
 
 def test_tokenize_splits_terminal_punctuation():
@@ -29,7 +31,7 @@ def test_tokenize_splits_terminal_punctuation():
     assert tokenize("walk twice") == ["walk", "twice"]
 
 
-def test_span_ordering_and_containment():
+def test_span_length_and_validation():
     assert len(Span(2, 5)) == 4
     with pytest.raises(ValueError):
         Span(3, 2)
@@ -43,49 +45,48 @@ def test_all_spans_count():
 
 def test_children_must_tile_parent():
     with pytest.raises(ValueError):
-        SpanTree(Span(1, 3), Category.join(),
+        SpanTree(Span(1, 3), JOIN,
                  (leaf(1, 1, "a"), leaf(3, 3, "b")))
     with pytest.raises(ValueError):
-        SpanTree(Span(1, 3), Category.join(),
+        SpanTree(Span(1, 3), JOIN,
                  (leaf(1, 1, "a"), leaf(2, 2, "b")))
 
 
 def test_span_map_round_trip():
     """The total map: every tree node's span carries its category, and every
     other span, the NoSem gap's own included, carries NoSem."""
-    tree = SpanTree(Span(1, 3), Category.join(), (
-        SpanTree(Span(1, 2), Category.join(),
-                 (leaf(1, 1, "walk"), SpanTree(Span(2, 2), Category.nosem()))),
+    tree = SpanTree(Span(1, 3), JOIN, (
+        SpanTree(Span(1, 2), JOIN,
+                 (leaf(1, 1, "walk"), SpanTree(Span(2, 2), NOSEM))),
         leaf(3, 3, "twice"),
     ))
-    nosem = Category.nosem()
     assert span_map(tree, 3) == {
-        Span(1, 1): Category("walk"), Span(1, 2): Category.join(),
-        Span(1, 3): Category.join(), Span(2, 2): nosem, Span(2, 3): nosem,
-        Span(3, 3): Category("twice"),
+        Span(1, 1): "walk", Span(1, 2): JOIN,
+        Span(1, 3): JOIN, Span(2, 2): NOSEM, Span(2, 3): NOSEM,
+        Span(3, 3): "twice",
     }
 
 
 def test_validate_tree_nosem_position():
     # non-root Join may absorb NoSem only on the right
-    bad = SpanTree(Span(1, 3), Category.join(), (
-        SpanTree(Span(1, 2), Category.join(),
-                 (SpanTree(Span(1, 1), Category.nosem()),
+    bad = SpanTree(Span(1, 3), JOIN, (
+        SpanTree(Span(1, 2), JOIN,
+                 (SpanTree(Span(1, 1), NOSEM),
                   leaf(2, 2, "walk"))),
         leaf(3, 3, "twice"),
     ))
     with pytest.raises(ValueError):
         validate_tree(bad, 3)
-    good = SpanTree(Span(1, 3), Category.join(), (
-        SpanTree(Span(1, 1), Category.nosem()),
-        SpanTree(Span(2, 3), Category.join(),
+    good = SpanTree(Span(1, 3), JOIN, (
+        SpanTree(Span(1, 1), NOSEM),
+        SpanTree(Span(2, 3), JOIN,
                  (leaf(2, 2, "walk"), leaf(3, 3, "twice"))),
     ))
     validate_tree(good, 3)
 
 
 def test_validate_tree_ternary_gate():
-    tern = SpanTree(Span(1, 3), Category.join(),
+    tern = SpanTree(Span(1, 3), JOIN,
                     (leaf(1, 1, "a"), leaf(2, 2, "b"), leaf(3, 3, "c")))
     validate_tree(tern, 3, ternary=True)
     with pytest.raises(ValueError):
@@ -93,16 +94,16 @@ def test_validate_tree_ternary_gate():
 
 
 def test_labeled_spans_excludes_nosem():
-    tree = SpanTree(Span(1, 2), Category.join(),
+    tree = SpanTree(Span(1, 2), JOIN,
                     (leaf(1, 1, "walk"),
-                     SpanTree(Span(2, 2), Category.nosem())))
+                     SpanTree(Span(2, 2), NOSEM)))
     got = labeled_spans(tree)
-    assert (Span(1, 1), Category("walk")) in got
-    assert all(not c.is_nosem for _, c in got)
+    assert (Span(1, 1), "walk") in got
+    assert all(c != NOSEM for _, c in got)
 
 
 def test_json_round_trip():
-    tree = SpanTree(Span(1, 2), Category.join(),
+    tree = SpanTree(Span(1, 2), JOIN,
                     (leaf(1, 1, "walk"), leaf(2, 2, "r")))
     assert tree_from_json(tree_to_json(tree)) == tree
     assert tree_from_json(json.loads(json.dumps(tree_to_json(tree)))) == tree
@@ -115,7 +116,10 @@ def test_utterance_phrase():
 
 
 def test_reserved_category_names():
-    with pytest.raises(ValueError):
-        Category.constant("NoSem")
-    with pytest.raises(ValueError):
-        Category.constant("Join")
+    """NoSem and Join label spans, so no schema constant may take either
+    name."""
+    schema = DomainSchema("toy", ("e",))
+    for name in (NOSEM, JOIN):
+        with pytest.raises(ValueError, match="reserved"):
+            schema.add(DomainConstant(name, ENTITY, "e"))
+    assert schema.constants == {}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spansem.core import Category, Span, SpanTree, Utterance, all_spans
+from spansem.core import JOIN, NOSEM, Span, SpanTree, Utterance, all_spans
 from spansem.scorer import (
     DimensionMismatch,
     Lexicon,
@@ -16,8 +16,7 @@ from spansem.scorer import (
     tree_loss,
 )
 
-CATS = [Category.nosem(), Category.join(),
-        Category.constant("walk"), Category.constant("r")]
+CATS = [NOSEM, JOIN, "walk", "r"]
 
 
 def tiny_scorer(**kw):
@@ -30,10 +29,10 @@ def test_score_table_shapes_and_shift():
     rng = np.random.default_rng(0)
     raw = rng.normal(size=(6, 4))
     table = ScoreTable(3, CATS, raw)
-    nosem_idx = table.cat_index[Category.nosem()]
+    nosem_idx = table.cat_index[NOSEM]
     assert np.allclose(table.shifted[:, nosem_idx], 0.0)
     assert table.shifted[table.span_index[Span(1, 2)],
-                         table.cat_index[Category.join()]] == \
+                         table.cat_index[JOIN]] == \
         pytest.approx(raw[table.span_index[Span(1, 2)], 1] -
                       raw[table.span_index[Span(1, 2)], 0])
 
@@ -93,8 +92,8 @@ def test_lexicon_bonus_is_additive():
     lex = Lexicon.from_pairs([("walk", "walk"), ("right", "r")])
     plain = scorer.score_spans(utt, None)
     boosted = scorer.score_spans(utt, lex)
-    w = plain.cat_index[Category.constant("walk")]
-    r = plain.cat_index[Category.constant("r")]
+    w = plain.cat_index["walk"]
+    r = plain.cat_index["r"]
     s11 = plain.span_index[Span(1, 1)]
     s22 = plain.span_index[Span(2, 2)]
     assert boosted.raw[s11, w] == pytest.approx(plain.raw[s11, w] + lam)
@@ -115,9 +114,9 @@ def test_lexicon_round_trip(tmp_path):
 
 
 def gold_tree():
-    return SpanTree(Span(1, 2), Category.join(), (
-        SpanTree(Span(1, 1), Category.constant("walk")),
-        SpanTree(Span(2, 2), Category.constant("r")),
+    return SpanTree(Span(1, 2), JOIN, (
+        SpanTree(Span(1, 1), "walk"),
+        SpanTree(Span(2, 2), "r"),
     ))
 
 
@@ -221,7 +220,7 @@ def test_lexicon_matches_are_memoized_and_add_clears_them():
     want = np.zeros_like(delta)
     for row, span in enumerate(all_spans(len(utt))):
         for name in lex.lookup(utt.phrase(span)):
-            want[row, CATS.index(Category.constant(name))] = 1.0
+            want[row, CATS.index(name)] = 1.0
     assert np.array_equal(delta, want) and want.sum() == 5
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spansem.cky import Grammar, parse_kbest
-from spansem.core import Category, Span, SpanTree, all_spans
+from spansem.core import JOIN, NOSEM, Span, SpanTree, all_spans
 from spansem.scorer import ScoreTable
 from spansem.typesys import (
     CompositionFailure,
@@ -194,11 +194,11 @@ def reference_program_of_tree(tree, schema):
 
     def visit(node):
         if node.is_leaf:
-            if node.category.is_nosem:
+            if node.category == NOSEM:
                 return None
-            if node.category.is_join:
+            if node.category == JOIN:
                 raise CompositionFailure(node.span)
-            return schema.atom(node.category.label)
+            return schema.atom(node.category)
         program = compose_children([visit(c) for c in node.children], schema)
         if program is None:
             raise CompositionFailure(node.span)
@@ -272,12 +272,12 @@ def test_ill_typed_application_rejected(geo):
 
 
 def leaf(i, j, label):
-    return SpanTree(Span(i, j), Category(label))
+    return SpanTree(Span(i, j), label)
 
 
 def test_program_of_tree_binary(scan):
-    tree = SpanTree(Span(1, 3), Category.join(), (
-        SpanTree(Span(1, 2), Category.join(),
+    tree = SpanTree(Span(1, 3), JOIN, (
+        SpanTree(Span(1, 2), JOIN,
                  (leaf(1, 1, "walk"), leaf(2, 2, "r"))),
         leaf(3, 3, "twice"),
     ))
@@ -285,17 +285,17 @@ def test_program_of_tree_binary(scan):
 
 
 def test_program_of_tree_skips_nosem(scan):
-    tree = SpanTree(Span(1, 3), Category.join(), (
-        SpanTree(Span(1, 2), Category.join(),
+    tree = SpanTree(Span(1, 3), JOIN, (
+        SpanTree(Span(1, 2), JOIN,
                  (leaf(1, 1, "jump"),
-                  SpanTree(Span(2, 2), Category.nosem()))),
+                  SpanTree(Span(2, 2), NOSEM))),
         leaf(3, 3, "twice"),
     ))
     assert str(program_of_tree(tree, scan)) == "twice(jump)"
 
 
 def test_program_of_tree_ternary_outer_first(geo):
-    tree = SpanTree(Span(1, 3), Category.join(), (
+    tree = SpanTree(Span(1, 3), JOIN, (
         leaf(1, 1, "state"),
         leaf(2, 2, "largest_one"),
         leaf(3, 3, "pop_1"),
@@ -304,12 +304,11 @@ def test_program_of_tree_ternary_outer_first(geo):
 
 
 def test_program_of_tree_failure_carries_span(scan):
-    inner = SpanTree(Span(1, 2), Category.join(),
+    inner = SpanTree(Span(1, 2), JOIN,
                      (leaf(1, 1, "NoSem"), leaf(2, 2, "NoSem")))
     for children in [(leaf(1, 1, "l"), leaf(2, 2, "r")),
                      (inner, leaf(3, 3, "walk"))]:
-        tree = SpanTree(Span(1, children[-1].span.end), Category.join(),
-                        children)
+        tree = SpanTree(Span(1, children[-1].span.end), JOIN, children)
         with pytest.raises(CompositionFailure) as err:
             program_of_tree(tree, scan)
         assert err.value.span == Span(1, 2)
