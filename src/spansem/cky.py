@@ -44,7 +44,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .core import JOIN, NOSEM, Span, SpanTree
+from .core import JOIN, NOSEM, SpanTree
 from .scorer import ScoreTable
 from .typesys import (
     CompositionFailure,
@@ -110,7 +110,7 @@ class _Chart:
         self.K = K
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("combinations", 0)
-        self.row_of = {(s.start, s.end): k for k, s in enumerate(table.spans)}
+        self.row_of = table.row_of
         self.join_col = table.cat_index[JOIN]
         self.constants = sorted(c for c in table.categories
                                 if c not in (NOSEM, JOIN))
@@ -137,7 +137,7 @@ class _Chart:
         for length in range(1, n + 1):
             for i in range(1, n - length + 2):
                 j = i + length - 1
-                k = row_of[(i, j)]
+                k = row_of[i][j]
                 base = bases[k]
                 top = key = None
                 if leaves[k] is not None:
@@ -176,7 +176,7 @@ class _Chart:
                 best[i][j] = top
                 self.cells[(i, j)] = [] if top is None else [top]
 
-        top = _root(bases[row_of[(1, n)]], best[1][n],
+        top = _root(bases[row_of[1][n]], best[1][n],
                     [best[s + 1][n] for s in range(1, n)])
         self.stats["combinations"] += combinations + n - 1
         return [] if top is None else [top]
@@ -206,7 +206,7 @@ class _Chart:
             i, j = 1, self.table.n
         else:
             i, j = key
-        row = self.table.shifted[self.row_of[(i, j)]].tolist()
+        row = self.table.shifted[self.row_of[i][j]].tolist()
         base = row[self.join_col]
 
         def cell(a, b):
@@ -313,9 +313,11 @@ def _root(base: float, whole, suffixes: list):
     return top
 
 
-def _tree(deriv: tuple) -> SpanTree:
+def _tree(deriv: tuple, table: ScoreTable) -> SpanTree:
+    """The derivation's tree, whose spans are the table's shared ones."""
     _, i, j, category, children = deriv
-    return SpanTree(Span(i, j), category, tuple(_tree(c) for c in children))
+    return SpanTree(table.spans[table.row_of[i][j]], category,
+                    tuple(_tree(c, table) for c in children))
 
 
 def parse_kbest(table: ScoreTable, grammar: Grammar, K: int,
@@ -324,7 +326,7 @@ def parse_kbest(table: ScoreTable, grammar: Grammar, K: int,
     utterance, best first.  The Viterbi pass runs in this call; each later
     candidate is ranked, and its tree built, when it is asked for."""
     chart = _Chart(table, grammar, K, stats=stats)
-    return (ParseResult(_tree(d), d[0])
+    return (ParseResult(_tree(d, table), d[0])
             for d in chart.ranked(_ROOT))
 
 
@@ -416,7 +418,7 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     leaves = [(states.table.atom(c), table.cat_index[c], c)
               for c in sorted(table.categories) if c in states.by_head]
     rows = table.shifted.tolist()
-    row_of = {(s.start, s.end): k for k, s in enumerate(table.spans)}
+    row_of = table.row_of
     join_col = table.cat_index[JOIN]
     ternary = grammar.ternary
     # chart[i][j]: state id -> its best derivation, best score first.
@@ -424,7 +426,7 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     for length in range(1, n + 1):
         for i in range(1, n - length + 2):
             j = i + length - 1
-            row = rows[row_of[(i, j)]]
+            row = rows[row_of[i][j]]
             base = row[join_col]
             cell = {}
             for sid, col, cat in leaves:
@@ -480,11 +482,11 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
             chart[i][j] = dict(sorted(cell.items(), key=lambda kv: -kv[1][0]))
 
     stats["combinations"] += n - 1
-    best = _root(rows[row_of[(1, n)]][join_col], chart[1][n].get(gold_id),
+    best = _root(rows[row_of[1][n]][join_col], chart[1][n].get(gold_id),
                  [chart[s + 1][n].get(gold_id) for s in range(1, n)])
     if best is None:
         return None
-    return ParseResult(_tree(best), best[0], gold)
+    return ParseResult(_tree(best, table), best[0], gold)
 
 
 def dump_chart(table: ScoreTable, grammar: Grammar, K: int, path) -> None:

@@ -363,7 +363,7 @@ def cmd_parse(args) -> int:
         raise ConfigError("empty utterance")
     if args.dump_chart:
         make_dir(Path(args.dump_chart).parent)
-        dump_chart(scorer.score_spans(utt, domain.lexicon), grammar, K,
+        dump_chart(scorer.score_spans([utt], domain.lexicon)[0], grammar, K,
                    args.dump_chart)
     result = predict(scorer, utt, domain, grammar, K)
     if result is None:

@@ -6,8 +6,9 @@ Conventions used throughout the package:
     constant may take (``typesys.DomainSchema.add`` refuses them);
   - token indices are 1-based and inclusive on both ends;
   - a span tree determines a total map from every span (i, j) with i <= j
-    to a category, where spans that are not tree nodes map to NoSem; the
-    per-span loss reads that map (``span_map``);
+    to a category, where spans that are not tree nodes map to NoSem
+    (``span_map``; ``scorer.labels_for_tree`` writes the same map as one
+    label per span row);
   - the root is the node whose span covers the whole utterance, (1, n).
 """
 

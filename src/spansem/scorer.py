@@ -9,23 +9,38 @@ width 250, plus an exact-match lexicon bonus of lambda per matching
 category.  All arithmetic is float64 numpy; gradients are hand-derived
 and checked against finite differences in the test suite.
 
-One forward serves both steps of hard EM: ``score_spans`` returns a
-``ScoreTable`` that carries its forward cache and the parameter dict that
-produced it, and ``loss_and_grads`` backpropagates from that table rather
-than running the forward again.  A table scored with another parameter
-dict (``sgd_step`` returns a new one) is refused.  The lexicon memoizes
-its matches per token tuple, so the bonus of a seen utterance is a
-scatter.
+Scoring and backpropagation run on a batch.  ``score_spans`` scores a
+list of utterances in one forward pass: their tokens share one padded
+layout, each window-mix layer is one im2col gather and one GEMM, and
+``W1`` meets the token vectors by halves before the spans gather them,
+A = (H W1a^T)[ii] + (H W1b^T)[jj], so the (spans x 2d) input of the span
+network is never built.  It returns one ``ScoreTable`` per utterance, each
+a row slice of one raw matrix, all sharing the batch's forward cache and
+the parameter dict that produced it.  ``loss_and_grads`` backpropagates
+the tables of one call in one pass from that cache; a table scored with
+another parameter dict (``sgd_step`` returns a new one) is refused.  GEMM
+rounding depends on the row count, so an utterance's scores in a batch
+and scored alone can differ in the last bits (about 1e-15).
+
+What depends on the utterance length alone (the span list, its index, the
+row of each (i, j), the start and end token of each row) is built once per
+length by ``_geometry`` and shared by every table and chart.  The lexicon
+memoizes its matches per token tuple, so the bonus of a seen utterance is
+a scatter.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import NOSEM, Span, SpanTree, Utterance, all_spans, span_map
+from .core import JOIN, NOSEM, Span, SpanTree, Utterance, all_spans, span_map
 
 UNK = "<unk>"
 
@@ -37,6 +52,46 @@ WINDOW = 3
 
 class DimensionMismatch(ValueError):
     """Encoder output width disagrees with the classifier input width."""
+
+
+class _Geometry(NamedTuple):
+    """Span bookkeeping of every utterance of one length n.  Every table
+    and chart of that length shares it, so nothing in it is mutable."""
+
+    spans: tuple  # all_spans(n): row k of a table scores spans[k]
+    span_index: MappingProxyType  # span -> row
+    row_of: tuple  # row_of[i][j]: the row of span (i, j), 1 <= i <= j <= n
+    ii: np.ndarray  # the 0-based start token of each row
+    jj: np.ndarray  # the 0-based end token of each row
+    # (2n, rows) of 0/1: times per-row values, row t sums those of the
+    # spans that start at token t and row n + t those that end there.
+    by_token: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _geometry(n: int) -> _Geometry:
+    spans = tuple(all_spans(n))
+    row_of = [[None] * (n + 1) for _ in range(n + 1)]
+    for row, span in enumerate(spans):
+        row_of[span.start][span.end] = row
+    ii = np.array([s.start - 1 for s in spans], dtype=np.intp)
+    jj = np.array([s.end - 1 for s in spans], dtype=np.intp)
+    by_token = np.zeros((2 * n, len(spans)))
+    by_token[ii, np.arange(len(spans))] = 1.0
+    by_token[n + jj, np.arange(len(spans))] = 1.0
+    for array in (ii, jj, by_token):
+        array.flags.writeable = False
+    return _Geometry(spans, MappingProxyType({s: k for k, s in enumerate(spans)}),
+                     tuple(map(tuple, row_of)), ii, jj, by_token)
+
+
+def _im2col(x: np.ndarray, layout: dict) -> np.ndarray:
+    """Every token's window of ``x`` as one row: ``x`` is placed at rows
+    ``pos`` of a zero padded layout and rows ``window`` are gathered."""
+    padded = np.zeros((layout["size"], x.shape[1]))
+    padded[layout["pos"]] = x
+    window = layout["window"]
+    return padded[window].reshape(len(window), window.shape[1] * x.shape[1])
 
 
 @dataclass
@@ -61,10 +116,9 @@ class Lexicon:
         memoized per token tuple."""
         hits = self._matches.get(tokens)
         if hits is None:
-            n = len(tokens)
             hits = self._matches[tokens] = [
                 (row, name)
-                for row, span in enumerate(all_spans(n))
+                for row, span in enumerate(_geometry(len(tokens)).spans)
                 for name in self.lookup(" ".join(tokens[span.start - 1:span.end]))]
         return hits
 
@@ -118,18 +172,22 @@ class ScoreTable:
     shifted scores s' with the NoSem column pinned to zero.
 
     A table from ``SpanScorer.score_spans`` also keeps the parameter dict
-    that scored it (``params``) and its forward activations (``cache``),
-    which ``loss_and_grads`` backpropagates from; a table built from raw
-    scores has neither.
+    that scored it (``params``), the forward cache of its batch (``cache``,
+    shared by every table of one call) and its place in the batch
+    (``position``), which ``loss_and_grads`` backpropagates from; a table
+    built from raw scores has no parameters and no cache.
     """
 
     def __init__(self, n: int, categories: list, raw: np.ndarray,
-                 params: dict | None = None, cache: dict | None = None):
+                 params: dict | None = None, cache: dict | None = None,
+                 position: int = 0):
+        geometry = _geometry(n)
         self.n = n
         self.categories = list(categories)
         self.cat_index = {c: k for k, c in enumerate(self.categories)}
-        self.spans = all_spans(n)
-        self.span_index = {s: k for k, s in enumerate(self.spans)}
+        self.spans = geometry.spans
+        self.span_index = geometry.span_index
+        self.row_of = geometry.row_of
         if raw.shape != (len(self.spans), len(self.categories)):
             raise DimensionMismatch(
                 f"raw table shape {raw.shape}, expected "
@@ -139,6 +197,7 @@ class ScoreTable:
         self.shifted = raw - raw[:, nosem_col:nosem_col + 1]
         self.params = params
         self.cache = cache
+        self.position = position
 
 
 def span_probability(table: ScoreTable, span: Span, category: str) -> float:
@@ -185,131 +244,165 @@ class SpanScorer:
     def token_ids(self, utt: Utterance) -> np.ndarray:
         return np.array([self.vocab.get(t, 0) for t in utt.tokens], dtype=int)
 
-    def encode(self, utt: Utterance):
-        """Contextual vectors h_1..h_n; returns (H, cache) with the cache
-        holding per-layer activations for the backward pass."""
-        ids = self.token_ids(utt)
-        n, w = len(ids), self.window
-        x = self.params["emb"][ids]
-        layers = [x]
+    def encode(self, utterances: list):
+        """Contextual vectors of every token of ``utterances``, stacked in
+        order; returns (H, cache) with the cache holding the batch layout
+        and each layer's activations for the backward pass.
+
+        The tokens sit in one padded layout with ``window`` zero rows
+        before each utterance and after the last, so that no window reaches
+        a neighbour.  Each layer gathers every token's window from that
+        layout and mixes it in one GEMM with its taps stacked, (taps * d, d).
+        """
+        w, d = self.window, self.h_dim
+        lengths = [len(u) for u in utterances]
+        ids = np.concatenate([self.token_ids(u) for u in utterances])
+        pos = np.arange(len(ids)) + w * np.repeat(np.arange(1, len(lengths) + 1),
+                                                  lengths)
+        cache = {"ids": ids, "pos": pos,
+                 "window": pos[:, None] + np.arange(-w, w + 1),
+                 "size": len(ids) + w * (len(lengths) + 1),
+                 "layers": [self.params["emb"][ids]]}
         for layer in range(self.n_layers):
-            W = self.params[f"mix{layer}_W"]
-            b = self.params[f"mix{layer}_b"]
-            if n == 0:
-                x = x.reshape(0, self.h_dim)
-                layers.append(x)
-                continue
-            padded = np.zeros((n + 2 * w, self.h_dim))
-            padded[w:w + n] = x
-            pre = np.tile(b, (n, 1))
-            for o in range(2 * w + 1):
-                pre += padded[o:o + n] @ W[o]
-            x = np.tanh(pre)
-            layers.append(x)
-        return x, {"ids": ids, "layers": layers}
+            cache["layers"].append(np.tanh(
+                _im2col(cache["layers"][-1], cache)
+                @ self.params[f"mix{layer}_W"].reshape(-1, d)
+                + self.params[f"mix{layer}_b"]))
+        return cache["layers"][-1], cache
 
     def _encode_backward(self, cache, dH, grads) -> None:
-        ids, layers = cache["ids"], cache["layers"]
-        n, w = len(ids), self.window
+        d = self.h_dim
         dx = dH
         for layer in reversed(range(self.n_layers)):
-            x_in, x_out = layers[layer], layers[layer + 1]
-            dpre = dx * (1.0 - x_out ** 2)
             W = self.params[f"mix{layer}_W"]
+            dpre = dx * (1.0 - cache["layers"][layer + 1] ** 2)
             grads[f"mix{layer}_b"] += dpre.sum(axis=0)
-            padded = np.zeros((n + 2 * w, self.h_dim))
-            padded[w:w + n] = x_in
-            dpadded = np.zeros_like(padded)
-            dW = grads[f"mix{layer}_W"]
-            for o in range(2 * w + 1):
-                dW[o] += padded[o:o + n].T @ dpre
-                dpadded[o:o + n] += dpre @ W[o].T
-            dx = dpadded[w:w + n]
-        np.add.at(grads["emb"], ids, dx)
+            # The gathered windows are gathered again rather than kept:
+            # they are (taps * d) wide per token.
+            columns = _im2col(cache["layers"][layer], cache)
+            grads[f"mix{layer}_W"] += (columns.T @ dpre).reshape(W.shape)
+            # The gather's adjoint is the same gather with the taps
+            # reversed: tap o of the token at offset o - w reads this one.
+            dx = _im2col(dpre, cache) @ W[::-1].transpose(0, 2, 1).reshape(-1, d)
+        np.add.at(grads["emb"], cache["ids"], dx)
 
     # -- scoring -----------------------------------------------------------
 
-    def _span_indices(self, n: int):
-        spans = all_spans(n)
-        ii = np.array([s.start - 1 for s in spans], dtype=int)
-        jj = np.array([s.end - 1 for s in spans], dtype=int)
-        return spans, ii, jj
-
     def lexicon_delta(self, utt: Utterance, lexicon: Lexicon | None) -> np.ndarray:
+        """1.0 at each (span row, category) the lexicon matches; a ValueError
+        when a match names a reserved label, since the bonus would raise a
+        NoSem or Join column."""
         n = len(utt)
         delta = np.zeros((n * (n + 1) // 2, len(self.categories)))
         if lexicon is None:
             return delta
-        hits = [(row, col) for row, name in lexicon.matches(utt.tokens)
-                if (col := self.cat_index.get(name)) is not None]
-        if hits:
-            rows, cols = zip(*hits)
-            delta[rows, cols] = 1.0
+        for row, name in lexicon.matches(utt.tokens):
+            if name in (NOSEM, JOIN):
+                raise ValueError(
+                    f"lexicon phrase {utt.phrase(_geometry(n).spans[row])!r} "
+                    f"names the reserved label {name!r}")
+            col = self.cat_index.get(name)
+            if col is not None:
+                delta[row, col] = 1.0
         return delta
 
-    def _forward(self, utt: Utterance, lexicon: Lexicon | None):
-        H, enc_cache = self.encode(utt)
-        if H.shape[1] != self.params["W1"].shape[1] // 2:
+    def score_spans(self, utterances: list, lexicon: Lexicon | None = None) -> list:
+        """One ScoreTable per utterance, from one forward pass over them
+        all.  Each table is a row slice of one raw matrix and carries the
+        batch's forward cache, which ``loss_and_grads`` reads.  GEMM
+        rounding depends on the batch, so a table's scores may differ from
+        those of the same utterance scored alone in the last bits."""
+        H, cache = self.encode(utterances)
+        W1, d = self.params["W1"], self.h_dim
+        if H.shape[1] != W1.shape[1] // 2:
             raise DimensionMismatch("encoder width disagrees with W1")
-        spans, ii, jj = self._span_indices(len(utt))
-        F = np.concatenate([H[ii], H[jj]], axis=1)
-        A = F @ self.params["W1"].T
-        R = np.maximum(A, 0.0)
-        logits = R @ self.params["W2"].T
-        delta = self.lexicon_delta(utt, lexicon)
-        raw = logits + self.lam * delta
-        cache = {"enc": enc_cache, "ii": ii, "jj": jj, "F": F, "A": A, "R": R}
-        return raw, cache
-
-    def score_spans(self, utt: Utterance, lexicon: Lexicon | None = None) -> ScoreTable:
-        raw, cache = self._forward(utt, lexicon)
-        return ScoreTable(len(utt), self.categories, raw, self.params, cache)
+        geometries = [_geometry(len(u)) for u in utterances]
+        first = list(accumulate((len(u) for u in utterances), initial=0))  # tokens
+        offsets = list(accumulate((len(g.spans) for g in geometries), initial=0))  # rows
+        ii = np.concatenate([g.ii + t for g, t in zip(geometries, first)])
+        jj = np.concatenate([g.jj + t for g, t in zip(geometries, first)])
+        R = (H @ W1[:, :d].T)[ii]
+        R += (H @ W1[:, d:].T)[jj]
+        np.maximum(R, 0.0, out=R)  # in place: R > 0 is the ReLU's mask
+        delta = np.concatenate([self.lexicon_delta(u, lexicon) for u in utterances])
+        raw = R @ self.params["W2"].T + self.lam * delta
+        cache.update(geometries=geometries, first=first, offsets=offsets,
+                     R=R, raw=raw)
+        return [ScoreTable(len(u), self.categories, raw[lo:hi], self.params,
+                           cache, k)
+                for k, (u, lo, hi) in enumerate(zip(utterances, offsets,
+                                                    offsets[1:]))]
 
     # -- training ----------------------------------------------------------
 
     def zero_grads(self) -> dict:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def loss_and_grads(self, table: ScoreTable, labels: np.ndarray,
-                       grads: dict | None = None):
-        """Summed cross-entropy over all spans of a scored table and its
-        parameter gradients, backpropagated from the table's forward cache.
+    def loss_and_grads(self, tables: list, labels: list, grads: dict | None = None):
+        """Summed cross-entropy over every span of a scored batch and its
+        parameter gradients, backpropagated in one pass from the batch's
+        forward cache.
 
-        ``table`` must come from ``score_spans`` under the current parameter
-        dict, else ValueError.  ``labels`` holds one category index per
-        span, in all_spans order.  Gradients are accumulated into ``grads``
-        when given.
+        ``tables`` must be the tables of one ``score_spans`` call, in the
+        order it returned them, under the current parameter dict; else
+        ValueError.  ``labels[k]`` holds one category index per span of
+        ``tables[k]``, in all_spans order, or is None: then that example
+        adds no loss and no gradient.  Gradients are accumulated into
+        ``grads`` when given.
         """
-        if table.params is not self.params:
+        if any(t.params is not self.params for t in tables):
             raise ValueError("the table was not scored with this scorer's "
                              "current parameters")
-        raw, cache = table.raw, table.cache
-        shift = raw - raw.max(axis=1, keepdims=True)
-        expd = np.exp(shift)
-        logz = np.log(expd.sum(axis=1)) + raw.max(axis=1)
-        rows = np.arange(len(labels))
-        loss = float((logz - raw[rows, labels]).sum())
+        cache = tables[0].cache if tables else None
+        if (cache is None or len(tables) != len(cache["geometries"])
+                or any(t.cache is not cache or t.position != k
+                       for k, t in enumerate(tables))):
+            raise ValueError("loss_and_grads takes the tables of one "
+                             "score_spans call, in the order it returned them")
+        raw, offsets = cache["raw"], cache["offsets"]
+        target = np.full(len(raw), -1)
+        for lo, hi, rows in zip(offsets[:-1], offsets[1:], labels, strict=True):
+            if rows is not None:
+                target[lo:hi] = rows
+        peak = raw.max(axis=1, keepdims=True)
+        expd = np.exp(raw - peak)
+        total = expd.sum(axis=1, keepdims=True)
+        rows = np.flatnonzero(target >= 0)
+        cols = target[rows]
+        loss = float((np.log(total[rows, 0]) + peak[rows, 0]
+                      - raw[rows, cols]).sum())
 
         if grads is None:
             grads = self.zero_grads()
-        draw = expd / expd.sum(axis=1, keepdims=True)
-        draw[rows, labels] -= 1.0
+        draw = expd / total
+        draw[rows, cols] -= 1.0
+        draw[target < 0] = 0.0
         grads["W2"] += draw.T @ cache["R"]
-        dR = draw @ self.params["W2"]
-        dA = dR * (cache["A"] > 0)
-        grads["W1"] += dA.T @ cache["F"]
-        dF = dA @ self.params["W1"]
-        h = self.h_dim
-        dH = np.zeros((table.n, h))
-        np.add.at(dH, cache["ii"], dF[:, :h])
-        np.add.at(dH, cache["jj"], dF[:, h:])
-        self._encode_backward(cache["enc"], dH, grads)
+        dA = draw @ self.params["W2"]
+        dA *= cache["R"] > 0
+        # Scatter-add dA by start token into G[0] and by end token into
+        # G[1], one table at a time through its geometry's 0/1 matrix.
+        first = cache["first"]
+        G = np.empty((2, first[-1], dA.shape[1]))
+        for g, t0, t1, lo, hi in zip(cache["geometries"], first, first[1:],
+                                     offsets, offsets[1:]):
+            G[:, t0:t1] = (g.by_token @ dA[lo:hi]).reshape(2, t1 - t0, dA.shape[1])
+        H, W1, d = cache["layers"][-1], self.params["W1"], self.h_dim
+        grads["W1"][:, :d] += G[0].T @ H
+        grads["W1"][:, d:] += G[1].T @ H
+        dH = G[0] @ W1[:, :d] + G[1] @ W1[:, d:]
+        self._encode_backward(cache, dH, grads)
         return loss, grads
 
     def labels_for_tree(self, tree: SpanTree, n: int) -> np.ndarray:
-        mapping = span_map(tree, n)
-        return np.array([self.cat_index[mapping[s]] for s in all_spans(n)],
-                        dtype=int)
+        """One category index per span of an n-token utterance, in
+        all_spans order: NoSem, then each node's category at its row."""
+        geometry = _geometry(n)
+        labels = np.full(len(geometry.spans), self.cat_index[NOSEM])
+        for node in tree.nodes():
+            labels[geometry.row_of[node.span.start][node.span.end]] = \
+                self.cat_index[node.category]
+        return labels
 
 
 def tree_loss(table: ScoreTable, gold: SpanTree) -> float:

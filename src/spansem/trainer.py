@@ -6,9 +6,10 @@ gold program.  The search is exact, so an example is skipped for that
 batch only when no grammar-legal tree over its utterance maps to the gold
 program.  The M-step treats the found trees as supervision and takes one
 momentum-SGD step on the summed per-span cross-entropy.  When gold trees
-are available the E-step is bypassed and they are used directly.  Each
-example is scored once per batch: the E-step's table carries the forward
-cache that the M-step's backward pass reads.
+are available the E-step is bypassed and they are used directly.  A batch
+takes one forward and one backward pass: its examples are scored together,
+each E-step reads its own table, and the M-step backpropagates the whole
+batch from the forward cache the tables share.
 """
 
 from __future__ import annotations
@@ -119,18 +120,15 @@ def hard_em_step(scorer: SpanScorer, batch: list, domain: Domain,
                  grammar: Grammar, config: TrainConfig):
     """One E+M step on a batch; returns (loss, used, skipped, grads), the
     gradients averaged over the examples used."""
+    tables = scorer.score_spans([ex.utterance for ex in batch], domain.lexicon)
+    trees = [target_tree(table, ex, domain, grammar, config)
+             for table, ex in zip(tables, batch)]
+    labels = [None if tree is None else scorer.labels_for_tree(tree, table.n)
+              for tree, table in zip(trees, tables)]
+    used = sum(rows is not None for rows in labels)
+    skipped = len(batch) - used
     grads = scorer.zero_grads()
-    loss, used, skipped = 0.0, 0, 0
-    for ex in batch:
-        table = scorer.score_spans(ex.utterance, domain.lexicon)
-        tree = target_tree(table, ex, domain, grammar, config)
-        if tree is None:
-            skipped += 1
-            continue
-        labels = scorer.labels_for_tree(tree, len(ex.utterance))
-        ex_loss, _ = scorer.loss_and_grads(table, labels, grads)
-        loss += ex_loss
-        used += 1
+    loss, _ = scorer.loss_and_grads(tables, labels, grads)
     if used:
         for g in grads.values():
             g /= used
@@ -140,7 +138,7 @@ def hard_em_step(scorer: SpanScorer, batch: list, domain: Domain,
 def predict(scorer: SpanScorer, utt: Utterance, domain: Domain,
             grammar: Grammar, K: int):
     """Best semantically valid tree for an utterance, or None."""
-    table = scorer.score_spans(utt, domain.lexicon)
+    table, = scorer.score_spans([utt], domain.lexicon)
     return best_valid_tree(parse_kbest(table, grammar, K), domain.schema)
 
 

@@ -185,16 +185,16 @@ def test_gradients_match_finite_differences(announce):
         utt = Utterance.from_text(" ".join(utt_tokens))
         lex = Lexicon.from_pairs([("walk", "walk")])
         labels = rng.integers(0, len(cats), size=len(all_spans(n)))
-        _, grads = scorer.loss_and_grads(scorer.score_spans(utt, lex), labels)
+        _, grads = scorer.loss_and_grads(scorer.score_spans([utt], lex), [labels])
         eps = 1e-5
 
         def probe(key, idx, delta):
             orig = scorer.params[key][idx]
             scorer.params[key][idx] = orig + delta
-            table = scorer.score_spans(utt, lex)
-            loss, _ = scorer.loss_and_grads(table, labels)
+            table, = scorer.score_spans([utt], lex)
+            loss, _ = scorer.loss_and_grads([table], [labels])
             scorer.params[key][idx] = orig
-            return loss, table.cache["A"] > 0
+            return loss, table.cache["R"] > 0
 
         checked = 0
         while checked < 10:

@@ -516,7 +516,7 @@ def test_parse_dump_chart(trained_run, tiny_scan_dir, tmp_path):
     assert chart["cells"]["1,1"] and chart["cells"]["1,2"]
     scorer, extra = load_checkpoint(trained_run / "model.npz")
     domain = cli.load_domain(tiny_scan_dir)
-    table = scorer.score_spans(Utterance.from_text("walk right"), domain.lexicon)
+    table, = scorer.score_spans([Utterance.from_text("walk right")], domain.lexicon)
     candidates = parse_kbest(table, Grammar(), extra["K"])
     assert [e["score"] for e in chart["root"]] == [c.score for c in candidates]
 

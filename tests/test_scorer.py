@@ -1,9 +1,14 @@
 """Span scorer: forward behavior, invariances, and gradient correctness."""
 
+import random
+
 import numpy as np
 import pytest
 
-from spansem.core import JOIN, NOSEM, Span, SpanTree, Utterance, all_spans
+from spansem.cky import Grammar, constrained_parse
+from spansem.core import JOIN, NOSEM, Span, SpanTree, Utterance, all_spans, span_map
+from spansem.data.geo import geo_lexicon_entries, geo_schema, mini_geo_corpus, mini_kb
+from spansem.data.scan import generate_scan_sp, scan_lexicon_entries, scan_schema
 from spansem.scorer import (
     DimensionMismatch,
     Lexicon,
@@ -15,6 +20,7 @@ from spansem.scorer import (
     span_probability,
     tree_loss,
 )
+from spansem.typesys import parse_program
 
 CATS = [NOSEM, JOIN, "walk", "r"]
 
@@ -66,15 +72,15 @@ def test_scorer_is_deterministic_per_seed():
     a = tiny_scorer(seed=3)
     b = tiny_scorer(seed=3)
     utt = Utterance.from_text("walk right")
-    assert np.array_equal(a.score_spans(utt).raw, b.score_spans(utt).raw)
+    assert np.array_equal(a.score_spans([utt])[0].raw, b.score_spans([utt])[0].raw)
     c = tiny_scorer(seed=4)
-    assert not np.array_equal(a.score_spans(utt).raw, c.score_spans(utt).raw)
+    assert not np.array_equal(a.score_spans([utt])[0].raw, c.score_spans([utt])[0].raw)
 
 
 def test_encoder_is_context_sensitive():
     scorer = tiny_scorer()
-    h1, _ = scorer.encode(Utterance.from_text("walk right"))
-    h2, _ = scorer.encode(Utterance.from_text("walk twice"))
+    h1, _ = scorer.encode([Utterance.from_text("walk right")])
+    h2, _ = scorer.encode([Utterance.from_text("walk twice")])
     # same first token, different context vector
     assert not np.allclose(h1[0], h2[0])
 
@@ -90,8 +96,8 @@ def test_lexicon_bonus_is_additive():
     scorer = tiny_scorer(lam=lam)
     utt = Utterance.from_text("walk right")
     lex = Lexicon.from_pairs([("walk", "walk"), ("right", "r")])
-    plain = scorer.score_spans(utt, None)
-    boosted = scorer.score_spans(utt, lex)
+    plain, = scorer.score_spans([utt], None)
+    boosted, = scorer.score_spans([utt], lex)
     w = plain.cat_index["walk"]
     r = plain.cat_index["r"]
     s11 = plain.span_index[Span(1, 1)]
@@ -131,8 +137,8 @@ def test_loss_and_grads_matches_tree_loss():
     scorer = tiny_scorer()
     utt = Utterance.from_text("walk right")
     labels = scorer.labels_for_tree(gold_tree(), 2)
-    table = scorer.score_spans(utt)
-    loss, _ = scorer.loss_and_grads(table, labels)
+    table, = scorer.score_spans([utt])
+    loss, _ = scorer.loss_and_grads([table], [labels])
     assert loss == pytest.approx(tree_loss(table, gold_tree()))
 
 
@@ -145,16 +151,16 @@ def test_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, len(CATS), size=len(all_spans(3)))
 
-    _, grads = scorer.loss_and_grads(scorer.score_spans(utt, lex), labels)
+    _, grads = scorer.loss_and_grads(scorer.score_spans([utt], lex), [labels])
     eps = 1e-5  # large enough that roundoff stays below the 1e-4 gate
     for _ in range(10):
         key = rng.choice(list(scorer.params))
         idx = tuple(rng.integers(0, d) for d in scorer.params[key].shape)
         orig = scorer.params[key][idx]
         scorer.params[key][idx] = orig + eps
-        up, _ = scorer.loss_and_grads(scorer.score_spans(utt, lex), labels)
+        up, _ = scorer.loss_and_grads(scorer.score_spans([utt], lex), [labels])
         scorer.params[key][idx] = orig - eps
-        down, _ = scorer.loss_and_grads(scorer.score_spans(utt, lex), labels)
+        down, _ = scorer.loss_and_grads(scorer.score_spans([utt], lex), [labels])
         scorer.params[key][idx] = orig
         numeric = (up - down) / (2 * eps)
         analytic = grads[key][idx]
@@ -166,30 +172,28 @@ def test_sgd_step_moves_against_gradient():
     scorer = tiny_scorer()
     utt = Utterance.from_text("walk right")
     labels = scorer.labels_for_tree(gold_tree(), 2)
-    loss0, grads = scorer.loss_and_grads(scorer.score_spans(utt), labels)
+    loss0, grads = scorer.loss_and_grads(scorer.score_spans([utt]), [labels])
     scorer.params = sgd_step(scorer.params, grads, 0.01)
-    loss1, _ = scorer.loss_and_grads(scorer.score_spans(utt), labels)
+    loss1, _ = scorer.loss_and_grads(scorer.score_spans([utt]), [labels])
     assert loss1 < loss0
 
 
 def test_loss_and_grads_reads_the_scored_table():
     """The table carries the forward it was scored with: its raw scores and
-    activations equal a fresh ``_forward`` under the same parameters, and
-    so do its loss and gradients, bit for bit, though another utterance
+    activations equal a fresh ``score_spans`` under the same parameters,
+    and so do its loss and gradients, bit for bit, though another utterance
     was scored in between."""
     scorer = tiny_scorer(seed=3, lam=2.0)
     utt = Utterance.from_text("walk right twice")
     lex = Lexicon.from_pairs([("walk", "walk"), ("right twice", "r")])
     labels = np.random.default_rng(3).integers(0, len(CATS), len(all_spans(3)))
-    table = scorer.score_spans(utt, lex)
-    scorer.score_spans(Utterance.from_text("twice walk"), lex)
-    raw, cache = scorer._forward(utt, lex)
-    assert np.array_equal(table.raw, raw)
-    for key in ("F", "A", "R"):
-        assert np.array_equal(table.cache[key], cache[key])
-    loss, grads = scorer.loss_and_grads(table, labels)
-    fresh_loss, fresh_grads = scorer.loss_and_grads(
-        ScoreTable(3, CATS, raw, scorer.params, cache), labels)
+    table, = scorer.score_spans([utt], lex)
+    scorer.score_spans([Utterance.from_text("twice walk")], lex)
+    fresh, = scorer.score_spans([utt], lex)
+    assert np.array_equal(table.raw, fresh.raw)
+    assert np.array_equal(table.cache["R"], fresh.cache["R"])
+    loss, grads = scorer.loss_and_grads([table], [labels])
+    fresh_loss, fresh_grads = scorer.loss_and_grads([fresh], [labels])
     assert loss == fresh_loss
     for key in grads:
         assert np.array_equal(grads[key], fresh_grads[key]), key
@@ -199,13 +203,13 @@ def test_loss_and_grads_rejects_a_table_of_other_parameters():
     scorer = tiny_scorer()
     utt = Utterance.from_text("walk right")
     labels = scorer.labels_for_tree(gold_tree(), 2)
-    table = scorer.score_spans(utt)
-    _, grads = scorer.loss_and_grads(table, labels)
+    table, = scorer.score_spans([utt])
+    _, grads = scorer.loss_and_grads([table], [labels])
     scorer.params = sgd_step(scorer.params, grads, 0.01)
     with pytest.raises(ValueError, match="not scored with"):
-        scorer.loss_and_grads(table, labels)
+        scorer.loss_and_grads([table], [labels])
     with pytest.raises(ValueError, match="not scored with"):
-        scorer.loss_and_grads(ScoreTable(2, CATS, table.raw), labels)
+        scorer.loss_and_grads([ScoreTable(2, CATS, table.raw)], [labels])
 
 
 def test_lexicon_matches_are_memoized_and_add_clears_them():
@@ -231,5 +235,155 @@ def test_checkpoint_round_trip(tmp_path):
     again, extra = load_checkpoint(path)
     assert extra == {"note": "x"}
     utt = Utterance.from_text("walk right twice")
-    assert np.array_equal(scorer.score_spans(utt).raw,
-                          again.score_spans(utt).raw)
+    assert np.array_equal(scorer.score_spans([utt])[0].raw,
+                          again.score_spans([utt])[0].raw)
+
+
+@pytest.mark.parametrize("label", [JOIN, NOSEM])
+def test_a_lexicon_match_naming_a_reserved_label_is_refused(label):
+    scorer = tiny_scorer()
+    lex = Lexicon.from_pairs([("walk", "walk"), ("Right twice", label)])
+    with pytest.raises(ValueError, match=f"'right twice' names the reserved "
+                                         f"label '{label}'"):
+        scorer.score_spans([Utterance.from_text("walk right twice")], lex)
+
+
+# --- batches ----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def domains():
+    """Per domain: a full-size scorer over its vocabulary, its lexicon, its
+    utterances and its schema."""
+    out = {}
+    schema = scan_schema()
+    utts = [e.utterance for e in generate_scan_sp(schema)]
+    out["scan"] = (schema, Lexicon.from_pairs(scan_lexicon_entries()), utts)
+    kb = mini_kb()
+    schema = geo_schema(kb)
+    lexicon = Lexicon.from_entity_lexicon(schema.entity_lexicon).merged_with(
+        Lexicon.from_pairs(geo_lexicon_entries()))
+    out["geo"] = (schema, lexicon,
+                  [Utterance.from_text(text) for text, _ in mini_geo_corpus(kb)])
+    return {name: (SpanScorer(sorted({t for u in utts for t in u.tokens}),
+                              schema.categories(), seed=5), lexicon, utts, schema)
+            for name, (schema, lexicon, utts) in out.items()}
+
+
+def mixed_batch(utts, seed):
+    """One utterance per length 1..9, each a prefix of a corpus utterance."""
+    rng = random.Random(seed)
+    batch = [Utterance("", rng.choice([u for u in utts if len(u) >= n]).tokens[:n])
+             for n in range(1, 10)]
+    rng.shuffle(batch)
+    return batch
+
+
+@pytest.mark.parametrize("name", ["scan", "geo"])
+def test_a_batch_scores_and_backpropagates_as_its_members_alone(domains, name):
+    """Scores match each member scored alone up to GEMM rounding, with the
+    same argmax per span; the loss and gradients are those of the labelled
+    members alone, summed, and a member labelled None adds nothing."""
+    scorer, lexicon, utts, _ = domains[name]
+    batch = mixed_batch(utts, seed=1)
+    rng = np.random.default_rng(1)
+    labels = [rng.integers(0, len(scorer.categories), len(all_spans(len(u))))
+              for u in batch]
+    labels[4] = None
+    tables = scorer.score_spans(batch, lexicon)
+    loss, grads = scorer.loss_and_grads(tables, labels)
+    want_loss, want_grads = 0.0, scorer.zero_grads()
+    for utt, table, rows in zip(batch, tables, labels):
+        alone, = scorer.score_spans([utt], lexicon)
+        assert table.n == len(utt)
+        assert np.allclose(table.raw, alone.raw, rtol=0.0, atol=1e-12)
+        assert np.array_equal(table.raw.argmax(axis=1), alone.raw.argmax(axis=1))
+        if rows is not None:
+            want_loss += scorer.loss_and_grads([alone], [rows], want_grads)[0]
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+    for key in grads:
+        assert np.allclose(grads[key], want_grads[key], rtol=1e-10, atol=1e-13), key
+    none_loss, none_grads = scorer.loss_and_grads(tables, [None] * len(tables))
+    assert none_loss == 0.0
+    assert not any(g.any() for g in none_grads.values())
+
+
+def test_batch_gradients_match_finite_differences():
+    """Central differences of a 3-example batch loss, one example labelled
+    None, at random coordinates; 1e-4 relative error."""
+    scorer = tiny_scorer(seed=2, lam=2.0)
+    lex = Lexicon.from_pairs([("walk", "walk")])
+    batch = [Utterance.from_text(t) for t in ("walk right twice", "twice", "right walk")]
+    rng = np.random.default_rng(2)
+    labels = [rng.integers(0, len(CATS), size=len(all_spans(len(u)))) for u in batch]
+    labels[1] = None
+
+    _, grads = scorer.loss_and_grads(scorer.score_spans(batch, lex), labels)
+    eps = 1e-5  # large enough that roundoff stays below the 1e-4 gate
+    for _ in range(10):
+        key = rng.choice(list(scorer.params))
+        idx = tuple(rng.integers(0, d) for d in scorer.params[key].shape)
+        orig = scorer.params[key][idx]
+        scorer.params[key][idx] = orig + eps
+        up, _ = scorer.loss_and_grads(scorer.score_spans(batch, lex), labels)
+        scorer.params[key][idx] = orig - eps
+        down, _ = scorer.loss_and_grads(scorer.score_spans(batch, lex), labels)
+        scorer.params[key][idx] = orig
+        numeric = (up - down) / (2 * eps)
+        analytic = grads[key][idx]
+        denom = max(abs(numeric), abs(analytic), 1e-8)
+        assert abs(numeric - analytic) / denom < 1e-4, (key, idx)
+
+
+def test_loss_and_grads_takes_the_tables_of_one_call_in_order():
+    scorer = tiny_scorer()
+    batch = [Utterance.from_text(t) for t in ("walk right", "twice walk right")]
+    labels = [np.zeros(len(all_spans(len(u))), dtype=int) for u in batch]
+    tables = scorer.score_spans(batch)
+    other = scorer.score_spans(batch)
+    for mixed in ([tables[0], other[1]], tables[::-1], tables[:1], []):
+        with pytest.raises(ValueError, match="one score_spans call"):
+            scorer.loss_and_grads(mixed, labels[:len(mixed)])
+    _, grads = scorer.loss_and_grads(tables, labels)
+    scorer.params = sgd_step(scorer.params, grads, 0.01)
+    with pytest.raises(ValueError, match="not scored with"):
+        scorer.loss_and_grads(tables, labels)
+
+
+@pytest.mark.parametrize("name", ["scan", "geo"])
+def test_labels_for_tree_matches_the_span_map(domains, name):
+    """On a 300-example scan sample with its gold trees, and on the geo
+    corpus with the ternary E-step's trees over random scores."""
+    scorer, _, _, schema = domains[name]
+    if name == "scan":
+        trees = [(e.tree, len(e.utterance)) for e in
+                 random.Random(0).sample(generate_scan_sp(schema), 300)]
+    else:
+        rng = np.random.default_rng(0)
+        trees = []
+        for text, program in mini_geo_corpus(mini_kb()):
+            n = len(Utterance.from_text(text))
+            table = ScoreTable(n, scorer.categories, rng.normal(
+                0, 2, (len(all_spans(n)), len(scorer.categories))))
+            result = constrained_parse(table, Grammar(ternary=True),
+                                       parse_program(program, schema), schema)
+            if result is not None:
+                trees.append((result.tree, n))
+        assert len(trees) > 40
+    for tree, n in trees:
+        mapping = span_map(tree, n)
+        want = [scorer.cat_index[mapping[s]] for s in all_spans(n)]
+        assert scorer.labels_for_tree(tree, n).tolist() == want
+
+
+def test_an_empty_utterance_scores_to_an_empty_table():
+    scorer = tiny_scorer()
+    batch = [Utterance.from_text("walk right"), Utterance("", ())]
+    labels = [np.zeros(3, dtype=int), np.zeros(0, dtype=int)]
+    tables = scorer.score_spans(batch)
+    assert tables[1].raw.shape == (0, len(CATS))
+    loss, grads = scorer.loss_and_grads(tables, labels)
+    alone = scorer.loss_and_grads(scorer.score_spans(batch[:1]), labels[:1])
+    assert loss == pytest.approx(alone[0])
+    for key in grads:
+        assert np.allclose(grads[key], alone[1][key], rtol=1e-10, atol=1e-13), key

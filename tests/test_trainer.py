@@ -106,7 +106,7 @@ def test_target_tree_prefers_gold_tree_when_configured(scan_domain,
     config = TrainConfig(use_gold_trees=True)
     scorer = fresh_scorer(short_examples, scan_domain, config)
     ex = short_examples[0]
-    table = scorer.score_spans(ex.utterance, scan_domain.lexicon)
+    table, = scorer.score_spans([ex.utterance], scan_domain.lexicon)
     assert target_tree(table, ex, scan_domain, Grammar(), config) is ex.tree
 
 
@@ -115,7 +115,7 @@ def test_target_tree_constrained_parse_matches_gold_program(scan_domain,
     config = TrainConfig()
     scorer = fresh_scorer(short_examples, scan_domain, config)
     for ex in short_examples[:10]:
-        table = scorer.score_spans(ex.utterance, scan_domain.lexicon)
+        table, = scorer.score_spans([ex.utterance], scan_domain.lexicon)
         tree = target_tree(table, ex, scan_domain, Grammar(), config)
         assert tree is not None
         assert program_of_tree(tree, scan_domain.schema) == ex.program
