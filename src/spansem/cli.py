@@ -8,7 +8,8 @@ Dataset directory layout:
 Each JSONL record is {"utterance", "program", "tree", "denotation"}; the
 tree is null when no gold tree is available.
 
-Every setting comes from a flag (or train --config); no environment
+Every setting comes from a flag or, for train, a --config file of
+TrainConfig settings that the flags given override; no environment
 variable changes a default.  Exit codes: 0 success, 2 no valid parse or,
 for parse, a composed program the executor rejects, 3 configuration error
 (including an empty utterance to parse, a missing checkpoint, dataset
@@ -34,6 +35,7 @@ import json
 import math
 import multiprocessing
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .cky import Grammar, dump_chart
@@ -132,7 +134,7 @@ def read_examples(path: Path, schema) -> list:
     return out
 
 
-def load_domain(data_dir: Path, no_lexicon: bool = False) -> Domain:
+def load_domain(data_dir: Path, no_lexicon: bool) -> Domain:
     """Rebuild the Domain from a dataset directory.
 
     --no-lexicon drops the manual lexicon but keeps the automatic
@@ -180,10 +182,31 @@ def make_dir(path: Path) -> None:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
 
 
-def check_checkpoint_domain(scorer, domain: Domain) -> None:
+def run_record(domain: Domain, data_dir: Path, config: TrainConfig,
+               no_lexicon: bool) -> dict:
+    """What a checkpoint records of its training run; ``load_run`` reads
+    it back."""
+    return {"domain": domain.name, "data_dir": str(data_dir),
+            "ternary": config.ternary, "no_lexicon": no_lexicon,
+            "K": config.K}
+
+
+def load_run(checkpoint, data_dir):
+    """The scorer of a checkpoint, the domain of ``data_dir`` (when None,
+    of the dataset directory the checkpoint records), and the grammar and
+    K the run was trained with.  A setting the checkpoint does not record
+    takes TrainConfig's default; an unrecorded --no-lexicon is off."""
+    scorer, extra = read_file(checkpoint, load_checkpoint)
+    data_dir = data_dir or extra.get("data_dir")
+    if data_dir is None:
+        raise ConfigError(f"{checkpoint}: the checkpoint records no "
+                          f"dataset directory; pass --data")
+    domain = load_domain(Path(data_dir), no_lexicon=bool(extra.get("no_lexicon")))
     if scorer.categories != domain.schema.categories():
         raise ConfigError(f"checkpoint categories do not match the "
                           f"{domain.name} schema of the dataset")
+    ternary = extra.get("ternary", TrainConfig.ternary)
+    return scorer, domain, Grammar(ternary=ternary), extra.get("K", TrainConfig.K)
 
 
 def write_config(out_dir: Path, resolved: dict) -> None:
@@ -259,19 +282,15 @@ def read_config_file(path) -> dict:
 
 
 def train_config_from(args) -> TrainConfig:
-    merged = {}
-    if args.config:
-        merged = read_file(args.config, read_config_file)
-    for key in ("lr", "batch_size", "max_epochs", "patience", "K", "lam",
-                "momentum", "seed", "curriculum_epochs"):
-        value = getattr(args, key.lower())
-        if value is not None:
-            merged[key] = value
-    merged["ternary"] = args.ternary
-    merged["use_gold_trees"] = args.gold_trees
+    """The --config file's settings, then every setting flag given, then
+    --no-lexicon's zero bonus; an absent flag leaves the file's value."""
+    settings = read_file(args.config, read_config_file) if args.config else {}
+    for f in fields(TrainConfig):
+        if (value := getattr(args, f.name)) is not None:
+            settings[f.name] = value
     if args.no_lexicon:
-        merged["lam"] = 0.0
-    return TrainConfig(**merged)
+        settings["lam"] = 0.0
+    return TrainConfig(**settings)
 
 
 def cmd_train(args) -> int:
@@ -283,24 +302,14 @@ def cmd_train(args) -> int:
     domain = load_domain(data_dir, no_lexicon=args.no_lexicon)
     train_ex = read_examples(data_dir / "train.jsonl", domain.schema)
     dev_ex = read_examples(data_dir / "dev.jsonl", domain.schema)
-    if args.gold_trees and any(ex.tree is None for ex in train_ex):
+    if config.use_gold_trees and any(ex.tree is None for ex in train_ex):
         raise ConfigError("--gold-trees requires trees in the training data")
     result = train(train_ex, dev_ex, domain, config,
                    log_path=out_dir / "log.jsonl")
-    save_checkpoint(result.scorer, out_dir / "model.npz", extra={
-        "domain": domain.name,
-        "data_dir": str(data_dir),
-        "ternary": config.ternary,
-        "no_lexicon": args.no_lexicon,
-        "K": config.K,
-    })
-    resolved = {"command": "train", "data": str(data_dir),
-                "no_lexicon": args.no_lexicon,
-                "gold_trees": args.gold_trees,
-                **{k: getattr(config, k) for k in (
-                    "lr", "batch_size", "max_epochs", "patience", "K", "lam",
-                    "momentum", "seed", "ternary", "curriculum_epochs")}}
-    write_config(out_dir, resolved)
+    save_checkpoint(result.scorer, out_dir / "model.npz",
+                    extra=run_record(domain, data_dir, config, args.no_lexicon))
+    write_config(out_dir, {"command": "train", "data": str(data_dir),
+                           "no_lexicon": args.no_lexicon, **asdict(config)})
     print(f"best epoch {result.best_epoch}: "
           f"dev accuracy {result.best_dev_accuracy:.4f}")
     return EXIT_OK
@@ -311,16 +320,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
-    scorer, extra = read_file(args.checkpoint, load_checkpoint)
     data_path = Path(args.data)
-    domain = load_domain(data_path.parent,
-                         no_lexicon=extra.get("no_lexicon", False))
-    check_checkpoint_domain(scorer, domain)
+    scorer, domain, grammar, K = load_run(args.checkpoint, data_path.parent)
     examples = read_examples(data_path, domain.schema)
     if not examples:
         raise ConfigError(f"empty evaluation file {data_path}")
-    grammar = Grammar(ternary=extra.get("ternary", False))
-    K = extra.get("K", 5)
     if args.jobs > 1:
         # One chunk per worker, so the scorer is pickled once per worker.
         chunksize = math.ceil(len(examples) / args.jobs)
@@ -347,17 +351,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    scorer, extra = read_file(args.checkpoint, load_checkpoint)
-    data_dir = args.data or extra.get("data_dir")
-    if data_dir is None:
-        raise ConfigError(f"{args.checkpoint}: the checkpoint records no "
-                          f"dataset directory; pass --data")
-    data_dir = Path(data_dir)
-    domain = load_domain(data_dir, no_lexicon=extra.get("no_lexicon", False))
-    check_checkpoint_domain(scorer, domain)
-    ternary = args.ternary or extra.get("ternary", False)
-    grammar = Grammar(ternary=ternary)
-    K = extra.get("K", 5)
+    scorer, domain, grammar, K = load_run(args.checkpoint, args.data)
+    if args.ternary:
+        grammar = Grammar(ternary=True)
     utt = Utterance.from_text(args.utterance)
     if not utt.tokens:
         raise ConfigError("empty utterance")
@@ -404,19 +400,18 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True)
     tr.add_argument("--config", default=None,
                     help="JSON config file; CLI flags override its values")
-    tr.add_argument("--lr", type=float, default=None)
-    tr.add_argument("--batch-size", type=int, dest="batch_size", default=None)
-    tr.add_argument("--max-epochs", type=int, dest="max_epochs", default=None)
-    tr.add_argument("--patience", type=int, default=None)
-    tr.add_argument("--k", type=int, default=None)
-    tr.add_argument("--lam", type=float, default=None)
-    tr.add_argument("--momentum", type=float, default=None)
-    tr.add_argument("--seed", type=int, default=None)
-    tr.add_argument("--curriculum-epochs", type=int,
-                    dest="curriculum_epochs", default=None)
-    tr.add_argument("--ternary", action="store_true")
+    for f in fields(TrainConfig):
+        # Every setting defaults to None, "not given", so that only a
+        # given flag overrides the --config file.
+        if f.name == "use_gold_trees":
+            flag = "--gold-trees"
+        else:
+            flag = "--" + f.name.lower().replace("_", "-")
+        if isinstance(f.default, bool):
+            tr.add_argument(flag, dest=f.name, action="store_const", const=True)
+        else:
+            tr.add_argument(flag, dest=f.name, type=type(f.default))
     tr.add_argument("--no-lexicon", action="store_true", dest="no_lexicon")
-    tr.add_argument("--gold-trees", action="store_true", dest="gold_trees")
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a JSONL file")

@@ -174,8 +174,10 @@ class ScoreTable:
     A table from ``SpanScorer.score_spans`` also keeps the parameter dict
     that scored it (``params``), the forward cache of its batch (``cache``,
     shared by every table of one call) and its place in the batch
-    (``position``), which ``loss_and_grads`` backpropagates from; a table
-    built from raw scores has no parameters and no cache.
+    (``position``), which ``loss_and_grads`` backpropagates from, and it
+    shares the scorer's category list and index.  A table built from raw
+    scores has no parameters and no cache, and indexes its own copy of
+    ``categories``.
     """
 
     def __init__(self, n: int, categories: list, raw: np.ndarray,
@@ -183,8 +185,11 @@ class ScoreTable:
                  position: int = 0):
         geometry = _geometry(n)
         self.n = n
-        self.categories = list(categories)
-        self.cat_index = {c: k for k, c in enumerate(self.categories)}
+        if cache is None:
+            self.categories = list(categories)
+            self.cat_index = {c: k for k, c in enumerate(self.categories)}
+        else:  # the scorer's list and index, shared by the batch's tables
+            self.categories, self.cat_index = categories, cache["cat_index"]
         self.spans = geometry.spans
         self.span_index = geometry.span_index
         self.row_of = geometry.row_of
@@ -276,14 +281,15 @@ class SpanScorer:
         for layer in reversed(range(self.n_layers)):
             W = self.params[f"mix{layer}_W"]
             dpre = dx * (1.0 - cache["layers"][layer + 1] ** 2)
-            grads[f"mix{layer}_b"] += dpre.sum(axis=0)
+            grads[f"mix{layer}_b"] = dpre.sum(axis=0)
             # The gathered windows are gathered again rather than kept:
             # they are (taps * d) wide per token.
             columns = _im2col(cache["layers"][layer], cache)
-            grads[f"mix{layer}_W"] += (columns.T @ dpre).reshape(W.shape)
+            grads[f"mix{layer}_W"] = (columns.T @ dpre).reshape(W.shape)
             # The gather's adjoint is the same gather with the taps
             # reversed: tap o of the token at offset o - w reads this one.
             dx = _im2col(dpre, cache) @ W[::-1].transpose(0, 2, 1).reshape(-1, d)
+        grads["emb"] = np.zeros_like(self.params["emb"])
         np.add.at(grads["emb"], cache["ids"], dx)
 
     # -- scoring -----------------------------------------------------------
@@ -327,7 +333,7 @@ class SpanScorer:
         delta = np.concatenate([self.lexicon_delta(u, lexicon) for u in utterances])
         raw = R @ self.params["W2"].T + self.lam * delta
         cache.update(geometries=geometries, first=first, offsets=offsets,
-                     R=R, raw=raw)
+                     R=R, raw=raw, cat_index=self.cat_index)
         return [ScoreTable(len(u), self.categories, raw[lo:hi], self.params,
                            cache, k)
                 for k, (u, lo, hi) in enumerate(zip(utterances, offsets,
@@ -338,7 +344,7 @@ class SpanScorer:
     def zero_grads(self) -> dict:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def loss_and_grads(self, tables: list, labels: list, grads: dict | None = None):
+    def loss_and_grads(self, tables: list, labels: list):
         """Summed cross-entropy over every span of a scored batch and its
         parameter gradients, backpropagated in one pass from the batch's
         forward cache.
@@ -347,8 +353,7 @@ class SpanScorer:
         order it returned them, under the current parameter dict; else
         ValueError.  ``labels[k]`` holds one category index per span of
         ``tables[k]``, in all_spans order, or is None: then that example
-        adds no loss and no gradient.  Gradients are accumulated into
-        ``grads`` when given.
+        adds no loss and no gradient.
         """
         if any(t.params is not self.params for t in tables):
             raise ValueError("the table was not scored with this scorer's "
@@ -372,12 +377,10 @@ class SpanScorer:
         loss = float((np.log(total[rows, 0]) + peak[rows, 0]
                       - raw[rows, cols]).sum())
 
-        if grads is None:
-            grads = self.zero_grads()
         draw = expd / total
         draw[rows, cols] -= 1.0
         draw[target < 0] = 0.0
-        grads["W2"] += draw.T @ cache["R"]
+        grads = {"W2": draw.T @ cache["R"]}
         dA = draw @ self.params["W2"]
         dA *= cache["R"] > 0
         # Scatter-add dA by start token into G[0] and by end token into
@@ -388,8 +391,7 @@ class SpanScorer:
                                      offsets, offsets[1:]):
             G[:, t0:t1] = (g.by_token @ dA[lo:hi]).reshape(2, t1 - t0, dA.shape[1])
         H, W1, d = cache["layers"][-1], self.params["W1"], self.h_dim
-        grads["W1"][:, :d] += G[0].T @ H
-        grads["W1"][:, d:] += G[1].T @ H
+        grads["W1"] = np.concatenate((G[0].T @ H, G[1].T @ H), axis=1)
         dH = G[0] @ W1[:, :d] + G[1] @ W1[:, d:]
         self._encode_backward(cache, dH, grads)
         return loss, grads

@@ -127,8 +127,7 @@ def hard_em_step(scorer: SpanScorer, batch: list, domain: Domain,
               for tree, table in zip(trees, tables)]
     used = sum(rows is not None for rows in labels)
     skipped = len(batch) - used
-    grads = scorer.zero_grads()
-    loss, _ = scorer.loss_and_grads(tables, labels, grads)
+    loss, grads = scorer.loss_and_grads(tables, labels)
     if used:
         for g in grads.values():
             g /= used
@@ -163,7 +162,7 @@ def evaluate_example(scorer: SpanScorer, domain: Domain, grammar: Grammar,
 
 
 def evaluate(scorer: SpanScorer, examples: list, domain: Domain,
-             grammar: Grammar, K: int = 5, map=map) -> dict:
+             grammar: Grammar, K: int, map=map) -> dict:
     """Denotation accuracy, failures, labeled-span F1 (examples with gold
     trees), and per-example records.  ``map`` applies ``evaluate_example``
     to the examples in order; a process pool's ``map`` gives the same
@@ -187,9 +186,11 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
           config: TrainConfig, log_path=None) -> TrainResult:
     """Hard-EM training with early stopping on dev denotation accuracy.
 
-    The returned scorer carries the parameters of the best dev epoch.  A
-    NaN or infinite batch loss stops training with a ConfigError before
-    the step is taken.
+    The returned scorer carries the parameters of the best dev epoch.
+    Without dev examples nothing stops training early: all ``max_epochs``
+    run and the scorer carries the last epoch's parameters.  A NaN or
+    infinite batch loss stops training with a ConfigError before the step
+    is taken.
     """
     config.validate()
     if not train_examples:
@@ -247,7 +248,9 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
             if log is not None:
                 log.write(json.dumps(entry, sort_keys=True) + "\n")
                 log.flush()
-            if dev_acc > best_acc:
+            if not dev_examples:
+                best_acc, best_epoch = dev_acc, epoch
+            elif dev_acc > best_acc:
                 best_acc, best_epoch, stale = dev_acc, epoch, 0
                 best_params = {k: v.copy() for k, v in scorer.params.items()}
             else:

@@ -4,6 +4,7 @@ parsing, exit codes, and environment-variable overrides."""
 import json
 import random
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spansem.core import Utterance
 from spansem.data.scan import generate_scan_sp, scan_lexicon_entries, scan_schema
 from spansem.data.splits import program_token_length
 from spansem.scorer import Lexicon, SpanScorer, load_checkpoint, save_checkpoint
+from spansem.trainer import TrainConfig
 from spansem.typesys import parse_program, save_schema
 
 
@@ -161,6 +163,45 @@ def test_train_config_file_merges_under_flags(tiny_scan_dir, tmp_path):
     assert resolved["lr"] == 0.002  # flag wins
 
 
+def test_train_config_file_settings_hold_without_flags(tiny_scan_dir, tmp_path):
+    """A setting of the file that no flag gives reaches the run: a file
+    asking for the ternary rule and gold trees gets both, as config.json
+    and the checkpoint record."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ternary": True, "use_gold_trees": True,
+                               "max_epochs": 1}))
+    out = tmp_path / "ternary-gold"
+    assert cli.main(["train", "--data", str(tiny_scan_dir), "--out", str(out),
+                     "--config", str(cfg)]) == cli.EXIT_OK
+    resolved = json.loads((out / "config.json").read_text())
+    assert set(resolved) == ({"command", "data", "no_lexicon"}
+                             | {f.name for f in fields(TrainConfig)})
+    assert resolved["ternary"] is True and resolved["use_gold_trees"] is True
+    _, extra = load_checkpoint(out / "model.npz")
+    assert extra["ternary"] is True
+
+
+def test_train_flags_are_the_settings_by_name_and_type():
+    """One flag per TrainConfig field, parsed to the type of its default;
+    an absent flag is None, so it leaves the --config file's value."""
+    base = ["train", "--data", "d", "--out", "o"]
+    parser = cli.build_parser()
+    args = parser.parse_args(base + [
+        "--lr", "1", "--batch-size", "2", "--max-epochs", "3",
+        "--patience", "4", "--k", "6", "--lam", "7", "--momentum", "0.25",
+        "--seed", "8", "--curriculum-epochs", "9", "--ternary",
+        "--gold-trees"])
+    assert {f.name: type(getattr(args, f.name)) for f in fields(TrainConfig)} \
+        == {f.name: type(f.default) for f in fields(TrainConfig)}
+    assert cli.train_config_from(args) == TrainConfig(
+        lr=1.0, batch_size=2, max_epochs=3, patience=4, K=6, lam=7.0,
+        momentum=0.25, seed=8, curriculum_epochs=9, ternary=True,
+        use_gold_trees=True)
+    args = parser.parse_args(base)
+    assert all(getattr(args, f.name) is None for f in fields(TrainConfig))
+    assert cli.train_config_from(args) == TrainConfig()
+
+
 def test_train_no_lexicon_forces_zero_bonus(tiny_scan_dir, tmp_path):
     out = tmp_path / "nolex"
     assert cli.main(["train", "--data", str(tiny_scan_dir), "--out", str(out),
@@ -175,6 +216,11 @@ def test_train_gold_trees_requires_trees(tmp_path):
     cli.main(["gen-data", "--domain", "geo", "--out", str(geo)])
     code = cli.main(["train", "--data", str(geo), "--out", str(tmp_path / "g"),
                      "--max-epochs", "1", "--gold-trees"])
+    assert code == cli.EXIT_CONFIG
+    cfg = tmp_path / "gold.json"
+    cfg.write_text(json.dumps({"use_gold_trees": True, "max_epochs": 1}))
+    code = cli.main(["train", "--data", str(geo), "--out", str(tmp_path / "g"),
+                     "--config", str(cfg)])
     assert code == cli.EXIT_CONFIG
 
 
@@ -307,7 +353,7 @@ def test_checkpoint_parameter_shapes_are_checked(exec_error_run, tmp_path,
 def test_train_stops_on_non_finite_loss(tiny_scan_dir, tmp_path, monkeypatch,
                                         capsys):
     monkeypatch.setattr(SpanScorer, "loss_and_grads",
-                        lambda self, *args, **kwargs: (float("nan"), None))
+                        lambda self, *args: (float("nan"), self.zero_grads()))
     code = cli.main(["train", "--data", str(tiny_scan_dir),
                      "--out", str(tmp_path / "nan"), "--max-epochs", "1"])
     assert code == cli.EXIT_CONFIG
@@ -515,7 +561,7 @@ def test_parse_dump_chart(trained_run, tiny_scan_dir, tmp_path):
         assert len(scores) <= 5 and scores == sorted(scores, reverse=True)
     assert chart["cells"]["1,1"] and chart["cells"]["1,2"]
     scorer, extra = load_checkpoint(trained_run / "model.npz")
-    domain = cli.load_domain(tiny_scan_dir)
+    domain = cli.load_domain(tiny_scan_dir, no_lexicon=extra["no_lexicon"])
     table, = scorer.score_spans([Utterance.from_text("walk right")], domain.lexicon)
     candidates = parse_kbest(table, Grammar(), extra["K"])
     assert [e["score"] for e in chart["root"]] == [c.score for c in candidates]

@@ -281,9 +281,10 @@ def mixed_batch(utts, seed):
 
 @pytest.mark.parametrize("name", ["scan", "geo"])
 def test_a_batch_scores_and_backpropagates_as_its_members_alone(domains, name):
-    """Scores match each member scored alone up to GEMM rounding, with the
-    same argmax per span; the loss and gradients are those of the labelled
-    members alone, summed, and a member labelled None adds nothing."""
+    """The tables share the scorer's category list and index.  Scores match
+    each member scored alone up to GEMM rounding, with the same argmax per
+    span; the loss and gradients are those of the labelled members alone,
+    summed, and a member labelled None adds nothing."""
     scorer, lexicon, utts, _ = domains[name]
     batch = mixed_batch(utts, seed=1)
     rng = np.random.default_rng(1)
@@ -291,18 +292,23 @@ def test_a_batch_scores_and_backpropagates_as_its_members_alone(domains, name):
               for u in batch]
     labels[4] = None
     tables = scorer.score_spans(batch, lexicon)
+    assert all(t.categories is scorer.categories and t.cat_index is scorer.cat_index
+               for t in tables)
     loss, grads = scorer.loss_and_grads(tables, labels)
-    want_loss, want_grads = 0.0, scorer.zero_grads()
+    members = []
     for utt, table, rows in zip(batch, tables, labels):
         alone, = scorer.score_spans([utt], lexicon)
         assert table.n == len(utt)
         assert np.allclose(table.raw, alone.raw, rtol=0.0, atol=1e-12)
         assert np.array_equal(table.raw.argmax(axis=1), alone.raw.argmax(axis=1))
         if rows is not None:
-            want_loss += scorer.loss_and_grads([alone], [rows], want_grads)[0]
+            members.append(scorer.loss_and_grads([alone], [rows]))
+    want_loss = sum(member_loss for member_loss, _ in members)
     assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+    assert grads.keys() == scorer.params.keys()
     for key in grads:
-        assert np.allclose(grads[key], want_grads[key], rtol=1e-10, atol=1e-13), key
+        want = sum(member_grads[key] for _, member_grads in members)
+        assert np.allclose(grads[key], want, rtol=1e-10, atol=1e-13), key
     none_loss, none_grads = scorer.loss_and_grads(tables, [None] * len(tables))
     assert none_loss == 0.0
     assert not any(g.any() for g in none_grads.values())

@@ -152,7 +152,8 @@ def test_hard_em_step_gradients_are_averaged(scan_domain, short_examples):
 def test_evaluate_report_shape(scan_domain, short_examples):
     config = TrainConfig()
     scorer = fresh_scorer(short_examples, scan_domain, config)
-    report = evaluate(scorer, short_examples[:6], scan_domain, Grammar())
+    report = evaluate(scorer, short_examples[:6], scan_domain, Grammar(),
+                      config.K)
     assert set(report) == {"accuracy", "failures", "per_example", "f1"}
     assert 0.0 <= report["accuracy"] <= 1.0
     assert len(report["per_example"]) == 6
@@ -172,14 +173,14 @@ def test_evaluate_counts_a_no_parse_as_a_miss(scan_domain, short_examples,
         return None if ex is examples[0] else ParseResult(ex.tree, 0.0, ex.program)
 
     monkeypatch.setattr(trainer, "predict", gold_except_first)
-    report = evaluate(None, examples, scan_domain, Grammar())
+    report = evaluate(None, examples, scan_domain, Grammar(), TrainConfig.K)
     assert report["accuracy"] == pytest.approx(2 / 3)
     assert report["failures"] == 1
     hits = sum(len(labeled_spans(ex.tree)) for ex in examples[1:])
     missed = len(labeled_spans(examples[0].tree))
     assert report["f1"] == pytest.approx(2 * hits / (2 * hits + missed))
     with pytest.raises(ValueError):
-        evaluate(None, [], scan_domain, Grammar())
+        evaluate(None, [], scan_domain, Grammar(), TrainConfig.K)
 
 
 def test_evaluate_omits_f1_without_gold_trees(scan_domain, short_examples):
@@ -187,7 +188,7 @@ def test_evaluate_omits_f1_without_gold_trees(scan_domain, short_examples):
     scorer = fresh_scorer(short_examples, scan_domain, config)
     stripped = [TrainExample(ex.utterance, ex.program, None, ex.denotation)
                 for ex in short_examples[:4]]
-    report = evaluate(scorer, stripped, scan_domain, Grammar())
+    report = evaluate(scorer, stripped, scan_domain, Grammar(), config.K)
     assert "f1" not in report
 
 
@@ -203,7 +204,8 @@ def test_hard_em_training_fits_short_commands(scan_domain, short_examples):
     assert result.history[0]["epoch"] == 0
     # the returned scorer generalizes to unseen short commands
     held_out = short_examples[110:130]
-    report = evaluate(result.scorer, held_out, scan_domain, Grammar())
+    report = evaluate(result.scorer, held_out, scan_domain, Grammar(),
+                      TrainConfig.K)
     assert report["accuracy"] >= 0.9
 
 
@@ -255,8 +257,23 @@ def test_early_stopping_keeps_best_parameters(scan_domain, short_examples):
     train_set, dev_set = short_examples[:60], short_examples[60:80]
     result = train(train_set, dev_set, scan_domain,
                    TrainConfig(max_epochs=10, patience=5, seed=0))
-    report = evaluate(result.scorer, dev_set, scan_domain, Grammar())
+    report = evaluate(result.scorer, dev_set, scan_domain, Grammar(),
+                      TrainConfig.K)
     assert report["accuracy"] == pytest.approx(result.best_dev_accuracy)
+
+
+def test_training_without_a_dev_set_keeps_the_last_epoch(scan_domain,
+                                                         short_examples):
+    """With no dev examples nothing stops training early, and the scorer
+    carries the last epoch's parameters, not the first's."""
+    config = TrainConfig(max_epochs=4, patience=1, seed=0)
+    result = train(short_examples[:20], [], scan_domain, config)
+    assert [h["epoch"] for h in result.history] == [0, 1, 2, 3]
+    assert result.best_epoch == 3
+    first = train(short_examples[:20], [], scan_domain,
+                  TrainConfig(max_epochs=1, patience=1, seed=0))
+    assert any((result.scorer.params[k] != first.scorer.params[k]).any()
+               for k in first.scorer.params)
 
 
 def test_geo_training_on_simple_questions():
