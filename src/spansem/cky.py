@@ -25,7 +25,13 @@ through the schema's composition table (``typesys.CompositionTable``), so
 its cells are keyed on program ids and a pair of programs is composed once
 per schema.  A node is kept only while its program is admissible against
 the gold program, so every tree it returns maps to gold and it returns
-None only when no tree does.
+None only when no tree does.  Cells also drop every item that no tree
+with the gold program at its root contains, by an exact outside bound in
+the spirit of A* parsing (Klein & Manning 2003).  A program's ``weight``
+counts its constants that are no type default.  Composition adds
+weights, so a gold tree holds ``weight(gold) - weight(x)`` weighted leaves
+outside a node of state ``x``, each over tokens of its own; an item whose
+span leaves fewer tokens outside is dropped, and no gold tree is lost.
 
 Both charts keep one derivation format, the tuple ``(score, i, j,
 category, children)`` whose children are derivations (a NoSem child is
@@ -343,13 +349,25 @@ def best_valid_tree(candidates, schema: DomainSchema):
     return None
 
 
+def weight(program: Program, schema: DomainSchema) -> int:
+    """The constant occurrences in ``program`` whose constant is no type
+    default of ``schema``.  Composition adds weights, since default
+    completion adds only defaults, so a tree composing to ``program`` has
+    exactly this many leaves labelled with a constant that is no default."""
+    return (program.head.name not in schema.type_defaults.values()) + sum(
+        weight(a, schema) for a in program.args if a is not None)
+
+
 class _States:
     """One constrained parse's view of the schema's composition table: the
-    admissibility filter against its gold program, memoized per program id,
-    and the partner maps of this call.
+    admissibility filter and the need against its gold program, memoized
+    per program id, and the partner maps of this call.
 
     A state is the id of a subterm of the gold program or of a partial
-    application of one.  ``tried[x]`` maps every state ``y`` composed with
+    application of one.  ``needs[x]`` is None when program ``x`` is not
+    admissible, and otherwise ``weight(gold) - weight(x)``: the leaves that
+    a tree with the gold program at its root holds outside a node whose
+    state is ``x``.  ``tried[x]`` maps every state ``y`` composed with
     ``x`` so far in this parse to ``table.compose(x, y)`` when that is
     admissible, else -1; ``found[x]`` keeps the admissible ones.  Both are
     filled in the order the chart meets its cells, so the chart's tie
@@ -357,35 +375,38 @@ class _States:
     """
 
     def __init__(self, gold: Program, schema: DomainSchema):
+        self.schema = schema
         self.table = schema.table
         self.by_head: dict = {}
         for sub in gold.subterms():
             self.by_head.setdefault(sub.head.name, []).append(sub)
-        self.admits: dict = {}
+        self.budget = weight(gold, schema)
+        self.needs: dict = {}
         self.tried = defaultdict(dict)
         self.found = defaultdict(dict)
 
-    def admissible(self, pid: int) -> bool:
-        """Some gold subterm has the head and every filled argument of
-        program ``pid``."""
-        ok = self.admits.get(pid)
-        if ok is None:
+    def need(self, pid: int) -> int | None:
+        """Program ``pid``'s need, or None unless some gold subterm has its
+        head and every filled argument."""
+        if pid not in self.needs:
             program = self.table.programs[pid]
-            ok = self.admits[pid] = any(
+            admissible = any(
                 all(pa is None or pa == ga
                     for pa, ga in zip(program.args, sub.args))
                 for sub in self.by_head.get(program.head.name, ()))
-        return ok
+            self.needs[pid] = (self.budget - weight(program, self.schema)
+                               if admissible else None)
+        return self.needs[pid]
 
     def meet(self, x: int, cell: dict) -> None:
         """Composes ``x`` with the states of ``cell`` not yet tried with it."""
         tried, found = self.tried[x], self.found[x]
-        compose, admissible = self.table.compose, self.admissible
+        compose, need = self.table.compose, self.need
         for y in cell:
             if y in tried:
                 continue
             pid = compose(x, y)
-            if pid >= 0 and admissible(pid):
+            if pid >= 0 and need(pid) is not None:
                 tried[y] = found[y] = pid
             else:
                 tried[y] = -1
@@ -400,11 +421,15 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     program its subtree composes to, as ``program_of_tree`` composes it:
     constants absent from ``gold`` are masked out, and a node is kept only
     while its program is admissible.  So the returned tree maps to
-    ``gold``.  Scores are summed as in ``parse_kbest``, and exact ties
-    mostly resolve as its merge pops them: rule sources are tried in its
-    order (leaf, Join Join by split, Join NoSem by split, ternary by
-    splits), cells are kept best first, and only a strictly greater score
-    replaces an entry.
+    ``gold``.  A cell also drops every state whose need (see ``_States``)
+    exceeds the tokens outside its span: each leaf covers tokens of its
+    own, so no tree composing to ``gold`` holds such an item, and no item
+    built on one is kept either.  Only cells longer than ``n -
+    weight(gold)`` can drop anything.  Scores are summed as in
+    ``parse_kbest``, and exact ties mostly resolve as its merge pops them:
+    rule sources are tried in its order (leaf, Join Join by split, Join
+    NoSem by split, ternary by splits), cells are kept best first, and only
+    a strictly greater score replaces an entry.
     """
     n = table.n
     if n < 1:
@@ -414,9 +439,14 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     stats.setdefault("combinations", 0)
     states = _States(gold, schema)
     gold_id = states.table.intern(gold)
-    tried, found = states.tried, states.found
+    tried, found, needs = states.tried, states.found, states.needs
     leaves = [(states.table.atom(c), table.cat_index[c], c)
               for c in sorted(table.categories) if c in states.by_head]
+    for sid, _, _ in leaves:
+        states.need(sid)  # so that every state in the chart has its need
+    # A cell no longer than this keeps every item: its need is at most
+    # weight(gold), and that many tokens lie outside it.
+    slack = n - states.budget
     rows = table.shifted.tolist()
     row_of = table.row_of
     join_col = table.cat_index[JOIN]
@@ -428,6 +458,7 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
             j = i + length - 1
             row = rows[row_of[i][j]]
             base = row[join_col]
+            room = n - length  # tokens outside the span
             cell = {}
             for sid, col, cat in leaves:
                 if row[col] > NEG_INF / 2:
@@ -446,6 +477,8 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
                                 cell[r] = (score, i, j, JOIN, (da, db))
             for s in range(i, j):
                 for a, da in chart[i][s].items():
+                    if needs[a] > room:
+                        continue  # the filter below would drop it
                     score = base + da[0] + 0.0  # + NoSem, as parse_kbest sums
                     old = cell.get(a)
                     if old is None or score > old[0]:
@@ -479,7 +512,10 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
                                         if old is None or score > old[0]:
                                             cell[r] = (score, i, j, JOIN,
                                                        (da, db, dc))
-            chart[i][j] = dict(sorted(cell.items(), key=lambda kv: -kv[1][0]))
+            items = cell.items()
+            if length > slack:
+                items = [kv for kv in items if needs[kv[0]] <= room]
+            chart[i][j] = dict(sorted(items, key=lambda kv: -kv[1][0]))
 
     stats["combinations"] += n - 1
     best = _root(rows[row_of[1][n]][join_col], chart[1][n].get(gold_id),

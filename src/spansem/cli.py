@@ -310,8 +310,11 @@ def cmd_train(args) -> int:
                     extra=run_record(domain, data_dir, config, args.no_lexicon))
     write_config(out_dir, {"command": "train", "data": str(data_dir),
                            "no_lexicon": args.no_lexicon, **asdict(config)})
-    print(f"best epoch {result.best_epoch}: "
-          f"dev accuracy {result.best_dev_accuracy:.4f}")
+    if result.best_dev_accuracy is None:
+        print(f"kept the last epoch {result.best_epoch}: no dev set")
+    else:
+        print(f"best epoch {result.best_epoch}: "
+              f"dev accuracy {result.best_dev_accuracy:.4f}")
     return EXIT_OK
 
 

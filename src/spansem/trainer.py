@@ -95,7 +95,7 @@ class TrainResult:
     scorer: SpanScorer
     history: list
     best_epoch: int
-    best_dev_accuracy: float
+    best_dev_accuracy: float | None  # None without dev examples
 
 
 def vocabulary(examples) -> list:
@@ -188,9 +188,10 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
 
     The returned scorer carries the parameters of the best dev epoch.
     Without dev examples nothing stops training early: all ``max_epochs``
-    run and the scorer carries the last epoch's parameters.  A NaN or
-    infinite batch loss stops training with a ConfigError before the step
-    is taken.
+    run, the scorer carries the last epoch's parameters, and there is no
+    dev accuracy: each history entry's ``dev_accuracy`` and the result's
+    ``best_dev_accuracy`` are None.  A NaN or infinite batch loss stops
+    training with a ConfigError before the step is taken.
     """
     config.validate()
     if not train_examples:
@@ -206,7 +207,7 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
                     for ex in dev_examples]
     rng = random.Random(config.seed)
     history = []
-    best_params, best_acc, best_epoch, stale = None, -1.0, -1, 0
+    best_params, best_acc, best_epoch, stale = None, None, -1, 0
     log = open(log_path, "w") if log_path is not None else None
     try:
         for epoch in range(config.max_epochs):
@@ -236,7 +237,7 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
                 scorer.params = sgd_step(scorer.params, velocity, config.lr)
             dev_acc = (evaluate(scorer, dev_examples, domain, grammar,
                                 config.K)["accuracy"]
-                       if dev_examples else 0.0)
+                       if dev_examples else None)
             entry = {
                 "epoch": epoch,
                 "train_loss": epoch_loss / max(epoch_used, 1),
@@ -248,14 +249,14 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
             if log is not None:
                 log.write(json.dumps(entry, sort_keys=True) + "\n")
                 log.flush()
-            if not dev_examples:
-                best_acc, best_epoch = dev_acc, epoch
-            elif dev_acc > best_acc:
+            if dev_acc is None:
+                best_epoch = epoch
+            elif best_acc is None or dev_acc > best_acc:
                 best_acc, best_epoch, stale = dev_acc, epoch, 0
                 best_params = {k: v.copy() for k, v in scorer.params.items()}
             else:
                 stale += 1
-            if dev_acc >= 1.0 or stale > config.patience:
+            if dev_acc == 1.0 or stale > config.patience:
                 break
     finally:
         if log is not None:

@@ -18,6 +18,7 @@ from spansem.cky import (
     constrained_parse,
     dump_chart,
     parse_kbest,
+    weight,
 )
 from spansem.core import (
     JOIN,
@@ -31,6 +32,7 @@ from spansem.data.geo import geo_schema, mini_geo_corpus, mini_kb
 from spansem.data.scan import generate_scan_sp, scan_schema
 from spansem.scorer import ScoreTable
 from spansem.typesys import (
+    Program,
     compose_children,
     parse_program,
     program_of_tree,
@@ -515,6 +517,135 @@ def test_constrained_parse_matches_gold_oracle(ternary):
             found[assert_constrained_matches_oracle(table, gold, schema,
                                                     ternary)] += 1
     assert found[True] and found[False]
+
+
+def weighted_constants(program, schema):
+    """The constants of ``program`` that are no type default, repeated as
+    often as they occur."""
+    defaults = set(schema.type_defaults.values())
+    return [s.head.name for s in program.subterms()
+            if s.head.name not in defaults]
+
+
+def tight_table(rng, schema, gold, n):
+    """Scores for an utterance of ``n`` tokens whose ``weight(gold)``
+    single-token spans each carry one weighted constant of ``gold``, in a
+    random order; the other tokens carry a gold constant, a default or
+    another constant, or nothing.  Join and NoSem score on every span."""
+    cats = schema.categories()
+    col = {c: k for k, c in enumerate(cats)}
+    spans = all_spans(n)
+    raw = np.full((len(spans), len(cats)), NEG_INF)
+    for k in (col[NOSEM], col[JOIN]):
+        raw[:, k] = [rng.gauss(0, 2) for _ in spans]
+    leaves = weighted_constants(gold, schema)
+    rng.shuffle(leaves)
+    tokens = sorted(rng.sample(range(1, n + 1), len(leaves)))
+    spares = sorted({s.head.name for s in gold.subterms()}
+                    | set(schema.type_defaults.values())
+                    | set(rng.sample(sorted(schema.constants), 2)))
+    names = dict(zip(tokens, leaves))
+    for t in range(1, n + 1):
+        if t not in names and rng.random() < 0.7:
+            names[t] = rng.choice(spares)
+    for row, span in enumerate(spans):
+        if span.start == span.end and span.start in names:
+            raw[row, col[names[span.start]]] = rng.gauss(0, 2)
+    return ScoreTable(n, cats, raw)
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_constrained_parse_matches_gold_oracle_where_the_bound_bites(ternary):
+    """With ``weight(gold)`` at n - 1 or n, the token bound filters every
+    cell longer than ``n - weight(gold)`` (0 or 1), and the E-step still
+    finds the oracle's best tree that maps to gold, or none exactly when
+    the oracle finds none.  Scan and geo corpus programs, up to 6 tokens
+    with the binary grammar and 5 with the ternary one."""
+    rng = random.Random(37)
+    scan, geo = scan_schema(), geo_schema()
+    cases = [(scan, [e.program for e in generate_scan_sp(scan)
+                     if len(e.utterance) <= 6]),
+             (geo, [parse_program(p, geo) for _, p in mini_geo_corpus(mini_kb())])]
+    found = {True: 0, False: 0}
+    for schema, programs in cases:
+        by_weight = {}
+        for program in sorted(set(programs), key=str):
+            by_weight.setdefault(weight(program, schema), []).append(program)
+        for n in range(1, (5 if ternary else 6) + 1):
+            for w in (n - 1, n):
+                if w not in by_weight:
+                    continue
+                for _ in range(2):
+                    gold = rng.choice(by_weight[w])
+                    table = tight_table(rng, schema, gold, n)
+                    found[assert_constrained_matches_oracle(table, gold, schema,
+                                                            ternary)] += 1
+    assert found[True] and found[False]
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_constrained_parse_finds_a_default_argument(ternary):
+    """The utterance "largest state" composes to largest(state(all)):
+    ``all`` comes from default completion, not from a token, so it adds
+    no weight and the two tokens are enough."""
+    schema = geo_schema()
+    gold = parse_program("largest(state(all))", schema)
+    assert weight(gold, schema) == 2
+    table = anchored_table(schema, 2, {1: "largest", 2: "state"})
+    result = constrained_parse(table, Grammar(ternary=ternary), gold, schema)
+    assert result is not None and result.program == gold
+    assert [(node.span, node.category) for node in result.tree.nodes()
+            if node.is_leaf] == [(Span(1, 1), "largest"), (Span(2, 2), "state")]
+
+
+def test_composition_adds_weights():
+    """``weight(compose(x, y)) == weight(x) + weight(y)`` for every pair
+    that the scan corpus trees compose, and for every pair of subterms,
+    partial applications and constants of a geo corpus program that
+    composes, default completions among them.  The E-step's token bound
+    is exact because of this."""
+    def size(program):
+        return 1 + sum(size(a) for a in program.args if a is not None)
+
+    def check(schema, x, y):
+        table = schema.table
+        r = table.compose(x, y)
+        if r < 0:
+            return False
+        px, py, pr = table.programs[x], table.programs[y], table.programs[r]
+        assert weight(pr, schema) == weight(px, schema) + weight(py, schema)
+        return size(pr) > size(px) + size(py)  # a default was added
+
+    scan = scan_schema()
+    pairs = set()
+
+    def visit(node):
+        if node.is_leaf:
+            return None if node.category == NOSEM else scan.table.atom(node.category)
+        ids = [visit(c) for c in node.children]
+        semantic = [x for x in ids if x is not None]
+        if len(semantic) == 2:
+            pairs.add(tuple(semantic))
+        return scan.table.compose_children(ids)
+
+    for example in generate_scan_sp(scan):
+        visit(example.tree)
+    assert len(pairs) > 1000
+    for x, y in pairs:
+        check(scan, x, y)
+
+    geo = geo_schema()
+    completed = 0
+    for _, text in mini_geo_corpus(mini_kb()):
+        states = set()
+        for sub in parse_program(text, geo).subterms():
+            args = [None] * len(sub.args)
+            states.add(geo.table.intern(Program(sub.head, tuple(args))))
+            for slot in sub.filled:
+                args[slot] = sub.args[slot]
+                states.add(geo.table.intern(Program(sub.head, tuple(args))))
+        completed += sum(check(geo, x, y) for x in states for y in states)
+    assert completed
 
 
 @pytest.mark.parametrize("ternary", [False, True])

@@ -146,6 +146,18 @@ def test_train_outputs(trained_run, tiny_scan_dir):
     assert entries[-1]["dev_accuracy"] == 1.0
 
 
+def test_train_without_a_dev_set_says_so(tiny_scan_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_scan_dir, data)
+    (data / "dev.jsonl").write_text("")
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data), "--out", str(run),
+                     "--max-epochs", "1"]) == cli.EXIT_OK
+    assert "kept the last epoch 0: no dev set" in capsys.readouterr().out
+    entry, = [json.loads(line) for line in (run / "log.jsonl").read_text().splitlines()]
+    assert entry["dev_accuracy"] is None
+
+
 def test_train_rejects_invalid_flag_values(tiny_scan_dir, tmp_path):
     code = cli.main(["train", "--data", str(tiny_scan_dir),
                      "--out", str(tmp_path / "bad"), "--lr", "0"])

@@ -276,6 +276,21 @@ def test_training_without_a_dev_set_keeps_the_last_epoch(scan_domain,
                for k in first.scorer.params)
 
 
+def test_training_without_a_dev_set_reports_no_dev_accuracy(
+        tmp_path, scan_domain, short_examples):
+    """A run with no dev examples has no dev accuracy: the history and the
+    log record null, not 0.0, and so does the result."""
+    import json
+
+    log = tmp_path / "log.jsonl"
+    result = train(short_examples[:20], [], scan_domain,
+                   TrainConfig(max_epochs=2, seed=0), log_path=log)
+    assert result.best_dev_accuracy is None
+    assert [h["dev_accuracy"] for h in result.history] == [None, None]
+    lines = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [line["dev_accuracy"] for line in lines] == [None, None]
+
+
 def test_geo_training_on_simple_questions():
     kb = mini_kb()
     schema = geo_schema(kb)
