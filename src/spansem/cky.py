@@ -22,16 +22,26 @@ states: each cell keeps the best derivation per program its span can
 compose to, which is a subterm of the gold program or a partial
 application of one.  It composes every node as ``program_of_tree`` does,
 through the schema's composition table (``typesys.CompositionTable``), so
-its cells are keyed on program ids and a pair of programs is composed once
-per schema.  A node is kept only while its program is admissible against
-the gold program, so every tree it returns maps to gold and it returns
-None only when no tree does.  Cells also drop every item that no tree
-with the gold program at its root contains, by an exact outside bound in
-the spirit of A* parsing (Klein & Manning 2003).  A program's ``weight``
-counts its constants that are no type default.  Composition adds
-weights, so a gold tree holds ``weight(gold) - weight(x)`` weighted leaves
-outside a node of state ``x``, each over tokens of its own; an item whose
-span leaves fewer tokens outside is dropped, and no gold tree is lost.
+a pair of programs is composed once per schema.  A node is kept only
+while its program is admissible against the gold program, so every tree
+it returns maps to gold and it returns None only when no tree does.
+Cells also drop every item that no tree with the gold program at its root
+contains, by an exact outside bound in the spirit of A* parsing (Klein &
+Manning 2003).  A program's ``weight`` counts its constants that are no
+type default.  Composition adds weights, so a gold tree holds
+``weight(gold) - weight(x)`` weighted leaves outside a node of state
+``x``, each over tokens of its own; an item whose span leaves fewer tokens
+outside is dropped, and no gold tree is lost.
+
+Which items can exist and which rule edges join them depend only on the
+utterance length, the gold program and the grammar, not on the scores; a
+leaf scored at ``NEG_INF`` only removes items.  This is the split of a
+hypergraph from its weights (Goodman 1999, *Semiring Parsing*; Huang
+2008).  So ``constrained_parse`` compiles that structure once per length
+and gold program, with cells indexed by state, and then takes the Viterbi
+max over one table's scores; a caller that passes ``charts`` compiles each
+(length, gold program) once and reuses it, as ``train`` does across its
+epochs.
 
 Both charts keep one derivation format, the tuple ``(score, i, j,
 category, children)`` whose children are derivations (a NoSem child is
@@ -39,15 +49,19 @@ category, children)`` whose children are derivations (a NoSem child is
 the returned trees with ``_tree``.  Both Viterbi loops visit cells by
 increasing length, then start, and try a cell's rule sources in one order:
 the leaf constants, Join Join by split, Join NoSem by split, then the
-ternary rule by split pair.  Scores are summed ``base + c1 + c2 (+ c3)``
-left to right, with ``+ 0.0`` for NoSem.
+ternary rule by split pair; only a strictly greater score replaces, so an
+exact tie goes to the first source tried.  Within one split the
+constrained chart tries its edges by child state index (see
+``_compile``), a cell's states being indexed in the order the compiler
+first met them.
+Scores are summed ``base + c1 + c2 (+ c3)`` left to right, with ``+ 0.0``
+for NoSem.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .core import JOIN, NOSEM, SpanTree
@@ -359,18 +373,15 @@ def weight(program: Program, schema: DomainSchema) -> int:
 
 
 class _States:
-    """One constrained parse's view of the schema's composition table: the
-    admissibility filter and the need against its gold program, memoized
-    per program id, and the partner maps of this call.
+    """The gold program's admissibility filter and need, memoized per
+    program id of the schema's composition table.
 
     A state is the id of a subterm of the gold program or of a partial
     application of one.  ``needs[x]`` is None when program ``x`` is not
     admissible, and otherwise ``weight(gold) - weight(x)``: the leaves that
     a tree with the gold program at its root holds outside a node whose
-    state is ``x``.  ``tried[x]`` maps every state ``y`` composed with
-    ``x`` so far in this parse to ``table.compose(x, y)`` when that is
-    admissible, else -1; ``found[x]`` keeps the admissible ones.  Both are
-    filled in the order the chart meets its cells, so the chart's tie
+    state is ``x``.  Nothing is ordered by id: the compiled chart indexes a
+    cell's states in the order ``_compile`` first meets them, so its tie
     order never depends on ids or on what the table already holds.
     """
 
@@ -382,8 +393,6 @@ class _States:
             self.by_head.setdefault(sub.head.name, []).append(sub)
         self.budget = weight(gold, schema)
         self.needs: dict = {}
-        self.tried = defaultdict(dict)
-        self.found = defaultdict(dict)
 
     def need(self, pid: int) -> int | None:
         """Program ``pid``'s need, or None unless some gold subterm has its
@@ -398,38 +407,202 @@ class _States:
                                if admissible else None)
         return self.needs[pid]
 
-    def meet(self, x: int, cell: dict) -> None:
-        """Composes ``x`` with the states of ``cell`` not yet tried with it."""
-        tried, found = self.tried[x], self.found[x]
-        compose, need = self.table.compose, self.need
-        for y in cell:
-            if y in tried:
-                continue
-            pid = compose(x, y)
-            if pid >= 0 and need(pid) is not None:
-                tried[y] = found[y] = pid
-            else:
-                tried[y] = -1
+
+@dataclass(slots=True)
+class _Compiled:
+    """The structure of the constrained chart for one utterance length,
+    gold program, grammar and category list; ``_evaluate`` runs it over a
+    table's scores.
+
+    A cell's states depend only on its span's length when every gold
+    constant scores finitely on every span, so ``lengths[L - 1]`` describes
+    every cell of length ``L`` by state index: ``(size, leaves, joins,
+    nosems, ternaries)``.  ``leaves`` holds ``(t, column, label)`` triples.
+    Each rule is one flat tuple of edges, in the order they are tried:
+    ``joins`` repeats ``d, p, q, t``, the left child of length ``d`` at
+    index ``p`` and the right one at ``q`` composing to state ``t``;
+    ``nosems`` repeats ``d, p, t``; ``ternaries`` repeats ``d1, d2, p, m,
+    q, t`` for the left child of length ``d1`` at ``p``, the middle one of
+    length ``d2`` at ``m`` and the right one at ``q``.  Flat tuples keep a
+    cached chart small: most splits have one or two edges.
+    ``gold_at[L - 1]`` is the gold program's index in a cell of length
+    ``L``, or None.  ``combinations`` is the count ``stats["combinations"]``
+    gains per parse.
+    """
+
+    lengths: list
+    gold_at: list
+    combinations: int
+
+
+def _compile(n: int, grammar: Grammar, gold: Program, schema: DomainSchema,
+             cat_index: dict) -> _Compiled:
+    """The constrained chart's structure over ``n`` tokens, with every gold
+    constant assumed present on every span.
+
+    A cell of length ``L`` keeps a state only when it is admissible and,
+    if ``L`` exceeds ``n - weight(gold)``, when its need is at most the
+    ``n - L`` tokens outside the span.  Edges are listed in the order the
+    chart tries them, which is its tie order: leaf constants by label, Join
+    Join by split, Join NoSem by split, then the ternary rule by split
+    pair; within a split, by the index of the left child, then of the
+    right one, then of the middle one (the outer pair composes first).  A
+    cell's states are indexed in the order this loop first meets them.
+    """
+    states = _States(gold, schema)
+    need, compose = states.need, schema.table.compose
+    atoms = [(schema.table.atom(c), cat_index[c], c)
+             for c in sorted(cat_index) if c in states.by_head]
+    slack = n - states.budget
+    gold_id = schema.table.intern(gold)
+    members = []  # members[L - 1]: the state ids of a cell of length L
+    partners = {}  # (x, L) -> [(q, compose(x, members[L - 1][q])), ...]
+
+    def partners_of(x: int, length: int) -> list:
+        """The admissible compositions of ``x`` with a cell of ``length``'s
+        states, by index."""
+        row = partners.get((x, length))
+        if row is None:
+            row = partners[x, length] = [
+                (q, r) for q, y in enumerate(members[length - 1])
+                if (r := compose(x, y)) >= 0 and need(r) is not None]
+        return row
+
+    lengths, gold_at = [], []
+    for length in range(1, n + 1):
+        room = n - length
+        index, ids = {}, []
+
+        def slot(sid: int) -> int:
+            """The state's index in this length's cells, assigned on first
+            sight, or -1 when the token bound drops it."""
+            t = index.get(sid)
+            if t is None:
+                t = index[sid] = (-1 if length > slack and need(sid) > room
+                                  else len(ids))
+                if t >= 0:
+                    ids.append(sid)
+            return t
+
+        leaves = tuple((t, col, label) for sid, col, label in atoms
+                       if (t := slot(sid)) >= 0)
+        joins = []
+        for d in range(1, length):
+            for p, a in enumerate(members[d - 1]):
+                for q, r in partners_of(a, length - d):
+                    if (t := slot(r)) >= 0:
+                        joins += d, p, q, t
+        nosems = []
+        for d in range(1, length):
+            for p, a in enumerate(members[d - 1]):
+                if (t := slot(a)) >= 0:
+                    nosems += d, p, t
+        ternaries = []
+        if grammar.ternary:
+            # The outer pair composes first and must be admissible as well:
+            # the middle child either fills more of its slots or takes it,
+            # completed by defaults, as an argument, and neither makes an
+            # inadmissible program admissible.
+            for d1 in range(1, length - 1):
+                for d2 in range(1, length - d1):
+                    for p, a in enumerate(members[d1 - 1]):
+                        for q, o in partners_of(a, length - d1 - d2):
+                            for m, r in partners_of(o, d2):
+                                if (t := slot(r)) >= 0:
+                                    ternaries += d1, d2, p, m, q, t
+        members.append(ids)
+        lengths.append((len(ids), leaves, tuple(joins), tuple(nosems),
+                        tuple(ternaries)))
+        t = index.get(gold_id, -1)
+        gold_at.append(t if t >= 0 else None)
+    combinations = n - 1
+    for m in range(n):  # a cell of length m + 1 tries 2m (+ m(m-1)/2) sources
+        combinations += (n - m) * (2 * m + (m * (m - 1) // 2 if grammar.ternary else 0))
+    return _Compiled(lengths, gold_at, combinations)
+
+
+def _evaluate(compiled: _Compiled, table: ScoreTable):
+    """The best derivation of the gold program over ``table``, or None.
+    Every cell takes each state's best edge whose children are present,
+    and only a strictly greater score replaces; a masked leaf leaves its
+    state absent, and so every edge built on it is skipped."""
+    n = table.n
+    rows = table.shifted.tolist()
+    row_of = table.row_of
+    join_col = table.cat_index[JOIN]
+    chart = [[None] * (n + 1) for _ in range(n + 2)]
+    for length, (size, leaves, joins, nosems, ternaries) in enumerate(
+            compiled.lengths, 1):
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            row = rows[row_of[i][j]]
+            base = row[join_col]
+            cell = [None] * size
+            for t, col, label in leaves:
+                if row[col] > NEG_INF / 2:
+                    cell[t] = (row[col], i, j, label, ())
+            row_i = chart[i]
+            edges = iter(joins)
+            for d, p, q, t in zip(edges, edges, edges, edges):
+                da, db = row_i[i + d - 1][p], chart[i + d][j][q]
+                if da is not None and db is not None:
+                    score = base + da[0] + db[0]
+                    old = cell[t]
+                    if old is None or score > old[0]:
+                        cell[t] = (score, i, j, JOIN, (da, db))
+            edges = iter(nosems)
+            for d, p, t in zip(edges, edges, edges):
+                da = row_i[i + d - 1][p]
+                if da is not None:
+                    score = base + da[0] + 0.0  # + NoSem, as parse_kbest sums
+                    old = cell[t]
+                    if old is None or score > old[0]:
+                        cell[t] = (score, i, j, JOIN,
+                                   (da, (0.0, i + d, j, NOSEM, ())))
+            edges = iter(ternaries)
+            for d1, d2, p, m, q, t in zip(edges, edges, edges, edges, edges,
+                                          edges):
+                s1, s2 = i + d1, i + d1 + d2
+                da, db, dc = row_i[s1 - 1][p], chart[s1][s2 - 1][m], chart[s2][j][q]
+                if da is not None and db is not None and dc is not None:
+                    score = base + da[0] + db[0] + dc[0]
+                    old = cell[t]
+                    if old is None or score > old[0]:
+                        cell[t] = (score, i, j, JOIN, (da, db, dc))
+            row_i[j] = cell
+
+    def gold_in(i, length):
+        t = compiled.gold_at[length - 1]
+        return None if t is None else chart[i][i + length - 1][t]
+
+    return _root(rows[row_of[1][n]][join_col], gold_in(1, n),
+                 [gold_in(s + 1, n - s) for s in range(1, n)])
 
 
 def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
-                      schema: DomainSchema, stats: dict | None = None):
+                      schema: DomainSchema, stats: dict | None = None, *,
+                      charts: dict | None = None):
     """Highest-scoring tree whose program equals ``gold``, or None when no
     grammar-legal tree maps to it.
 
-    An exact Viterbi over (span, program state).  A span's state is the
-    program its subtree composes to, as ``program_of_tree`` composes it:
-    constants absent from ``gold`` are masked out, and a node is kept only
-    while its program is admissible.  So the returned tree maps to
-    ``gold``.  A cell also drops every state whose need (see ``_States``)
-    exceeds the tokens outside its span: each leaf covers tokens of its
-    own, so no tree composing to ``gold`` holds such an item, and no item
-    built on one is kept either.  Only cells longer than ``n -
-    weight(gold)`` can drop anything.  Scores are summed as in
-    ``parse_kbest``, and exact ties mostly resolve as its merge pops them:
-    rule sources are tried in its order (leaf, Join Join by split, Join
-    NoSem by split, ternary by splits), cells are kept best first, and only
-    a strictly greater score replaces an entry.
+    An exact Viterbi over (span, program state), in two steps.
+    ``_compile`` builds, once per length, the states a cell can hold and
+    the rule edges between them; ``_evaluate`` takes each state's best
+    edge over the table's scores.  A span's state is the program its
+    subtree composes to, as ``program_of_tree`` composes it: constants
+    absent from ``gold`` are masked out, and a node is kept only while its
+    program is admissible.  So the returned tree maps to ``gold``.  A cell
+    also drops every state whose need (see ``_States``) exceeds the tokens
+    outside its span: each leaf covers tokens of its own, so no tree
+    composing to ``gold`` holds such an item, and no item built on one is
+    kept either.  Only cells longer than ``n - weight(gold)`` can drop
+    anything.  Scores are summed as in ``parse_kbest``.  An exact tie
+    between derivations of one state goes to the first edge in
+    ``_compile``'s order.
+
+    ``charts``, when given, keeps compiled charts keyed on ``(n, gold
+    id)`` and is read before compiling; it serves one schema, grammar and
+    category list, as one ``train`` call does.
     """
     n = table.n
     if n < 1:
@@ -437,89 +610,14 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     if stats is None:
         stats = {}
     stats.setdefault("combinations", 0)
-    states = _States(gold, schema)
-    gold_id = states.table.intern(gold)
-    tried, found, needs = states.tried, states.found, states.needs
-    leaves = [(states.table.atom(c), table.cat_index[c], c)
-              for c in sorted(table.categories) if c in states.by_head]
-    for sid, _, _ in leaves:
-        states.need(sid)  # so that every state in the chart has its need
-    # A cell no longer than this keeps every item: its need is at most
-    # weight(gold), and that many tokens lie outside it.
-    slack = n - states.budget
-    rows = table.shifted.tolist()
-    row_of = table.row_of
-    join_col = table.cat_index[JOIN]
-    ternary = grammar.ternary
-    # chart[i][j]: state id -> its best derivation, best score first.
-    chart = [[None] * (n + 1) for _ in range(n + 2)]
-    for length in range(1, n + 1):
-        for i in range(1, n - length + 2):
-            j = i + length - 1
-            row = rows[row_of[i][j]]
-            base = row[join_col]
-            room = n - length  # tokens outside the span
-            cell = {}
-            for sid, col, cat in leaves:
-                if row[col] > NEG_INF / 2:
-                    cell[sid] = (row[col], i, j, cat, ())
-            for s in range(i, j):
-                right = chart[s + 1][j]
-                for a, da in chart[i][s].items():
-                    if not right.keys() <= tried[a].keys():
-                        states.meet(a, right)
-                    for b, r in found[a].items():
-                        db = right.get(b)
-                        if db is not None:
-                            score = base + da[0] + db[0]
-                            old = cell.get(r)
-                            if old is None or score > old[0]:
-                                cell[r] = (score, i, j, JOIN, (da, db))
-            for s in range(i, j):
-                for a, da in chart[i][s].items():
-                    if needs[a] > room:
-                        continue  # the filter below would drop it
-                    score = base + da[0] + 0.0  # + NoSem, as parse_kbest sums
-                    old = cell.get(a)
-                    if old is None or score > old[0]:
-                        cell[a] = (score, i, j, JOIN,
-                                   (da, (0.0, s + 1, j, NOSEM, ())))
-            m = j - i
-            stats["combinations"] += 2 * m + (m * (m - 1) // 2 if ternary else 0)
-            if ternary:
-                # The outer pair composes first and must be admissible as
-                # well: the middle child either fills more of its slots or
-                # takes it, completed by defaults, as an argument, and
-                # neither makes an inadmissible program admissible.
-                for s1 in range(i, j - 1):
-                    left = chart[i][s1]
-                    for s2 in range(s1 + 1, j):
-                        mid, right = chart[s1 + 1][s2], chart[s2 + 1][j]
-                        for a, da in left.items():
-                            if not right.keys() <= tried[a].keys():
-                                states.meet(a, right)
-                            for c, o in found[a].items():
-                                dc = right.get(c)
-                                if dc is None:
-                                    continue
-                                if not mid.keys() <= tried[o].keys():
-                                    states.meet(o, mid)
-                                for b, r in found[o].items():
-                                    db = mid.get(b)
-                                    if db is not None:
-                                        score = base + da[0] + db[0] + dc[0]
-                                        old = cell.get(r)
-                                        if old is None or score > old[0]:
-                                            cell[r] = (score, i, j, JOIN,
-                                                       (da, db, dc))
-            items = cell.items()
-            if length > slack:
-                items = [kv for kv in items if needs[kv[0]] <= room]
-            chart[i][j] = dict(sorted(items, key=lambda kv: -kv[1][0]))
-
-    stats["combinations"] += n - 1
-    best = _root(rows[row_of[1][n]][join_col], chart[1][n].get(gold_id),
-                 [chart[s + 1][n].get(gold_id) for s in range(1, n)])
+    key = (n, schema.table.intern(gold))
+    compiled = None if charts is None else charts.get(key)
+    if compiled is None:
+        compiled = _compile(n, grammar, gold, schema, table.cat_index)
+        if charts is not None:
+            charts[key] = compiled
+    stats["combinations"] += compiled.combinations
+    best = _evaluate(compiled, table)
     if best is None:
         return None
     return ParseResult(_tree(best, table), best[0], gold)

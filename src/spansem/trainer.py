@@ -4,8 +4,10 @@ Each batch runs an E-step: for every example, the constrained parser finds
 the highest-scoring tree under the current model whose program equals the
 gold program.  The search is exact, so an example is skipped for that
 batch only when no grammar-legal tree over its utterance maps to the gold
-program.  The M-step treats the found trees as supervision and takes one
-momentum-SGD step on the summed per-span cross-entropy.  When gold trees
+program.  Its chart structure is compiled once per (utterance length,
+gold program) and reused by later epochs of the same ``train`` call; only
+the scores change.  The M-step treats the found trees as supervision and
+takes one momentum-SGD step on the summed per-span cross-entropy.  When gold trees
 are available the E-step is bypassed and they are used directly.  A batch
 takes one forward and one backward pass: its examples are scored together,
 each E-step reads its own table, and the M-step backpropagates the whole
@@ -106,22 +108,27 @@ def vocabulary(examples) -> list:
 
 
 def target_tree(table: ScoreTable, ex: TrainExample, domain: Domain,
-                grammar: Grammar, config: TrainConfig) -> SpanTree | None:
+                grammar: Grammar, config: TrainConfig, *,
+                charts: dict | None = None) -> SpanTree | None:
     """Supervision tree for one example scored as ``table``: the gold tree
     when configured and present, otherwise the best constrained parse (None
-    when no tree over the utterance composes to the gold program)."""
+    when no tree over the utterance composes to the gold program).
+    ``charts`` is passed on to ``constrained_parse``."""
     if config.use_gold_trees and ex.tree is not None:
         return ex.tree
-    result = constrained_parse(table, grammar, ex.program, domain.schema)
+    result = constrained_parse(table, grammar, ex.program, domain.schema,
+                               charts=charts)
     return None if result is None else result.tree
 
 
 def hard_em_step(scorer: SpanScorer, batch: list, domain: Domain,
-                 grammar: Grammar, config: TrainConfig):
+                 grammar: Grammar, config: TrainConfig, *,
+                 charts: dict | None = None):
     """One E+M step on a batch; returns (loss, used, skipped, grads), the
-    gradients averaged over the examples used."""
+    gradients averaged over the examples used.  ``charts`` keeps the
+    E-step's compiled charts (see ``constrained_parse``)."""
     tables = scorer.score_spans([ex.utterance for ex in batch], domain.lexicon)
-    trees = [target_tree(table, ex, domain, grammar, config)
+    trees = [target_tree(table, ex, domain, grammar, config, charts=charts)
              for table, ex in zip(tables, batch)]
     labels = [None if tree is None else scorer.labels_for_tree(tree, table.n)
               for tree, table in zip(trees, tables)]
@@ -201,6 +208,10 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
                         domain.schema.categories(),
                         lam=config.lam, seed=config.seed)
     velocity = scorer.zero_grads()
+    # The E-step's compiled charts, one per (length, gold program), live as
+    # long as this call: later epochs only evaluate them.  A one-epoch run
+    # has no later epoch to read them, so it keeps none.
+    charts = {} if config.max_epochs > 1 else None
     # Execute each dev gold program once, not on every dev pass.
     dev_examples = [ex if ex.denotation is not None
                     else replace(ex, denotation=domain.run(ex.program))
@@ -222,7 +233,7 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
             for lo in range(0, len(order), config.batch_size):
                 batch = order[lo:lo + config.batch_size]
                 loss, used, skipped, grads = hard_em_step(
-                    scorer, batch, domain, grammar, config)
+                    scorer, batch, domain, grammar, config, charts=charts)
                 if not math.isfinite(loss):
                     raise ConfigError(f"non-finite loss at epoch {epoch}, "
                                       f"batch {lo // config.batch_size}; lower lr")

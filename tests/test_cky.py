@@ -488,10 +488,14 @@ def assert_constrained_matches_oracle(table, gold, schema, ternary):
 def test_constrained_parse_matches_gold_oracle(ternary):
     """The E-step finds the best tree that maps to gold, with the score
     summed in the same order, and finds none exactly when no tree does.
-    Gold constants and one or two others score finitely on every span;
-    utterances have up to 5 tokens with the binary grammar and up to 4
-    with the ternary one."""
+    Gold constants and one or two others score on every span, except that
+    each table masks each of their leaves with a probability drawn from 0,
+    0.25 and 0.5 (0.25 and 0.5 at the largest length, which bounds the
+    oracle's enumeration); a masked leaf leaves the compiled chart a
+    superset of the table's.  Utterances have up to 6 tokens with the
+    binary grammar and up to 5 with the ternary one."""
     rng = random.Random(29)
+    longest = 5 if ternary else 6
     scan = scan_schema()
     geo = geo_schema()
     cases = [
@@ -504,14 +508,16 @@ def test_constrained_parse_matches_gold_oracle(ternary):
     found = {True: 0, False: 0}
     for schema, golds in cases:
         cats = schema.categories()
-        for _ in range(25):
+        for _ in range(40):
             gold = rng.choice(golds)
             names = {s.head.name for s in gold.subterms()}
             others = sorted(c.name for c in schema.sigma if c.name not in names)
             names.update(rng.sample(others, rng.randint(1, 2)))
-            n = rng.randint(1, 4 if ternary else 5)
+            n = rng.randint(1, longest)
+            mask = rng.choice((0.25, 0.5) if n == longest else (0.0, 0.25, 0.5))
             raw = np.array([[rng.gauss(0, 2) if c in (NOSEM, JOIN)
-                             or c in names else NEG_INF for c in cats]
+                             or c in names and rng.random() >= mask
+                             else NEG_INF for c in cats]
                             for _ in all_spans(n)])
             table = ScoreTable(n, cats, raw)
             found[assert_constrained_matches_oracle(table, gold, schema,
@@ -704,6 +710,61 @@ def test_constrained_parse_same_on_cold_and_warm_tables(ternary):
         found.append(results[0][0] is not None)
 
     check()
+    assert any(found) and not all(found)
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_a_compiled_chart_serves_every_table(ternary):
+    """A chart compiled once per (length, gold program) and reused across
+    tables gives what a fresh ``constrained_parse`` gives: the same tree
+    ``repr``, score ``repr`` and combination count.  Scan and geo corpus
+    golds, up to 6 tokens with the binary grammar and 5 with the ternary
+    one; each key is compiled by a table whose gold leaves are partly
+    masked, then serves random tables, tables of exact ties and other
+    masked ones."""
+    rng = random.Random(41)
+    grammar = Grammar(ternary=ternary)
+    scan, geo = scan_schema(), geo_schema()
+    cases = [(scan, small_gold_programs(
+                  scan, [str(e.program) for e in generate_scan_sp(scan)
+                         if len(e.utterance) <= 4])),
+             (geo, small_gold_programs(
+                  geo, [p for _, p in mini_geo_corpus(mini_kb())]))]
+
+    def table_of(kind, n, cats, names):
+        def score(c):
+            if kind == "ties":
+                return float(rng.randint(0, 1))
+            if kind == "masked" and c in names and rng.random() < 0.5:
+                return NEG_INF
+            return rng.gauss(0, 2)
+        return ScoreTable(n, cats, np.array([[score(c) for c in cats]
+                                             for _ in all_spans(n)]))
+
+    def outcome(result, stats):
+        return (None if result is None else
+                (repr(result.tree), repr(result.score), str(result.program)),
+                stats["combinations"])
+
+    found = []
+    for schema, golds in cases:
+        cats, charts, first = schema.categories(), {}, {}
+        for gold in rng.sample(golds, 3):
+            names = {s.head.name for s in gold.subterms()}
+            for n in range(1, (5 if ternary else 6) + 1):
+                key = (n, schema.table.intern(gold))
+                for kind in ("masked", "random", "ties") * 3:
+                    table = table_of(kind, n, cats, names)
+                    reused, fresh = {}, {}
+                    want = outcome(constrained_parse(table, grammar, gold,
+                                                     schema, fresh), fresh)
+                    got = outcome(constrained_parse(table, grammar, gold, schema,
+                                                    reused, charts=charts), reused)
+                    assert got == want
+                    found.append(want[0] is not None)
+                    compiled = first.setdefault(key, charts[key])
+                    assert charts[key] is compiled  # compiled once, then read
+        assert charts.keys() == first.keys()
     assert any(found) and not all(found)
 
 

@@ -311,3 +311,54 @@ def test_geo_training_on_simple_questions():
     parsed = predict(result.scorer, ex.utterance, domain, Grammar(), 5)
     assert parsed is not None
     assert domain.run(parsed.program) == ex.denotation
+
+
+def test_compiled_charts_are_invisible_and_live_for_one_run(monkeypatch):
+    """Reusing compiled E-step charts changes nothing: a 3-epoch geo run
+    with the ternary grammar gives the same history and parameters as one
+    whose E-step compiles every chart afresh.  Each ``train`` call keeps
+    its own charts, empty when it starts, and later epochs reuse them; a
+    one-epoch run, which could not reuse them, keeps none."""
+    import numpy as np
+
+    kb = mini_kb()
+    schema = geo_schema(kb)
+    lexicon = Lexicon.from_pairs(geo_lexicon_entries()).merged_with(
+        Lexicon.from_entity_lexicon(schema.entity_lexicon))
+    domain = Domain("geo", schema, lexicon, lambda z: exec_funql(z, kb))
+    examples = [TrainExample(Utterance.from_text(text), parse_program(p, schema))
+                for text, p in mini_geo_corpus(kb)][:24]
+    config = TrainConfig(lr=0.0005, momentum=0.0, ternary=True, max_epochs=3,
+                         seed=0)
+    parse = trainer.constrained_parse
+    seen = []
+
+    def spied(table, grammar, gold, schema, *args, charts, **kwargs):
+        if not any(c is charts for c, _ in seen):
+            seen.append((charts, len(charts)))
+        return parse(table, grammar, gold, schema, *args, charts=charts, **kwargs)
+
+    def fresh(table, grammar, gold, schema, *args, charts, **kwargs):
+        return parse(table, grammar, gold, schema, *args, **kwargs)
+
+    runs = []
+    for wrapper in (spied, fresh, spied):
+        monkeypatch.setattr(trainer, "constrained_parse", wrapper)
+        result = train(examples, [], domain, config)
+        runs.append((result.history,
+                     {k: v.copy() for k, v in result.scorer.params.items()}))
+    assert len(runs[0][0]) == 3 and runs[0][0][0]["used"]
+    for history, params in runs[1:]:
+        assert history == runs[0][0]
+        assert params.keys() == runs[0][1].keys()
+        assert all(np.array_equal(params[k], runs[0][1][k]) for k in params)
+    assert [size for _, size in seen] == [0, 0] and seen[0][0] is not seen[1][0]
+    # one chart per (length, gold program), however many epochs read it
+    assert 0 < len(seen[0][0]) == len({(len(ex.utterance), str(ex.program))
+                                       for ex in examples})
+    kept = []
+    monkeypatch.setattr(trainer, "constrained_parse",
+                        lambda *args, charts, **kwargs:
+                        kept.append(charts) or parse(*args, **kwargs))
+    train(examples[:5], [], domain, TrainConfig(ternary=True, max_epochs=1))
+    assert kept and all(charts is None for charts in kept)
