@@ -64,6 +64,8 @@ from .trainer import (
     TrainConfig,
     TrainExample,
     evaluate,
+    evaluate_example,
+    evaluation_report,
     predict,
     train,
 )
@@ -320,6 +322,19 @@ def cmd_train(args) -> int:
 
 # -- eval --------------------------------------------------------------------
 
+_worker_inputs = None  # (step, examples, size), set in each forked eval worker
+
+
+def _start_worker(step, examples, size) -> None:
+    global _worker_inputs
+    _worker_inputs = step, examples, size
+
+
+def _evaluate_chunk(lo: int) -> list:
+    step, examples, size = _worker_inputs
+    return [step(ex) for ex in examples[lo:lo + size]]
+
+
 def cmd_eval(args) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
@@ -328,13 +343,17 @@ def cmd_eval(args) -> int:
     examples = read_examples(data_path, domain.schema)
     if not examples:
         raise ConfigError(f"empty evaluation file {data_path}")
-    if args.jobs > 1:
-        # One chunk per worker, so the scorer is pickled once per worker.
-        chunksize = math.ceil(len(examples) / args.jobs)
-        with multiprocessing.get_context("fork").Pool(args.jobs) as pool:
-            report = evaluate(scorer, examples, domain, grammar, K,
-                              map=functools.partial(pool.map,
-                                                    chunksize=chunksize))
+    size = math.ceil(len(examples) / args.jobs)
+    starts = range(0, len(examples), size)
+    if len(starts) > 1:
+        # One contiguous chunk per worker.  Forked workers inherit the
+        # initargs, so only chunk starts and result records are pickled.
+        step = functools.partial(evaluate_example, scorer, domain, grammar, K)
+        with multiprocessing.get_context("fork").Pool(
+                len(starts), initializer=_start_worker,
+                initargs=(step, examples, size)) as pool:
+            chunks = pool.map(_evaluate_chunk, starts)
+        report = evaluation_report([r for chunk in chunks for r in chunk])
     else:
         report = evaluate(scorer, examples, domain, grammar, K)
     if args.out:

@@ -169,15 +169,20 @@ def evaluate_example(scorer: SpanScorer, domain: Domain, grammar: Grammar,
 
 
 def evaluate(scorer: SpanScorer, examples: list, domain: Domain,
-             grammar: Grammar, K: int, map=map) -> dict:
+             grammar: Grammar, K: int) -> dict:
     """Denotation accuracy, failures, labeled-span F1 (examples with gold
-    trees), and per-example records.  ``map`` applies ``evaluate_example``
-    to the examples in order; a process pool's ``map`` gives the same
-    report."""
+    trees), and per-example records, from ``evaluate_example`` applied to
+    each example in order."""
     if not examples:
         raise ValueError("empty evaluation set")
     step = functools.partial(evaluate_example, scorer, domain, grammar, K)
-    records, failed, counts = zip(*map(step, examples))
+    return evaluation_report([step(ex) for ex in examples])
+
+
+def evaluation_report(results: list) -> dict:
+    """The report of ``evaluate``, built from the ``evaluate_example``
+    results of a nonempty evaluation set given in file order."""
+    records, failed, counts = zip(*results)
     report = {
         "accuracy": sum(r["correct"] for r in records) / len(records),
         "failures": sum(failed),

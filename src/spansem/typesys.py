@@ -10,8 +10,8 @@ Each schema owns one ``CompositionTable``, built on first use: programs are
 hash-consed to ints (Filliâtre & Conchon 2006, *Type-safe modular
 hash-consing*) and composition is memoized over id pairs, so a pair of
 programs is composed once per schema however many parses, examples and
-epochs meet it.  A miss composes through ``compose_children``.  The table
-is not pickled with its schema, and ``DomainSchema.add`` clears it.
+epochs meet it.  A miss composes through ``compose_children``.
+``DomainSchema.add`` clears the table.
 """
 
 from __future__ import annotations
@@ -139,9 +139,6 @@ class DomainSchema:
 
     def __post_init__(self):
         self._check_acyclic()
-
-    def __getstate__(self):
-        return {**self.__dict__, "_table": None}
 
     @property
     def table(self) -> "CompositionTable":

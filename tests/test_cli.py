@@ -2,8 +2,11 @@
 parsing, exit codes, and environment-variable overrides."""
 
 import json
+import multiprocessing
+import pickle
 import random
 import shutil
+import types
 from dataclasses import fields
 
 import numpy as np
@@ -16,7 +19,7 @@ from spansem.core import Utterance
 from spansem.data.scan import generate_scan_sp, scan_lexicon_entries, scan_schema
 from spansem.data.splits import program_token_length
 from spansem.scorer import Lexicon, SpanScorer, load_checkpoint, save_checkpoint
-from spansem.trainer import TrainConfig
+from spansem.trainer import TrainConfig, TrainExample
 from spansem.typesys import parse_program, save_schema
 
 
@@ -278,6 +281,58 @@ def test_eval_parallel_matches_serial(trained_run, tiny_scan_dir,
     report = json.loads(paths[1].read_text())
     assert report["per_example"][-1]["predicted_program"] == "turn"
     assert report["failures"] == 1
+
+
+def eval_report_bytes(checkpoint, data, out, jobs):
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                     "--out", str(out), "--jobs", str(jobs)]) == cli.EXIT_OK
+    return out.read_bytes()
+
+
+def test_eval_pool_pickles_no_example_or_scorer(trained_run, tiny_scan_dir,
+                                                tmp_path, monkeypatch):
+    """Workers are forked with the scorer and the examples: neither is
+    pickled, and an uneven split (chunks of 3, 3 and 1) keeps file order."""
+    def unpicklable(self, protocol):
+        raise pickle.PicklingError(f"{type(self).__name__} was pickled")
+
+    monkeypatch.setattr(TrainExample, "__reduce_ex__", unpicklable)
+    monkeypatch.setattr(SpanScorer, "__reduce_ex__", unpicklable)
+    checkpoint = trained_run / "model.npz"
+    lines = (tiny_scan_dir / "test.jsonl").read_text().splitlines(keepends=True)
+    seven = tiny_scan_dir / "seven.jsonl"  # eval reads the schema beside it
+    seven.write_text("".join(lines[:7]))
+    for data, jobs in ((tiny_scan_dir / "test.jsonl", 2), (seven, 3)):
+        serial = eval_report_bytes(checkpoint, data, tmp_path / "serial.json", 1)
+        pooled = eval_report_bytes(checkpoint, data, tmp_path / "pooled.json", jobs)
+        assert pooled == serial
+    utterances = [json.loads(line)["utterance"] for line in lines[:7]]
+    per_example = json.loads(pooled)["per_example"]
+    assert [r["utterance"] for r in per_example] == utterances
+
+
+def test_eval_forks_one_worker_per_chunk(exec_error_run, tmp_path, monkeypatch):
+    """The pool never outnumbers its chunks: --jobs 4 over 3 lines forks 3
+    workers, --jobs 3 over 4 lines (chunks of 2) forks 2, and a single
+    chunk is evaluated without a pool."""
+    forked = []
+
+    def get_context(method):
+        def pool(processes, **kwargs):
+            forked.append(processes)
+            return multiprocessing.get_context(method).Pool(processes, **kwargs)
+        return types.SimpleNamespace(Pool=pool)
+
+    monkeypatch.setattr(cli, "multiprocessing",
+                        types.SimpleNamespace(get_context=get_context))
+    checkpoint = exec_error_run / "model.npz"
+    lines = (exec_error_run / "test.jsonl").read_text().splitlines(keepends=True)
+    for count, jobs in ((3, 4), (4, 3), (1, 2)):
+        data = exec_error_run / f"first-{count}.jsonl"
+        data.write_text("".join(lines[:count]))
+        assert (eval_report_bytes(checkpoint, data, tmp_path / "pooled.json", jobs)
+                == eval_report_bytes(checkpoint, data, tmp_path / "serial.json", 1))
+    assert forked == [3, 2]
 
 
 def test_eval_rejects_jobs_below_one(exec_error_run, capsys):
