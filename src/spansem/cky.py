@@ -37,11 +37,16 @@ Which items can exist and which rule edges join them depend only on the
 utterance length, the gold program and the grammar, not on the scores; a
 leaf scored at ``NEG_INF`` only removes items.  This is the split of a
 hypergraph from its weights (Goodman 1999, *Semiring Parsing*; Huang
-2008).  So ``constrained_parse`` compiles that structure once per length
-and gold program, with cells indexed by state, and then takes the Viterbi
-max over one table's scores; a caller that passes ``charts`` compiles each
-(length, gold program) once and reuses it, as ``train`` does across its
-epochs.
+2008).  Nor do they depend on the names of the gold program's constants:
+composition reads only their signatures, so a gold program and its
+template, its constants renamed within their signature classes
+(``CompositionTable.template``; the factoring of Kwiatkowski et al. 2011,
+*Lexical generalization in CCG grammar induction*), have the same chart
+with the leaves relabelled.  So ``constrained_parse`` compiles that
+structure once per length, template and grammar, with cells indexed by
+state and leaves by slot, keeps it in the schema's composition table for
+every later call, and takes the Viterbi max over one table's scores with
+each slot read from the gold constant's column.
 
 Both charts keep one derivation format, the tuple ``(score, i, j,
 category, children)`` whose children are derivations (a NoSem child is
@@ -50,10 +55,11 @@ the returned trees with ``_tree``.  Both Viterbi loops visit cells by
 increasing length, then start, and try a cell's rule sources in one order:
 the leaf constants, Join Join by split, Join NoSem by split, then the
 ternary rule by split pair; only a strictly greater score replaces, so an
-exact tie goes to the first source tried.  Within one split the
-constrained chart tries its edges by child state index (see
-``_compile``), a cell's states being indexed in the order the compiler
-first met them.
+exact tie goes to the first source tried.  The constrained chart tries
+its leaves in the order of the gold constants' first occurrence in the
+gold program's preorder, and within one split its edges by child state
+index (see ``_compile``), a cell's states being indexed in the order the
+compiler first met them.
 Scores are summed ``base + c1 + c2 (+ c3)`` left to right, with ``+ 0.0``
 for NoSem.
 """
@@ -411,13 +417,14 @@ class _States:
 @dataclass(slots=True)
 class _Compiled:
     """The structure of the constrained chart for one utterance length,
-    gold program, grammar and category list; ``_evaluate`` runs it over a
-    table's scores.
+    gold template and grammar; ``_evaluate`` runs it over a table's scores
+    for any gold program of that template.
 
     A cell's states depend only on its span's length when every gold
     constant scores finitely on every span, so ``lengths[L - 1]`` describes
     every cell of length ``L`` by state index: ``(size, leaves, joins,
-    nosems, ternaries)``.  ``leaves`` holds ``(t, column, label)`` triples.
+    nosems, ternaries)``.  ``leaves`` holds ``(t, slot)`` pairs: the leaf
+    of the template's ``slot``-th distinct constant has state index ``t``.
     Each rule is one flat tuple of edges, in the order they are tried:
     ``joins`` repeats ``d, p, q, t``, the left child of length ``d`` at
     index ``p`` and the right one at ``q`` composing to state ``t``;
@@ -435,26 +442,32 @@ class _Compiled:
     combinations: int
 
 
-def _compile(n: int, grammar: Grammar, gold: Program, schema: DomainSchema,
-             cat_index: dict) -> _Compiled:
-    """The constrained chart's structure over ``n`` tokens, with every gold
-    constant assumed present on every span.
+def _compile(n: int, grammar: Grammar, template: Program,
+             schema: DomainSchema) -> _Compiled:
+    """The constrained chart's structure over ``n`` tokens for the gold
+    program ``template``, with every one of its constants assumed present
+    on every span.
 
-    A cell of length ``L`` keeps a state only when it is admissible and,
-    if ``L`` exceeds ``n - weight(gold)``, when its need is at most the
-    ``n - L`` tokens outside the span.  Edges are listed in the order the
-    chart tries them, which is its tie order: leaf constants by label, Join
-    Join by split, Join NoSem by split, then the ternary rule by split
-    pair; within a split, by the index of the left child, then of the
-    right one, then of the middle one (the outer pair composes first).  A
-    cell's states are indexed in the order this loop first meets them.
+    Its leaves are the template's distinct constants, numbered as slots in
+    the order of their first occurrence in its preorder, so that the chart
+    serves every gold program of the template: slot ``k`` stands for that
+    program's ``k``-th distinct constant (see
+    ``CompositionTable.template``).  A cell of length ``L`` keeps a state
+    only when it is admissible and, if ``L`` exceeds ``n -
+    weight(template)``, when its need is at most the ``n - L`` tokens
+    outside the span.  Edges are listed in the order the chart tries them,
+    which is its tie order: leaves by slot, Join Join by split, Join NoSem
+    by split, then the ternary rule by split pair; within a split, by the
+    index of the left child, then of the right one, then of the middle one
+    (the outer pair composes first).  A cell's states are indexed in the
+    order this loop first meets them.
     """
-    states = _States(gold, schema)
+    states = _States(template, schema)
     need, compose = states.need, schema.table.compose
-    atoms = [(schema.table.atom(c), cat_index[c], c)
-             for c in sorted(cat_index) if c in states.by_head]
+    atoms = [(schema.table.atom(name), slot) for slot, name in
+             enumerate(dict.fromkeys(s.head.name for s in template.subterms()))]
     slack = n - states.budget
-    gold_id = schema.table.intern(gold)
+    gold_id = schema.table.intern(template)
     members = []  # members[L - 1]: the state ids of a cell of length L
     partners = {}  # (x, L) -> [(q, compose(x, members[L - 1][q])), ...]
 
@@ -484,8 +497,7 @@ def _compile(n: int, grammar: Grammar, gold: Program, schema: DomainSchema,
                     ids.append(sid)
             return t
 
-        leaves = tuple((t, col, label) for sid, col, label in atoms
-                       if (t := slot(sid)) >= 0)
+        leaves = tuple((t, k) for sid, k in atoms if (t := slot(sid)) >= 0)
         joins = []
         for d in range(1, length):
             for p, a in enumerate(members[d - 1]):
@@ -521,18 +533,23 @@ def _compile(n: int, grammar: Grammar, gold: Program, schema: DomainSchema,
     return _Compiled(lengths, gold_at, combinations)
 
 
-def _evaluate(compiled: _Compiled, table: ScoreTable):
-    """The best derivation of the gold program over ``table``, or None.
-    Every cell takes each state's best edge whose children are present,
-    and only a strictly greater score replaces; a masked leaf leaves its
-    state absent, and so every edge built on it is skipped."""
+def _evaluate(compiled: _Compiled, table: ScoreTable, labels: tuple):
+    """The best derivation of the gold program over ``table``, or None;
+    ``labels[k]`` is the gold program's constant in slot ``k``.  Every cell
+    takes each state's best edge whose children are present, and only a
+    strictly greater score replaces; a masked leaf, or one whose constant
+    is not among the table's categories, leaves its state absent, and so
+    every edge built on it is skipped."""
     n = table.n
     rows = table.shifted.tolist()
     row_of = table.row_of
     join_col = table.cat_index[JOIN]
+    columns = [table.cat_index.get(label) for label in labels]
     chart = [[None] * (n + 1) for _ in range(n + 2)]
-    for length, (size, leaves, joins, nosems, ternaries) in enumerate(
+    for length, (size, slots, joins, nosems, ternaries) in enumerate(
             compiled.lengths, 1):
+        leaves = [(t, columns[k], labels[k]) for t, k in slots
+                  if columns[k] is not None]
         for i in range(1, n - length + 2):
             j = i + length - 1
             row = rows[row_of[i][j]]
@@ -580,8 +597,7 @@ def _evaluate(compiled: _Compiled, table: ScoreTable):
 
 
 def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
-                      schema: DomainSchema, stats: dict | None = None, *,
-                      charts: dict | None = None):
+                      schema: DomainSchema, stats: dict | None = None):
     """Highest-scoring tree whose program equals ``gold``, or None when no
     grammar-legal tree maps to it.
 
@@ -596,13 +612,20 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     outside its span: each leaf covers tokens of its own, so no tree
     composing to ``gold`` holds such an item, and no item built on one is
     kept either.  Only cells longer than ``n - weight(gold)`` can drop
-    anything.  Scores are summed as in ``parse_kbest``.  An exact tie
-    between derivations of one state goes to the first edge in
-    ``_compile``'s order.
+    anything.  Scores are summed as in ``parse_kbest``.
 
-    ``charts``, when given, keeps compiled charts keyed on ``(n, gold
-    id)`` and is read before compiling; it serves one schema, grammar and
-    category list, as one ``train`` call does.
+    The chart is compiled for ``gold``'s template (see
+    ``CompositionTable.template``), which renames its constants within
+    their signature classes; renaming maps the template's chart onto the
+    gold's, leaf for leaf.  It is compiled once per ``(n, template id,
+    ternary)`` and kept in the schema table's ``charts``, which
+    ``DomainSchema.add`` clears with the rest of the table, and it serves
+    every gold program of the template and every category list: a gold
+    constant that is not among the table's categories is a masked leaf.
+    An exact tie between derivations of one state goes to the first edge
+    in ``_compile``'s order, whose leaves follow ``gold``'s constants in
+    the order of their first occurrence in its preorder.  The leaf order
+    moves state indices and so decides only such ties, never a score.
     """
     n = table.n
     if n < 1:
@@ -610,14 +633,15 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     if stats is None:
         stats = {}
     stats.setdefault("combinations", 0)
-    key = (n, schema.table.intern(gold))
-    compiled = None if charts is None else charts.get(key)
+    composition = schema.table
+    template, labels = composition.template(composition.intern(gold))
+    key = (n, template, grammar.ternary)
+    compiled = composition.charts.get(key)
     if compiled is None:
-        compiled = _compile(n, grammar, gold, schema, table.cat_index)
-        if charts is not None:
-            charts[key] = compiled
+        compiled = composition.charts[key] = _compile(
+            n, grammar, composition.programs[template], schema)
     stats["combinations"] += compiled.combinations
-    best = _evaluate(compiled, table)
+    best = _evaluate(compiled, table, labels)
     if best is None:
         return None
     return ParseResult(_tree(best, table), best[0], gold)

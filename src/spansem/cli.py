@@ -11,20 +11,23 @@ tree is null when no gold tree is available.
 Every setting comes from a flag or, for train, a --config file of
 TrainConfig settings that the flags given override; no environment
 variable changes a default.  Exit codes: 0 success, 2 no valid parse or,
-for parse, a composed program the executor rejects, 3 configuration error
-(including an empty utterance to parse, a missing checkpoint, dataset
-directory, schema.json or JSONL file, a lexicon.tsv line that is not a
-phrase and a schema constant separated by a tab, a schema.json constant
-named NoSem or Join, a --config file that is not a JSON object of valid
-training settings, a malformed dataset line, a gold tree that is
-malformed, runs past its utterance or has a label other than NoSem, Join
-and the schema's constants, a checkpoint whose categories differ from the
-dataset's schema or whose parameter shapes differ from its sizes, a parse
-without --data whose checkpoint records no dataset directory, an output
+for parse, a composed program the executor rejects, 3 configuration
+error (including an empty utterance to parse, a missing checkpoint,
+dataset directory, schema.json or JSONL file, a lexicon.tsv line that is
+not a phrase and a schema constant separated by a tab, a schema.json
+constant named NoSem or Join, a --config file that is not a JSON object
+of valid training settings, a malformed dataset line (one that is not
+UTF-8 among them), a gold tree that is malformed, runs past its
+utterance or has a label other than NoSem, Join and the schema's
+constants, a checkpoint that is not an intact .npz archive, holds a NaN
+or infinite parameter, or whose categories differ from the dataset's
+schema or whose parameter shapes differ from its sizes, a parse without
+--data whose checkpoint records no dataset directory, an output
 directory that cannot be created, such as a train --out naming a file, a
-non-finite training loss, and eval --jobs below 1).  Output directories
-(gen-data and train --out, the directories of eval --out and parse
---dump-chart) are created when missing.
+non-finite training loss or a training epoch that leaves a parameter
+non-finite, and eval --jobs below 1).  Output directories (gen-data and
+train --out, the directories of eval --out and parse --dump-chart) are
+created when missing.
 """
 
 from __future__ import annotations
@@ -98,18 +101,20 @@ def write_jsonl(path: Path, records) -> None:
 
 
 def read_examples(path: Path, schema) -> list:
-    """The examples of a JSONL file.  A malformed line is a ConfigError
-    naming the file and line; so is a tree that is not grammar-legal over
-    its utterance (the ternary rule allowed), such as one whose spans run
-    past it, or that carries a label other than NoSem, Join and the
-    schema's constants."""
+    """The examples of a JSONL file.  A malformed line, one that is not
+    UTF-8 among them, is a ConfigError naming the file and line; so is a tree
+    that is not grammar-legal over its utterance (the ternary rule
+    allowed), such as one whose spans run past it, or that carries a label
+    other than NoSem, Join and the schema's constants."""
     labels = set(schema.categories())
     out = []
-    with read_file(path, open) as fh:
+    with read_file(path, functools.partial(open, mode="rb")) as fh:
         for lineno, line in enumerate(fh, 1):
             where = f"{path}:{lineno}"
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise ConfigError(f"{where}: not UTF-8") from None
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{where}: invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict) or not all(

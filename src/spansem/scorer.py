@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import json
+import zipfile
 from dataclasses import dataclass, field
 from itertools import accumulate
 from types import MappingProxyType
@@ -445,26 +446,32 @@ def save_checkpoint(scorer: SpanScorer, path, extra: dict | None = None) -> None
 
 
 def load_checkpoint(path):
-    """Returns (scorer, extra); a ValueError when a stored parameter's shape
-    differs from the one the stored sizes build."""
-    blob = np.load(path, allow_pickle=False)
-    meta = json.loads(str(blob["meta"]))
-    if meta["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {meta['version']}")
-    scorer = SpanScorer(
-        vocab_tokens=[t for t in meta["vocab"] if t != UNK],
-        categories=meta["categories"],
-        h_dim=meta["h_dim"],
-        n_layers=meta["n_layers"],
-        window=meta["window"],
-        hidden=meta["hidden"],
-        lam=meta["lam"],
-        seed=meta["seed"],
-    )
-    for key, built in scorer.params.items():
-        stored = blob[f"param_{key}"]
-        if stored.shape != built.shape:
-            raise ValueError(f"checkpoint parameter {key} has shape "
-                             f"{stored.shape}, its sizes give {built.shape}")
-        scorer.params[key] = stored
+    """Returns (scorer, extra).  A ValueError when the file is not an intact
+    ``.npz`` archive, or when a stored parameter's shape differs from the
+    one the stored sizes build or it holds a NaN or an infinity."""
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            meta = json.loads(str(blob["meta"]))
+            if meta["version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {meta['version']}")
+            scorer = SpanScorer(
+                vocab_tokens=[t for t in meta["vocab"] if t != UNK],
+                categories=meta["categories"],
+                h_dim=meta["h_dim"],
+                n_layers=meta["n_layers"],
+                window=meta["window"],
+                hidden=meta["hidden"],
+                lam=meta["lam"],
+                seed=meta["seed"],
+            )
+            for key, built in scorer.params.items():
+                stored = blob[f"param_{key}"]
+                if stored.shape != built.shape:
+                    raise ValueError(f"checkpoint parameter {key} has shape "
+                                     f"{stored.shape}, its sizes give {built.shape}")
+                if not np.isfinite(stored).all():
+                    raise ValueError(f"checkpoint parameter {key} is not finite")
+                scorer.params[key] = stored
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"not an intact .npz checkpoint ({exc})") from None
     return scorer, meta["extra"]

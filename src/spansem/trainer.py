@@ -5,8 +5,11 @@ the highest-scoring tree under the current model whose program equals the
 gold program.  The search is exact, so an example is skipped for that
 batch only when no grammar-legal tree over its utterance maps to the gold
 program.  Its chart structure is compiled once per (utterance length,
-gold program) and reused by later epochs of the same ``train`` call; only
-the scores change.  The M-step treats the found trees as supervision and
+gold template, grammar), a template being the gold program with its
+constants renamed within their signature classes, and kept in the
+schema's composition table; every later example of that length and
+template, in any epoch or ``train`` call on the schema, only evaluates it
+over new scores.  The M-step treats the found trees as supervision and
 takes one momentum-SGD step on the summed per-span cross-entropy.  When gold trees
 are available the E-step is bypassed and they are used directly.  A batch
 takes one forward and one backward pass: its examples are scored together,
@@ -21,6 +24,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .cky import Grammar, best_valid_tree, constrained_parse, parse_kbest
 from .core import SpanTree, Utterance
@@ -108,27 +113,22 @@ def vocabulary(examples) -> list:
 
 
 def target_tree(table: ScoreTable, ex: TrainExample, domain: Domain,
-                grammar: Grammar, config: TrainConfig, *,
-                charts: dict | None = None) -> SpanTree | None:
+                grammar: Grammar, config: TrainConfig) -> SpanTree | None:
     """Supervision tree for one example scored as ``table``: the gold tree
     when configured and present, otherwise the best constrained parse (None
-    when no tree over the utterance composes to the gold program).
-    ``charts`` is passed on to ``constrained_parse``."""
+    when no tree over the utterance composes to the gold program)."""
     if config.use_gold_trees and ex.tree is not None:
         return ex.tree
-    result = constrained_parse(table, grammar, ex.program, domain.schema,
-                               charts=charts)
+    result = constrained_parse(table, grammar, ex.program, domain.schema)
     return None if result is None else result.tree
 
 
 def hard_em_step(scorer: SpanScorer, batch: list, domain: Domain,
-                 grammar: Grammar, config: TrainConfig, *,
-                 charts: dict | None = None):
+                 grammar: Grammar, config: TrainConfig):
     """One E+M step on a batch; returns (loss, used, skipped, grads), the
-    gradients averaged over the examples used.  ``charts`` keeps the
-    E-step's compiled charts (see ``constrained_parse``)."""
+    gradients averaged over the examples used."""
     tables = scorer.score_spans([ex.utterance for ex in batch], domain.lexicon)
-    trees = [target_tree(table, ex, domain, grammar, config, charts=charts)
+    trees = [target_tree(table, ex, domain, grammar, config)
              for table, ex in zip(tables, batch)]
     labels = [None if tree is None else scorer.labels_for_tree(tree, table.n)
               for tree, table in zip(trees, tables)]
@@ -203,7 +203,9 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
     run, the scorer carries the last epoch's parameters, and there is no
     dev accuracy: each history entry's ``dev_accuracy`` and the result's
     ``best_dev_accuracy`` are None.  A NaN or infinite batch loss stops
-    training with a ConfigError before the step is taken.
+    training with a ConfigError before the step is taken, and so does an
+    epoch whose steps leave a parameter NaN or infinite, before the dev
+    set is evaluated (one check per epoch, not per batch).
     """
     config.validate()
     if not train_examples:
@@ -213,10 +215,6 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
                         domain.schema.categories(),
                         lam=config.lam, seed=config.seed)
     velocity = scorer.zero_grads()
-    # The E-step's compiled charts, one per (length, gold program), live as
-    # long as this call: later epochs only evaluate them.  A one-epoch run
-    # has no later epoch to read them, so it keeps none.
-    charts = {} if config.max_epochs > 1 else None
     # Execute each dev gold program once, not on every dev pass.
     dev_examples = [ex if ex.denotation is not None
                     else replace(ex, denotation=domain.run(ex.program))
@@ -238,7 +236,7 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
             for lo in range(0, len(order), config.batch_size):
                 batch = order[lo:lo + config.batch_size]
                 loss, used, skipped, grads = hard_em_step(
-                    scorer, batch, domain, grammar, config, charts=charts)
+                    scorer, batch, domain, grammar, config)
                 if not math.isfinite(loss):
                     raise ConfigError(f"non-finite loss at epoch {epoch}, "
                                       f"batch {lo // config.batch_size}; lower lr")
@@ -251,6 +249,10 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
                     velocity[key] = (config.momentum * velocity[key]
                                      + grads[key])
                 scorer.params = sgd_step(scorer.params, velocity, config.lr)
+            broken = [k for k, v in scorer.params.items() if not np.isfinite(v).all()]
+            if broken:
+                raise ConfigError(f"non-finite parameter {', '.join(broken)} after "
+                                  f"epoch {epoch}; lower lr")
             dev_acc = (evaluate(scorer, dev_examples, domain, grammar,
                                 config.K)["accuracy"]
                        if dev_examples else None)

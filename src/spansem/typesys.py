@@ -10,7 +10,8 @@ Each schema owns one ``CompositionTable``, built on first use: programs are
 hash-consed to ints (Filliâtre & Conchon 2006, *Type-safe modular
 hash-consing*) and composition is memoized over id pairs, so a pair of
 programs is composed once per schema however many parses, examples and
-epochs meet it.  A miss composes through ``compose_children``.
+epochs meet it.  A miss composes through ``compose_children``.  The table
+also keeps each program's template and the E-step charts compiled for it.
 ``DomainSchema.add`` clears the table.
 """
 
@@ -281,6 +282,11 @@ class CompositionTable:
     is None; the first call for a pair composes, later ones look it up.
     Ids follow first use, so they differ between a cold table and a warm
     one: nothing may be ordered by them.
+
+    ``template(x)`` renames program ``x``'s constants to a canonical
+    representative that composes as ``x`` does, and ``charts`` holds what
+    is compiled per template: ``cky.constrained_parse`` keeps its E-step
+    charts there, keyed on ``(n, template id, ternary)``.
     """
 
     def __init__(self, schema: DomainSchema):
@@ -289,6 +295,13 @@ class CompositionTable:
         self.ids: dict = {}  # program -> id
         self.atoms: dict = {}  # constant name -> id of its bare program
         self.composed: list = []  # x -> {y: compose(x, y)}
+        self.templates: dict = {}  # x -> (template id, slot names)
+        self.charts: dict = {}
+        self.defaults = set(schema.type_defaults.values())
+        self.classes: dict = {}  # signature -> its constants but defaults, by name
+        for c in schema.sigma:
+            if c.name not in self.defaults:
+                self.classes.setdefault(_signature(c), []).append(c.name)
 
     def intern(self, program: Program) -> int:
         pid = self.ids.get(program)
@@ -319,6 +332,46 @@ class CompositionTable:
         """``compose_children`` over ids (None for NoSem): an id, or None."""
         return _node(ids, lambda x, y: None if (pid := self.compose(x, y)) < 0
                      else pid)
+
+    def template(self, pid: int) -> tuple:
+        """``(template id, slot names)`` of program ``pid``.
+
+        Composition reads a constant's kind, result type, argument types
+        and ``min_args`` (its signature) and the schema's type defaults,
+        never its name.  So renaming constants within a signature class,
+        defaults fixed, maps compositions to compositions, admissible
+        programs to admissible ones, and keeps every weight.  The template
+        renames the k-th distinct constant of a class in ``pid``'s preorder
+        to the class's k-th member by name, the type defaults excluded from
+        every class, and leaves defaults as they are.  The slot names are
+        ``pid``'s distinct constants in preorder; the template's, in the
+        same order, are their images."""
+        entry = self.templates.get(pid)
+        if entry is None:
+            program = self.programs[pid]
+            renamed, taken = {}, {}
+            for sub in program.subterms():
+                head = sub.head
+                if head.name not in renamed:
+                    if head.name in self.defaults:
+                        renamed[head.name] = head
+                    else:
+                        sig = _signature(head)
+                        k = taken[sig] = taken.get(sig, -1) + 1
+                        renamed[head.name] = self.schema.constant(self.classes[sig][k])
+
+            def rename(p: Program) -> Program:
+                return Program(renamed[p.head.name],
+                               tuple(None if a is None else rename(a) for a in p.args))
+
+            entry = self.templates[pid] = (self.intern(rename(program)),
+                                           tuple(renamed))
+        return entry
+
+
+def _signature(const: DomainConstant) -> tuple:
+    """What composition reads of a constant: all but its name."""
+    return const.kind, const.result_type, const.arg_types, const.min_args
 
 
 def program_of_tree(tree: SpanTree, schema: DomainSchema) -> Program:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spansem import cky
 from spansem.cky import (
     EmptyInput,
     Grammar,
@@ -713,23 +714,43 @@ def test_constrained_parse_same_on_cold_and_warm_tables(ternary):
     assert any(found) and not all(found)
 
 
+def corpus_golds(schema):
+    """Scan programs of commands up to 5 tokens, or every geo program."""
+    if schema.name == "scan":
+        texts = {str(e.program) for e in generate_scan_sp(schema)
+                 if len(e.utterance) <= 5}
+    else:
+        texts = {p for _, p in mini_geo_corpus(mini_kb())}
+    return [parse_program(t, schema) for t in sorted(texts)]
+
+
+def outcome(result, stats):
+    return (None if result is None else
+            (repr(result.tree), repr(result.score), str(result.program)),
+            stats["combinations"])
+
+
 @pytest.mark.parametrize("ternary", [False, True])
-def test_a_compiled_chart_serves_every_table(ternary):
-    """A chart compiled once per (length, gold program) and reused across
-    tables gives what a fresh ``constrained_parse`` gives: the same tree
-    ``repr``, score ``repr`` and combination count.  Scan and geo corpus
-    golds, up to 6 tokens with the binary grammar and 5 with the ternary
-    one; each key is compiled by a table whose gold leaves are partly
-    masked, then serves random tables, tables of exact ties and other
+def test_a_compiled_chart_serves_every_table(ternary, monkeypatch):
+    """One chart per (length, gold template, grammar), kept on the schema's
+    table, serves every gold program of its template and every table: it
+    gives the tree ``repr``, score ``repr`` and combination count that a
+    chart compiled afresh for the call gives, and each key is compiled
+    once per schema.  A table whose category list lacks a gold constant
+    reads as one whose column for it is masked.  Scan and geo corpus
+    golds, several of one template, up to 6 tokens with the binary grammar
+    and 5 with the ternary one; random tables, tables of exact ties and
     masked ones."""
     rng = random.Random(41)
     grammar = Grammar(ternary=ternary)
-    scan, geo = scan_schema(), geo_schema()
-    cases = [(scan, small_gold_programs(
-                  scan, [str(e.program) for e in generate_scan_sp(scan)
-                         if len(e.utterance) <= 4])),
-             (geo, small_gold_programs(
-                  geo, [p for _, p in mini_geo_corpus(mini_kb())]))]
+    compiled = []
+    compile_ = cky._compile
+
+    def counted(n, grammar, template, schema):
+        compiled.append((schema, n, schema.table.intern(template), grammar.ternary))
+        return compile_(n, grammar, template, schema)
+
+    monkeypatch.setattr(cky, "_compile", counted)
 
     def table_of(kind, n, cats, names):
         def score(c):
@@ -741,30 +762,118 @@ def test_a_compiled_chart_serves_every_table(ternary):
         return ScoreTable(n, cats, np.array([[score(c) for c in cats]
                                              for _ in all_spans(n)]))
 
-    def outcome(result, stats):
-        return (None if result is None else
-                (repr(result.tree), repr(result.score), str(result.program)),
-                stats["combinations"])
+    found, shared = [], 0
+    for make in (scan_schema, geo_schema):
+        schema, cold = make(), make()
+        by_template = {}
+        for gold in corpus_golds(schema):
+            if sum(1 for _ in gold.subterms()) <= 4:
+                template, _ = schema.table.template(schema.table.intern(gold))
+                by_template.setdefault(template, []).append(gold)
+        groups = sorted(by_template.values(), key=lambda g: (-len(g), str(g[0])))
+        cats = schema.categories()
+        for golds in groups[:2] + rng.sample(groups[2:], 2):
+            shared += len(golds) > 1
+            for gold in rng.sample(golds, min(3, len(golds))):
+                names = sorted({s.head.name for s in gold.subterms()})
+                for n in range(1, (5 if ternary else 6) + 1):
+                    for kind in ("masked", "random", "ties") * 2:
+                        table = table_of(kind, n, cats, names)
+                        cold.table.charts.clear()
+                        fresh, kept = {}, {}
+                        want = outcome(constrained_parse(
+                            table, grammar, parse_program(str(gold), cold), cold,
+                            fresh), fresh)
+                        got = outcome(constrained_parse(table, grammar, gold, schema,
+                                                        kept), kept)
+                        assert got == want
+                        found.append(want[0] is not None)
+                    # Drop one gold constant's column: it reads as masked.
+                    dropped = rng.choice(names)
+                    table = table_of("random", n, cats, names)
+                    keep = [k for k, c in enumerate(cats) if c != dropped]
+                    narrow = ScoreTable(n, [cats[k] for k in keep], table.raw[:, keep])
+                    raw = table.raw.copy()
+                    raw[:, cats.index(dropped)] = NEG_INF
+                    masked = ScoreTable(n, cats, raw)
+                    a, b = {}, {}
+                    assert (outcome(constrained_parse(narrow, grammar, gold, schema, a), a)
+                            == outcome(constrained_parse(masked, grammar, gold, schema, b), b))
+        # once per key of the schema that keeps its charts
+        assert (sorted(k[1:] for k in compiled if k[0] is schema)
+                == sorted(schema.table.charts))
+    assert shared and any(found) and not all(found)
 
+
+def rename_program(program, sigma, schema):
+    return Program(schema.constant(sigma.get(program.head.name, program.head.name)),
+                   tuple(None if a is None else rename_program(a, sigma, schema)
+                         for a in program.args))
+
+
+def rename_tree(tree, sigma):
+    return SpanTree(tree.span, sigma.get(tree.category, tree.category),
+                    tuple(rename_tree(c, sigma) for c in tree.children))
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_constrained_parse_commutes_with_renaming(ternary):
+    """For a random renaming sigma of constants within their signature
+    classes (kind, result type, argument types, ``min_args``), the type
+    defaults fixed, parsing sigma(gold) on a table whose constant columns
+    are permuted by sigma gives the score of parsing gold and the sigma
+    image of its tree, or None exactly when gold gets None.  The image
+    holds even on exact ties, since the chart tries its leaves in the
+    order of the gold constants' first occurrence, which sigma keeps.
+    Scan and geo corpus golds, up to 6 tokens with the binary grammar and
+    5 with the ternary one, random, tie-heavy and masked tables."""
+    schemas = {"scan": scan_schema(), "geo": geo_schema()}
+    golds = {name: corpus_golds(schema) for name, schema in schemas.items()}
     found = []
-    for schema, golds in cases:
-        cats, charts, first = schema.categories(), {}, {}
-        for gold in rng.sample(golds, 3):
-            names = {s.head.name for s in gold.subterms()}
-            for n in range(1, (5 if ternary else 6) + 1):
-                key = (n, schema.table.intern(gold))
-                for kind in ("masked", "random", "ties") * 3:
-                    table = table_of(kind, n, cats, names)
-                    reused, fresh = {}, {}
-                    want = outcome(constrained_parse(table, grammar, gold,
-                                                     schema, fresh), fresh)
-                    got = outcome(constrained_parse(table, grammar, gold, schema,
-                                                    reused, charts=charts), reused)
-                    assert got == want
-                    found.append(want[0] is not None)
-                    compiled = first.setdefault(key, charts[key])
-                    assert charts[key] is compiled  # compiled once, then read
-        assert charts.keys() == first.keys()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(schemas)), st.integers(1, 5 if ternary else 6),
+           st.sampled_from(["random", "ties", "masked"]), st.integers(0, 2**32 - 1))
+    def check(name, n, kind, seed):
+        rng = random.Random(seed)
+        schema = schemas[name]
+        gold = rng.choice(golds[name])
+        defaults = set(schema.type_defaults.values())
+        classes = {}
+        for c in schema.sigma:
+            if c.name not in defaults:
+                classes.setdefault((c.kind, c.result_type, c.arg_types, c.min_args),
+                                   []).append(c.name)
+        sigma = {}
+        for members in classes.values():
+            sigma.update(zip(members, rng.sample(members, len(members))))
+        renamed = rename_program(gold, sigma, schema)
+        cats = schema.categories()
+        names = {s.head.name for s in gold.subterms()}
+
+        def score(c):
+            if kind == "ties":
+                return float(rng.randint(0, 1))
+            if kind == "masked" and c in names and rng.random() < 0.4:
+                return NEG_INF
+            return rng.gauss(0, 2)
+
+        raw = np.array([[score(c) for c in cats] for _ in all_spans(n)])
+        permuted = raw[:, [cats.index(sigma_inverse) for sigma_inverse in (
+            {v: k for k, v in sigma.items()}.get(c, c) for c in cats)]]
+        grammar = Grammar(ternary=ternary)
+        want = constrained_parse(ScoreTable(n, cats, raw), grammar, gold, schema)
+        got = constrained_parse(ScoreTable(n, cats, permuted), grammar, renamed, schema)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.program == renamed
+            assert got.score == want.score
+            assert repr(got.tree) == repr(rename_tree(want.tree, sigma))
+            assert program_of_tree(got.tree, schema) == renamed
+        found.append(want is not None and renamed != gold)
+
+    check()
     assert any(found) and not all(found)
 
 

@@ -428,6 +428,79 @@ def test_train_stops_on_non_finite_loss(tiny_scan_dir, tmp_path, monkeypatch,
             "lower lr") in capsys.readouterr().err
 
 
+def test_train_stops_on_non_finite_parameters(tmp_path, capsys):
+    """On the geo dataset a step size of 1e308 overflows W2 and the mixing
+    biases in the first epoch while every batch loss stays finite: train
+    exits 3 naming them and writes no checkpoint."""
+    assert cli.main(["gen-data", "--domain", "geo", "--out", str(tmp_path / "geo")]) == 0
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps({"lr": 1e308, "max_epochs": 1}))
+    out = tmp_path / "overflow"
+    with np.errstate(all="ignore"):
+        code = cli.main(["train", "--data", str(tmp_path / "geo"), "--out", str(out),
+                         "--config", str(settings)])
+    assert code == cli.EXIT_CONFIG
+    assert ("configuration error: non-finite parameter mix0_b, mix1_b, W2 after "
+            "epoch 0; lower lr") in capsys.readouterr().err
+    assert not (out / "model.npz").exists()
+
+
+@pytest.mark.parametrize("size", [0, 300, 1000, -10])
+def test_truncated_checkpoint_is_config_error(exec_error_run, tmp_path, capsys,
+                                              size):
+    """A model.npz cut short (empty, its first 300 or 1,000 bytes, or all
+    but its last 10) is a configuration error naming the file."""
+    data = (exec_error_run / "model.npz").read_bytes()
+    bad = tmp_path / "cut.npz"
+    bad.write_bytes(data[:size])
+    assert cli.main(["eval", "--checkpoint", str(bad),
+                     "--data", str(exec_error_run / "test.jsonl")]) == cli.EXIT_CONFIG
+    assert cli.main(["parse", "walk", "--checkpoint", str(bad),
+                     "--data", str(exec_error_run)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count(
+        f"configuration error: {bad}: not an intact .npz checkpoint") == 2
+
+
+def test_non_finite_checkpoint_parameter_is_config_error(exec_error_run, tmp_path,
+                                                         capsys):
+    """A checkpoint whose emb is all NaN does not load: eval and parse exit 3
+    naming the array, instead of blaming the decoder."""
+    with np.load(exec_error_run / "model.npz") as blob:
+        arrays = dict(blob)
+    arrays["param_emb"] = np.full_like(arrays["param_emb"], np.nan)
+    bad = tmp_path / "nan.npz"
+    np.savez(bad, **arrays)
+    with pytest.raises(ValueError, match="checkpoint parameter emb is not finite"):
+        load_checkpoint(bad)
+    assert cli.main(["eval", "--checkpoint", str(bad),
+                     "--data", str(exec_error_run / "test.jsonl")]) == cli.EXIT_CONFIG
+    assert cli.main(["parse", "walk", "--checkpoint", str(bad),
+                     "--data", str(exec_error_run)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count(
+        f"configuration error: {bad}: checkpoint parameter emb is not finite") == 2
+
+
+def test_non_utf8_dataset_line_is_config_error(exec_error_run, tiny_scan_dir,
+                                               tmp_path, capsys):
+    """A byte that is not UTF-8 is a configuration error naming the file and
+    line, for eval's file and for train's."""
+    data = tmp_path / "data"
+    shutil.copytree(exec_error_run, data)
+    lines = (data / "test.jsonl").read_bytes().splitlines(keepends=True)
+    (data / "test.jsonl").write_bytes(lines[0] + b"\xff\n" + b"".join(lines[1:]))
+    assert cli.main(["eval", "--checkpoint", str(data / "model.npz"),
+                     "--data", str(data / "test.jsonl")]) == cli.EXIT_CONFIG
+    assert (f"configuration error: {data / 'test.jsonl'}:2: not UTF-8"
+            in capsys.readouterr().err)
+    scan = tmp_path / "scan"
+    shutil.copytree(tiny_scan_dir, scan)
+    (scan / "dev.jsonl").write_bytes(b'{"utterance": "walk \xe9"}\n')
+    assert cli.main(["train", "--data", str(scan), "--out", str(tmp_path / "run"),
+                     "--max-epochs", "1"]) == cli.EXIT_CONFIG
+    assert (f"configuration error: {scan / 'dev.jsonl'}:1: not UTF-8"
+            in capsys.readouterr().err)
+
+
 def test_eval_rejects_empty_file(trained_run, tmp_path, tiny_scan_dir):
     empty = tiny_scan_dir / "empty.jsonl"
     empty.write_text("")

@@ -2,6 +2,7 @@
 reports, and small end-to-end training runs on both domains."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -313,13 +314,20 @@ def test_geo_training_on_simple_questions():
     assert domain.run(parsed.program) == ex.denotation
 
 
-def test_compiled_charts_are_invisible_and_live_for_one_run(monkeypatch):
-    """Reusing compiled E-step charts changes nothing: a 3-epoch geo run
-    with the ternary grammar gives the same history and parameters as one
-    whose E-step compiles every chart afresh.  Each ``train`` call keeps
-    its own charts, empty when it starts, and later epochs reuse them; a
-    one-epoch run, which could not reuse them, keeps none."""
+def test_compiled_charts_are_invisible_and_live_on_the_schema(monkeypatch):
+    """The E-step's compiled charts live on the schema's composition table
+    and change nothing: a 3-epoch geo run with the ternary grammar gives
+    the same history, parameters and E-step results (tree ``repr`` and
+    score ``repr``) from a cold schema, from the same schema warm and with
+    every chart compiled afresh for its call, and its first epoch is a
+    one-epoch run's.  Each (length, gold
+    template, grammar) is compiled once per schema, the first time an
+    example needs it, and never again by later epochs or runs, and
+    ``DomainSchema.add`` clears the charts."""
     import numpy as np
+
+    from spansem import cky
+    from spansem.typesys import DomainConstant
 
     kb = mini_kb()
     schema = geo_schema(kb)
@@ -330,35 +338,48 @@ def test_compiled_charts_are_invisible_and_live_for_one_run(monkeypatch):
                 for text, p in mini_geo_corpus(kb)][:24]
     config = TrainConfig(lr=0.0005, momentum=0.0, ternary=True, max_epochs=3,
                          seed=0)
-    parse = trainer.constrained_parse
-    seen = []
+    parse, compile_ = trainer.constrained_parse, cky._compile
+    esteps, compiled = [], []
 
-    def spied(table, grammar, gold, schema, *args, charts, **kwargs):
-        if not any(c is charts for c, _ in seen):
-            seen.append((charts, len(charts)))
-        return parse(table, grammar, gold, schema, *args, charts=charts, **kwargs)
+    def recorded(table, grammar, gold, schema, *args, **kwargs):
+        if afresh:
+            schema.table.charts.clear()
+        result = parse(table, grammar, gold, schema, *args, **kwargs)
+        esteps.append(None if result is None else
+                      (repr(result.tree), repr(result.score)))
+        return result
 
-    def fresh(table, grammar, gold, schema, *args, charts, **kwargs):
-        return parse(table, grammar, gold, schema, *args, **kwargs)
+    def counted(n, grammar, template, schema):
+        compiled.append((n, schema.table.intern(template), grammar.ternary))
+        return compile_(n, grammar, template, schema)
 
-    runs = []
-    for wrapper in (spied, fresh, spied):
-        monkeypatch.setattr(trainer, "constrained_parse", wrapper)
-        result = train(examples, [], domain, config)
+    monkeypatch.setattr(trainer, "constrained_parse", recorded)
+    monkeypatch.setattr(cky, "_compile", counted)
+    afresh, runs = False, []
+    for run in ("cold", "warm", "afresh", "one epoch"):
+        afresh, esteps, compiled = run == "afresh", [], []
+        result = train(examples, [], domain,
+                       replace(config, max_epochs=1) if run == "one epoch" else config)
         runs.append((result.history,
-                     {k: v.copy() for k, v in result.scorer.params.items()}))
-    assert len(runs[0][0]) == 3 and runs[0][0][0]["used"]
-    for history, params in runs[1:]:
-        assert history == runs[0][0]
-        assert params.keys() == runs[0][1].keys()
-        assert all(np.array_equal(params[k], runs[0][1][k]) for k in params)
-    assert [size for _, size in seen] == [0, 0] and seen[0][0] is not seen[1][0]
-    # one chart per (length, gold program), however many epochs read it
-    assert 0 < len(seen[0][0]) == len({(len(ex.utterance), str(ex.program))
-                                       for ex in examples})
-    kept = []
-    monkeypatch.setattr(trainer, "constrained_parse",
-                        lambda *args, charts, **kwargs:
-                        kept.append(charts) or parse(*args, **kwargs))
-    train(examples[:5], [], domain, TrainConfig(ternary=True, max_epochs=1))
-    assert kept and all(charts is None for charts in kept)
+                     {k: v.copy() for k, v in result.scorer.params.items()},
+                     esteps, compiled))
+        if run == "cold":
+            table = schema.table
+            keys = {(len(ex.utterance), table.template(table.intern(ex.program))[0],
+                     True) for ex in examples}
+            # once per (length, template, grammar), however many epochs read it
+            assert sorted(compiled) == sorted(keys) == sorted(table.charts)
+            assert len(keys) < len({(len(ex.utterance), str(ex.program))
+                                    for ex in examples})
+    (history, params, cold_esteps, _), warm, fresh, one = runs
+    assert len(history) == 3 and history[0]["used"]
+    assert len(cold_esteps) == 3 * len(examples) and any(cold_esteps)
+    for run in (warm, fresh):
+        assert run[0] == history and run[2] == cold_esteps
+        assert run[1].keys() == params.keys()
+        assert all(np.array_equal(run[1][k], params[k]) for k in params)
+    assert warm[3] == []
+    assert one[0] == history[:1] and one[2] == cold_esteps[:len(examples)]
+    assert schema.table.charts
+    schema.add(DomainConstant("riverid('test')", "entity", "river"))
+    assert schema.table.charts == {}

@@ -245,6 +245,53 @@ def test_schema_add_clears_its_table(scan):
 
 
 @pytest.mark.parametrize("name", ["scan", "geo"])
+def test_template_renames_constants_within_signature_classes(corpora, name):
+    """A corpus program's template has its shape and its type defaults, and
+    in place of each other constant one of the same signature: distinct
+    constants stay distinct, and the k-th distinct constant of a signature
+    class, in preorder, becomes the class's k-th member by name.  The slot
+    names are the program's distinct constants in preorder, a template is
+    its own template, and templates are few: scan's 20,910 commands have
+    156 (length, template) pairs and geo's 52 questions 14."""
+    schema, programs, lengths = corpora[name]
+    table = schema.table
+    defaults = set(schema.type_defaults.values())
+    classes = {}
+    for c in schema.sigma:
+        if c.name not in defaults:
+            classes.setdefault((c.kind, c.result_type, c.arg_types, c.min_args),
+                               []).append(c.name)
+
+    def heads(program):
+        return [s.head for s in program.subterms()]
+
+    def shape(program):
+        return tuple(None if a is None else shape(a) for a in program.args)
+
+    pairs = set()
+    for program, n in zip(programs, lengths):
+        tid, names = table.template(table.intern(program))
+        template = table.programs[tid]
+        assert names == tuple(dict.fromkeys(h.name for h in heads(program)))
+        assert shape(template) == shape(program)
+        sigma, taken = {}, Counter()
+        for a, b in zip(heads(program), heads(template)):
+            sig = (a.kind, a.result_type, a.arg_types, a.min_args)
+            assert (b.kind, b.result_type, b.arg_types, b.min_args) == sig
+            if a.name not in sigma:
+                if a.name in defaults:
+                    assert b.name == a.name
+                else:
+                    assert b.name == classes[sig][taken[sig]]
+                    taken[sig] += 1
+            assert sigma.setdefault(a.name, b.name) == b.name
+        assert len(set(sigma.values())) == len(sigma)
+        assert table.template(tid) == (tid, tuple(dict.fromkeys(sigma.values())))
+        pairs.add((n, tid))
+    assert len(pairs) == {"scan": 156, "geo": 14}[name]
+
+
+@pytest.mark.parametrize("name", ["scan", "geo"])
 def test_corpus_programs_round_trip_through_text(corpora, name):
     schema, programs, _ = corpora[name]
     for program in programs:
