@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 
 from .core import JOIN, NOSEM, SpanTree
@@ -127,15 +128,12 @@ class _Chart:
     ranks.
     """
 
-    def __init__(self, table: ScoreTable, grammar: Grammar, K: int,
-                 stats: dict | None = None):
+    def __init__(self, table: ScoreTable, grammar: Grammar, K: int):
         if table.n < 1:
             raise EmptyInput("empty utterance")
         self.table = table
         self.grammar = grammar
         self.K = K
-        self.stats = stats if stats is not None else {}
-        self.stats.setdefault("combinations", 0)
         self.row_of = table.row_of
         self.join_col = table.cat_index[JOIN]
         self.constants = sorted(c for c in table.categories
@@ -159,7 +157,6 @@ class _Chart:
                     leaves[k] = (score, self.constants[c])
         ternary = self.grammar.ternary
         best = [[None] * (n + 2) for _ in range(n + 2)]
-        combinations = 0
         for length in range(1, n + 1):
             for i in range(1, n - length + 2):
                 j = i + length - 1
@@ -183,10 +180,7 @@ class _Chart:
                         key = base + a[0]
                         top = (base + a[0] + 0.0, i, j, JOIN,
                                (a, (0.0, s + 1, j, NOSEM, ())))
-                m = j - i
-                combinations += 2 * m
                 if ternary:
-                    combinations += m * (m - 1) // 2
                     for s1 in range(i, j - 1):
                         a = best[i][s1]
                         if a is None:
@@ -204,7 +198,6 @@ class _Chart:
 
         top = _root(bases[row_of[1][n]], best[1][n],
                     [best[s + 1][n] for s in range(1, n)])
-        self.stats["combinations"] += combinations + n - 1
         return [] if top is None else [top]
 
     def at(self, key, r: int):
@@ -339,6 +332,18 @@ def _root(base: float, whole, suffixes: list):
     return top
 
 
+def _count(stats: dict | None, n: int, grammar: Grammar) -> None:
+    """Adds to ``stats["combinations"]`` the rule sources that either chart
+    tries over ``n`` tokens: ``2 (L - 1)`` binary splits in a cell of length
+    ``L``, ``C(L - 1, 2)`` ternary split pairs with the ternary rule, and
+    the root's ``n - 1`` NoSem splits.  Summed over the cells, that is
+    ``2 C(n + 1, 3)`` (+ ``C(n + 1, 4)``) + ``n - 1``."""
+    if stats is not None:
+        stats["combinations"] = stats.get("combinations", 0) + (
+            2 * math.comb(n + 1, 3) + n - 1
+            + (math.comb(n + 1, 4) if grammar.ternary else 0))
+
+
 def _tree(deriv: tuple, table: ScoreTable) -> SpanTree:
     """The derivation's tree, whose spans are the table's shared ones."""
     _, i, j, category, children = deriv
@@ -351,7 +356,8 @@ def parse_kbest(table: ScoreTable, grammar: Grammar, K: int,
     """An iterator over the top-K grammar-legal trees for the whole
     utterance, best first.  The Viterbi pass runs in this call; each later
     candidate is ranked, and its tree built, when it is asked for."""
-    chart = _Chart(table, grammar, K, stats=stats)
+    chart = _Chart(table, grammar, K)
+    _count(stats, table.n, grammar)
     return (ParseResult(_tree(d, table), d[0])
             for d in chart.ranked(_ROOT))
 
@@ -433,13 +439,11 @@ class _Compiled:
     length ``d2`` at ``m`` and the right one at ``q``.  Flat tuples keep a
     cached chart small: most splits have one or two edges.
     ``gold_at[L - 1]`` is the gold program's index in a cell of length
-    ``L``, or None.  ``combinations`` is the count ``stats["combinations"]``
-    gains per parse.
+    ``L``, or None.
     """
 
     lengths: list
     gold_at: list
-    combinations: int
 
 
 def _compile(n: int, grammar: Grammar, template: Program,
@@ -527,10 +531,7 @@ def _compile(n: int, grammar: Grammar, template: Program,
                         tuple(ternaries)))
         t = index.get(gold_id, -1)
         gold_at.append(t if t >= 0 else None)
-    combinations = n - 1
-    for m in range(n):  # a cell of length m + 1 tries 2m (+ m(m-1)/2) sources
-        combinations += (n - m) * (2 * m + (m * (m - 1) // 2 if grammar.ternary else 0))
-    return _Compiled(lengths, gold_at, combinations)
+    return _Compiled(lengths, gold_at)
 
 
 def _evaluate(compiled: _Compiled, table: ScoreTable, labels: tuple):
@@ -630,9 +631,6 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     n = table.n
     if n < 1:
         raise EmptyInput("empty utterance")
-    if stats is None:
-        stats = {}
-    stats.setdefault("combinations", 0)
     composition = schema.table
     template, labels = composition.template(composition.intern(gold))
     key = (n, template, grammar.ternary)
@@ -640,7 +638,7 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     if compiled is None:
         compiled = composition.charts[key] = _compile(
             n, grammar, composition.programs[template], schema)
-    stats["combinations"] += compiled.combinations
+    _count(stats, n, grammar)
     best = _evaluate(compiled, table, labels)
     if best is None:
         return None

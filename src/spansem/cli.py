@@ -379,8 +379,6 @@ def cmd_eval(args) -> int:
 
 def cmd_parse(args) -> int:
     scorer, domain, grammar, K = load_run(args.checkpoint, args.data)
-    if args.ternary:
-        grammar = Grammar(ternary=True)
     utt = Utterance.from_text(args.utterance)
     if not utt.tokens:
         raise ConfigError("empty utterance")
@@ -454,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--checkpoint", required=True)
     pa.add_argument("--data", default=None,
                     help="dataset directory (defaults to the training one)")
-    pa.add_argument("--ternary", action="store_true")
     pa.add_argument("--dump-chart", dest="dump_chart", default=None)
     pa.set_defaults(func=cmd_parse)
     return parser

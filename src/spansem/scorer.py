@@ -6,7 +6,9 @@ window-based context mixing (each position is an affine mix of the
 previous layer at offsets -3..+3, through tanh).  Span (i, j) is scored by
 a 1-hidden-layer network over the concatenation [h_i ; h_j], with hidden
 width 250, plus an exact-match lexicon bonus of lambda per matching
-category.  All arithmetic is float64 numpy; gradients are hand-derived
+category.  These sizes are fixed: ``H_DIM``, ``N_LAYERS``, ``WINDOW`` and
+``HIDDEN`` are the one architecture, a checkpoint records them, and
+``load_checkpoint`` refuses one that records other sizes.  All arithmetic is float64 numpy; gradients are hand-derived
 and checked against finite differences in the test suite.
 
 Scoring and backpropagation run on a batch.  ``score_spans`` scores a
@@ -22,8 +24,8 @@ another parameter dict (``sgd_step`` returns a new one) is refused.  GEMM
 rounding depends on the row count, so an utterance's scores in a batch
 and scored alone can differ in the last bits (about 1e-15).
 
-What depends on the utterance length alone (the span list, its index, the
-row of each (i, j), the start and end token of each row) is built once per
+What depends on the utterance length alone (the span list, the row of
+each (i, j), the start and end token of each row) is built once per
 length by ``_geometry`` and shared by every table and chart.  The lexicon
 memoizes its matches per token tuple, so the bonus of a seen utterance is
 a scatter.
@@ -36,7 +38,6 @@ import json
 import zipfile
 from dataclasses import dataclass, field
 from itertools import accumulate
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +53,7 @@ WINDOW = 3
 
 
 class DimensionMismatch(ValueError):
-    """Encoder output width disagrees with the classifier input width."""
+    """A raw score matrix's shape disagrees with its spans and categories."""
 
 
 class _Geometry(NamedTuple):
@@ -60,7 +61,6 @@ class _Geometry(NamedTuple):
     and chart of that length shares it, so nothing in it is mutable."""
 
     spans: tuple  # all_spans(n): row k of a table scores spans[k]
-    span_index: MappingProxyType  # span -> row
     row_of: tuple  # row_of[i][j]: the row of span (i, j), 1 <= i <= j <= n
     ii: np.ndarray  # the 0-based start token of each row
     jj: np.ndarray  # the 0-based end token of each row
@@ -82,8 +82,7 @@ def _geometry(n: int) -> _Geometry:
     by_token[n + jj, np.arange(len(spans))] = 1.0
     for array in (ii, jj, by_token):
         array.flags.writeable = False
-    return _Geometry(spans, MappingProxyType({s: k for k, s in enumerate(spans)}),
-                     tuple(map(tuple, row_of)), ii, jj, by_token)
+    return _Geometry(spans, tuple(map(tuple, row_of)), ii, jj, by_token)
 
 
 def _im2col(x: np.ndarray, layout: dict) -> np.ndarray:
@@ -108,9 +107,6 @@ class Lexicon:
         self.entries.setdefault(phrase.lower(), set()).add(constant)
         self._matches.clear()
 
-    def lookup(self, phrase: str) -> set:
-        return self.entries.get(phrase.lower(), set())
-
     def matches(self, tokens: tuple) -> list:
         """``(row, name)`` for every span of ``tokens``, by its row in
         ``all_spans`` order, whose phrase the lexicon maps to ``name``;
@@ -120,7 +116,8 @@ class Lexicon:
             hits = self._matches[tokens] = [
                 (row, name)
                 for row, span in enumerate(_geometry(len(tokens)).spans)
-                for name in self.lookup(" ".join(tokens[span.start - 1:span.end]))]
+                for name in self.entries.get(
+                    " ".join(tokens[span.start - 1:span.end]).lower(), ())]
         return hits
 
     def merged_with(self, other: "Lexicon") -> "Lexicon":
@@ -192,7 +189,6 @@ class ScoreTable:
         else:  # the scorer's list and index, shared by the batch's tables
             self.categories, self.cat_index = categories, cache["cat_index"]
         self.spans = geometry.spans
-        self.span_index = geometry.span_index
         self.row_of = geometry.row_of
         if raw.shape != (len(self.spans), len(self.categories)):
             raise DimensionMismatch(
@@ -208,7 +204,7 @@ class ScoreTable:
 
 def span_probability(table: ScoreTable, span: Span, category: str) -> float:
     """Softmax probability over categories at one span (shift-invariant)."""
-    row = table.raw[table.span_index[span]]
+    row = table.raw[table.row_of[span.start][span.end]]
     row = row - row.max()
     probs = np.exp(row)
     probs /= probs.sum()
@@ -218,32 +214,26 @@ def span_probability(table: ScoreTable, span: Span, category: str) -> float:
 class SpanScorer:
     """Reference encoder + span classifier with explicit parameters."""
 
-    def __init__(self, vocab_tokens, categories, h_dim: int = H_DIM,
-                 n_layers: int = N_LAYERS, window: int = WINDOW,
-                 hidden: int = HIDDEN, lam: float = 10.0, seed: int = 0):
+    def __init__(self, vocab_tokens, categories, lam: float = 10.0, seed: int = 0):
         self.vocab = {UNK: 0}
         for tok in vocab_tokens:
             self.vocab.setdefault(tok, len(self.vocab))
         self.categories = list(categories)
         self.cat_index = {c: k for k, c in enumerate(self.categories)}
-        self.h_dim = h_dim
-        self.n_layers = n_layers
-        self.window = window
-        self.hidden = hidden
         self.lam = lam
         self.seed = seed
         rng = np.random.default_rng(seed)
-        d, taps = h_dim, 2 * window + 1
+        d, taps = H_DIM, 2 * WINDOW + 1
         scale = 1.0 / np.sqrt(d)
         self.params = {"emb": rng.normal(0.0, 0.5, size=(len(self.vocab), d))}
-        for layer in range(n_layers):
+        for layer in range(N_LAYERS):
             self.params[f"mix{layer}_W"] = rng.normal(
                 0.0, scale / np.sqrt(taps), size=(taps, d, d))
             self.params[f"mix{layer}_b"] = np.zeros(d)
         self.params["W1"] = rng.normal(0.0, 1.0 / np.sqrt(2 * d),
-                                       size=(hidden, 2 * d))
-        self.params["W2"] = rng.normal(0.0, 1.0 / np.sqrt(hidden),
-                                       size=(len(self.categories), hidden))
+                                       size=(HIDDEN, 2 * d))
+        self.params["W2"] = rng.normal(0.0, 1.0 / np.sqrt(HIDDEN),
+                                       size=(len(self.categories), HIDDEN))
 
     # -- encoding ----------------------------------------------------------
 
@@ -255,12 +245,12 @@ class SpanScorer:
         order; returns (H, cache) with the cache holding the batch layout
         and each layer's activations for the backward pass.
 
-        The tokens sit in one padded layout with ``window`` zero rows
+        The tokens sit in one padded layout with ``WINDOW`` zero rows
         before each utterance and after the last, so that no window reaches
         a neighbour.  Each layer gathers every token's window from that
         layout and mixes it in one GEMM with its taps stacked, (taps * d, d).
         """
-        w, d = self.window, self.h_dim
+        w, d = WINDOW, H_DIM
         lengths = [len(u) for u in utterances]
         ids = np.concatenate([self.token_ids(u) for u in utterances])
         pos = np.arange(len(ids)) + w * np.repeat(np.arange(1, len(lengths) + 1),
@@ -269,7 +259,7 @@ class SpanScorer:
                  "window": pos[:, None] + np.arange(-w, w + 1),
                  "size": len(ids) + w * (len(lengths) + 1),
                  "layers": [self.params["emb"][ids]]}
-        for layer in range(self.n_layers):
+        for layer in range(N_LAYERS):
             cache["layers"].append(np.tanh(
                 _im2col(cache["layers"][-1], cache)
                 @ self.params[f"mix{layer}_W"].reshape(-1, d)
@@ -277,9 +267,8 @@ class SpanScorer:
         return cache["layers"][-1], cache
 
     def _encode_backward(self, cache, dH, grads) -> None:
-        d = self.h_dim
         dx = dH
-        for layer in reversed(range(self.n_layers)):
+        for layer in reversed(range(N_LAYERS)):
             W = self.params[f"mix{layer}_W"]
             dpre = dx * (1.0 - cache["layers"][layer + 1] ** 2)
             grads[f"mix{layer}_b"] = dpre.sum(axis=0)
@@ -289,7 +278,7 @@ class SpanScorer:
             grads[f"mix{layer}_W"] = (columns.T @ dpre).reshape(W.shape)
             # The gather's adjoint is the same gather with the taps
             # reversed: tap o of the token at offset o - w reads this one.
-            dx = _im2col(dpre, cache) @ W[::-1].transpose(0, 2, 1).reshape(-1, d)
+            dx = _im2col(dpre, cache) @ W[::-1].transpose(0, 2, 1).reshape(-1, H_DIM)
         grads["emb"] = np.zeros_like(self.params["emb"])
         np.add.at(grads["emb"], cache["ids"], dx)
 
@@ -320,9 +309,7 @@ class SpanScorer:
         rounding depends on the batch, so a table's scores may differ from
         those of the same utterance scored alone in the last bits."""
         H, cache = self.encode(utterances)
-        W1, d = self.params["W1"], self.h_dim
-        if H.shape[1] != W1.shape[1] // 2:
-            raise DimensionMismatch("encoder width disagrees with W1")
+        W1, d = self.params["W1"], H_DIM
         geometries = [_geometry(len(u)) for u in utterances]
         first = list(accumulate((len(u) for u in utterances), initial=0))  # tokens
         offsets = list(accumulate((len(g.spans) for g in geometries), initial=0))  # rows
@@ -391,7 +378,7 @@ class SpanScorer:
         for g, t0, t1, lo, hi in zip(cache["geometries"], first, first[1:],
                                      offsets, offsets[1:]):
             G[:, t0:t1] = (g.by_token @ dA[lo:hi]).reshape(2, t1 - t0, dA.shape[1])
-        H, W1, d = cache["layers"][-1], self.params["W1"], self.h_dim
+        H, W1, d = cache["layers"][-1], self.params["W1"], H_DIM
         grads["W1"] = np.concatenate((G[0].T @ H, G[1].T @ H), axis=1)
         dH = G[0] @ W1[:, :d] + G[1] @ W1[:, d:]
         self._encode_backward(cache, dH, grads)
@@ -427,16 +414,18 @@ def sgd_step(params: dict, grads: dict, lr: float) -> dict:
 CHECKPOINT_VERSION = 1
 
 
+def _sizes() -> dict:
+    """The architecture's sizes, by the meta keys a checkpoint records."""
+    return {"h_dim": H_DIM, "n_layers": N_LAYERS, "window": WINDOW, "hidden": HIDDEN}
+
+
 def save_checkpoint(scorer: SpanScorer, path, extra: dict | None = None) -> None:
     vocab_tokens = [t for t, _ in sorted(scorer.vocab.items(), key=lambda kv: kv[1])]
     meta = {
         "version": CHECKPOINT_VERSION,
         "vocab": vocab_tokens,
         "categories": scorer.categories,
-        "h_dim": scorer.h_dim,
-        "n_layers": scorer.n_layers,
-        "window": scorer.window,
-        "hidden": scorer.hidden,
+        **_sizes(),
         "lam": scorer.lam,
         "seed": scorer.seed,
         "extra": extra or {},
@@ -447,20 +436,21 @@ def save_checkpoint(scorer: SpanScorer, path, extra: dict | None = None) -> None
 
 def load_checkpoint(path):
     """Returns (scorer, extra).  A ValueError when the file is not an intact
-    ``.npz`` archive, or when a stored parameter's shape differs from the
-    one the stored sizes build or it holds a NaN or an infinity."""
+    ``.npz`` archive, when it records sizes other than the scorer's, or
+    when a stored parameter's shape differs from the one the sizes build or
+    it holds a NaN or an infinity."""
     try:
         with np.load(path, allow_pickle=False) as blob:
             meta = json.loads(str(blob["meta"]))
             if meta["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {meta['version']}")
+            for key, size in _sizes().items():
+                if meta.get(key) != size:
+                    raise ValueError(f"checkpoint records {key} {meta.get(key)!r}, "
+                                     f"the scorer's is {size}")
             scorer = SpanScorer(
                 vocab_tokens=[t for t in meta["vocab"] if t != UNK],
                 categories=meta["categories"],
-                h_dim=meta["h_dim"],
-                n_layers=meta["n_layers"],
-                window=meta["window"],
-                hidden=meta["hidden"],
                 lam=meta["lam"],
                 seed=meta["seed"],
             )

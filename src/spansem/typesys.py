@@ -195,29 +195,25 @@ class DomainSchema:
         """NoSem, Join, then constants: the full category set."""
         return [NOSEM, JOIN] + sorted(self.constants)
 
-    def default_completion(self, prog: Program):
-        """Fill every open slot with its type's default constant, if all
-        open slot types declare one; otherwise None."""
-        args = list(prog.args)
-        for i, a in enumerate(args):
-            if a is None:
-                default = self.type_defaults.get(prog.head.arg_types[i])
-                if default is None:
-                    return None
-                args[i] = Program(self.constant(default))
-        return Program(prog.head, tuple(args))
-
 
 def _as_argument(prog: Program, schema: DomainSchema):
     """The value form of ``prog`` when used as an argument, or None.
 
     Complete programs stand for themselves; programs with open slots can be
-    coerced by filling the open slots with type defaults (e.g. a bare
-    ``state`` predicate becoming ``state(all)``).
+    coerced by filling every open slot with its type's default constant
+    (e.g. a bare ``state`` predicate becoming ``state(all)``), when each
+    open slot's type declares one.
     """
     if prog.is_complete:
         return prog
-    return schema.default_completion(prog)
+    args = list(prog.args)
+    for i, a in enumerate(args):
+        if a is None:
+            default = schema.type_defaults.get(prog.head.arg_types[i])
+            if default is None:
+                return None
+            args[i] = Program(schema.constant(default))
+    return Program(prog.head, tuple(args))
 
 
 def _apply(fn: Program, arg: Program, schema: DomainSchema):

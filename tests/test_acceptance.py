@@ -30,6 +30,7 @@ from spansem.data.splits import (
     split_scan_primitive,
     split_template,
 )
+from spansem import scorer as scorer_module
 from spansem.scorer import Lexicon, ScoreTable, SpanScorer, span_probability
 from spansem.trainer import Domain, TrainConfig, TrainExample, evaluate, train
 from spansem.typesys import parse_program
@@ -171,14 +172,16 @@ def test_discontinuous_composition_needs_ternary(announce):
              f"binary={'found' if without else 'none'}")
 
 
-def test_gradients_match_finite_differences(announce):
+def test_gradients_match_finite_differences(announce, monkeypatch):
     """Analytic gradients vs central differences, 1e-4 relative, at 10
-    random coordinates for each of 5 random inputs."""
+    random coordinates for each of 5 random inputs, with the scorer's token
+    and hidden widths patched to 6 and 10."""
+    monkeypatch.setattr(scorer_module, "H_DIM", 6)
+    monkeypatch.setattr(scorer_module, "HIDDEN", 10)
     cats = [NOSEM, JOIN, "walk", "r"]
     worst = 0.0
     for seed in range(5):
-        scorer = SpanScorer(["walk", "right", "twice"], cats,
-                            h_dim=6, hidden=10, lam=2.0, seed=seed)
+        scorer = SpanScorer(["walk", "right", "twice"], cats, lam=2.0, seed=seed)
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         utt_tokens = rng.choice(["walk", "right", "twice", "zzz"], size=n)

@@ -60,7 +60,7 @@ def oracle_best_score(table, ternary):
     jc = table.cat_index[JOIN]
 
     def shifted(i, j, col):
-        return float(table.shifted[table.span_index[Span(i, j)], col])
+        return float(table.shifted[table.row_of[i][j], col])
 
     @lru_cache(None)
     def join(i, j):
@@ -91,7 +91,7 @@ def oracle_all_scores(table, ternary):
     jc = table.cat_index[JOIN]
 
     def shifted(i, j, col):
-        return float(table.shifted[table.span_index[Span(i, j)], col])
+        return float(table.shifted[table.row_of[i][j], col])
 
     @lru_cache(None)
     def join(i, j):
@@ -241,7 +241,7 @@ def test_nosem_neutrality():
     raw = np.array([[rng.gauss(0, 2) for _ in cats] for _ in all_spans(n)])
     t1 = ScoreTable(n, cats, raw)
     bumped = raw.copy()
-    row = t1.span_index[Span(2, 3)]
+    row = t1.row_of[2][3]
     bumped[row] += 7.5  # uniform shift on one span, NoSem included
     t2 = ScoreTable(n, cats, bumped)
     s1 = [r.score for r in parse_kbest(t1, Grammar(), 5)]
@@ -412,7 +412,7 @@ def oracle_composing_trees(table, ternary, schema):
     jc = table.cat_index[JOIN]
 
     def shifted(i, j, col):
-        return float(table.shifted[table.span_index[Span(i, j)], col])
+        return float(table.shifted[table.row_of[i][j], col])
 
     def node(i, j, score, children, programs):
         program = compose_children(programs, schema)
@@ -902,6 +902,31 @@ def test_constrained_parse_counts_combinations_like_parse_kbest(ternary):
         parse_kbest(table, Grammar(ternary=ternary), 5, kbest)
         constrained_parse(table, Grammar(ternary=ternary), gold, schema, exact)
         assert exact["combinations"] == kbest["combinations"]
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_combination_count_is_one_per_rule_source(ternary):
+    """The count both charts report is the number of rule sources a chart
+    tries, enumerated cell by cell: every split of a cell for Join Join
+    and for Join NoSem, every split pair for the ternary rule, and every
+    NoSem split of the root."""
+    schema = scan_schema()
+    gold = parse_program("twice(walk(l))", schema)
+    for n in range(1, 13):
+        sources = n - 1
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                splits = range(i, j)
+                sources += 2 * len(splits)
+                if ternary:
+                    sources += sum(1 for s1 in splits for s2 in splits if s1 < s2)
+        table = random_table(random.Random(n), n)
+        kbest, exact = {"combinations": 1}, {}
+        parse_kbest(table, Grammar(ternary=ternary), 5, kbest)
+        constrained_parse(ScoreTable(n, schema.categories(), np.zeros(
+            (len(all_spans(n)), len(schema.categories())))),
+            Grammar(ternary=ternary), gold, schema, exact)
+        assert (kbest["combinations"] - 1, exact["combinations"]) == (sources, sources)
 
 
 def test_combination_growth_matches_complexity():

@@ -417,6 +417,30 @@ def test_checkpoint_parameter_shapes_are_checked(exec_error_run, tmp_path,
         "configuration error: " + str(bad) + ": checkpoint parameter W2") == 2
 
 
+def test_checkpoint_of_other_sizes_is_config_error(exec_error_run, tmp_path,
+                                                  capsys):
+    """The scorer's sizes are fixed: a checkpoint that records three mixing
+    layers, and holds their parameters, is refused for eval and parse,
+    naming the size, instead of loading two layers and dropping the
+    third."""
+    with np.load(exec_error_run / "model.npz") as blob:
+        arrays = dict(blob)
+    meta = json.loads(str(arrays["meta"]))
+    meta["n_layers"] = 3
+    arrays["meta"] = json.dumps(meta, sort_keys=True)
+    arrays["param_mix2_W"] = arrays["param_mix1_W"]
+    arrays["param_mix2_b"] = arrays["param_mix1_b"]
+    bad = tmp_path / "deep.npz"
+    np.savez(bad, **arrays)
+    codes, err = run_all([
+        ["eval", "--checkpoint", str(bad), "--data", str(exec_error_run / "test.jsonl")],
+        ["parse", "walk", "--checkpoint", str(bad), "--data", str(exec_error_run)]],
+        capsys)
+    assert codes == [cli.EXIT_CONFIG] * 2
+    assert err.count(f"configuration error: {bad}: checkpoint records n_layers 3, "
+                     f"the scorer's is 2") == 2
+
+
 def test_train_stops_on_non_finite_loss(tiny_scan_dir, tmp_path, monkeypatch,
                                         capsys):
     monkeypatch.setattr(SpanScorer, "loss_and_grads",
@@ -754,13 +778,11 @@ PARSE_TOKENS = st.one_of(
 
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(tokens=st.lists(PARSE_TOKENS, max_size=12), ternary=st.booleans())
-def test_parse_exits_with_a_documented_code(trained_run, tiny_scan_dir,
-                                            tokens, ternary):
+@given(tokens=st.lists(PARSE_TOKENS, max_size=12))
+def test_parse_exits_with_a_documented_code(trained_run, tiny_scan_dir, tokens):
     """Any string of at most 12 tokens, known or not, parses to exit 0, 2
     or 3 and never raises."""
     code = cli.main(["parse", " ".join(tokens),
                      "--checkpoint", str(trained_run / "model.npz"),
-                     "--data", str(tiny_scan_dir)]
-                    + (["--ternary"] if ternary else []))
+                     "--data", str(tiny_scan_dir)])
     assert code in (cli.EXIT_OK, cli.EXIT_NO_PARSE, cli.EXIT_CONFIG)

@@ -9,6 +9,7 @@ from spansem.cky import Grammar, constrained_parse
 from spansem.core import JOIN, NOSEM, Span, SpanTree, Utterance, all_spans, span_map
 from spansem.data.geo import geo_lexicon_entries, geo_schema, mini_geo_corpus, mini_kb
 from spansem.data.scan import generate_scan_sp, scan_lexicon_entries, scan_schema
+from spansem import scorer as scorer_module
 from spansem.scorer import (
     DimensionMismatch,
     Lexicon,
@@ -25,10 +26,13 @@ from spansem.typesys import parse_program
 CATS = [NOSEM, JOIN, "walk", "r"]
 
 
-def tiny_scorer(**kw):
-    kw.setdefault("h_dim", 6)
-    kw.setdefault("hidden", 10)
-    return SpanScorer(["walk", "right", "twice"], CATS, **kw)
+@pytest.fixture
+def tiny_scorer(monkeypatch):
+    """Scorers over a three-word vocabulary at small sizes: the module's
+    token width and hidden width are 6 and 10 for the test."""
+    monkeypatch.setattr(scorer_module, "H_DIM", 6)
+    monkeypatch.setattr(scorer_module, "HIDDEN", 10)
+    return lambda **kw: SpanScorer(["walk", "right", "twice"], CATS, **kw)
 
 
 def test_score_table_shapes_and_shift():
@@ -37,10 +41,8 @@ def test_score_table_shapes_and_shift():
     table = ScoreTable(3, CATS, raw)
     nosem_idx = table.cat_index[NOSEM]
     assert np.allclose(table.shifted[:, nosem_idx], 0.0)
-    assert table.shifted[table.span_index[Span(1, 2)],
-                         table.cat_index[JOIN]] == \
-        pytest.approx(raw[table.span_index[Span(1, 2)], 1] -
-                      raw[table.span_index[Span(1, 2)], 0])
+    assert table.shifted[table.row_of[1][2], table.cat_index[JOIN]] == \
+        pytest.approx(raw[table.row_of[1][2], 1] - raw[table.row_of[1][2], 0])
 
 
 def test_score_table_shape_mismatch():
@@ -68,7 +70,7 @@ def test_probability_shift_invariance():
     assert np.allclose(t1.shifted, t2.shifted)
 
 
-def test_scorer_is_deterministic_per_seed():
+def test_scorer_is_deterministic_per_seed(tiny_scorer):
     a = tiny_scorer(seed=3)
     b = tiny_scorer(seed=3)
     utt = Utterance.from_text("walk right")
@@ -77,7 +79,7 @@ def test_scorer_is_deterministic_per_seed():
     assert not np.array_equal(a.score_spans([utt])[0].raw, c.score_spans([utt])[0].raw)
 
 
-def test_encoder_is_context_sensitive():
+def test_encoder_is_context_sensitive(tiny_scorer):
     scorer = tiny_scorer()
     h1, _ = scorer.encode([Utterance.from_text("walk right")])
     h2, _ = scorer.encode([Utterance.from_text("walk twice")])
@@ -85,13 +87,13 @@ def test_encoder_is_context_sensitive():
     assert not np.allclose(h1[0], h2[0])
 
 
-def test_unknown_tokens_map_to_unk():
+def test_unknown_tokens_map_to_unk(tiny_scorer):
     scorer = tiny_scorer()
     ids = scorer.token_ids(Utterance.from_text("walk sideways"))
     assert ids[1] == 0 and ids[0] != 0
 
 
-def test_lexicon_bonus_is_additive():
+def test_lexicon_bonus_is_additive(tiny_scorer):
     lam = 5.0
     scorer = tiny_scorer(lam=lam)
     utt = Utterance.from_text("walk right")
@@ -100,8 +102,8 @@ def test_lexicon_bonus_is_additive():
     boosted, = scorer.score_spans([utt], lex)
     w = plain.cat_index["walk"]
     r = plain.cat_index["r"]
-    s11 = plain.span_index[Span(1, 1)]
-    s22 = plain.span_index[Span(2, 2)]
+    s11 = plain.row_of[1][1]
+    s22 = plain.row_of[2][2]
     assert boosted.raw[s11, w] == pytest.approx(plain.raw[s11, w] + lam)
     assert boosted.raw[s22, r] == pytest.approx(plain.raw[s22, r] + lam)
     # no bonus elsewhere
@@ -116,7 +118,7 @@ def test_lexicon_round_trip(tmp_path):
     again = Lexicon.load_tsv(path)
     assert again.entries == lex.entries
     merged = lex.merged_with(Lexicon.from_pairs([("walk", "run")]))
-    assert merged.lookup("walk") == {"walk", "run"}
+    assert merged.entries["walk"] == {"walk", "run"}
 
 
 def gold_tree():
@@ -133,7 +135,7 @@ def test_uniform_tree_loss_value():
     assert tree_loss(table, gold_tree()) == pytest.approx(expected)
 
 
-def test_loss_and_grads_matches_tree_loss():
+def test_loss_and_grads_matches_tree_loss(tiny_scorer):
     scorer = tiny_scorer()
     utt = Utterance.from_text("walk right")
     labels = scorer.labels_for_tree(gold_tree(), 2)
@@ -143,7 +145,7 @@ def test_loss_and_grads_matches_tree_loss():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_gradients_match_finite_differences(seed):
+def test_gradients_match_finite_differences(seed, tiny_scorer):
     """Central differences at random coordinates, 1e-4 relative error."""
     scorer = tiny_scorer(seed=seed, lam=2.0)
     utt = Utterance.from_text("walk right twice")
@@ -168,7 +170,7 @@ def test_gradients_match_finite_differences(seed):
         assert abs(numeric - analytic) / denom < 1e-4, (key, idx)
 
 
-def test_sgd_step_moves_against_gradient():
+def test_sgd_step_moves_against_gradient(tiny_scorer):
     scorer = tiny_scorer()
     utt = Utterance.from_text("walk right")
     labels = scorer.labels_for_tree(gold_tree(), 2)
@@ -178,7 +180,7 @@ def test_sgd_step_moves_against_gradient():
     assert loss1 < loss0
 
 
-def test_loss_and_grads_reads_the_scored_table():
+def test_loss_and_grads_reads_the_scored_table(tiny_scorer):
     """The table carries the forward it was scored with: its raw scores and
     activations equal a fresh ``score_spans`` under the same parameters,
     and so do its loss and gradients, bit for bit, though another utterance
@@ -199,7 +201,7 @@ def test_loss_and_grads_reads_the_scored_table():
         assert np.array_equal(grads[key], fresh_grads[key]), key
 
 
-def test_loss_and_grads_rejects_a_table_of_other_parameters():
+def test_loss_and_grads_rejects_a_table_of_other_parameters(tiny_scorer):
     scorer = tiny_scorer()
     utt = Utterance.from_text("walk right")
     labels = scorer.labels_for_tree(gold_tree(), 2)
@@ -212,7 +214,7 @@ def test_loss_and_grads_rejects_a_table_of_other_parameters():
         scorer.loss_and_grads([ScoreTable(2, CATS, table.raw)], [labels])
 
 
-def test_lexicon_matches_are_memoized_and_add_clears_them():
+def test_lexicon_matches_are_memoized_and_add_clears_them(tiny_scorer):
     scorer = tiny_scorer()
     lex = Lexicon.from_pairs([("walk", "walk"), ("Right twice", "r")])
     utt = Utterance.from_text("walk right twice walk")
@@ -223,12 +225,12 @@ def test_lexicon_matches_are_memoized_and_add_clears_them():
     delta = scorer.lexicon_delta(utt, lex)
     want = np.zeros_like(delta)
     for row, span in enumerate(all_spans(len(utt))):
-        for name in lex.lookup(utt.phrase(span)):
+        for name in lex.entries.get(utt.phrase(span).lower(), ()):
             want[row, CATS.index(name)] = 1.0
     assert np.array_equal(delta, want) and want.sum() == 5
 
 
-def test_checkpoint_round_trip(tmp_path):
+def test_checkpoint_round_trip(tmp_path, tiny_scorer):
     scorer = tiny_scorer(seed=9, lam=3.0)
     path = tmp_path / "model.npz"
     save_checkpoint(scorer, path, extra={"note": "x"})
@@ -240,7 +242,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("label", [JOIN, NOSEM])
-def test_a_lexicon_match_naming_a_reserved_label_is_refused(label):
+def test_a_lexicon_match_naming_a_reserved_label_is_refused(label, tiny_scorer):
     scorer = tiny_scorer()
     lex = Lexicon.from_pairs([("walk", "walk"), ("Right twice", label)])
     with pytest.raises(ValueError, match=f"'right twice' names the reserved "
@@ -314,7 +316,7 @@ def test_a_batch_scores_and_backpropagates_as_its_members_alone(domains, name):
     assert not any(g.any() for g in none_grads.values())
 
 
-def test_batch_gradients_match_finite_differences():
+def test_batch_gradients_match_finite_differences(tiny_scorer):
     """Central differences of a 3-example batch loss, one example labelled
     None, at random coordinates; 1e-4 relative error."""
     scorer = tiny_scorer(seed=2, lam=2.0)
@@ -341,7 +343,7 @@ def test_batch_gradients_match_finite_differences():
         assert abs(numeric - analytic) / denom < 1e-4, (key, idx)
 
 
-def test_loss_and_grads_takes_the_tables_of_one_call_in_order():
+def test_loss_and_grads_takes_the_tables_of_one_call_in_order(tiny_scorer):
     scorer = tiny_scorer()
     batch = [Utterance.from_text(t) for t in ("walk right", "twice walk right")]
     labels = [np.zeros(len(all_spans(len(u))), dtype=int) for u in batch]
@@ -382,7 +384,7 @@ def test_labels_for_tree_matches_the_span_map(domains, name):
         assert scorer.labels_for_tree(tree, n).tolist() == want
 
 
-def test_an_empty_utterance_scores_to_an_empty_table():
+def test_an_empty_utterance_scores_to_an_empty_table(tiny_scorer):
     scorer = tiny_scorer()
     batch = [Utterance.from_text("walk right"), Utterance("", ())]
     labels = [np.zeros(3, dtype=int), np.zeros(0, dtype=int)]
