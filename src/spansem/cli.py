@@ -15,19 +15,22 @@ for parse, a composed program the executor rejects, 3 configuration
 error (including an empty utterance to parse, a missing checkpoint,
 dataset directory, schema.json or JSONL file, a lexicon.tsv line that is
 not a phrase and a schema constant separated by a tab, a schema.json
-constant named NoSem or Join, a --config file that is not a JSON object
-of valid training settings, a malformed dataset line (one that is not
-UTF-8 among them), a gold tree that is malformed, runs past its
-utterance or has a label other than NoSem, Join and the schema's
-constants, a checkpoint that is not an intact .npz archive, holds a NaN
-or infinite parameter, or whose categories differ from the dataset's
-schema or whose parameter shapes differ from its sizes, a parse without
---data whose checkpoint records no dataset directory, an output
-directory that cannot be created, such as a train --out naming a file, a
-non-finite training loss or a training epoch that leaves a parameter
-non-finite, and eval --jobs below 1).  Output directories (gen-data and
-train --out, the directories of eval --out and parse --dump-chart) are
-created when missing.
+constant named NoSem or Join, a schema.json value of the wrong type or a
+type default that names no constant, a kb.json record that lacks a field
+the executor reads, holds one of the wrong type or names a state or city
+the KB does not hold, a --config file that is not a JSON object of valid
+training settings, a malformed dataset line (one that is not UTF-8 among
+them), a gold tree that is malformed, runs past its utterance or has a
+label other than NoSem, Join and the schema's constants, a checkpoint
+that is not an intact .npz archive, records sizes other than the
+scorer's, holds a NaN or infinite parameter, or whose categories differ
+from the dataset's schema or whose parameter shapes differ from its
+sizes, a parse without --data whose checkpoint records no dataset
+directory, an output directory that cannot be created, such as a train
+--out naming a file, a non-finite training loss or a training epoch that
+leaves a parameter non-finite, and eval --jobs below 1).  Output
+directories (gen-data and train --out, the directories of eval --out and
+parse --dump-chart) are created when missing.
 """
 
 from __future__ import annotations

@@ -23,10 +23,24 @@ class ExecError(ValueError):
     """Program cannot be evaluated against the knowledge base."""
 
 
+# Each field the executor reads, by table, and what its value must be.
+_FIELDS = (
+    ("states", "capital", "city"), ("states", "population", "number"),
+    ("states", "area", "number"), ("states", "borders", "states"),
+    ("cities", "state", "state"), ("cities", "population", "number"),
+    ("rivers", "states", "states"), ("rivers", "length", "number"),
+    ("places", "state", "state or null"), ("places", "elevation", "number"),
+)
+
+
 @dataclass
 class GeoKb:
     """Mini geography KB: states with capitals/population/area/borders,
-    plus cities, rivers and places."""
+    plus cities, rivers and places.
+
+    Every field the executor reads must be present with a value of its
+    type, and every name it holds must be in the KB (a place may lie in no
+    state); else a ValueError names the first record that breaks this."""
 
     states: dict = field(default_factory=dict)
     cities: dict = field(default_factory=dict)
@@ -34,12 +48,33 @@ class GeoKb:
     places: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for table in ("states", "cities", "rivers", "places"):
+            records = getattr(self, table)
+            if not (isinstance(records, dict)
+                    and all(isinstance(r, dict) for r in records.values())):
+                raise ValueError(f"{table} must map each name to a record")
+        for table, key, kind in _FIELDS:
+            for name, rec in getattr(self, table).items():
+                if key not in rec or not self._is(kind, rec[key]):
+                    raise ValueError(f"{table} {name!r} needs {key!r}: a {kind} "
+                                     f"(got {rec.get(key)!r})")
         for name, rec in self.states.items():
             for other in rec["borders"]:
                 if name not in self.states[other]["borders"]:
                     raise ValueError(f"borders not symmetric: {name}/{other}")
             if rec["population"] <= 0 or rec["area"] <= 0:
                 raise ValueError(f"non-positive population/area for {name}")
+
+    def _is(self, kind: str, value) -> bool:
+        """Whether ``value`` is a ``kind`` of ``_FIELDS`` in this KB."""
+        if kind == "number":
+            return isinstance(value, (int, float)) and not isinstance(value, bool)
+        if kind == "states":
+            return isinstance(value, list) and all(self._is("state", v) for v in value)
+        if kind == "state or null":
+            return value is None or self._is("state", value)
+        names = self.states if kind == "state" else self.cities
+        return isinstance(value, str) and value in names
 
     def atoms(self) -> set:
         out = {(STATE, s) for s in self.states}
@@ -172,12 +207,11 @@ class _Keyed(dict):
 
 
 def _entity_atom(name: str):
-    parts = entity_name_parts(name)
-    if parts is None:
-        raise ExecError(f"not an entity constant: {name}")
-    function, payload = parts
+    function, payload = entity_name_parts(name) or (None, None)
     kind = {"stateid": STATE, "cityid": CITY, "riverid": RIVER,
-            "placeid": PLACE}[function]
+            "placeid": PLACE}.get(function)
+    if kind is None:
+        raise ExecError(f"not an entity constant: {name}")
     return (kind, payload)
 
 

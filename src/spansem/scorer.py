@@ -8,8 +8,9 @@ a 1-hidden-layer network over the concatenation [h_i ; h_j], with hidden
 width 250, plus an exact-match lexicon bonus of lambda per matching
 category.  These sizes are fixed: ``H_DIM``, ``N_LAYERS``, ``WINDOW`` and
 ``HIDDEN`` are the one architecture, a checkpoint records them, and
-``load_checkpoint`` refuses one that records other sizes.  All arithmetic is float64 numpy; gradients are hand-derived
-and checked against finite differences in the test suite.
+``load_checkpoint`` refuses one that records other sizes.  All arithmetic
+is float64 numpy; gradients are hand-derived and checked against finite
+differences in the test suite.
 
 Scoring and backpropagation run on a batch.  ``score_spans`` scores a
 list of utterances in one forward pass: their tokens share one padded
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import json
+import tokenize
 import zipfile
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -439,6 +441,11 @@ def load_checkpoint(path):
     ``.npz`` archive, when it records sizes other than the scorer's, or
     when a stored parameter's shape differs from the one the sizes build or
     it holds a NaN or an infinity."""
+    # np.load would read a file that is no zip archive as a .npy array or a
+    # pickle, and its errors would name those.
+    with open(path, "rb") as fh:
+        if not zipfile.is_zipfile(fh):
+            raise ValueError("not an intact .npz checkpoint (no zip archive)")
     try:
         with np.load(path, allow_pickle=False) as blob:
             meta = json.loads(str(blob["meta"]))
@@ -462,6 +469,9 @@ def load_checkpoint(path):
                 if not np.isfinite(stored).all():
                     raise ValueError(f"checkpoint parameter {key} is not finite")
                 scorer.params[key] = stored
-    except (zipfile.BadZipFile, EOFError) as exc:
+    # What zipfile raises for a damaged archive (an encryption flag is a
+    # RuntimeError), and what NumPy's .npy header parser lets out.
+    except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError,
+            SyntaxError, tokenize.TokenError) as exc:
         raise ValueError(f"not an intact .npz checkpoint ({exc})") from None
     return scorer, meta["extra"]

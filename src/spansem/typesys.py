@@ -482,23 +482,45 @@ def schema_to_json(schema: DomainSchema) -> dict:
     }
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
 def schema_from_json(obj: dict) -> DomainSchema:
-    schema = DomainSchema(
-        name=obj["name"],
-        types=tuple(obj["types"]),
-        subtypes={k: v for k, v in obj.get("subtypes", [])},
-        type_defaults=dict(obj.get("defaults", {})),
-    )
-    for c in obj["constants"]:
-        schema.add(
-            DomainConstant(
-                name=c["name"],
-                kind=c["kind"],
-                result_type=c["result"],
-                arg_types=tuple(c["args"]),
-                min_args=c.get("min_args", -1),
-            )
-        )
+    """The schema of a schema.json object.  A ValueError names the first
+    field that is not of its type, or a default that names no constant."""
+    _check(isinstance(obj, dict), "needs a JSON object")
+    name, types, constants = obj["name"], obj["types"], obj["constants"]
+    subtypes, defaults = obj.get("subtypes", []), obj.get("defaults", {})
+    _check(isinstance(name, str), "name must be a string")
+    _check(_strings(types), "types must be a list of strings")
+    _check(isinstance(subtypes, list) and all(_strings(p) and len(p) == 2
+                                              for p in subtypes),
+           "subtypes must be a list of [type, parent type] pairs")
+    _check(isinstance(defaults, dict) and _strings(list(defaults.values())),
+           "defaults must map types to constant names")
+    _check(isinstance(constants, list), "constants must be a list")
+    schema = DomainSchema(name=name, types=tuple(types), subtypes=dict(subtypes),
+                          type_defaults=dict(defaults))
+    for c in constants:
+        _check(isinstance(c, dict) and isinstance(c.get("name"), str)
+               and c.get("kind") in (ENTITY, PREDICATE)
+               and isinstance(c.get("result"), str) and _strings(c.get("args"))
+               and type(c.get("min_args", -1)) is int,
+               f"constant {c!r} needs a string name and result, kind "
+               f"{ENTITY!r} or {PREDICATE!r}, a list of string args and an "
+               f"integer min_args")
+        schema.add(DomainConstant(name=c["name"], kind=c["kind"],
+                                  result_type=c["result"],
+                                  arg_types=tuple(c["args"]),
+                                  min_args=c.get("min_args", -1)))
+    for default in defaults.values():
+        _check(default in schema.constants, f"default {default!r} is not a constant")
     return schema
 
 

@@ -6,8 +6,11 @@ import multiprocessing
 import pickle
 import random
 import shutil
+import struct
+import tempfile
 import types
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,20 +472,57 @@ def test_train_stops_on_non_finite_parameters(tmp_path, capsys):
     assert not (out / "model.npz").exists()
 
 
-@pytest.mark.parametrize("size", [0, 300, 1000, -10])
+@pytest.mark.parametrize("size", [0, 300, 1000, -10, "text", "npy"])
 def test_truncated_checkpoint_is_config_error(exec_error_run, tmp_path, capsys,
                                               size):
     """A model.npz cut short (empty, its first 300 or 1,000 bytes, or all
-    but its last 10) is a configuration error naming the file."""
-    data = (exec_error_run / "model.npz").read_bytes()
+    but its last 10), a text file, or a bare .npy array under the
+    checkpoint's name is a configuration error naming the file, and says
+    that it is not an intact .npz checkpoint."""
     bad = tmp_path / "cut.npz"
-    bad.write_bytes(data[:size])
+    if size == "text":
+        bad.write_text("not a checkpoint\n")
+    elif size == "npy":
+        with open(bad, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    else:
+        bad.write_bytes((exec_error_run / "model.npz").read_bytes()[:size])
     assert cli.main(["eval", "--checkpoint", str(bad),
                      "--data", str(exec_error_run / "test.jsonl")]) == cli.EXIT_CONFIG
     assert cli.main(["parse", "walk", "--checkpoint", str(bad),
                      "--data", str(exec_error_run)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.count(
         f"configuration error: {bad}: not an intact .npz checkpoint") == 2
+
+
+def damaged(data: bytes, where: str) -> bytes:
+    """A checkpoint's bytes with its first central directory entry marked
+    encrypted, given compression method 1 or version 9.9 to extract, or
+    the .npy header of W1 made unbalanced (W1 is large enough that its
+    header is parsed before its CRC is checked)."""
+    if where == "header":
+        at = data.index(b"{'descr'", data.index(b"param_W1.npy"))
+        return data[:at + 1] + b"(" + data[at + 2:]
+    end = data.rfind(b"PK\x05\x06")
+    entry = struct.unpack("<I", data[end + 16:end + 20])[0]
+    at, value = {"encrypted": (entry + 8, 1), "method": (entry + 10, 1),
+                 "version": (entry + 6, 99)}[where]
+    return data[:at] + bytes([value]) + data[at + 1:]
+
+
+@pytest.mark.parametrize("where", ["encrypted", "method", "version", "header"])
+def test_damaged_checkpoint_archive_is_config_error(exec_error_run, tmp_path,
+                                                    capsys, where):
+    """zipfile raises RuntimeError or NotImplementedError for these, and
+    NumPy's header parser a TokenError: each is a damaged archive."""
+    bad = tmp_path / "damaged.npz"
+    bad.write_bytes(damaged((exec_error_run / "model.npz").read_bytes(), where))
+    codes, err = run_all([
+        ["eval", "--checkpoint", str(bad), "--data", str(exec_error_run / "test.jsonl")],
+        ["parse", "walk", "--checkpoint", str(bad), "--data", str(exec_error_run)]],
+        capsys)
+    assert codes == [cli.EXIT_CONFIG] * 2
+    assert err.count(f"configuration error: {bad}: not an intact .npz checkpoint") == 2
 
 
 def test_non_finite_checkpoint_parameter_is_config_error(exec_error_run, tmp_path,
@@ -648,6 +688,32 @@ def test_schema_constant_with_a_reserved_name_is_config_error(
                      f"reserved") == 3
 
 
+@pytest.mark.parametrize("edit", ["result", "default"])
+def test_schema_field_of_another_type_is_config_error(tiny_scan_dir, exec_error_run,
+                                                      tmp_path, capsys, edit):
+    """A constant whose result type is a list, or a type default that names
+    no constant, used to load and raise while composing."""
+    data = copy_without(tiny_scan_dir, tmp_path / "data")
+    schema_path = data / "schema.json"
+    schema = json.loads(schema_path.read_text())
+    if edit == "result":
+        schema["constants"][0]["result"] = ["dir"]
+        message = f"constant {schema['constants'][0]!r} needs a string name and result"
+    else:
+        schema["defaults"] = {"dir": "left"}
+        message = "default 'left' is not a constant"
+    schema_path.write_text(json.dumps(schema, sort_keys=True))
+    checkpoint = str(exec_error_run / "model.npz")
+    codes, err = run_all([
+        ["train", "--data", str(data), "--out", str(tmp_path / "run"),
+         "--max-epochs", "1"],
+        ["eval", "--checkpoint", checkpoint, "--data", str(data / "test.jsonl")],
+        ["parse", "walk", "--checkpoint", checkpoint, "--data", str(data)]],
+        capsys)
+    assert codes == [cli.EXIT_CONFIG] * 3
+    assert err.count(f"configuration error: {schema_path}: {message}") == 3
+
+
 @pytest.mark.parametrize("settings", [[1, 2], {"lr": "fast"}],
                          ids=["list", "string-lr"])
 def test_train_config_file_of_wrong_shape_is_config_error(
@@ -786,3 +852,108 @@ def test_parse_exits_with_a_documented_code(trained_run, tiny_scan_dir, tokens):
                      "--checkpoint", str(trained_run / "model.npz"),
                      "--data", str(tiny_scan_dir)])
     assert code in (cli.EXIT_OK, cli.EXIT_NO_PARSE, cli.EXIT_CONFIG)
+
+
+# --- every file the command line reads, mutated -------------------------------
+
+# The files of a geo dataset directory that train and eval read, the
+# checkpoint placed beside them, and a --config file.
+GEO_INPUTS = ("train.jsonl", "test.jsonl", "schema.json", "kb.json", "lexicon.tsv",
+              "model.npz", "settings.json")
+OTHER_JSON = (None, True, 0, 1.5, "x", [], {})
+
+
+@pytest.fixture(scope="module")
+def geo_run(tmp_path_factory):
+    """A geo dataset directory holding a --config file and the one-epoch
+    ternary checkpoint trained with it."""
+    data = tmp_path_factory.mktemp("geo")
+    assert cli.main(["gen-data", "--domain", "geo", "--out", str(data)]) == cli.EXIT_OK
+    (data / "settings.json").write_text('{"ternary": true, "max_epochs": 1}')
+    run = tmp_path_factory.mktemp("geo-run")
+    assert cli.main(["train", "--data", str(data), "--out", str(run),
+                     "--config", str(data / "settings.json")]) == cli.EXIT_OK
+    shutil.copy(run / "model.npz", data / "model.npz")
+    return data
+
+
+def json_paths(value, path=()):
+    """The path of ``value`` and of every value inside it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from json_paths(item, path + (key,))
+
+
+def swap_a_value(value, draw):
+    """``value`` with one value in it, or itself, replaced by a value of
+    another JSON type."""
+    path = draw(st.sampled_from(list(json_paths(value))))
+    parent, old = None, value
+    for key in path:
+        parent, old = old, old[key]
+    new = draw(st.sampled_from([v for v in OTHER_JSON if type(v) is not type(old)]))
+    if parent is None:
+        return new
+    parent[path[-1]] = new
+    return value
+
+
+def mutated(data: bytes, name: str, draw) -> bytes:
+    """``data`` cut at an offset, with one byte flipped or a 0xff byte
+    inserted, or, for JSON, with a value of one line swapped for another
+    type."""
+    kinds = ("truncate", "flip", "insert") + (("swap",) if "json" in name else ())
+    kind = draw(st.sampled_from(kinds))
+    if kind == "swap":
+        lines = data.decode().splitlines()
+        k = draw(st.integers(0, len(lines) - 1)) if name.endswith(".jsonl") else None
+        if k is None:
+            return json.dumps(swap_a_value(json.loads(data), draw)).encode()
+        lines[k] = json.dumps(swap_a_value(json.loads(lines[k]), draw))
+        return ("\n".join(lines) + "\n").encode()
+    at = draw(st.integers(0, len(data) - (kind == "flip")))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    return data[:at] + b"\xff" + data[at:]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(GEO_INPUTS), data=st.data())
+def test_every_input_file_gets_a_documented_exit_code(geo_run, name, data):
+    """One file mutated: train reads it (train.jsonl, the --config file)
+    or eval does (the rest); either exits 0, 2 or 3 and never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "geo"
+        shutil.copytree(geo_run, work)
+        path = work / name
+        path.write_bytes(mutated(path.read_bytes(), name, data.draw))
+        if name in ("train.jsonl", "settings.json"):
+            argv = ["train", "--data", str(work), "--out", str(work / "run"),
+                    "--config", str(work / "settings.json")]
+        else:
+            argv = ["eval", "--checkpoint", str(work / "model.npz"),
+                    "--data", str(work / "test.jsonl")]
+        assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_NO_PARSE, cli.EXIT_CONFIG)
+
+
+def test_kb_without_a_field_the_executor_reads_is_config_error(geo_run, tmp_path,
+                                                               capsys):
+    """A city without its state used to load, and eval then raised a
+    KeyError in the executor; now eval and parse exit 3 naming kb.json."""
+    data = tmp_path / "geo"
+    shutil.copytree(geo_run, data)
+    kb = json.loads((data / "kb.json").read_text())
+    del kb["cities"]["albany"]["state"]
+    (data / "kb.json").write_text(json.dumps(kb))
+    codes, err = run_all([
+        ["eval", "--checkpoint", str(data / "model.npz"),
+         "--data", str(data / "train.jsonl")],
+        ["parse", "what is the capital of vermont ?",
+         "--checkpoint", str(data / "model.npz"), "--data", str(data)]], capsys)
+    assert codes == [cli.EXIT_CONFIG] * 2
+    assert err.count(f"configuration error: {data / 'kb.json'}: cities 'albany' "
+                     f"needs 'state': a state (got None)") == 2

@@ -258,11 +258,37 @@ def run_geo(text, schema, kb):
 
 
 def test_kb_border_symmetry_is_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="borders not symmetric: a/b"):
         GeoKb(states={
             "a": dict(capital="x", population=1, area=1, borders=["b"]),
             "b": dict(capital="y", population=1, area=1, borders=[]),
-        })
+        }, cities={"x": dict(state="a", population=1),
+                   "y": dict(state="b", population=1)})
+
+
+@pytest.mark.parametrize("table, name, key, value", [
+    ("states", "vermont", "capital", None), ("states", "vermont", "capital", "x"),
+    ("states", "vermont", "population", "645000"),
+    ("states", "vermont", "area", True), ("states", "vermont", "borders", "maine"),
+    ("cities", "albany", "state", None), ("cities", "albany", "state", ["new york"]),
+    ("cities", "albany", "population", None),
+    ("rivers", "hudson", "states", ["new york", "utah"]),
+    ("rivers", "hudson", "length", [507]),
+    ("places", "mount marcy", "state", 1), ("places", "mount marcy", "elevation", "x"),
+])
+def test_kb_fields_the_executor_reads_are_checked(table, name, key, value):
+    """A field that is missing, of another type, or naming what the KB does
+    not hold is refused; None stands for a missing field."""
+    obj = json.loads(json.dumps(mini_kb().to_json()))
+    if value is None:
+        del obj[table][name][key]
+    else:
+        obj[table][name][key] = value
+    with pytest.raises(ValueError, match=f"{table} {name!r} needs {key!r}"):
+        GeoKb.from_json(obj)
+    obj[table] = [obj[table]]
+    with pytest.raises(ValueError, match=f"{table} must map each name to a record"):
+        GeoKb.from_json(obj)
 
 
 def test_kb_round_trip(tmp_path, kb):
@@ -310,6 +336,9 @@ def test_exec_funql_rejects_type_errors(geo, kb):
         exec_funql(geo.atom("capital"), kb)  # unsaturated predicate
     usa = Program(DomainConstant("usa", ENTITY, "country"))
     with pytest.raises(ValueError, match=r"^not an entity constant: usa$"):
+        exec_funql(usa, kb)
+    usa = Program(DomainConstant("countryid('usa')", ENTITY, "country"))
+    with pytest.raises(ValueError, match=r"^not an entity constant: countryid\('usa'\)$"):
         exec_funql(usa, kb)
 
 
