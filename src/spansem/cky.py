@@ -15,7 +15,11 @@ and each pop pushes the successors that take one child one rank deeper,
 extending the child cells only as far as that needs.  A caller that keeps
 the first candidate, as ``best_valid_tree`` does when it is valid, pays
 for the Viterbi pass alone.  The chart is approximate: a derivation
-outside some cell's top K is lost.
+outside some cell's top K is lost.  A candidate carries its derivation,
+and its tree is built when first read.  ``best_valid_tree`` judges each
+candidate by composing program ids over its derivation, with the leaf and
+node rule of ``program_of_tree`` (``typesys.program_id``), so only the
+candidate it returns becomes a tree.
 
 ``constrained_parse`` is an exact Viterbi whose nonterminals are program
 states: each cell keeps the best derivation per program its span can
@@ -70,17 +74,18 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from .core import JOIN, NOSEM, SpanTree
+from .core import JOIN, NOSEM, Span, SpanTree
 from .scorer import ScoreTable
 from .typesys import (
     CompositionFailure,
     DomainSchema,
     Program,
-    program_of_tree,
+    program_id,
 )
-# Unused here; bound so that perfbench/tracing.py can patch it in this module.
-from .typesys import compose_candidates  # noqa: F401
+# Unused here; bound so that perfbench/tracing.py can patch them in this module.
+from .typesys import compose_candidates, program_of_tree  # noqa: F401
 
 NEG_INF = -1e9  # -infinity sentinel immune to NaN propagation
 _ROOT = "root"  # the root's key in a _Chart; a Join cell's key is (i, j)
@@ -138,6 +143,7 @@ class _Chart:
         self.join_col = table.cat_index[JOIN]
         self.constants = sorted(c for c in table.categories
                                 if c not in (NOSEM, JOIN))
+        self.const_cols = [table.cat_index[c] for c in self.constants]
         self.cells: dict = {}  # (i, j) -> ranked derivations, best first
         self.frontiers: dict = {}  # key -> _Frontier, once rank 1 is asked for
         self.root = self._viterbi()
@@ -146,7 +152,7 @@ class _Chart:
         """Keeps the best derivation of every cell; returns the root's list."""
         table, n, row_of = self.table, self.table.n, self.row_of
         bases = table.shifted[:, self.join_col].tolist()
-        cols = [table.cat_index[c] for c in self.constants]
+        cols = self.const_cols
         leaves = [None] * len(table.spans)
         if cols:
             # argmax keeps the first best column: ties go to the lower label.
@@ -238,12 +244,14 @@ class _Chart:
             return [((0, ()), 0.0, [cell(1, j)])] + [
                 ((2, (s,)), base, [nosem(1, s), cell(s + 1, j)])
                 for s in range(1, j)]
-        # A stable sort of the label-ordered constants: ties go to the
-        # lower label, as in the Viterbi pass.
-        consts = sorted(((row[self.table.cat_index[c]], i, j, c, ())
-                         for c in self.constants), key=lambda d: -d[0])
-        sources = [((0, ()), 0.0, [([d for d in consts[: self.K]
-                                     if d[0] > NEG_INF / 2], None)])]
+        # A stable sort of the label-ordered constants (``reverse`` keeps
+        # ties in order): ties go to the lower label, as in the Viterbi pass.
+        scores = [row[c] for c in self.const_cols]
+        top = sorted(range(len(scores)), key=scores.__getitem__,
+                     reverse=True)[: self.K]
+        sources = [((0, ()), 0.0, [([(scores[k], i, j, self.constants[k], ())
+                                     for k in top if scores[k] > NEG_INF / 2],
+                                    None)])]
         for s in range(i, j):
             sources.append(((1, (s,)), base, [cell(i, s), cell(s + 1, j)]))
             sources.append(((2, (s,)), base, [cell(i, s), nosem(s + 1, j)]))
@@ -261,17 +269,17 @@ class _Chart:
             return
         order, base, refs = frontier.sources[si]
         children = []
+        total = 0  # sum() of the children's scores
         for (entries, key), r in zip(refs, ranks):
-            if key is None:
-                child = entries[r] if r < len(entries) else None
-            else:
-                child = self.at(key, r)
-            if child is None:
+            if r < len(entries):
+                child = entries[r]
+            elif key is None or (child := self.at(key, r)) is None:
                 return
+            total += child[0]
             children.append(child)
         frontier.seen.add((si, ranks))
-        heapq.heappush(frontier.heap, (-(base + sum(c[0] for c in children)), order,
-                              ranks, si, tuple(children)))
+        heapq.heappush(frontier.heap, (-(base + total), order, ranks, si,
+                                       tuple(children)))
 
     def _extend(self, key, entries: list) -> bool:
         """Appends a list's next derivation; False when it has no more."""
@@ -348,30 +356,59 @@ def _tree(deriv: tuple, table: ScoreTable) -> SpanTree:
     """The derivation's tree, whose spans are the table's shared ones."""
     _, i, j, category, children = deriv
     return SpanTree(table.spans[table.row_of[i][j]], category,
-                    tuple(_tree(c, table) for c in children))
+                    tuple([_tree(c, table) for c in children]) if children else ())
+
+
+class Candidate:
+    """One K-best candidate: its derivation and score, and its tree, built
+    on the first read of ``tree``."""
+
+    __slots__ = ("derivation", "score", "_table", "_tree")
+
+    def __init__(self, derivation: tuple, table: ScoreTable):
+        self.derivation = derivation
+        self.score = derivation[0]
+        self._table = table
+        self._tree = None
+
+    @property
+    def tree(self) -> SpanTree:
+        if self._tree is None:
+            self._tree = _tree(self.derivation, self._table)
+        return self._tree
 
 
 def parse_kbest(table: ScoreTable, grammar: Grammar, K: int,
                 stats: dict | None = None):
-    """An iterator over the top-K grammar-legal trees for the whole
+    """An iterator over the top-K grammar-legal candidates for the whole
     utterance, best first.  The Viterbi pass runs in this call; each later
-    candidate is ranked, and its tree built, when it is asked for."""
+    candidate is ranked when it is asked for, and its tree built when its
+    ``tree`` is read."""
     chart = _Chart(table, grammar, K)
     _count(stats, table.n, grammar)
-    return (ParseResult(_tree(d, table), d[0])
-            for d in chart.ranked(_ROOT))
+    return (Candidate(d, table) for d in chart.ranked(_ROOT))
+
+
+_derivation_parts = itemgetter(3, 4)  # (category, children)
+
+
+def _derivation_span(deriv: tuple) -> Span:
+    return Span(deriv[1], deriv[2])
 
 
 def best_valid_tree(candidates, schema: DomainSchema):
-    """First candidate (descending score) whose tree composes to a program;
-    None when all of them are semantically invalid.  Reads no candidate
-    past the first valid one."""
+    """First candidate (descending score) whose derivation composes to a
+    program, by ``program_of_tree``'s rule over its derivation; None when
+    all of them are semantically invalid.  Reads no candidate past the
+    first valid one, and builds the tree of that one alone."""
+    table = schema.table
     for cand in candidates:
         try:
-            program = program_of_tree(cand.tree, schema)
+            pid = program_id(cand.derivation, table, _derivation_parts,
+                             _derivation_span)
         except CompositionFailure:
             continue
-        return ParseResult(cand.tree, cand.score, program)
+        return ParseResult(cand.tree, cand.score, table.programs[pid])
     return None
 
 

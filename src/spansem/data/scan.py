@@ -145,10 +145,14 @@ def exec_scan(z: Program) -> tuple:
             if name == "turn":
                 raise ExecError("bare turn has no denotation")
             return base
+        if direction.head.name not in _TURN:
+            raise ExecError(f"{direction.head.name} is no direction")
         turn = (_TURN[direction.head.name],)
         if manner is None:
             return turn + base
         if manner.head.name == "op":
             return turn + turn + base
-        return (turn + base) * 4  # around
+        if manner.head.name == "ar":
+            return (turn + base) * 4
+        raise ExecError(f"{manner.head.name} is no manner")
     raise ExecError(f"cannot execute constant {name}")

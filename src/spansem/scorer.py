@@ -21,9 +21,11 @@ network is never built.  It returns one ``ScoreTable`` per utterance, each
 a row slice of one raw matrix, all sharing the batch's forward cache and
 the parameter dict that produced it.  ``loss_and_grads`` backpropagates
 the tables of one call in one pass from that cache; a table scored with
-another parameter dict (``sgd_step`` returns a new one) is refused.  GEMM
-rounding depends on the row count, so an utterance's scores in a batch
-and scored alone can differ in the last bits (about 1e-15).
+another parameter dict is refused.  ``sgd_step`` updates the arrays in
+place and returns a new dict over them, so a table scored before a step
+is refused too.  GEMM rounding depends on the row count, so an
+utterance's scores in a batch and scored alone can differ in the last
+bits (about 1e-15).
 
 What depends on the utterance length alone (the span list, the row of
 each (i, j), the start and end token of each row) is built once per
@@ -407,8 +409,13 @@ def tree_loss(table: ScoreTable, gold: SpanTree) -> float:
 
 
 def sgd_step(params: dict, grads: dict, lr: float) -> dict:
-    """One gradient-descent update; returns a new parameter dict."""
-    return {k: params[k] - lr * grads[k] for k in params}
+    """One gradient-descent update, in place: subtracts ``lr * grads[k]``
+    from each array of ``params``.  Returns a new dict over the same
+    arrays, so that ``loss_and_grads`` refuses a table scored before the
+    step."""
+    for k, p in params.items():
+        p -= lr * grads[k]
+    return dict(params)
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -441,13 +448,11 @@ def load_checkpoint(path):
     ``.npz`` archive, when it records sizes other than the scorer's, or
     when a stored parameter's shape differs from the one the sizes build or
     it holds a NaN or an infinity."""
-    # np.load would read a file that is no zip archive as a .npy array or a
-    # pickle, and its errors would name those.
-    with open(path, "rb") as fh:
-        if not zipfile.is_zipfile(fh):
-            raise ValueError("not an intact .npz checkpoint (no zip archive)")
     try:
-        with np.load(path, allow_pickle=False) as blob:
+        # np.load sniffs the first bytes and reads a file that does not open
+        # with a zip header as a .npy array or a pickle; NpzFile opens every
+        # file as a zip archive.
+        with np.lib.npyio.NpzFile(path, allow_pickle=False) as blob:
             meta = json.loads(str(blob["meta"]))
             if meta["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {meta['version']}")

@@ -245,9 +245,9 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
                 epoch_skipped += skipped
                 if not used:
                     continue
-                for key in velocity:
-                    velocity[key] = (config.momentum * velocity[key]
-                                     + grads[key])
+                for key, v in velocity.items():
+                    v *= config.momentum
+                    v += grads[key]
                 scorer.params = sgd_step(scorer.params, velocity, config.lr)
             broken = [k for k, v in scorer.params.items() if not np.isfinite(v).all()]
             if broken:

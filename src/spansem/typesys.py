@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .core import JOIN, NOSEM, Span, SpanTree
 
@@ -370,37 +371,56 @@ def _signature(const: DomainConstant) -> tuple:
     return const.kind, const.result_type, const.arg_types, const.min_args
 
 
+def program_id(root, table: CompositionTable, parts, span_of) -> int:
+    """The id in ``table`` of the program a tree composes to, for a tree in
+    any encoding: ``parts(node)`` is a node's ``(category, children)``, and
+    ``span_of(node)`` its span, read only for the failure.
+
+    The leaf and node rule: a NoSem leaf carries no program, a constant
+    leaf its bare program, and an internal node composes its children by
+    ``CompositionTable.compose_children``.  Raises CompositionFailure
+    (carrying the offending span) when some node admits no type-legal
+    combination, or when the root carries no program."""
+
+    def visit(node):
+        category, children = parts(node)
+        if not children:
+            if category == NOSEM:
+                return None
+            if category == JOIN:
+                raise CompositionFailure(span_of(node), "Join leaf has no program")
+            try:
+                return table.atom(category)
+            except KeyError:
+                raise CompositionFailure(
+                    span_of(node), f"unknown constant {category}"
+                ) from None
+        pid = table.compose_children([visit(c) for c in children])
+        if pid is None:
+            raise CompositionFailure(span_of(node))
+        return pid
+
+    pid = visit(root)
+    if pid is None:
+        raise CompositionFailure(span_of(root), "tree carries no semantics")
+    return pid
+
+
+_tree_parts = attrgetter("category", "children")
+_tree_span = attrgetter("span")
+
+
 def program_of_tree(tree: SpanTree, schema: DomainSchema) -> Program:
     """Deterministic bottom-up mapping from a span tree to its program,
-    composed through the schema's table.
+    composed through the schema's table by ``program_id``.
 
     Raises CompositionFailure (carrying the offending span) when some node
     admits no type-legal combination; that failure is the semantic-validity
-    signal used during CKY inference.
+    signal, which ``cky.best_valid_tree`` reads by the same rule over
+    derivations.
     """
     table = schema.table
-
-    def visit(node: SpanTree):
-        if node.is_leaf:
-            if node.category == NOSEM:
-                return None
-            if node.category == JOIN:
-                raise CompositionFailure(node.span, "Join leaf has no program")
-            try:
-                return table.atom(node.category)
-            except KeyError:
-                raise CompositionFailure(
-                    node.span, f"unknown constant {node.category}"
-                ) from None
-        pid = table.compose_children([visit(c) for c in node.children])
-        if pid is None:
-            raise CompositionFailure(node.span)
-        return pid
-
-    pid = visit(tree)
-    if pid is None:
-        raise CompositionFailure(tree.span, "tree carries no semantics")
-    return table.programs[pid]
+    return table.programs[program_id(tree, table, _tree_parts, _tree_span)]
 
 
 # --- program surface syntax -------------------------------------------------

@@ -1,6 +1,7 @@
 """K-best chart parsing against brute-force oracles, plus the constrained
 variant used during training."""
 
+import collections
 import hashlib
 import itertools
 import random
@@ -33,6 +34,7 @@ from spansem.data.geo import geo_schema, mini_geo_corpus, mini_kb
 from spansem.data.scan import generate_scan_sp, scan_schema
 from spansem.scorer import ScoreTable
 from spansem.typesys import (
+    CompositionFailure,
     Program,
     compose_children,
     parse_program,
@@ -290,6 +292,80 @@ def test_best_valid_tree_none_when_all_invalid():
     raw[1, ci[JOIN]] = 1.0
     table = ScoreTable(2, cats, raw)
     assert best_valid_tree(parse_kbest(table, Grammar(), 4), schema) is None
+
+
+def reference_best_valid_tree(candidates, schema):
+    """The first candidate whose tree composes by ``program_of_tree``, as
+    (tree, score, program), or None."""
+    for cand in candidates:
+        try:
+            program = program_of_tree(cand.tree, schema)
+        except CompositionFailure:
+            continue
+        return cand.tree, cand.score, program
+    return None
+
+
+def schema_table(rng, schema, n, tie_heavy):
+    """Scores over the schema's categories and, at times, one constant the
+    schema does not have; every constant but one to four of them is
+    masked, so that many candidates compose and many do not."""
+    constants = [c for c in schema.categories() if c not in (NOSEM, JOIN)]
+    cats = schema.categories() + (["unknown"] if rng.random() < 0.25 else [])
+    live = set(rng.sample(constants, rng.randint(1, 4))) | set(cats[len(constants) + 2:])
+    raw = np.array([[float(rng.randint(-2, 2)) if tie_heavy else rng.gauss(0, 2)
+                     for _ in cats] for _ in all_spans(n)])
+    for k, c in enumerate(cats):
+        if c not in (NOSEM, JOIN) and c not in live:
+            raw[:, k] = NEG_INF
+        elif c not in (NOSEM, JOIN) and tie_heavy:
+            raw[[rng.random() < 0.3 for _ in range(len(raw))], k] = NEG_INF
+    return ScoreTable(n, cats, raw)
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_best_valid_tree_matches_the_tree_reference(ternary, monkeypatch):
+    """``best_valid_tree``, which judges each candidate on its derivation,
+    returns what the first candidate whose tree composes gives, on random
+    and tie-heavy tables of the scan and geo schemas, n <= 6 and K in
+    {1, 3, 5, 8}; and it builds the tree of the returned candidate alone."""
+    built = set()
+    inner = cky._tree
+
+    def recorded(deriv, table):
+        built.add(id(deriv))
+        return inner(deriv, table)
+
+    rng = random.Random(53)
+    outcomes = collections.Counter()
+    for schema in (scan_schema(), geo_schema(mini_kb())):
+        for trial in range(120):
+            table = schema_table(rng, schema, rng.randint(1, 6), trial % 2 == 0)
+            K = rng.choice([1, 3, 5, 8])
+            want = reference_best_valid_tree(
+                parse_kbest(table, Grammar(ternary=ternary), K), schema)
+            read = []
+
+            def reading(candidates):
+                for cand in candidates:
+                    read.append(cand)
+                    yield cand
+
+            built.clear()
+            monkeypatch.setattr(cky, "_tree", recorded)
+            got = best_valid_tree(
+                reading(parse_kbest(table, Grammar(ternary=ternary), K)), schema)
+            monkeypatch.undo()
+            skipped = read if got is None else read[:-1]
+            assert not any(id(c.derivation) in built for c in skipped)
+            if want is None:
+                assert got is None
+                outcomes["none"] += 1
+            else:
+                assert (got.tree, got.score, got.program) == want
+                assert got.tree is read[-1].tree
+                outcomes["after a skip" if len(read) > 1 else "first"] += 1
+    assert min(outcomes[k] for k in ("none", "first", "after a skip")) >= 10, outcomes
 
 
 # -- constrained parsing -----------------------------------------------------

@@ -496,10 +496,13 @@ def test_truncated_checkpoint_is_config_error(exec_error_run, tmp_path, capsys,
 
 
 def damaged(data: bytes, where: str) -> bytes:
-    """A checkpoint's bytes with its first central directory entry marked
-    encrypted, given compression method 1 or version 9.9 to extract, or
-    the .npy header of W1 made unbalanced (W1 is large enough that its
-    header is parsed before its CRC is checked)."""
+    """A checkpoint's bytes with its first byte changed (the archive's
+    central directory at its end still reads), its first central directory
+    entry marked encrypted, given compression method 1 or version 9.9 to
+    extract, or the .npy header of W1 made unbalanced (W1 is large enough
+    that its header is parsed before its CRC is checked)."""
+    if where == "first":
+        return b"Q" + data[1:]
     if where == "header":
         at = data.index(b"{'descr'", data.index(b"param_W1.npy"))
         return data[:at + 1] + b"(" + data[at + 2:]
@@ -510,11 +513,14 @@ def damaged(data: bytes, where: str) -> bytes:
     return data[:at] + bytes([value]) + data[at + 1:]
 
 
-@pytest.mark.parametrize("where", ["encrypted", "method", "version", "header"])
+@pytest.mark.parametrize("where", ["first", "encrypted", "method", "version",
+                                   "header"])
 def test_damaged_checkpoint_archive_is_config_error(exec_error_run, tmp_path,
                                                     capsys, where):
-    """zipfile raises RuntimeError or NotImplementedError for these, and
-    NumPy's header parser a TokenError: each is a damaged archive."""
+    """zipfile raises BadZipFile, RuntimeError or NotImplementedError for
+    these, and NumPy's header parser a TokenError: each is a damaged
+    archive.  A damaged first byte must not send the file down np.load's
+    pickle branch."""
     bad = tmp_path / "damaged.npz"
     bad.write_bytes(damaged((exec_error_run / "model.npz").read_bytes(), where))
     codes, err = run_all([

@@ -149,6 +149,26 @@ def test_exec_scan_rejects_unsaturated_programs():
         exec_scan(walk)
 
 
+def test_exec_scan_names_a_direction_that_is_no_direction():
+    """A schema that types ``op`` as a direction lets ``walk(op)`` compose;
+    executing it is an ExecError naming ``op``, not a KeyError."""
+    schema = scan_schema()
+    walk = Program(schema.constant("walk"), (schema.atom("op"), None))
+    with pytest.raises(ExecError, match="op is no direction"):
+        exec_scan(walk)
+
+
+def test_exec_scan_names_a_manner_that_is_no_manner():
+    """Only ``op`` and ``ar`` are manners; another constant in the manner
+    slot is an ExecError, not a silent ``around``."""
+    schema = scan_schema()
+    walk = Program(schema.constant("walk"), (schema.atom("l"), schema.atom("r")))
+    with pytest.raises(ExecError, match="r is no manner"):
+        exec_scan(walk)
+    around = Program(schema.constant("walk"), (schema.atom("l"), schema.atom("ar")))
+    assert exec_scan(around) == ("LTURN", "WALK") * 4
+
+
 def test_lexicon_covers_every_scan_constant():
     schema = scan_schema()
     mapped = {c for _, c in scan_lexicon_entries()}

@@ -180,6 +180,29 @@ def test_sgd_step_moves_against_gradient(tiny_scorer):
     assert loss1 < loss0
 
 
+def test_sgd_step_in_place_matches_the_reference_update(tiny_scorer):
+    """Over several steps, ``sgd_step`` leaves each parameter bit-identical
+    to ``p - lr * g``, updating the arrays it was given; the dict it
+    returns is new, and a table scored before the step is refused."""
+    scorer = tiny_scorer(seed=5)
+    utt = Utterance.from_text("walk right")
+    labels = scorer.labels_for_tree(gold_tree(), 2)
+    want = {k: v.copy() for k, v in scorer.params.items()}
+    for _ in range(4):
+        table, = scorer.score_spans([utt])
+        _, grads = scorer.loss_and_grads([table], [labels])
+        want = {k: want[k] - 0.05 * grads[k] for k in want}
+        arrays = dict(scorer.params)
+        params = sgd_step(scorer.params, grads, 0.05)
+        assert params is not scorer.params
+        assert all(params[k] is arrays[k] for k in arrays)
+        scorer.params = params
+        for key in want:
+            assert params[key].tobytes() == want[key].tobytes(), key
+        with pytest.raises(ValueError, match="not scored with"):
+            scorer.loss_and_grads([table], [labels])
+
+
 def test_loss_and_grads_reads_the_scored_table(tiny_scorer):
     """The table carries the forward it was scored with: its raw scores and
     activations equal a fresh ``score_spans`` under the same parameters,

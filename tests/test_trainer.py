@@ -4,6 +4,7 @@ reports, and small end-to-end training runs on both domains."""
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from spansem import trainer
@@ -148,6 +149,40 @@ def test_hard_em_step_gradients_are_averaged(scan_domain, short_examples):
 
 
 # --- evaluation -------------------------------------------------------------
+
+
+def test_momentum_steps_match_the_reference_update(scan_domain, short_examples,
+                                                   monkeypatch):
+    """Each step of ``train`` moves the parameters bit-identically to
+    ``v = m * v + g`` and ``p = p - lr * v``, computed from the recorded
+    batch gradients over new arrays."""
+    config = TrainConfig(max_epochs=2, batch_size=4, momentum=0.5, lr=0.01)
+    grads, params = [], []
+    inner_step, inner_sgd = trainer.hard_em_step, trainer.sgd_step
+
+    def recorded_step(*args):
+        out = inner_step(*args)
+        grads.append({k: g.copy() for k, g in out[3].items()} if out[1] else None)
+        return out
+
+    def recorded_sgd(p, v, lr):
+        out = inner_sgd(p, v, lr)
+        params.append({k: a.copy() for k, a in out.items()})
+        return out
+
+    monkeypatch.setattr(trainer, "hard_em_step", recorded_step)
+    monkeypatch.setattr(trainer, "sgd_step", recorded_sgd)
+    start = fresh_scorer(short_examples[:12], scan_domain, config).params
+    train(short_examples[:12], [], scan_domain, config)
+    steps = [g for g in grads if g is not None]
+    assert len(steps) == len(params) >= 5
+    want = {k: p.copy() for k, p in start.items()}
+    velocity = {k: np.zeros_like(p) for k, p in start.items()}
+    for g, got in zip(steps, params):
+        velocity = {k: config.momentum * velocity[k] + g[k] for k in velocity}
+        want = {k: want[k] - config.lr * velocity[k] for k in want}
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
 
 
 def test_evaluate_report_shape(scan_domain, short_examples):
