@@ -32,10 +32,19 @@ each (i, j), the start and end token of each row) is built once per
 length by ``_geometry`` and shared by every table and chart.  The lexicon
 memoizes its matches per token tuple, so the bonus of a seen utterance is
 a scatter.
+
+Loading the module tunes glibc's allocator for the process, forked
+``eval --jobs`` workers included, through ``mallopt``: freed heap stays
+mapped rather than going back to the kernel, so the arrays of one batch
+reuse the pages of the last instead of faulting in new ones.  Only where
+memory comes from changes, not what is computed; the process's resident
+size stays at its high-water mark.  Where libc has no ``mallopt``,
+nothing is tuned.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import tokenize
@@ -54,6 +63,36 @@ HIDDEN = 250  # classifier hidden width
 H_DIM = 64
 N_LAYERS = 2
 WINDOW = 3
+
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def _keep_freed_heap_mapped() -> bool:
+    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 64 MiB;
+    whether libc has a ``mallopt`` that took both.
+
+    A backward pass frees arrays of 130-340 KB (the reversed taps, the
+    ``mix*_W`` and ``W1`` gradients, the im2col columns).  Under glibc's
+    dynamic thresholds such arrays are mmapped, or the heap top holding
+    them is trimmed, so their pages go back to the kernel and the next
+    batch faults them in again: about 420 minor faults per warm hard-EM
+    batch of 5 scan commands, 1,100-1,900 per ``scan-em`` benchmark unit
+    (1,000-1,200 of them in ``_encode_backward``) and 2,800-3,900 per
+    ``geo-ternary`` unit.  With fixed thresholds a warm batch faults in
+    no page."""
+    # OSError: nothing to load; TypeError: a platform whose CDLL needs a
+    # file name (Windows); AttributeError: a libc without mallopt.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # Both calls run; each returns 1 when glibc takes the value.
+    return bool(mallopt(M_MMAP_THRESHOLD, 4 << 20) & mallopt(M_TRIM_THRESHOLD, 64 << 20))
+
+
+HEAP_KEPT_MAPPED = _keep_freed_heap_mapped()
 
 
 class DimensionMismatch(ValueError):

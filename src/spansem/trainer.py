@@ -204,8 +204,9 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
     dev accuracy: each history entry's ``dev_accuracy`` and the result's
     ``best_dev_accuracy`` are None.  A NaN or infinite batch loss stops
     training with a ConfigError before the step is taken, and so does an
-    epoch whose steps leave a parameter NaN or infinite, before the dev
-    set is evaluated (one check per epoch, not per batch).
+    epoch whose steps leave a parameter NaN or infinite, or finite but so
+    large that its squared norm overflows, before the dev set is evaluated
+    (one check per epoch, not per batch).
     """
     config.validate()
     if not train_examples:
@@ -253,6 +254,11 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
             if broken:
                 raise ConfigError(f"non-finite parameter {', '.join(broken)} after "
                                   f"epoch {epoch}; lower lr")
+            huge = [k for k, v in scorer.params.items()
+                    if not math.isfinite(np.vdot(v, v))]
+            if huge:
+                raise ConfigError(f"parameter {', '.join(huge)} diverged (its norm "
+                                  f"overflows) after epoch {epoch}; lower lr")
             dev_acc = (evaluate(scorer, dev_examples, domain, grammar,
                                 config.K)["accuracy"]
                        if dev_examples else None)

@@ -472,6 +472,24 @@ def test_train_stops_on_non_finite_parameters(tmp_path, capsys):
     assert not (out / "model.npz").exists()
 
 
+def test_train_stops_when_a_parameter_norm_overflows(tiny_scan_dir, tmp_path,
+                                                     capsys):
+    """On 80 short scan commands a step size of 1e308 leaves every
+    parameter finite but too large for its squared norm: train exits 3
+    naming them and writes no checkpoint."""
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps({"lr": 1e308, "max_epochs": 1}))
+    out = tmp_path / "diverged"
+    with np.errstate(all="ignore"):
+        code = cli.main(["train", "--data", str(tiny_scan_dir), "--out", str(out),
+                         "--config", str(settings)])
+    assert code == cli.EXIT_CONFIG
+    assert ("configuration error: parameter emb, mix0_W, mix0_b, mix1_W, mix1_b, "
+            "W1, W2 diverged (its norm overflows) after epoch 0; lower lr"
+            ) in capsys.readouterr().err
+    assert not (out / "model.npz").exists()
+
+
 @pytest.mark.parametrize("size", [0, 300, 1000, -10, "text", "npy"])
 def test_truncated_checkpoint_is_config_error(exec_error_run, tmp_path, capsys,
                                               size):

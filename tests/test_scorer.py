@@ -1,6 +1,7 @@
 """Span scorer: forward behavior, invariances, and gradient correctness."""
 
 import random
+import types
 
 import numpy as np
 import pytest
@@ -262,6 +263,27 @@ def test_checkpoint_round_trip(tmp_path, tiny_scorer):
     utt = Utterance.from_text("walk right twice")
     assert np.array_equal(scorer.score_spans([utt])[0].raw,
                           again.score_spans([utt])[0].raw)
+
+
+def test_heap_tuning_sets_both_thresholds(monkeypatch):
+    calls = []
+    libc = types.SimpleNamespace(mallopt=lambda *args: calls.append(args) or 1)
+    monkeypatch.setattr(scorer_module.ctypes, "CDLL", lambda name: libc)
+    assert scorer_module._keep_freed_heap_mapped() is True
+    assert calls == [(-3, 4 << 20), (-1, 64 << 20)]
+
+
+@pytest.mark.parametrize("libc", ["unloadable", "without mallopt"])
+def test_heap_tuning_is_a_no_op_without_mallopt(monkeypatch, libc):
+    """Where libc cannot be loaded or has no ``mallopt`` (not glibc), the
+    tuning raises nothing and reports that it tuned nothing."""
+    def cdll(name):
+        if libc == "unloadable":
+            raise OSError("no libc")
+        return types.SimpleNamespace()
+
+    monkeypatch.setattr(scorer_module.ctypes, "CDLL", cdll)
+    assert scorer_module._keep_freed_heap_mapped() is False
 
 
 @pytest.mark.parametrize("label", [JOIN, NOSEM])

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spansem import trainer
+from spansem import scorer as scorer_module, trainer
 from spansem.cky import Grammar, ParseResult
 from spansem.core import Utterance, labeled_spans
 from spansem.data.geo import (
@@ -46,11 +46,15 @@ def scan_domain():
 
 
 @pytest.fixture(scope="module")
-def short_examples(scan_domain):
+def scan_corpus(scan_domain):
+    return [TrainExample(e.utterance, e.program, e.tree, e.actions)
+            for e in generate_scan_sp(scan_domain.schema)]
+
+
+@pytest.fixture(scope="module")
+def short_examples(scan_corpus):
     """Commands of at most four tokens, shuffled with a fixed seed."""
-    pool = [TrainExample(e.utterance, e.program, e.tree, e.actions)
-            for e in generate_scan_sp(scan_domain.schema)
-            if len(e.utterance) <= 4]
+    pool = [ex for ex in scan_corpus if len(ex.utterance) <= 4]
     random.Random(0).shuffle(pool)
     return pool
 
@@ -146,6 +150,29 @@ def test_hard_em_step_gradients_are_averaged(scan_domain, short_examples):
                                config)
     for key in g1:
         assert g1[key] == pytest.approx(g2[key])
+
+
+@pytest.mark.skipif(not scorer_module.HEAP_KEPT_MAPPED,
+                    reason="glibc's mallopt is not available")
+def test_warm_hard_em_batches_fault_in_no_new_pages(scan_domain, scan_corpus):
+    """With freed heap kept mapped, a batch's arrays reuse the pages of the
+    batches before it: once 12 batches have warmed the process up, 36 more
+    over the same 60 commands fault in fewer pages than there are batches
+    (0 to 4 measured; about 420 per batch under glibc's dynamic
+    thresholds)."""
+    import resource
+
+    sample = random.Random(0).sample(scan_corpus, 60)
+    config = TrainConfig()
+    scorer = fresh_scorer(sample, scan_domain, config)
+    batches = [sample[lo:lo + 5] for lo in range(0, 60, 5)]
+    for batch in batches:
+        hard_em_step(scorer, batch, scan_domain, Grammar(), config)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for batch in batches * 3:
+        hard_em_step(scorer, batch, scan_domain, Grammar(), config)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= len(batches) * 3  # under one per batch
 
 
 # --- evaluation -------------------------------------------------------------
@@ -325,6 +352,20 @@ def test_training_without_a_dev_set_reports_no_dev_accuracy(
     assert [h["dev_accuracy"] for h in result.history] == [None, None]
     lines = [json.loads(line) for line in log.read_text().splitlines()]
     assert [line["dev_accuracy"] for line in lines] == [None, None]
+
+
+def test_train_stops_when_a_parameter_norm_overflows(scan_domain,
+                                                     short_examples):
+    """A step size of 1e308 on 80 commands of at most four tokens leaves
+    every parameter finite, each array peaking near 1e307, and every batch
+    loss finite, but no squared norm fits in a double: train refuses the
+    run after the epoch instead of returning it."""
+    with np.errstate(all="ignore"), pytest.raises(ConfigError) as raised:
+        train(short_examples[:80], [], scan_domain,
+              TrainConfig(lr=1e308, max_epochs=1))
+    assert str(raised.value) == (
+        "parameter emb, mix0_W, mix0_b, mix1_W, mix1_b, W1, W2 diverged (its "
+        "norm overflows) after epoch 0; lower lr")
 
 
 def test_geo_training_on_simple_questions():
