@@ -70,6 +70,7 @@ for NoSem.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -417,44 +418,8 @@ def weight(program: Program, schema: DomainSchema) -> int:
     default of ``schema``.  Composition adds weights, since default
     completion adds only defaults, so a tree composing to ``program`` has
     exactly this many leaves labelled with a constant that is no default."""
-    return (program.head.name not in schema.type_defaults.values()) + sum(
-        weight(a, schema) for a in program.args if a is not None)
-
-
-class _States:
-    """The gold program's admissibility filter and need, memoized per
-    program id of the schema's composition table.
-
-    A state is the id of a subterm of the gold program or of a partial
-    application of one.  ``needs[x]`` is None when program ``x`` is not
-    admissible, and otherwise ``weight(gold) - weight(x)``: the leaves that
-    a tree with the gold program at its root holds outside a node whose
-    state is ``x``.  Nothing is ordered by id: the compiled chart indexes a
-    cell's states in the order ``_compile`` first meets them, so its tie
-    order never depends on ids or on what the table already holds.
-    """
-
-    def __init__(self, gold: Program, schema: DomainSchema):
-        self.schema = schema
-        self.table = schema.table
-        self.by_head: dict = {}
-        for sub in gold.subterms():
-            self.by_head.setdefault(sub.head.name, []).append(sub)
-        self.budget = weight(gold, schema)
-        self.needs: dict = {}
-
-    def need(self, pid: int) -> int | None:
-        """Program ``pid``'s need, or None unless some gold subterm has its
-        head and every filled argument."""
-        if pid not in self.needs:
-            program = self.table.programs[pid]
-            admissible = any(
-                all(pa is None or pa == ga
-                    for pa, ga in zip(program.args, sub.args))
-                for sub in self.by_head.get(program.head.name, ()))
-            self.needs[pid] = (self.budget - weight(program, self.schema)
-                               if admissible else None)
-        return self.needs[pid]
+    defaults = schema.table.defaults
+    return sum(sub.head.name not in defaults for sub in program.subterms())
 
 
 @dataclass(slots=True)
@@ -489,6 +454,14 @@ def _compile(n: int, grammar: Grammar, template: Program,
     program ``template``, with every one of its constants assumed present
     on every span.
 
+    A state is the id in the schema's composition table of a subterm of
+    the gold program or of a partial application of one: a program is
+    admissible when some gold subterm has its head and every argument it
+    has filled.  An admissible state ``x``'s need is ``weight(template) -
+    weight(x)``, the leaves that a tree with the gold program at its root
+    holds outside a node of state ``x``; ``need`` memoizes it per id, and
+    is None for an inadmissible program.
+
     Its leaves are the template's distinct constants, numbered as slots in
     the order of their first occurrence in its preorder, so that the chart
     serves every gold program of the template: slot ``k`` stands for that
@@ -501,14 +474,27 @@ def _compile(n: int, grammar: Grammar, template: Program,
     by split, then the ternary rule by split pair; within a split, by the
     index of the left child, then of the right one, then of the middle one
     (the outer pair composes first).  A cell's states are indexed in the
-    order this loop first meets them.
+    order this loop first meets them, never by id, so the tie order never
+    depends on ids or on what the table already holds.
     """
-    states = _States(template, schema)
-    need, compose = states.need, schema.table.compose
-    atoms = [(schema.table.atom(name), slot) for slot, name in
-             enumerate(dict.fromkeys(s.head.name for s in template.subterms()))]
-    slack = n - states.budget
-    gold_id = schema.table.intern(template)
+    table = schema.table
+    compose = table.compose
+    by_head = {}  # constant name -> the gold subterms it heads
+    for sub in template.subterms():
+        by_head.setdefault(sub.head.name, []).append(sub)
+    budget = weight(template, schema)
+
+    @functools.cache
+    def need(pid: int) -> int | None:
+        program = table.programs[pid]
+        admissible = any(
+            all(pa is None or pa == ga for pa, ga in zip(program.args, sub.args))
+            for sub in by_head.get(program.head.name, ()))
+        return budget - weight(program, schema) if admissible else None
+
+    atoms = [(table.atom(name), slot) for slot, name in enumerate(by_head)]
+    slack = n - budget
+    gold_id = table.intern(template)
     members = []  # members[L - 1]: the state ids of a cell of length L
     partners = {}  # (x, L) -> [(q, compose(x, members[L - 1][q])), ...]
 
@@ -646,7 +632,7 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     subtree composes to, as ``program_of_tree`` composes it: constants
     absent from ``gold`` are masked out, and a node is kept only while its
     program is admissible.  So the returned tree maps to ``gold``.  A cell
-    also drops every state whose need (see ``_States``) exceeds the tokens
+    also drops every state whose need (see ``_compile``) exceeds the tokens
     outside its span: each leaf covers tokens of its own, so no tree
     composing to ``gold`` holds such an item, and no item built on one is
     kept either.  Only cells longer than ``n - weight(gold)`` can drop

@@ -11,26 +11,11 @@ tree is null when no gold tree is available.
 Every setting comes from a flag or, for train, a --config file of
 TrainConfig settings that the flags given override; no environment
 variable changes a default.  Exit codes: 0 success, 2 no valid parse or,
-for parse, a composed program the executor rejects, 3 configuration
-error (including an empty utterance to parse, a missing checkpoint,
-dataset directory, schema.json or JSONL file, a lexicon.tsv line that is
-not a phrase and a schema constant separated by a tab, a schema.json
-constant named NoSem or Join, a schema.json value of the wrong type or a
-type default that names no constant, a kb.json record that lacks a field
-the executor reads, holds one of the wrong type or names a state or city
-the KB does not hold, a --config file that is not a JSON object of valid
-training settings, a malformed dataset line (one that is not UTF-8 among
-them), a gold tree that is malformed, runs past its utterance or has a
-label other than NoSem, Join and the schema's constants, a checkpoint
-that is not an intact .npz archive, records sizes other than the
-scorer's, holds a NaN or infinite parameter, or whose categories differ
-from the dataset's schema or whose parameter shapes differ from its
-sizes, a parse without --data whose checkpoint records no dataset
-directory, an output directory that cannot be created, such as a train
---out naming a file, a non-finite training loss or a training epoch that
-leaves a parameter non-finite, and eval --jobs below 1).  Output
-directories (gen-data and train --out, the directories of eval --out and
-parse --dump-chart) are created when missing.
+for parse, a composed program the executor rejects, and 3 a configuration
+error, printed as ``configuration error: ...``: an input, setting or
+output path that the run cannot use.  README.md lists every case of exit 3.
+Output directories (gen-data and train --out, the directories of eval
+--out and parse --dump-chart) are created when missing.
 """
 
 from __future__ import annotations
@@ -147,8 +132,8 @@ def read_examples(path: Path, schema) -> list:
 def load_domain(data_dir: Path, no_lexicon: bool) -> Domain:
     """Rebuild the Domain from a dataset directory.
 
-    --no-lexicon drops the manual lexicon but keeps the automatic
-    entity-name entries, which require no annotation effort.
+    Its lexicon joins the schema's entity names and lexicon.tsv, if any;
+    with ``no_lexicon`` (--no-lexicon) it has no lexicon at all.
     """
     schema = read_file(data_dir / "schema.json", load_schema)
     if schema.name == "scan":
@@ -158,9 +143,11 @@ def load_domain(data_dir: Path, no_lexicon: bool) -> Domain:
         execute = functools.partial(exec_funql, kb=kb)
     else:
         raise ConfigError(f"unknown domain {schema.name!r}")
+    if no_lexicon:
+        return Domain(schema.name, schema, None, execute)
     lexicon = Lexicon.from_entity_lexicon(schema.entity_lexicon)
     lex_path = data_dir / "lexicon.tsv"
-    if not no_lexicon and lex_path.exists():
+    if lex_path.exists():
         manual = read_file(lex_path, Lexicon.load_tsv)
         unknown = set().union(*manual.entries.values()) - schema.constants.keys()
         if unknown:
@@ -183,13 +170,25 @@ def read_file(path, load):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def make_dir(path: Path) -> None:
-    """Creates directory ``path`` and its missing parents; an OSError, as
-    from a file already at ``path``, is a ConfigError naming it."""
+def write_file(path, save) -> None:
+    """``save(path)``, with an OSError from opening or writing the file, as
+    from a directory at ``path``, a ConfigError naming it."""
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        save(path)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+
+
+def write_json(path: Path, obj) -> None:
+    """``obj`` as indented JSON with sorted keys, by ``write_file``."""
+    write_file(path, lambda p: p.write_text(
+        json.dumps(obj, indent=2, sort_keys=True)))
+
+
+def make_dir(path: Path) -> None:
+    """Creates directory ``path`` and its missing parents, by
+    ``write_file``: a file already at ``path`` is a ConfigError."""
+    write_file(path, lambda p: p.mkdir(parents=True, exist_ok=True))
 
 
 def run_record(domain: Domain, data_dir: Path, config: TrainConfig,
@@ -205,23 +204,32 @@ def load_run(checkpoint, data_dir):
     """The scorer of a checkpoint, the domain of ``data_dir`` (when None,
     of the dataset directory the checkpoint records), and the grammar and
     K the run was trained with.  A setting the checkpoint does not record
-    takes TrainConfig's default; an unrecorded --no-lexicon is off."""
+    takes TrainConfig's default; an unrecorded --no-lexicon is off.  The
+    recorded ``lam``, ``ternary`` and ``K`` must pass
+    ``TrainConfig.validate``, ``no_lexicon`` must be a bool and
+    ``data_dir`` a string, or a ConfigError names the field."""
     scorer, extra = read_file(checkpoint, load_checkpoint)
+    try:
+        if not isinstance(extra, dict):
+            raise ConfigError(f"extra must be a JSON object, not {extra!r}")
+        config = TrainConfig(lam=scorer.lam, K=extra.get("K", TrainConfig.K),
+                             ternary=extra.get("ternary", TrainConfig.ternary))
+        config.validate()
+        for name, kind in (("no_lexicon", bool), ("data_dir", str)):
+            if name in extra and not isinstance(extra[name], kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, "
+                                  f"not {extra[name]!r}")
+    except ConfigError as exc:
+        raise ConfigError(f"{checkpoint}: {exc}") from None
     data_dir = data_dir or extra.get("data_dir")
     if data_dir is None:
         raise ConfigError(f"{checkpoint}: the checkpoint records no "
                           f"dataset directory; pass --data")
-    domain = load_domain(Path(data_dir), no_lexicon=bool(extra.get("no_lexicon")))
+    domain = load_domain(Path(data_dir), no_lexicon=extra.get("no_lexicon", False))
     if scorer.categories != domain.schema.categories():
         raise ConfigError(f"checkpoint categories do not match the "
                           f"{domain.name} schema of the dataset")
-    ternary = extra.get("ternary", TrainConfig.ternary)
-    return scorer, domain, Grammar(ternary=ternary), extra.get("K", TrainConfig.K)
-
-
-def write_config(out_dir: Path, resolved: dict) -> None:
-    with open(out_dir / "config.json", "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
+    return scorer, domain, Grammar(ternary=config.ternary), config.K
 
 
 # -- gen-data ----------------------------------------------------------------
@@ -243,9 +251,7 @@ def cmd_gen_data(args) -> int:
             parts = split_scan_primitive(
                 records, lambda r: r["utterance"].split(), args.split,
                 seed=args.seed)
-        save_schema(schema, out_dir / "schema.json")
-        Lexicon.from_pairs(scan_lexicon_entries()).save_tsv(
-            out_dir / "lexicon.tsv")
+        lexicon = Lexicon.from_pairs(scan_lexicon_entries())
     else:
         if args.split not in GEO_SPLITS:
             raise ConfigError(f"geo supports splits {GEO_SPLITS}")
@@ -265,15 +271,17 @@ def cmd_gen_data(args) -> int:
         else:
             parts = split_length(records, lambda r: r["program"],
                                  seed=args.seed)
-        save_schema(schema, out_dir / "schema.json")
-        save_kb(kb, out_dir / "kb.json")
-        Lexicon.from_pairs(geo_lexicon_entries()).save_tsv(
-            out_dir / "lexicon.tsv")
+        write_file(out_dir / "kb.json", functools.partial(save_kb, kb))
+        lexicon = Lexicon.from_pairs(geo_lexicon_entries())
+    write_file(out_dir / "schema.json", functools.partial(save_schema, schema))
+    write_file(out_dir / "lexicon.tsv", lexicon.save_tsv)
     for name, part in zip(("train", "dev", "test"), parts):
-        write_jsonl(out_dir / f"{name}.jsonl", part)
+        write_file(out_dir / f"{name}.jsonl",
+                   functools.partial(write_jsonl, records=part))
         print(f"{name}: {len(part)} examples")
-    write_config(out_dir, {"command": "gen-data", "domain": args.domain,
-                           "split": args.split, "seed": args.seed})
+    write_json(out_dir / "config.json",
+               {"command": "gen-data", "domain": args.domain,
+                "split": args.split, "seed": args.seed})
     return EXIT_OK
 
 
@@ -292,14 +300,12 @@ def read_config_file(path) -> dict:
 
 
 def train_config_from(args) -> TrainConfig:
-    """The --config file's settings, then every setting flag given, then
-    --no-lexicon's zero bonus; an absent flag leaves the file's value."""
+    """The --config file's settings, then every setting flag given; an
+    absent flag leaves the file's value."""
     settings = read_file(args.config, read_config_file) if args.config else {}
     for f in fields(TrainConfig):
         if (value := getattr(args, f.name)) is not None:
             settings[f.name] = value
-    if args.no_lexicon:
-        settings["lam"] = 0.0
     return TrainConfig(**settings)
 
 
@@ -316,10 +322,12 @@ def cmd_train(args) -> int:
         raise ConfigError("--gold-trees requires trees in the training data")
     result = train(train_ex, dev_ex, domain, config,
                    log_path=out_dir / "log.jsonl")
-    save_checkpoint(result.scorer, out_dir / "model.npz",
-                    extra=run_record(domain, data_dir, config, args.no_lexicon))
-    write_config(out_dir, {"command": "train", "data": str(data_dir),
-                           "no_lexicon": args.no_lexicon, **asdict(config)})
+    write_file(out_dir / "model.npz", functools.partial(
+        save_checkpoint, result.scorer,
+        extra=run_record(domain, data_dir, config, args.no_lexicon)))
+    write_json(out_dir / "config.json",
+               {"command": "train", "data": str(data_dir),
+                "no_lexicon": args.no_lexicon, **asdict(config)})
     if result.best_dev_accuracy is None:
         print(f"kept the last epoch {result.best_epoch}: no dev set")
     else:
@@ -367,11 +375,10 @@ def cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         make_dir(out.parent)
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        write_config(out.parent,
-                     {"command": "eval", "checkpoint": str(args.checkpoint),
-                      "data": str(data_path), "jobs": args.jobs})
+        write_json(out, report)
+        write_json(out.parent / "config.json",
+                   {"command": "eval", "checkpoint": str(args.checkpoint),
+                    "data": str(data_path), "jobs": args.jobs})
     print(f"accuracy {report['accuracy']:.4f}  failures {report['failures']}"
           + (f"  f1 {report['f1']:.4f}" if "f1" in report else ""))
     return EXIT_OK
@@ -387,8 +394,8 @@ def cmd_parse(args) -> int:
         raise ConfigError("empty utterance")
     if args.dump_chart:
         make_dir(Path(args.dump_chart).parent)
-        dump_chart(scorer.score_spans([utt], domain.lexicon)[0], grammar, K,
-                   args.dump_chart)
+        table, = scorer.score_spans([utt], domain.lexicon)
+        write_file(args.dump_chart, functools.partial(dump_chart, table, grammar, K))
     result = predict(scorer, utt, domain, grammar, K)
     if result is None:
         print("no semantically valid tree in the beam", file=sys.stderr)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from ..typesys import (DomainConstant, DomainSchema, ENTITY, PREDICATE, Program,
-                       entity_name_parts)
+                       entity_name, entity_name_parts)
 
 STATE, CITY, RIVER, PLACE, NUM, ANY = "state", "city", "river", "place", "num", "any"
 
@@ -169,14 +169,12 @@ def geo_schema(kb: GeoKb | None = None) -> DomainSchema:
     ]
     for name, arg, result in unary:
         schema.add(DomainConstant(name, PREDICATE, result, (arg,)))
-    for name in kb.states:
-        schema.add(DomainConstant(f"stateid('{name}')", ENTITY, STATE))
-    for name in kb.cities:
-        schema.add(DomainConstant(f"cityid('{name}')", ENTITY, CITY))
-    for name in kb.rivers:
-        schema.add(DomainConstant(f"riverid('{name}')", ENTITY, RIVER))
-    for name in kb.places:
-        schema.add(DomainConstant(f"placeid('{name}')", ENTITY, PLACE))
+    for function, kind, names in (("stateid", STATE, kb.states),
+                                  ("cityid", CITY, kb.cities),
+                                  ("riverid", RIVER, kb.rivers),
+                                  ("placeid", PLACE, kb.places)):
+        for name in names:
+            schema.add(DomainConstant(entity_name(function, name), ENTITY, kind))
     return schema
 
 

@@ -4,23 +4,23 @@ primitive compositional splits."""
 from __future__ import annotations
 
 import random
-import re
+
+from ..typesys import entity_name_parts, program_tokens
 
 TEMPLATE_TOKENS = {"stateid": "STATE", "cityid": "CITY",
                    "riverid": "RIVER", "placeid": "PLACE"}
 
-_ENTITY_RE = re.compile(r"(\w+)\('[^']*'\)")
-_PROGRAM_TOKEN_RE = re.compile(r"\w+\('[^']*'\)|\w+|[(),]")
-
 
 def program_template(program_text: str) -> str:
     """Anonymize entities to their type, e.g. stateid('utah') -> STATE."""
-    return _ENTITY_RE.sub(lambda m: TEMPLATE_TOKENS.get(m.group(1), "ENTITY"),
-                          program_text)
+    return "".join(TEMPLATE_TOKENS.get(parts[0], "ENTITY")
+                   if (parts := entity_name_parts(token)) else token
+                   for token in program_tokens(program_text))
 
 
 def program_token_length(program_text: str) -> int:
-    return len(_PROGRAM_TOKEN_RE.findall(program_text))
+    """The number of ``typesys.program_tokens``, an entity counting one."""
+    return len(program_tokens(program_text))
 
 
 def _iid_sizes(n: int):

@@ -164,15 +164,11 @@ class Lexicon:
         return hits
 
     def merged_with(self, other: "Lexicon") -> "Lexicon":
-        out = Lexicon()
-        for lex in (self, other):
-            for phrase, names in lex.entries.items():
-                for name in names:
-                    out.add(phrase, name)
-        return out
+        return Lexicon.from_pairs(_pairs(self.entries) + _pairs(other.entries))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Lexicon":
+        """The one builder: ``add`` over ``(phrase, constant)`` pairs."""
         lex = cls()
         for phrase, constant in pairs:
             lex.add(phrase, constant)
@@ -180,11 +176,7 @@ class Lexicon:
 
     @classmethod
     def from_entity_lexicon(cls, entity_lexicon: dict) -> "Lexicon":
-        lex = cls()
-        for phrase, names in entity_lexicon.items():
-            for name in names:
-                lex.add(phrase, name)
-        return lex
+        return cls.from_pairs(_pairs(entity_lexicon))
 
     def save_tsv(self, path) -> None:
         with open(path, "w") as fh:
@@ -194,18 +186,28 @@ class Lexicon:
 
     @classmethod
     def load_tsv(cls, path) -> "Lexicon":
-        lex = cls()
         with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise ValueError(f"line {lineno}: needs a phrase and a "
-                                     f"constant separated by one tab")
-                lex.add(*fields)
-        return lex
+            return cls.from_pairs(_tsv_pairs(fh))
+
+
+def _pairs(entries: dict) -> list:
+    """The ``(phrase, name)`` pairs of a phrase -> set of names mapping."""
+    return [(phrase, name) for phrase, names in entries.items() for name in names]
+
+
+def _tsv_pairs(lines):
+    """The ``(phrase, constant)`` pairs of lexicon.tsv lines, blank lines
+    skipped; a ValueError names a line that is not two tab-separated
+    fields."""
+    for lineno, line in enumerate(lines, 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ValueError(f"line {lineno}: needs a phrase and a "
+                             f"constant separated by one tab")
+        yield fields
 
 
 class ScoreTable:

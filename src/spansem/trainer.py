@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -86,15 +87,17 @@ class TrainConfig:
             if (isinstance(value, bool) != (kind is bool)
                     or not isinstance(value, accepted)):
                 raise ConfigError(f"{f.name} must be a {kind.__name__}, not {value!r}")
+            # Exact for an int of any size; False for NaN and the infinities.
+            if kind is float and not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{f.name} must be finite, not {value!r}")
         for name in ("lr", "batch_size", "max_epochs", "patience", "K"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.lam < 0:
-            raise ConfigError("lam must be nonnegative")
+        for name in ("lam", "seed", "curriculum_epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
-        if self.curriculum_epochs < 0:
-            raise ConfigError("curriculum_epochs must be nonnegative")
 
 
 @dataclass
@@ -223,7 +226,10 @@ def train(train_examples: list, dev_examples: list, domain: Domain,
     rng = random.Random(config.seed)
     history = []
     best_params, best_acc, best_epoch, stale = None, None, -1, 0
-    log = open(log_path, "w") if log_path is not None else None
+    try:
+        log = open(log_path, "w") if log_path is not None else None
+    except OSError as exc:
+        raise ConfigError(f"{log_path}: {exc.strerror or exc}") from None
     try:
         for epoch in range(config.max_epochs):
             order = list(train_examples)

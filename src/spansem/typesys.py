@@ -13,6 +13,10 @@ programs is composed once per schema however many parses, examples and
 epochs meet it.  A miss composes through ``compose_children``.  The table
 also keeps each program's template and the E-step charts compiled for it.
 ``DomainSchema.add`` clears the table.
+
+The module also owns the programs' surface syntax: ``program_tokens`` is
+its one tokenizer, reading an entity ``fn('payload')`` as one token, and
+``parse_program`` and ``data.splits`` read programs through it.
 """
 
 from __future__ import annotations
@@ -26,15 +30,6 @@ from .core import JOIN, NOSEM, Span, SpanTree
 
 ENTITY = "entity"
 PREDICATE = "predicate"
-
-_ENTITY_NAME_RE = re.compile(r"^(\w+)\('([^']*)'\)$")
-
-
-def entity_name_parts(name: str):
-    """``(function, payload)`` of an entity name such as ``stateid('utah')``,
-    or None for a name of another form."""
-    m = _ENTITY_NAME_RE.match(name)
-    return m.groups() if m else None
 
 
 class CompositionFailure(ValueError):
@@ -425,30 +420,45 @@ def program_of_tree(tree: SpanTree, schema: DomainSchema) -> Program:
 
 # --- program surface syntax -------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<quoted>'[^']*')|(?P<name>\w+)|(?P<punct>[(),]))")
+# An entity fn('payload'), whitespace allowed around its parentheses; a
+# name, a parenthesis or a comma; or any other character but whitespace.
+_TOKEN_RE = re.compile(r"(\w+)\s*\(\s*'([^']*)'\s*\)|(\w+|[(),])|(\S)")
+
+
+def entity_name(function: str, payload: str) -> str:
+    """The canonical entity name, e.g. ``stateid('utah')``."""
+    return f"{function}('{payload}')"
+
+
+def entity_name_parts(name: str):
+    """``(function, payload)`` of a canonical entity name such as
+    ``stateid('utah')``, or None for a name of another form."""
+    m = _TOKEN_RE.fullmatch(name)
+    return m.groups()[:2] if m and m[1] and entity_name(m[1], m[2]) == name else None
+
+
+def program_tokens(text: str) -> list:
+    """The tokens of a program's surface syntax: names, parentheses and
+    commas, with each entity one token in its canonical form.  Whitespace
+    between tokens and inside an entity is skipped; any other character is
+    a ValueError."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        function, payload, token, bad = m.groups()
+        if bad:
+            raise ValueError(f"cannot tokenize program at {text[m.start():]!r}")
+        tokens.append(token or entity_name(function, payload))
+    return tokens
 
 
 def parse_program(text: str, schema: DomainSchema) -> Program:
     """Parse the FunQL-style surface syntax, e.g. capital(stateid('utah'))."""
-    tokens = []
-    pos = 0
-    while pos < len(text.rstrip()):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot tokenize program at {text[pos:]!r}")
-        tokens.append(m.group("quoted") or m.group("name") or m.group("punct"))
-        pos = m.end()
+    tokens = program_tokens(text)
 
     def parse(idx: int):
         name = tokens[idx]
         idx += 1
         if idx < len(tokens) and tokens[idx] == "(":
-            # Entity with quoted payload, e.g. stateid('new york').
-            if idx + 2 < len(tokens) and tokens[idx + 1].startswith("'"):
-                full = f"{name}({tokens[idx + 1]})"
-                if tokens[idx + 2] != ")":
-                    raise ValueError(f"malformed entity {full}")
-                return schema.atom(full), idx + 3
             idx += 1
             args = []
             if tokens[idx] == ")":

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from spansem import cli
+from spansem import cli, trainer
 from spansem.cky import Grammar, parse_kbest
 from spansem.core import Utterance
 from spansem.data.scan import generate_scan_sp, scan_lexicon_entries, scan_schema
@@ -220,13 +220,26 @@ def test_train_flags_are_the_settings_by_name_and_type():
     assert cli.train_config_from(args) == TrainConfig()
 
 
-def test_train_no_lexicon_forces_zero_bonus(tiny_scan_dir, tmp_path):
+def test_train_no_lexicon_trains_with_no_lexicon(geo_run, tmp_path):
+    """--no-lexicon is one switch: the domain has no lexicon at all, manual
+    or automatic, the run trains to the parameters of ``train`` on such a
+    domain, and ``lam`` stays as given."""
+    assert cli.load_domain(geo_run, no_lexicon=False).lexicon.entries
+    bare = cli.load_domain(geo_run, no_lexicon=True)
+    assert bare.lexicon is None
     out = tmp_path / "nolex"
-    assert cli.main(["train", "--data", str(tiny_scan_dir), "--out", str(out),
+    assert cli.main(["train", "--data", str(geo_run), "--out", str(out),
                      "--max-epochs", "1", "--no-lexicon"]) == cli.EXIT_OK
-    assert json.loads((out / "config.json").read_text())["lam"] == 0.0
-    _, extra = load_checkpoint(out / "model.npz")
+    config = TrainConfig(max_epochs=1)
+    expected = trainer.train(cli.read_examples(geo_run / "train.jsonl", bare.schema),
+                             cli.read_examples(geo_run / "dev.jsonl", bare.schema),
+                             bare, config).scorer.params
+    scorer, extra = load_checkpoint(out / "model.npz")
     assert extra["no_lexicon"] is True
+    assert scorer.lam == config.lam
+    assert json.loads((out / "config.json").read_text())["lam"] == config.lam
+    assert scorer.params.keys() == expected.keys()
+    assert all(np.array_equal(scorer.params[k], expected[k]) for k in expected)
 
 
 def test_train_gold_trees_requires_trees(tmp_path):
@@ -748,6 +761,76 @@ def test_train_config_file_of_wrong_shape_is_config_error(
                      "--out", str(tmp_path / "run"), "--config", str(cfg)])
     assert code == cli.EXIT_CONFIG
     assert f"configuration error: {cfg}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lam", "nan", "lam must be finite, not nan"),
+    ("--lam", "inf", "lam must be finite, not inf"),
+    ("--lr", "nan", "lr must be finite, not nan"),
+    ("--seed", "-1", "seed must be nonnegative")])
+def test_train_setting_out_of_range_is_config_error(tiny_scan_dir, tmp_path, capsys,
+                                                    flag, value, message):
+    """A NaN or infinite setting, or a negative seed, stops train before
+    its first epoch."""
+    out = tmp_path / "run"
+    code = cli.main(["train", "--data", str(tiny_scan_dir), "--out", str(out),
+                     flag, value])
+    assert code == cli.EXIT_CONFIG
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not (out / "log.jsonl").exists() and not (out / "model.npz").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lam", "x"), ("lam", None), ("lam", float("nan")), ("K", "5"), ("K", 0),
+    ("ternary", "no"), ("data_dir", 5), ("no_lexicon", "yes"), ("extra", [5])])
+def test_checkpoint_run_setting_of_wrong_value_is_config_error(
+        exec_error_run, tmp_path, capsys, field, value):
+    """A checkpoint whose ``lam`` or run record (``extra``) holds a setting
+    that ``TrainConfig.validate`` refuses, a ``data_dir`` or ``no_lexicon``
+    of another type, or a run record that is no JSON object makes eval and
+    parse exit 3 naming the field."""
+    scorer, extra = load_checkpoint(exec_error_run / "model.npz")
+    if field == "lam":
+        scorer.lam = value
+    elif field == "extra":
+        extra = value
+    else:
+        extra[field] = value
+    bad = tmp_path / "bad.npz"
+    save_checkpoint(scorer, bad, extra=extra)
+    codes, err = run_all([
+        ["eval", "--checkpoint", str(bad), "--data", str(exec_error_run / "test.jsonl")],
+        ["parse", "walk", "--checkpoint", str(bad)]], capsys)
+    assert codes == [cli.EXIT_CONFIG] * 2
+    assert err.count(f"configuration error: {bad}: {field} must be") == 2
+
+
+WRITTEN = [("gen-data", name) for name in ("train.jsonl", "dev.jsonl", "test.jsonl",
+                                           "schema.json", "kb.json", "lexicon.tsv",
+                                           "config.json")] + [
+    ("train", "log.jsonl"), ("train", "model.npz"), ("train", "config.json"),
+    ("eval", "report.json"), ("eval", "config.json"), ("parse", "chart.json")]
+
+
+@pytest.mark.parametrize("command, name", WRITTEN)
+def test_output_file_that_cannot_be_written_is_config_error(
+        tiny_scan_dir, exec_error_run, tmp_path, capsys, command, name):
+    """Every file the command line writes: a directory in its place makes
+    the command exit 3 naming the path."""
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = {
+        "gen-data": ["gen-data", "--domain", "geo", "--out", str(out)],
+        "train": ["train", "--data", str(tiny_scan_dir), "--out", str(out),
+                  "--max-epochs", "1"],
+        "eval": ["eval", "--checkpoint", str(exec_error_run / "model.npz"),
+                 "--data", str(exec_error_run / "test.jsonl"),
+                 "--out", str(out / "report.json")],
+        "parse": ["parse", "walk", "--checkpoint", str(exec_error_run / "model.npz"),
+                  "--dump-chart", str(out / "chart.json")],
+    }[command]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"configuration error: {out / name}: Is a directory" in capsys.readouterr().err
 
 
 def test_train_out_naming_a_file_is_config_error(tiny_scan_dir, tmp_path,

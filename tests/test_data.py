@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -34,7 +35,14 @@ from spansem.data.splits import (
     split_scan_primitive,
     split_template,
 )
-from spansem.typesys import ENTITY, DomainConstant, Program, parse_program, program_of_tree
+from spansem.typesys import (
+    ENTITY,
+    DomainConstant,
+    Program,
+    parse_program,
+    program_of_tree,
+    program_tokens,
+)
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +244,39 @@ def test_program_template_anonymizes_entities():
     assert program_template(text) == "capital(loc_2(state(next_to_1(STATE))))"
     assert program_template("cityid('springfield')") == "CITY"
     assert program_template("largest(state(all))") == "largest(state(all))"
+
+
+# The entity and token patterns that program_template and
+# program_token_length used before typesys.program_tokens, kept as the
+# reference they must still agree with on every corpus program.
+_REF_ENTITY_RE = re.compile(r"(\w+)\('[^']*'\)")
+_REF_TOKEN_RE = re.compile(r"\w+\('[^']*'\)|\w+|[(),]")
+_REF_TEMPLATE_TOKENS = {"stateid": "STATE", "cityid": "CITY",
+                        "riverid": "RIVER", "placeid": "PLACE"}
+
+
+def test_program_syntax_matches_the_reference_on_every_corpus_program(corpus):
+    scan, geo = scan_schema(), geo_schema()
+    programs = ([(str(ex.program), scan) for ex in corpus]
+                + [(text, geo) for _, text in mini_geo_corpus()])
+    assert len(programs) == 20910 + 52
+    for text, schema in programs:
+        assert program_token_length(text) == len(_REF_TOKEN_RE.findall(text)), text
+        assert program_template(text) == _REF_ENTITY_RE.sub(
+            lambda m: _REF_TEMPLATE_TOKENS.get(m.group(1), "ENTITY"), text), text
+        program = parse_program(text, schema)
+        assert parse_program(str(program), schema) == program
+
+
+def test_entity_tokens_allow_whitespace_inside():
+    geo = geo_schema()
+    spaced = parse_program("capital(stateid ( 'new york' ))", geo)
+    assert spaced == parse_program("capital(stateid('new york'))", geo)
+    assert program_tokens("capital(stateid ( 'new york' ))") == [
+        "capital", "(", "stateid('new york')", ")"]
+    assert program_token_length("capital(stateid ( 'new york' ))") == 4
+    with pytest.raises(ValueError, match="cannot tokenize"):
+        program_tokens("capital(stateid('new york', x))")
 
 
 def test_split_template_keeps_templates_together():

@@ -122,6 +122,19 @@ def test_lexicon_round_trip(tmp_path):
     assert merged.entries["walk"] == {"walk", "run"}
 
 
+def test_lexicon_builders_agree_with_from_pairs():
+    """``from_entity_lexicon`` and ``merged_with`` give the entries that
+    ``from_pairs`` gives over the same pairs."""
+    entity = {"new york": {"stateid('new york')", "cityid('new york')"},
+              "utah": {"stateid('utah')"}}
+    pairs = [(phrase, name) for phrase, names in entity.items() for name in names]
+    assert Lexicon.from_entity_lexicon(entity).entries == Lexicon.from_pairs(pairs).entries
+    manual = [("Walk", "run"), ("walk", "walk"), ("utah", "stateid('utah')")]
+    merged = Lexicon.from_pairs(pairs).merged_with(Lexicon.from_pairs(manual))
+    assert merged.entries == Lexicon.from_pairs(pairs + manual).entries
+    assert merged.entries["walk"] == {"walk", "run"}  # phrases are lowercased
+
+
 def gold_tree():
     return SpanTree(Span(1, 2), JOIN, (
         SpanTree(Span(1, 1), "walk"),

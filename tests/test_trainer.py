@@ -67,7 +67,9 @@ def short_examples(scan_corpus):
     dict(patience=0), dict(K=0), dict(lam=-0.5), dict(momentum=1.0),
     dict(momentum=-0.1), dict(curriculum_epochs=-1),
     dict(lr="fast"), dict(max_epochs=2.5), dict(batch_size=True),
-    dict(ternary=1),
+    dict(ternary=1), dict(lam=float("nan")), dict(lam=float("inf")),
+    dict(lr=float("nan")), dict(lr=float("inf")), dict(lam=10 ** 400),
+    dict(seed=-1),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
