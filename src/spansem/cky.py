@@ -27,8 +27,11 @@ compose to, which is a subterm of the gold program or a partial
 application of one.  It composes every node as ``program_of_tree`` does,
 through the schema's composition table (``typesys.CompositionTable``), so
 a pair of programs is composed once per schema.  A node is kept only
-while its program is admissible against the gold program, so every tree
-it returns maps to gold and it returns None only when no tree does.
+while its program is admissible against the gold program, so its best
+tree maps to gold and it returns None only when no tree does.  It builds
+no tree: it walks the winning derivation once and returns its label row,
+the per-span targets the M-step reads (``GoldParse``); the row fixes the
+tree, which ``GoldParse.tree`` rebuilds only when it is read.
 Cells also drop every item that no tree with the gold program at its root
 contains, by an exact outside bound in the spirit of A* parsing (Klein &
 Manning 2003).  A program's ``weight`` counts its constants that are no
@@ -54,9 +57,9 @@ each slot read from the gold constant's column.
 
 Both charts keep one derivation format, the tuple ``(score, i, j,
 category, children)`` whose children are derivations (a NoSem child is
-``(0.0, i, j, NoSem, ())``).  Both choose the root with ``_root`` and build
-the returned trees with ``_tree``.  Both Viterbi loops visit cells by
-increasing length, then start, and try a cell's rule sources in one order:
+``(0.0, i, j, NoSem, ())``).  Both choose the root with ``_root``.  Both
+Viterbi loops visit cells by increasing length, then start, and try a
+cell's rule sources in one order:
 the leaf constants, Join Join by split, Join NoSem by split, then the
 ternary rule by split pair; only a strictly greater score replaces, so an
 exact tie goes to the first source tried.  The constrained chart tries
@@ -78,7 +81,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .core import JOIN, NOSEM, Span, SpanTree
-from .scorer import ScoreTable
+from .scorer import ScoreTable, tree_from_labels
 from .typesys import (
     CompositionFailure,
     DomainSchema,
@@ -109,6 +112,29 @@ class ParseResult:
     tree: SpanTree
     score: float
     program: Program | None = None
+
+
+@dataclass(slots=True)
+class GoldParse:
+    """The E-step's result: the label row of the best tree that composes to
+    ``program`` (``labels``, one index into ``categories`` per span row, as
+    ``SpanScorer.labels_for_tree`` writes it), and its score.  It keeps
+    nothing of the chart or the score table.  ``tree`` rebuilds the tree
+    from the row on every read (``scorer.tree_from_labels``).
+
+    The row is a tuple of ints, not an array: a caller may keep many
+    results (the benchmark keeps every one), and small objects reuse the
+    interpreter's freed memory where an array's buffer would grow the
+    heap."""
+
+    labels: tuple
+    score: float
+    program: Program
+    categories: list
+
+    @property
+    def tree(self) -> SpanTree:
+        return tree_from_labels(self.labels, self.categories)
 
 
 @dataclass(slots=True)
@@ -622,8 +648,9 @@ def _evaluate(compiled: _Compiled, table: ScoreTable, labels: tuple):
 
 def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
                       schema: DomainSchema, stats: dict | None = None):
-    """Highest-scoring tree whose program equals ``gold``, or None when no
-    grammar-legal tree maps to it.
+    """The label row and score of the highest-scoring tree whose program
+    equals ``gold`` (a ``GoldParse``), or None when no grammar-legal tree
+    maps to it.
 
     An exact Viterbi over (span, program state), in two steps.
     ``_compile`` builds, once per length, the states a cell can hold and
@@ -631,7 +658,7 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     edge over the table's scores.  A span's state is the program its
     subtree composes to, as ``program_of_tree`` composes it: constants
     absent from ``gold`` are masked out, and a node is kept only while its
-    program is admissible.  So the returned tree maps to ``gold``.  A cell
+    program is admissible.  So the best tree maps to ``gold``.  A cell
     also drops every state whose need (see ``_compile``) exceeds the tokens
     outside its span: each leaf covers tokens of its own, so no tree
     composing to ``gold`` holds such an item, and no item built on one is
@@ -665,7 +692,20 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     best = _evaluate(compiled, table, labels)
     if best is None:
         return None
-    return ParseResult(_tree(best, table), best[0], gold)
+    return GoldParse(_label_row(best, table), best[0], gold, table.categories)
+
+
+def _label_row(deriv: tuple, table: ScoreTable) -> tuple:
+    """The derivation's category index per span row of ``table``: NoSem,
+    then each node's category at its row, in one walk."""
+    row_of, cat_index = table.row_of, table.cat_index
+    row = [cat_index[NOSEM]] * len(table.spans)
+    stack = [deriv]
+    while stack:
+        _, i, j, category, children = stack.pop()
+        row[row_of[i][j]] = cat_index[category]
+        stack += children
+    return tuple(row)
 
 
 def dump_chart(table: ScoreTable, grammar: Grammar, K: int, path) -> None:

@@ -119,10 +119,10 @@ def read_examples(path: Path, schema) -> list:
             if tree is not None:
                 try:
                     tree = tree_from_json(tree)
+                    validate_tree(tree, len(utt), ternary=True)
                     for node in tree.nodes():
                         if node.category not in labels:
                             raise ValueError(f"unknown category {node.category!r}")
-                    validate_tree(tree, len(utt), ternary=True)
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"{where}: bad tree ({exc!r})") from None
             out.append(TrainExample(utt, program, tree))
@@ -179,6 +179,17 @@ def write_file(path, save) -> None:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
 
 
+def probe_file(path: Path) -> None:
+    """Opens ``path`` for appending, by ``write_file``, and removes it again
+    when the probe created it: a run that could not write the file at its
+    end is a ConfigError before it starts, and one that fails leaves no
+    empty file behind."""
+    existed = path.exists()
+    write_file(path, lambda p: open(p, "ab").close())
+    if not existed:
+        path.unlink()
+
+
 def write_json(path: Path, obj) -> None:
     """``obj`` as indented JSON with sorted keys, by ``write_file``."""
     write_file(path, lambda p: p.write_text(
@@ -204,15 +215,16 @@ def load_run(checkpoint, data_dir):
     """The scorer of a checkpoint, the domain of ``data_dir`` (when None,
     of the dataset directory the checkpoint records), and the grammar and
     K the run was trained with.  A setting the checkpoint does not record
-    takes TrainConfig's default; an unrecorded --no-lexicon is off.  The
-    recorded ``lam``, ``ternary`` and ``K`` must pass
-    ``TrainConfig.validate``, ``no_lexicon`` must be a bool and
-    ``data_dir`` a string, or a ConfigError names the field."""
+    takes TrainConfig's default; an unrecorded --no-lexicon is off.
+    ``load_checkpoint`` checks the recorded ``lam``.  The recorded
+    ``ternary`` and ``K`` must pass ``TrainConfig.validate``,
+    ``no_lexicon`` must be a bool and ``data_dir`` a string, or a
+    ConfigError names the field."""
     scorer, extra = read_file(checkpoint, load_checkpoint)
     try:
         if not isinstance(extra, dict):
             raise ConfigError(f"extra must be a JSON object, not {extra!r}")
-        config = TrainConfig(lam=scorer.lam, K=extra.get("K", TrainConfig.K),
+        config = TrainConfig(K=extra.get("K", TrainConfig.K),
                              ternary=extra.get("ternary", TrainConfig.ternary))
         config.validate()
         for name, kind in (("no_lexicon", bool), ("data_dir", str)):
@@ -320,6 +332,8 @@ def cmd_train(args) -> int:
     dev_ex = read_examples(data_dir / "dev.jsonl", domain.schema)
     if config.use_gold_trees and any(ex.tree is None for ex in train_ex):
         raise ConfigError("--gold-trees requires trees in the training data")
+    for name in ("model.npz", "config.json"):
+        probe_file(out_dir / name)
     result = train(train_ex, dev_ex, domain, config,
                    log_path=out_dir / "log.jsonl")
     write_file(out_dir / "model.npz", functools.partial(

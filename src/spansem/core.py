@@ -8,7 +8,8 @@ Conventions used throughout the package:
   - a span tree determines a total map from every span (i, j) with i <= j
     to a category, where spans that are not tree nodes map to NoSem
     (``span_map``; ``scorer.labels_for_tree`` writes the same map as one
-    label per span row);
+    label per span row, and ``scorer.tree_from_labels`` reads the tree
+    back from it);
   - the root is the node whose span covers the whole utterance, (1, n).
 """
 
@@ -42,22 +43,14 @@ class SpanTree:
     """A tree assigning categories to spans.
 
     Leaves carry a constant or NoSem category; internal nodes carry Join.
-    Children tile their parent's span, left to right.
+    Children tile their parent's span, left to right.  The constructor does
+    not check that: the charts build trees that tile, and ``validate_tree``
+    checks a tree that comes from outside.
     """
 
     span: Span
     category: str
     children: tuple = ()
-
-    def __post_init__(self):
-        if self.children:
-            starts = [c.span.start for c in self.children]
-            ends = [c.span.end for c in self.children]
-            if starts[0] != self.span.start or ends[-1] != self.span.end:
-                raise ValueError("children do not cover the parent span")
-            for a, b in zip(ends, starts[1:]):
-                if b != a + 1:
-                    raise ValueError("children are not contiguous")
 
     @property
     def is_leaf(self) -> bool:
@@ -131,8 +124,11 @@ def validate_tree(tree: SpanTree, n: int, ternary: bool = False) -> None:
 
     Rules: root -> Join Join | NoSem Join; Join -> Join Join | Join NoSem;
     plus Join -> Join Join Join when the ternary extension is on.  A bare
-    constant leaf may stand for a whole cell at any level.
+    constant leaf may stand for a whole cell at any level.  Every node's
+    children must tile its span, left to right; that is checked first,
+    children before their parent.
     """
+    _check_tiling(tree)
     if tree.span != Span(1, n):
         raise ValueError("root does not cover the utterance")
 
@@ -164,6 +160,19 @@ def validate_tree(tree: SpanTree, n: int, ternary: bool = False) -> None:
                 check(child, at_root=False)
 
     check(tree, at_root=True)
+
+
+def _check_tiling(node: SpanTree) -> None:
+    for child in node.children:
+        _check_tiling(child)
+    if node.children:
+        starts = [c.span.start for c in node.children]
+        ends = [c.span.end for c in node.children]
+        if starts[0] != node.span.start or ends[-1] != node.span.end:
+            raise ValueError("children do not cover the parent span")
+        for a, b in zip(ends, starts[1:]):
+            if b != a + 1:
+                raise ValueError("children are not contiguous")
 
 
 def tree_to_json(tree: SpanTree) -> dict:

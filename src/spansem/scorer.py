@@ -47,6 +47,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import math
+import sys
 import tokenize
 import zipfile
 from dataclasses import dataclass, field
@@ -385,8 +387,9 @@ class SpanScorer:
         ``tables`` must be the tables of one ``score_spans`` call, in the
         order it returned them, under the current parameter dict; else
         ValueError.  ``labels[k]`` holds one category index per span of
-        ``tables[k]``, in all_spans order, or is None: then that example
-        adds no loss and no gradient.
+        ``tables[k]``, in all_spans order (an array, or a tuple as the
+        E-step writes it), or is None: then that example adds no loss and
+        no gradient.
         """
         if any(t.params is not self.params for t in tables):
             raise ValueError("the table was not scored with this scorer's "
@@ -398,10 +401,11 @@ class SpanScorer:
             raise ValueError("loss_and_grads takes the tables of one "
                              "score_spans call, in the order it returned them")
         raw, offsets = cache["raw"], cache["offsets"]
-        target = np.full(len(raw), -1)
-        for lo, hi, rows in zip(offsets[:-1], offsets[1:], labels, strict=True):
-            if rows is not None:
-                target[lo:hi] = rows
+        target = np.concatenate([
+            np.full(hi - lo, -1) if rows is None else rows
+            for lo, hi, rows in zip(offsets[:-1], offsets[1:], labels, strict=True)])
+        if len(target) != len(raw):
+            raise ValueError("a label row's length differs from its table's span count")
         peak = raw.max(axis=1, keepdims=True)
         expd = np.exp(raw - peak)
         total = expd.sum(axis=1, keepdims=True)
@@ -424,7 +428,9 @@ class SpanScorer:
                                      offsets, offsets[1:]):
             G[:, t0:t1] = (g.by_token @ dA[lo:hi]).reshape(2, t1 - t0, dA.shape[1])
         H, W1, d = cache["layers"][-1], self.params["W1"], H_DIM
-        grads["W1"] = np.concatenate((G[0].T @ H, G[1].T @ H), axis=1)
+        grads["W1"] = np.empty_like(W1)
+        np.matmul(G[0].T, H, out=grads["W1"][:, :d])
+        np.matmul(G[1].T, H, out=grads["W1"][:, d:])
         dH = G[0] @ W1[:, :d] + G[1] @ W1[:, d:]
         self._encode_backward(cache, dH, grads)
         return loss, grads
@@ -438,6 +444,47 @@ class SpanScorer:
             labels[geometry.row_of[node.span.start][node.span.end]] = \
                 self.cat_index[node.category]
         return labels
+
+
+def tree_from_labels(labels, categories: list) -> SpanTree:
+    """The grammar-legal tree whose ``labels_for_tree`` row is ``labels``,
+    one index into ``categories`` per span of an n-token utterance, in
+    all_spans order.
+
+    In this grammar the row fixes the tree.  A span labelled Join is an
+    internal node, and one labelled with a constant a leaf.  A Join node's
+    children are its largest labelled proper sub-spans, left to right, and
+    each gap between them is one NoSem leaf: no rule has two NoSem
+    children side by side, and a NoSem child is always a leaf."""
+    names = [categories[k] for k in labels]
+    n = (math.isqrt(8 * len(names) + 1) - 1) // 2
+    geometry = _geometry(n)
+    spans, row_of = geometry.spans, geometry.row_of
+
+    def node(i: int, j: int) -> SpanTree:
+        span = spans[row_of[i][j]]
+        if names[row_of[i][j]] != JOIN:
+            return SpanTree(span, names[row_of[i][j]])
+
+        def child_end(p: int) -> int | None:
+            """The end of the largest labelled proper sub-span of (i, j)
+            that starts at token p, or None."""
+            return next((e for e in range(j if p > i else j - 1, p - 1, -1)
+                         if names[row_of[p][e]] != NOSEM), None)
+
+        children, p = [], i
+        while p <= j:
+            e = child_end(p)
+            if e is None:  # one NoSem leaf, up to the next labelled child
+                e = next((q - 1 for q in range(p + 1, j + 1)
+                          if child_end(q) is not None), j)
+                children.append(SpanTree(spans[row_of[p][e]], NOSEM))
+            else:
+                children.append(node(p, e))
+            p = e + 1
+        return SpanTree(span, JOIN, tuple(children))
+
+    return node(1, n)
 
 
 def tree_loss(table: ScoreTable, gold: SpanTree) -> float:
@@ -486,9 +533,10 @@ def save_checkpoint(scorer: SpanScorer, path, extra: dict | None = None) -> None
 
 def load_checkpoint(path):
     """Returns (scorer, extra).  A ValueError when the file is not an intact
-    ``.npz`` archive, when it records sizes other than the scorer's, or
-    when a stored parameter's shape differs from the one the sizes build or
-    it holds a NaN or an infinity."""
+    ``.npz`` archive, when it records sizes other than the scorer's or a
+    ``lam`` that is no finite nonnegative number, or when a stored
+    parameter's shape differs from the one the sizes build or it holds a
+    NaN or an infinity."""
     try:
         # np.load sniffs the first bytes and reads a file that does not open
         # with a zip header as a .npy array or a pickle; NpzFile opens every
@@ -501,10 +549,18 @@ def load_checkpoint(path):
                 if meta.get(key) != size:
                     raise ValueError(f"checkpoint records {key} {meta.get(key)!r}, "
                                      f"the scorer's is {size}")
+            lam = meta["lam"]
+            if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+                raise ValueError(f"lam must be a float, not {lam!r}")
+            # Exact for an int of any size; False for NaN and the infinities.
+            if not abs(lam) <= sys.float_info.max:
+                raise ValueError(f"lam must be finite, not {lam!r}")
+            if lam < 0:
+                raise ValueError("lam must be nonnegative")
             scorer = SpanScorer(
                 vocab_tokens=[t for t in meta["vocab"] if t != UNK],
                 categories=meta["categories"],
-                lam=meta["lam"],
+                lam=lam,
                 seed=meta["seed"],
             )
             for key, built in scorer.params.items():

@@ -9,12 +9,16 @@ gold template, grammar), a template being the gold program with its
 constants renamed within their signature classes, and kept in the
 schema's composition table; every later example of that length and
 template, in any epoch or ``train`` call on the schema, only evaluates it
-over new scores.  The M-step treats the found trees as supervision and
-takes one momentum-SGD step on the summed per-span cross-entropy.  When gold trees
-are available the E-step is bypassed and they are used directly.  A batch
-takes one forward and one backward pass: its examples are scored together,
-each E-step reads its own table, and the M-step backpropagates the whole
-batch from the forward cache the tables share.
+over new scores.  The M-step reads a tree only as its label row, one
+category index per span (NoSem where no node is), so the E-step builds no
+tree and hands over the row it writes from its chart; ``target_labels`` is
+the one place that picks an example's row.  The M-step treats the rows as
+supervision and takes one momentum-SGD step on the summed per-span
+cross-entropy.  When gold trees are available the E-step is bypassed and
+their rows are used directly.  A batch takes one forward and one backward
+pass: its examples are scored together, each E-step reads its own table,
+and the M-step backpropagates the whole batch from the forward cache the
+tables share.
 """
 
 from __future__ import annotations
@@ -115,15 +119,17 @@ def vocabulary(examples) -> list:
     return sorted(tokens)
 
 
-def target_tree(table: ScoreTable, ex: TrainExample, domain: Domain,
-                grammar: Grammar, config: TrainConfig) -> SpanTree | None:
-    """Supervision tree for one example scored as ``table``: the gold tree
-    when configured and present, otherwise the best constrained parse (None
+def target_labels(scorer: SpanScorer, table: ScoreTable, ex: TrainExample,
+                  domain: Domain, grammar: Grammar,
+                  config: TrainConfig) -> np.ndarray | tuple | None:
+    """Supervision for one example scored as ``table``, one category index
+    per span row: the gold tree's row when configured and present,
+    otherwise the row the constrained parse writes for its best tree (None
     when no tree over the utterance composes to the gold program)."""
     if config.use_gold_trees and ex.tree is not None:
-        return ex.tree
+        return scorer.labels_for_tree(ex.tree, table.n)
     result = constrained_parse(table, grammar, ex.program, domain.schema)
-    return None if result is None else result.tree
+    return None if result is None else result.labels
 
 
 def hard_em_step(scorer: SpanScorer, batch: list, domain: Domain,
@@ -131,10 +137,8 @@ def hard_em_step(scorer: SpanScorer, batch: list, domain: Domain,
     """One E+M step on a batch; returns (loss, used, skipped, grads), the
     gradients averaged over the examples used."""
     tables = scorer.score_spans([ex.utterance for ex in batch], domain.lexicon)
-    trees = [target_tree(table, ex, domain, grammar, config)
-             for table, ex in zip(tables, batch)]
-    labels = [None if tree is None else scorer.labels_for_tree(tree, table.n)
-              for tree, table in zip(trees, tables)]
+    labels = [target_labels(scorer, table, ex, domain, grammar, config)
+              for table, ex in zip(tables, batch)]
     used = sum(rows is not None for rows in labels)
     skipped = len(batch) - used
     loss, grads = scorer.loss_and_grads(tables, labels)

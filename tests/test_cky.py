@@ -32,7 +32,7 @@ from spansem.core import (
 )
 from spansem.data.geo import geo_schema, mini_geo_corpus, mini_kb
 from spansem.data.scan import generate_scan_sp, scan_schema
-from spansem.scorer import ScoreTable
+from spansem.scorer import ScoreTable, SpanScorer
 from spansem.typesys import (
     CompositionFailure,
     Program,
@@ -600,6 +600,55 @@ def test_constrained_parse_matches_gold_oracle(ternary):
             found[assert_constrained_matches_oracle(table, gold, schema,
                                                     ternary)] += 1
     assert found[True] and found[False]
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_estep_row_is_the_best_gold_trees_label_row(ternary):
+    """The E-step's label row is ``labels_for_tree`` of a best tree that
+    maps to gold, by the oracle's enumeration, and its ``tree`` is that
+    tree.  Half the tables score in small integers, so that several trees
+    often tie for the best score; the row is then one of theirs, and with
+    a single best tree it is that tree's.  Scan and geo programs, up to 5
+    tokens with the binary grammar and 4 with the ternary one."""
+    rng = random.Random(43)
+    longest = 4 if ternary else 5
+    scan, geo = scan_schema(), geo_schema()
+    cases = [
+        (scan, small_gold_programs(
+            scan, [str(e.program) for e in generate_scan_sp(scan)
+                   if len(e.utterance) <= 4])),
+        (geo, small_gold_programs(
+            geo, [p for _, p in mini_geo_corpus(mini_kb())])),
+    ]
+    found, tied = 0, 0
+    for schema, golds in cases:
+        cats = schema.categories()
+        scorer = SpanScorer([], cats)
+        for k in range(60):
+            gold = rng.choice(golds)
+            names = {s.head.name for s in gold.subterms()}
+            n = rng.randint(1, longest)
+            draw = (lambda: float(rng.randint(-1, 1))) if k % 2 else (
+                lambda: rng.gauss(0, 2))
+            raw = np.array([[draw() if c in (NOSEM, JOIN) or c in names
+                             else NEG_INF for c in cats] for _ in all_spans(n)])
+            table = ScoreTable(n, cats, raw)
+            result = constrained_parse(table, Grammar(ternary=ternary), gold, schema)
+            trees = [(score, tree) for score, program, tree
+                     in oracle_composing_trees(table, ternary, schema) if program == gold]
+            if not trees:
+                assert result is None
+                continue
+            top = max(score for score, _ in trees)
+            best = [tree for score, tree in trees if score == top]
+            rows = [scorer.labels_for_tree(tree, n).tolist() for tree in best]
+            assert result.score == top
+            assert list(result.labels) in rows
+            assert result.tree in best
+            assert scorer.labels_for_tree(result.tree, n).tolist() == list(result.labels)
+            found += 1
+            tied += len(set(map(tuple, rows))) > 1
+    assert found > 40 and tied > 5
 
 
 def weighted_constants(program, schema):

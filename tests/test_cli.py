@@ -399,6 +399,25 @@ def test_eval_rejects_malformed_lines(exec_error_run, capsys):
         assert f"configuration error: {bad}:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("children, message", [
+    ([[1, 1], [3, 3]], "children are not contiguous"),
+    ([[1, 1], [2, 2]], "children do not cover the parent span")])
+def test_dataset_tree_whose_children_do_not_tile_is_config_error(
+        exec_error_run, capsys, children, message):
+    """``validate_tree`` finds the gap or the short cover, with the message
+    the tree constructor used to give."""
+    tree = {"span": [1, 3], "category": "Join",
+            "children": [{"span": span, "category": "walk"} for span in children]}
+    bad = exec_error_run / "untiled.jsonl"
+    bad.write_text(json.dumps({"utterance": "walk walk walk", "program": "walk",
+                               "tree": tree, "denotation": ["WALK"]}) + "\n")
+    code = cli.main(["eval", "--checkpoint", str(exec_error_run / "model.npz"),
+                     "--data", str(bad)])
+    assert code == cli.EXIT_CONFIG
+    assert (f"configuration error: {bad}:1: bad tree (ValueError('{message}'))"
+            in capsys.readouterr().err)
+
+
 def test_checkpoint_must_match_dataset_schema(exec_error_run, tmp_path,
                                               capsys):
     geo = tmp_path / "geo"
@@ -816,7 +835,8 @@ WRITTEN = [("gen-data", name) for name in ("train.jsonl", "dev.jsonl", "test.jso
 def test_output_file_that_cannot_be_written_is_config_error(
         tiny_scan_dir, exec_error_run, tmp_path, capsys, command, name):
     """Every file the command line writes: a directory in its place makes
-    the command exit 3 naming the path."""
+    the command exit 3 naming the path.  ``train`` finds it before its
+    first epoch, so it logs no epoch."""
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     argv = {
@@ -831,6 +851,10 @@ def test_output_file_that_cannot_be_written_is_config_error(
     }[command]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert f"configuration error: {out / name}: Is a directory" in capsys.readouterr().err
+    log = out / "log.jsonl"
+    assert not log.is_file() or log.read_text() == ""
+    # The probes of train's outputs leave no empty file behind.
+    assert not any((out / other).is_file() for other in ("model.npz", "config.json"))
 
 
 def test_train_out_naming_a_file_is_config_error(tiny_scan_dir, tmp_path,

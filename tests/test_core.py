@@ -44,12 +44,24 @@ def test_all_spans_count():
 
 
 def test_children_must_tile_parent():
-    with pytest.raises(ValueError):
-        SpanTree(Span(1, 3), JOIN,
-                 (leaf(1, 1, "a"), leaf(3, 3, "b")))
-    with pytest.raises(ValueError):
-        SpanTree(Span(1, 3), JOIN,
-                 (leaf(1, 1, "a"), leaf(2, 2, "b")))
+    """``validate_tree`` checks tiling, children before their parent and
+    before any grammar rule; the constructor does not."""
+    gap = SpanTree(Span(1, 3), JOIN, (leaf(1, 1, "a"), leaf(3, 3, "b")))
+    with pytest.raises(ValueError, match="^children are not contiguous$"):
+        validate_tree(gap, 3)
+    short = SpanTree(Span(1, 3), JOIN, (leaf(1, 1, "a"), leaf(2, 2, "b")))
+    with pytest.raises(ValueError, match="^children do not cover the parent span$"):
+        validate_tree(short, 3)
+    # The inner node's fault is found before the root's, and before the
+    # root is found not to cover the 4-token utterance.
+    nested = SpanTree(Span(1, 3), JOIN, (
+        SpanTree(Span(1, 2), JOIN, (leaf(1, 1, "a"), leaf(1, 2, "b"))),
+        leaf(2, 2, "c")))
+    with pytest.raises(ValueError, match="^children are not contiguous$"):
+        validate_tree(nested, 4)
+    root_only = SpanTree(Span(1, 3), JOIN, (leaf(1, 1, "a"), leaf(2, 2, "c")))
+    with pytest.raises(ValueError, match="^children do not cover the parent span$"):
+        validate_tree(root_only, 4)
 
 
 def test_span_map_round_trip():

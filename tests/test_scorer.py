@@ -1,13 +1,23 @@
 """Span scorer: forward behavior, invariances, and gradient correctness."""
 
 import random
+import re
 import types
 
 import numpy as np
 import pytest
 
 from spansem.cky import Grammar, constrained_parse
-from spansem.core import JOIN, NOSEM, Span, SpanTree, Utterance, all_spans, span_map
+from spansem.core import (
+    JOIN,
+    NOSEM,
+    Span,
+    SpanTree,
+    Utterance,
+    all_spans,
+    span_map,
+    validate_tree,
+)
 from spansem.data.geo import geo_lexicon_entries, geo_schema, mini_geo_corpus, mini_kb
 from spansem.data.scan import generate_scan_sp, scan_lexicon_entries, scan_schema
 from spansem import scorer as scorer_module
@@ -20,6 +30,7 @@ from spansem.scorer import (
     save_checkpoint,
     sgd_step,
     span_probability,
+    tree_from_labels,
     tree_loss,
 )
 from spansem.typesys import parse_program
@@ -278,6 +289,26 @@ def test_checkpoint_round_trip(tmp_path, tiny_scorer):
                           again.score_spans([utt])[0].raw)
 
 
+@pytest.mark.parametrize("lam, message", [
+    ("x", "lam must be a float, not 'x'"), (None, "lam must be a float, not None"),
+    (True, "lam must be a float, not True"),
+    (float("nan"), "lam must be finite, not nan"),
+    (float("-inf"), "lam must be finite, not -inf"), (10 ** 400, "lam must be finite"),
+    (-0.5, "lam must be nonnegative")])
+def test_checkpoint_with_a_bad_lam_is_refused(tmp_path, tiny_scorer, lam, message):
+    """``load_checkpoint`` checks the recorded ``lam`` as
+    ``TrainConfig.validate`` does, so no caller gets an unchecked one."""
+    scorer = tiny_scorer()
+    scorer.lam = lam
+    path = tmp_path / "model.npz"
+    save_checkpoint(scorer, path)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        load_checkpoint(path)
+    scorer.lam = 0
+    save_checkpoint(scorer, path)
+    assert load_checkpoint(path)[0].lam == 0
+
+
 def test_heap_tuning_sets_both_thresholds(monkeypatch):
     calls = []
     libc = types.SimpleNamespace(mallopt=lambda *args: calls.append(args) or 1)
@@ -440,6 +471,43 @@ def test_labels_for_tree_matches_the_span_map(domains, name):
         mapping = span_map(tree, n)
         want = [scorer.cat_index[mapping[s]] for s in all_spans(n)]
         assert scorer.labels_for_tree(tree, n).tolist() == want
+
+
+def legal_trees(n, ternary, constant):
+    """Every grammar-legal tree over ``n`` tokens, by literal enumeration,
+    each leaf's constant drawn by ``constant()``."""
+    def join(i, j):
+        out = [SpanTree(Span(i, j), constant())]
+        for k in range(i, j):
+            for a in join(i, k):
+                out.append(SpanTree(Span(i, j), JOIN, (a, SpanTree(Span(k + 1, j), NOSEM))))
+                out.extend(SpanTree(Span(i, j), JOIN, (a, b)) for b in join(k + 1, j))
+        if ternary:
+            for s1 in range(i, j - 1):
+                for s2 in range(s1 + 1, j):
+                    out.extend(SpanTree(Span(i, j), JOIN, (a, b, c))
+                               for a in join(i, s1) for b in join(s1 + 1, s2)
+                               for c in join(s2 + 1, j))
+        return out
+
+    return join(1, n) + [SpanTree(Span(1, n), JOIN, (SpanTree(Span(1, k), NOSEM), b))
+                         for k in range(1, n) for b in join(k + 1, n)]
+
+
+@pytest.mark.parametrize("ternary, longest", [(False, 5), (True, 4)])
+def test_every_legal_tree_is_rebuilt_from_its_label_row(tiny_scorer, ternary, longest):
+    """``tree_from_labels`` inverts ``labels_for_tree`` on every
+    grammar-legal tree with random constants: 285 binary trees at n = 5."""
+    scorer = tiny_scorer()
+    rng = random.Random(41)
+    counts = []
+    for n in range(1, longest + 1):
+        trees = legal_trees(n, ternary, lambda: rng.choice(["walk", "r"]))
+        counts.append(len(trees))
+        for tree in trees:
+            validate_tree(tree, n, ternary=ternary)
+            assert tree_from_labels(scorer.labels_for_tree(tree, n), CATS) == tree
+    assert counts == ([1, 4, 15, 62, 285] if not ternary else [1, 4, 16, 75])
 
 
 def test_an_empty_utterance_scores_to_an_empty_table(tiny_scorer):

@@ -9,7 +9,7 @@ import pytest
 
 from spansem import scorer as scorer_module, trainer
 from spansem.cky import Grammar, ParseResult
-from spansem.core import Utterance, labeled_spans
+from spansem.core import SpanTree, Utterance, labeled_spans
 from spansem.data.geo import (
     exec_funql,
     geo_lexicon_entries,
@@ -23,7 +23,7 @@ from spansem.data.scan import (
     scan_lexicon_entries,
     scan_schema,
 )
-from spansem.scorer import Lexicon, SpanScorer
+from spansem.scorer import Lexicon, SpanScorer, tree_from_labels
 from spansem.trainer import (
     ConfigError,
     Domain,
@@ -32,7 +32,7 @@ from spansem.trainer import (
     evaluate,
     hard_em_step,
     predict,
-    target_tree,
+    target_labels,
     train,
     vocabulary,
 )
@@ -109,24 +109,56 @@ def fresh_scorer(examples, domain, config):
                       lam=config.lam, seed=config.seed)
 
 
-def test_target_tree_prefers_gold_tree_when_configured(scan_domain,
-                                                       short_examples):
+def test_target_labels_are_the_gold_trees_row_when_configured(scan_domain,
+                                                              short_examples):
     config = TrainConfig(use_gold_trees=True)
     scorer = fresh_scorer(short_examples, scan_domain, config)
     ex = short_examples[0]
     table, = scorer.score_spans([ex.utterance], scan_domain.lexicon)
-    assert target_tree(table, ex, scan_domain, Grammar(), config) is ex.tree
+    assert np.array_equal(target_labels(scorer, table, ex, scan_domain, Grammar(), config),
+                          scorer.labels_for_tree(ex.tree, table.n))
 
 
-def test_target_tree_constrained_parse_matches_gold_program(scan_domain,
-                                                            short_examples):
+def test_target_labels_of_the_estep_rebuild_a_tree_of_the_gold_program(
+        scan_domain, short_examples):
     config = TrainConfig()
     scorer = fresh_scorer(short_examples, scan_domain, config)
     for ex in short_examples[:10]:
         table, = scorer.score_spans([ex.utterance], scan_domain.lexicon)
-        tree = target_tree(table, ex, scan_domain, Grammar(), config)
-        assert tree is not None
+        labels = target_labels(scorer, table, ex, scan_domain, Grammar(), config)
+        assert labels is not None
+        tree = tree_from_labels(labels, scorer.categories)
         assert program_of_tree(tree, scan_domain.schema) == ex.program
+        assert np.array_equal(scorer.labels_for_tree(tree, table.n), labels)
+
+
+def test_the_estep_path_builds_no_tree(scan_domain, scan_corpus, monkeypatch):
+    """A hard-EM step hands the M-step the rows the E-step writes: no
+    ``SpanTree`` is built for 60 commands, and reading an E-step result's
+    ``tree`` is what builds one."""
+    sample = random.Random(0).sample(scan_corpus, 60)
+    config = TrainConfig()
+    scorer = fresh_scorer(sample, scan_domain, config)
+    built, results = [], []
+    init, parse = SpanTree.__init__, trainer.constrained_parse
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        results.append(parse(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(SpanTree, "__init__", counted)
+    monkeypatch.setattr(trainer, "constrained_parse", recorded)
+    for lo in range(0, 60, 5):
+        _, used, _, _ = hard_em_step(scorer, sample[lo:lo + 5], scan_domain,
+                                     Grammar(), config)
+        assert used
+    assert len(results) == 60 and built == []
+    tree = next(r for r in results if r is not None).tree
+    assert len(built) == sum(1 for _ in tree.nodes())
 
 
 def test_hard_em_step_skips_unparseable_examples(scan_domain, short_examples):
