@@ -29,9 +29,9 @@ through the schema's composition table (``typesys.CompositionTable``), so
 a pair of programs is composed once per schema.  A node is kept only
 while its program is admissible against the gold program, so its best
 tree maps to gold and it returns None only when no tree does.  It builds
-no tree: it walks the winning derivation once and returns its label row,
-the per-span targets the M-step reads (``GoldParse``); the row fixes the
-tree, which ``GoldParse.tree`` rebuilds only when it is read.
+no tree: it walks the winner's backpointers once and returns its label
+row, the per-span targets the M-step reads (``GoldParse``); the row fixes
+the tree, which ``GoldParse.tree`` rebuilds only when it is read.
 Cells also drop every item that no tree with the gold program at its root
 contains, by an exact outside bound in the spirit of A* parsing (Klein &
 Manning 2003).  A program's ``weight`` counts its constants that are no
@@ -50,37 +50,43 @@ template, its constants renamed within their signature classes
 (``CompositionTable.template``; the factoring of Kwiatkowski et al. 2011,
 *Lexical generalization in CCG grammar induction*), have the same chart
 with the leaves relabelled.  So ``constrained_parse`` compiles that
-structure once per length, template and grammar, with cells indexed by
-state and leaves by slot, keeps it in the schema's composition table for
-every later call, and takes the Viterbi max over one table's scores with
-each slot read from the gold constant's column.
+structure once per length, template and grammar into a flat form, in which
+every item (a state of one cell) has one index and every rule edge lists
+the indices of its children and its target (``_Compiled``).  It keeps the
+compiled chart in the schema's composition table for every later call, and
+takes the Viterbi max in one list of scores, reading only the table's Join
+column and, for each leaf slot, the gold constant's column.
 
-Both charts keep one derivation format, the tuple ``(score, i, j,
-category, children)`` whose children are derivations (a NoSem child is
-``(0.0, i, j, NoSem, ())``).  Both choose the root with ``_root``.  Both
+The K-best chart keeps derivations, the tuple ``(score, i, j, category,
+children)`` whose children are derivations (a NoSem child is ``(0.0, i,
+j, NoSem, ())``).  The constrained chart keeps a score per item and a
+backpointer to the edge that won it.  Both choose the root by ``_root``'s
+rule over the scores of the entries that end at the last token.  Both
 Viterbi loops visit cells by increasing length, then start, and try a
-cell's rule sources in one order:
-the leaf constants, Join Join by split, Join NoSem by split, then the
-ternary rule by split pair; only a strictly greater score replaces, so an
-exact tie goes to the first source tried.  The constrained chart tries
-its leaves in the order of the gold constants' first occurrence in the
-gold program's preorder, and within one split its edges by child state
-index (see ``_compile``), a cell's states being indexed in the order the
-compiler first met them.
-Scores are summed ``base + c1 + c2 (+ c3)`` left to right, with ``+ 0.0``
-for NoSem.
+cell's rule sources in one order: the leaf constants, Join Join by split,
+Join NoSem by split, then the ternary rule by split pair; only a strictly
+greater score replaces, so an exact tie goes to the first source tried.
+The constrained chart scores every leaf before the first edge, which
+keeps that order, as a leaf depends on nothing; it tries its leaves in
+the order of the gold constants' first occurrence in the gold program's
+preorder, and within one split its edges by child state index (see
+``_compile``), a cell's states being indexed in the order the compiler
+first met them.  Scores are summed ``base + c1 + c2 (+ c3)`` left to
+right, with ``+ 0.0`` for NoSem.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 
-from .core import JOIN, NOSEM, Span, SpanTree
+from .core import JOIN, NOSEM, Span, SpanTree, all_spans
 from .scorer import ScoreTable, tree_from_labels
 from .typesys import (
     CompositionFailure,
@@ -229,9 +235,15 @@ class _Chart:
                 best[i][j] = top
                 self.cells[(i, j)] = [] if top is None else [top]
 
-        top = _root(bases[row_of[1][n]], best[1][n],
-                    [best[s + 1][n] for s in range(1, n)])
-        return [] if top is None else [top]
+        ends = [best[s][n] for s in range(1, n + 1)]  # the Joins over (s, n)
+        top = _root(bases[row_of[1][n]],
+                    [None if d is None else d[0] for d in ends])
+        if top is None:
+            return []
+        score, s = top
+        if s == 0:
+            return [ends[0]]
+        return [(score, 1, n, JOIN, ((0.0, 1, s, NOSEM, ()), ends[s]))]
 
     def at(self, key, r: int):
         """Rank ``r`` (0 is the best) of a list, or None past its end or K."""
@@ -354,17 +366,19 @@ class _Chart:
                 "root": [entry(d) for d in self.ranked(_ROOT)]}
 
 
-def _root(base: float, whole, suffixes: list):
-    """The root's best derivation, or None: the whole-span Join ``whole``,
-    or NoSem(1, s) Join(s + 1, n) with ``suffixes[s - 1]`` the Join over
-    (s + 1, n), tried by increasing s; only a greater score replaces."""
-    top = whole
-    for s, b in enumerate(suffixes, 1):
+def _root(base: float, ends: list):
+    """The root's best ``(score, s)``, or None, from ``ends[s]``, the score
+    of the entry over (s + 1, n) or None when it is absent: the whole
+    span's entry (``s`` is 0), or NoSem(1, s) Join(s + 1, n), tried by
+    increasing s; only a greater score replaces."""
+    top, split = ends[0], 0
+    for s in range(1, len(ends)):
+        b = ends[s]
         if b is not None:
-            score = base + 0.0 + b[0]
-            if top is None or score > top[0]:
-                top = (score, 1, b[2], JOIN, ((0.0, 1, s, NOSEM, ()), b))
-    return top
+            score = base + 0.0 + b
+            if top is None or score > top:
+                top, split = score, s
+    return None if top is None else (top, split)
 
 
 def _count(stats: dict | None, n: int, grammar: Grammar) -> None:
@@ -451,27 +465,36 @@ def weight(program: Program, schema: DomainSchema) -> int:
 @dataclass(slots=True)
 class _Compiled:
     """The structure of the constrained chart for one utterance length,
-    gold template and grammar; ``_evaluate`` runs it over a table's scores
-    for any gold program of that template.
+    gold template and grammar, in flat form; ``_evaluate`` runs it over a
+    table's scores for any gold program of that template.
 
-    A cell's states depend only on its span's length when every gold
-    constant scores finitely on every span, so ``lengths[L - 1]`` describes
-    every cell of length ``L`` by state index: ``(size, leaves, joins,
-    nosems, ternaries)``.  ``leaves`` holds ``(t, slot)`` pairs: the leaf
-    of the template's ``slot``-th distinct constant has state index ``t``.
-    Each rule is one flat tuple of edges, in the order they are tried:
-    ``joins`` repeats ``d, p, q, t``, the left child of length ``d`` at
-    index ``p`` and the right one at ``q`` composing to state ``t``;
-    ``nosems`` repeats ``d, p, t``; ``ternaries`` repeats ``d1, d2, p, m,
-    q, t`` for the left child of length ``d1`` at ``p``, the middle one of
-    length ``d2`` at ``m`` and the right one at ``q``.  Flat tuples keep a
-    cached chart small: most splits have one or two edges.
-    ``gold_at[L - 1]`` is the gold program's index in a cell of length
-    ``L``, or None.
+    Every item, one state of one cell, has one index into a list of
+    scores.  The items of the cell at table row ``r`` are ``offsets[r]``
+    up to ``offsets[r + 1]``, its states indexed as ``_compile`` meets
+    them, and one more item, ``nosem``, stands for every NoSem child and
+    scores 0.0.  ``leaves[k]`` repeats ``row, t``: the leaf of the
+    template's ``k``-th distinct constant over the span of table row
+    ``row`` is item ``t``.  The rule edges are flat tuples of item
+    indices: ``binaries`` repeats ``a, b, t``, the left child ``a`` and
+    the right one ``b`` composing to ``t`` (``b`` is ``nosem`` for Join
+    NoSem), and ``ternaries`` repeats ``a, m, c, t`` for the left child,
+    the middle one and the right one.  ``cells`` repeats ``row, binaries,
+    ternaries``: the cells with edges, in the order they are filled (by
+    increasing length, then start), each with the number of edges of
+    either kind that it takes next.  A cell's edges are listed in the
+    order they are tried.  Flat tuples keep a cached chart small, and an
+    index above 256 is one shared int object, so a slot costs a pointer.
+    ``golds[s - 1]`` is the gold program's item in the cell ``(s, n)``,
+    or None.
     """
 
-    lengths: list
-    gold_at: list
+    nosem: int
+    offsets: tuple
+    leaves: tuple
+    cells: tuple
+    binaries: tuple
+    ternaries: tuple
+    golds: tuple
 
 
 def _compile(n: int, grammar: Grammar, template: Program,
@@ -495,7 +518,10 @@ def _compile(n: int, grammar: Grammar, template: Program,
     ``CompositionTable.template``).  A cell of length ``L`` keeps a state
     only when it is admissible and, if ``L`` exceeds ``n -
     weight(template)``, when its need is at most the ``n - L`` tokens
-    outside the span.  Edges are listed in the order the chart tries them,
+    outside the span.  Those states depend only on ``L``, so the loop
+    compiles one length at a time, its edges by child lengths and state
+    indices, and then lays every cell of that length out in the flat form
+    of ``_Compiled``.  Edges are listed in the order the chart tries them,
     which is its tie order: leaves by slot, Join Join by split, Join NoSem
     by split, then the ternary rule by split pair; within a split, by the
     index of the left child, then of the right one, then of the middle one
@@ -534,6 +560,10 @@ def _compile(n: int, grammar: Grammar, template: Program,
                 if (r := compose(x, y)) >= 0 and need(r) is not None]
         return row
 
+    # Per length L, by state index: its leaves as (t, slot), and its edges:
+    # joins (d, p, q, t), the left child of length d at index p and the
+    # right one at q; nosems (d, p, t); triples (d1, d2, p, m, q, t), the
+    # left child of length d1 and the middle one of length d2.
     lengths, gold_at = [], []
     for length in range(1, n + 1):
         room = n - length
@@ -550,100 +580,146 @@ def _compile(n: int, grammar: Grammar, template: Program,
                     ids.append(sid)
             return t
 
-        leaves = tuple((t, k) for sid, k in atoms if (t := slot(sid)) >= 0)
-        joins = []
-        for d in range(1, length):
-            for p, a in enumerate(members[d - 1]):
-                for q, r in partners_of(a, length - d):
-                    if (t := slot(r)) >= 0:
-                        joins += d, p, q, t
-        nosems = []
-        for d in range(1, length):
-            for p, a in enumerate(members[d - 1]):
-                if (t := slot(a)) >= 0:
-                    nosems += d, p, t
-        ternaries = []
+        slots = [(t, k) for sid, k in atoms if (t := slot(sid)) >= 0]
+        joins = [(d, p, q, t)
+                 for d in range(1, length)
+                 for p, a in enumerate(members[d - 1])
+                 for q, r in partners_of(a, length - d)
+                 if (t := slot(r)) >= 0]
+        nosems = [(d, p, t)
+                  for d in range(1, length)
+                  for p, a in enumerate(members[d - 1])
+                  if (t := slot(a)) >= 0]
+        triples = []
         if grammar.ternary:
             # The outer pair composes first and must be admissible as well:
             # the middle child either fills more of its slots or takes it,
             # completed by defaults, as an argument, and neither makes an
             # inadmissible program admissible.
-            for d1 in range(1, length - 1):
-                for d2 in range(1, length - d1):
-                    for p, a in enumerate(members[d1 - 1]):
-                        for q, o in partners_of(a, length - d1 - d2):
-                            for m, r in partners_of(o, d2):
-                                if (t := slot(r)) >= 0:
-                                    ternaries += d1, d2, p, m, q, t
+            triples = [(d1, d2, p, m, q, t)
+                       for d1 in range(1, length - 1)
+                       for d2 in range(1, length - d1)
+                       for p, a in enumerate(members[d1 - 1])
+                       for q, o in partners_of(a, length - d1 - d2)
+                       for m, r in partners_of(o, d2)
+                       if (t := slot(r)) >= 0]
         members.append(ids)
-        lengths.append((len(ids), leaves, tuple(joins), tuple(nosems),
-                        tuple(ternaries)))
-        t = index.get(gold_id, -1)
-        gold_at.append(t if t >= 0 else None)
-    return _Compiled(lengths, gold_at)
+        lengths.append((slots, joins, nosems, triples))
+        gold_at.append(index.get(gold_id, -1))
+
+    rows = {(span.start, span.end): r for r, span in enumerate(all_spans(n))}
+    offsets = [0]
+    for i, j in rows:  # in table row order
+        offsets.append(offsets[-1] + len(members[j - i]))
+    shared = list(range(offsets[-1] + 1))  # one int object per index
+    nosem = shared[-1]
+
+    def item(i: int, j: int, t: int) -> int:
+        """State ``t`` of the cell ``(i, j)``."""
+        return shared[offsets[rows[i, j]] + t]
+
+    leaves = [[] for _ in by_head]
+    cells, binaries, ternaries = [], [], []
+    for length, (slots, joins, nosems, triples) in enumerate(lengths, 1):
+        edges = len(joins) + len(nosems), len(triples)
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            for t, k in slots:
+                leaves[k] += rows[i, j], item(i, j, t)
+            if any(edges):
+                cells += rows[i, j], *edges
+            for d, p, q, t in joins:
+                binaries += item(i, i + d - 1, p), item(i + d, j, q), item(i, j, t)
+            for d, p, t in nosems:
+                binaries += item(i, i + d - 1, p), nosem, item(i, j, t)
+            for d1, d2, p, m, q, t in triples:
+                ternaries += (item(i, i + d1 - 1, p), item(i + d1, i + d1 + d2 - 1, m),
+                              item(i + d1 + d2, j, q), item(i, j, t))
+    golds = tuple(None if (t := gold_at[n - s]) < 0 else item(s, n, t)
+                  for s in range(1, n + 1))
+    return _Compiled(nosem, tuple(shared[x] for x in offsets),
+                     tuple(map(tuple, leaves)), tuple(cells), tuple(binaries),
+                     tuple(ternaries), golds)
 
 
 def _evaluate(compiled: _Compiled, table: ScoreTable, labels: tuple):
-    """The best derivation of the gold program over ``table``, or None;
-    ``labels[k]`` is the gold program's constant in slot ``k``.  Every cell
-    takes each state's best edge whose children are present, and only a
-    strictly greater score replaces; a masked leaf, or one whose constant
-    is not among the table's categories, leaves its state absent, and so
-    every edge built on it is skipped."""
-    n = table.n
-    rows = table.shifted.tolist()
-    row_of = table.row_of
-    join_col = table.cat_index[JOIN]
-    columns = [table.cat_index.get(label) for label in labels]
-    chart = [[None] * (n + 1) for _ in range(n + 2)]
-    for length, (size, slots, joins, nosems, ternaries) in enumerate(
-            compiled.lengths, 1):
-        leaves = [(t, columns[k], labels[k]) for t, k in slots
-                  if columns[k] is not None]
-        for i in range(1, n - length + 2):
-            j = i + length - 1
-            row = rows[row_of[i][j]]
-            base = row[join_col]
-            cell = [None] * size
-            for t, col, label in leaves:
-                if row[col] > NEG_INF / 2:
-                    cell[t] = (row[col], i, j, label, ())
-            row_i = chart[i]
-            edges = iter(joins)
-            for d, p, q, t in zip(edges, edges, edges, edges):
-                da, db = row_i[i + d - 1][p], chart[i + d][j][q]
-                if da is not None and db is not None:
-                    score = base + da[0] + db[0]
-                    old = cell[t]
-                    if old is None or score > old[0]:
-                        cell[t] = (score, i, j, JOIN, (da, db))
-            edges = iter(nosems)
-            for d, p, t in zip(edges, edges, edges):
-                da = row_i[i + d - 1][p]
-                if da is not None:
-                    score = base + da[0] + 0.0  # + NoSem, as parse_kbest sums
-                    old = cell[t]
-                    if old is None or score > old[0]:
-                        cell[t] = (score, i, j, JOIN,
-                                   (da, (0.0, i + d, j, NOSEM, ())))
-            edges = iter(ternaries)
-            for d1, d2, p, m, q, t in zip(edges, edges, edges, edges, edges,
-                                          edges):
-                s1, s2 = i + d1, i + d1 + d2
-                da, db, dc = row_i[s1 - 1][p], chart[s1][s2 - 1][m], chart[s2][j][q]
-                if da is not None and db is not None and dc is not None:
-                    score = base + da[0] + db[0] + dc[0]
-                    old = cell[t]
-                    if old is None or score > old[0]:
-                        cell[t] = (score, i, j, JOIN, (da, db, dc))
-            row_i[j] = cell
+    """The score and the label row of the best tree of the gold program
+    over ``table``, or None; ``labels[k]`` is the gold program's constant
+    in slot ``k``.
 
-    def gold_in(i, length):
-        t = compiled.gold_at[length - 1]
-        return None if t is None else chart[i][i + length - 1][t]
+    It reads the table's Join column and the gold constants' columns
+    alone.  Leaves come first: a masked leaf, or one whose constant is not
+    among the table's categories, leaves its item absent (None), and so
+    every edge built on it is skipped.  Then every item takes its best
+    edge whose children are present, summed ``base + a + b`` (``b`` is the
+    NoSem item, 0.0, in Join NoSem) and ``base + a + m + c``; only a
+    strictly greater score replaces, and each replacement records a
+    backpointer: ``~slot`` for a leaf, the children for a rule.  The row
+    is written by walking the backpointers down from the root that
+    ``_root`` chooses; every span off the tree is NoSem."""
+    cat_index, shifted = table.cat_index, table.shifted
+    bases = shifted[:, cat_index[JOIN]].tolist()
+    size = compiled.nosem
+    score = [None] * size + [0.0]
+    back = [None] * (size + 1)
+    floor = NEG_INF / 2
+    for k, label in enumerate(labels):
+        c = cat_index.get(label)
+        if c is None:
+            continue
+        column = shifted[:, c].tolist()
+        pairs = iter(compiled.leaves[k])
+        for row, t in zip(pairs, pairs):
+            if column[row] > floor:
+                score[t] = column[row]
+                back[t] = ~k
+    binaries = iter(compiled.binaries)
+    binaries = zip(binaries, binaries, binaries)
+    ternaries = iter(compiled.ternaries)
+    ternaries = zip(ternaries, ternaries, ternaries, ternaries)
+    cells = iter(compiled.cells)
+    for row, n_binaries, n_ternaries in zip(cells, cells, cells):
+        base = bases[row]
+        for a, b, t in islice(binaries, n_binaries):
+            sa, sb = score[a], score[b]
+            if sa is not None and sb is not None:
+                s = base + sa + sb
+                old = score[t]
+                if old is None or s > old:
+                    score[t] = s
+                    back[t] = (a, b)
+        if n_ternaries:
+            for a, m, c, t in islice(ternaries, n_ternaries):
+                sa, sm, sc = score[a], score[m], score[c]
+                if sa is not None and sm is not None and sc is not None:
+                    s = base + sa + sm + sc
+                    old = score[t]
+                    if old is None or s > old:
+                        score[t] = s
+                        back[t] = (a, m, c)
 
-    return _root(rows[row_of[1][n]][join_col], gold_in(1, n),
-                 [gold_in(s + 1, n - s) for s in range(1, n)])
+    top_row = table.row_of[1][table.n]
+    top = _root(bases[top_row], [None if t is None else score[t]
+                                 for t in compiled.golds])
+    if top is None:
+        return None
+    best, split = top
+    join = cat_index[JOIN]
+    row = [cat_index[NOSEM]] * len(table.spans)
+    row[top_row] = join  # the root, whether or not it is the whole-span item
+    offsets = compiled.offsets
+    stack = [compiled.golds[split]]
+    while stack:
+        pointer = back[t := stack.pop()]
+        if pointer is None:  # the NoSem item
+            continue
+        r = bisect.bisect_right(offsets, t) - 1
+        if pointer.__class__ is tuple:
+            row[r] = join
+            stack += pointer
+        else:
+            row[r] = cat_index[labels[~pointer]]
+    return best, tuple(row)
 
 
 def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
@@ -653,17 +729,18 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     maps to it.
 
     An exact Viterbi over (span, program state), in two steps.
-    ``_compile`` builds, once per length, the states a cell can hold and
-    the rule edges between them; ``_evaluate`` takes each state's best
-    edge over the table's scores.  A span's state is the program its
-    subtree composes to, as ``program_of_tree`` composes it: constants
-    absent from ``gold`` are masked out, and a node is kept only while its
-    program is admissible.  So the best tree maps to ``gold``.  A cell
-    also drops every state whose need (see ``_compile``) exceeds the tokens
-    outside its span: each leaf covers tokens of its own, so no tree
-    composing to ``gold`` holds such an item, and no item built on one is
-    kept either.  Only cells longer than ``n - weight(gold)`` can drop
-    anything.  Scores are summed as in ``parse_kbest``.
+    ``_compile`` lays out the items, every state a cell can hold, and the
+    rule edges between them; ``_evaluate`` takes each item's best edge
+    over the table's scores and walks the winner's backpointers into its
+    label row.  A span's state is the program its subtree composes to, as
+    ``program_of_tree`` composes it: constants absent from ``gold`` are
+    masked out, and a node is kept only while its program is admissible.
+    So the best tree maps to ``gold``.  A cell also drops every state whose
+    need (see ``_compile``) exceeds the tokens outside its span: each leaf
+    covers tokens of its own, so no tree composing to ``gold`` holds such
+    an item, and no item built on one is kept either.  Only cells longer
+    than ``n - weight(gold)`` can drop anything.  Scores are summed as in
+    ``parse_kbest``.
 
     The chart is compiled for ``gold``'s template (see
     ``CompositionTable.template``), which renames its constants within
@@ -692,20 +769,7 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     best = _evaluate(compiled, table, labels)
     if best is None:
         return None
-    return GoldParse(_label_row(best, table), best[0], gold, table.categories)
-
-
-def _label_row(deriv: tuple, table: ScoreTable) -> tuple:
-    """The derivation's category index per span row of ``table``: NoSem,
-    then each node's category at its row, in one walk."""
-    row_of, cat_index = table.row_of, table.cat_index
-    row = [cat_index[NOSEM]] * len(table.spans)
-    stack = [deriv]
-    while stack:
-        _, i, j, category, children = stack.pop()
-        row[row_of[i][j]] = cat_index[category]
-        stack += children
-    return tuple(row)
+    return GoldParse(best[1], best[0], gold, table.categories)
 
 
 def dump_chart(table: ScoreTable, grammar: Grammar, K: int, path) -> None:

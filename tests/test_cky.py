@@ -930,6 +930,234 @@ def test_a_compiled_chart_serves_every_table(ternary, monkeypatch):
     assert shared and any(found) and not all(found)
 
 
+# -- the per-length E-step, kept as a reference -------------------------------
+#
+# The constrained chart as it was evaluated before it was compiled to flat
+# item indices: one structure per cell length, cells of derivation tuples
+# ``(score, i, j, category, children)``, and a label row written by walking
+# the winning derivation.  The flat chart must give the same label row and
+# score on every table, ties and non-finite scores included.
+
+
+def reference_compile(n, grammar, template, schema):
+    """Per length ``L``: ``(size, leaves, joins, nosems, ternaries)`` by
+    state index, and the gold program's index in a cell of length ``L``."""
+    table = schema.table
+    compose = table.compose
+    by_head = {}
+    for sub in template.subterms():
+        by_head.setdefault(sub.head.name, []).append(sub)
+    budget = weight(template, schema)
+    needs = {}
+
+    def need(pid):
+        if pid not in needs:
+            program = table.programs[pid]
+            admissible = any(
+                all(pa is None or pa == ga for pa, ga in zip(program.args, sub.args))
+                for sub in by_head.get(program.head.name, ()))
+            needs[pid] = budget - weight(program, schema) if admissible else None
+        return needs[pid]
+
+    atoms = [(table.atom(name), slot) for slot, name in enumerate(by_head)]
+    slack = n - budget
+    gold_id = table.intern(template)
+    members, partners = [], {}
+
+    def partners_of(x, length):
+        row = partners.get((x, length))
+        if row is None:
+            row = partners[x, length] = [
+                (q, r) for q, y in enumerate(members[length - 1])
+                if (r := compose(x, y)) >= 0 and need(r) is not None]
+        return row
+
+    lengths, gold_at = [], []
+    for length in range(1, n + 1):
+        room = n - length
+        index, ids = {}, []
+
+        def slot(sid):
+            t = index.get(sid)
+            if t is None:
+                t = index[sid] = (-1 if length > slack and need(sid) > room
+                                  else len(ids))
+                if t >= 0:
+                    ids.append(sid)
+            return t
+
+        leaves = tuple((t, k) for sid, k in atoms if (t := slot(sid)) >= 0)
+        joins = []
+        for d in range(1, length):
+            for p, a in enumerate(members[d - 1]):
+                for q, r in partners_of(a, length - d):
+                    if (t := slot(r)) >= 0:
+                        joins += d, p, q, t
+        nosems = []
+        for d in range(1, length):
+            for p, a in enumerate(members[d - 1]):
+                if (t := slot(a)) >= 0:
+                    nosems += d, p, t
+        ternaries = []
+        if grammar.ternary:
+            for d1 in range(1, length - 1):
+                for d2 in range(1, length - d1):
+                    for p, a in enumerate(members[d1 - 1]):
+                        for q, o in partners_of(a, length - d1 - d2):
+                            for m, r in partners_of(o, d2):
+                                if (t := slot(r)) >= 0:
+                                    ternaries += d1, d2, p, m, q, t
+        members.append(ids)
+        lengths.append((len(ids), leaves, tuple(joins), tuple(nosems),
+                        tuple(ternaries)))
+        t = index.get(gold_id, -1)
+        gold_at.append(t if t >= 0 else None)
+    return lengths, gold_at
+
+
+def reference_root(base, whole, suffixes):
+    top = whole
+    for s, b in enumerate(suffixes, 1):
+        if b is not None:
+            score = base + 0.0 + b[0]
+            if top is None or score > top[0]:
+                top = (score, 1, b[2], JOIN, ((0.0, 1, s, NOSEM, ()), b))
+    return top
+
+
+def reference_evaluate(compiled, table, labels):
+    """The best derivation of the gold program over ``table``, or None."""
+    lengths, gold_at = compiled
+    n = table.n
+    rows = table.shifted.tolist()
+    row_of = table.row_of
+    join_col = table.cat_index[JOIN]
+    columns = [table.cat_index.get(label) for label in labels]
+    chart = [[None] * (n + 1) for _ in range(n + 2)]
+    for length, (size, slots, joins, nosems, ternaries) in enumerate(lengths, 1):
+        leaves = [(t, columns[k], labels[k]) for t, k in slots
+                  if columns[k] is not None]
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            row = rows[row_of[i][j]]
+            base = row[join_col]
+            cell = [None] * size
+            for t, col, label in leaves:
+                if row[col] > NEG_INF / 2:
+                    cell[t] = (row[col], i, j, label, ())
+            row_i = chart[i]
+            edges = iter(joins)
+            for d, p, q, t in zip(edges, edges, edges, edges):
+                da, db = row_i[i + d - 1][p], chart[i + d][j][q]
+                if da is not None and db is not None:
+                    score = base + da[0] + db[0]
+                    old = cell[t]
+                    if old is None or score > old[0]:
+                        cell[t] = (score, i, j, JOIN, (da, db))
+            edges = iter(nosems)
+            for d, p, t in zip(edges, edges, edges):
+                da = row_i[i + d - 1][p]
+                if da is not None:
+                    score = base + da[0] + 0.0
+                    old = cell[t]
+                    if old is None or score > old[0]:
+                        cell[t] = (score, i, j, JOIN,
+                                   (da, (0.0, i + d, j, NOSEM, ())))
+            edges = iter(ternaries)
+            for d1, d2, p, m, q, t in zip(edges, edges, edges, edges, edges,
+                                          edges):
+                s1, s2 = i + d1, i + d1 + d2
+                da, db, dc = row_i[s1 - 1][p], chart[s1][s2 - 1][m], chart[s2][j][q]
+                if da is not None and db is not None and dc is not None:
+                    score = base + da[0] + db[0] + dc[0]
+                    old = cell[t]
+                    if old is None or score > old[0]:
+                        cell[t] = (score, i, j, JOIN, (da, db, dc))
+            row_i[j] = cell
+
+    def gold_in(i, length):
+        t = gold_at[length - 1]
+        return None if t is None else chart[i][i + length - 1][t]
+
+    return reference_root(rows[row_of[1][n]][join_col], gold_in(1, n),
+                          [gold_in(s + 1, n - s) for s in range(1, n)])
+
+
+def reference_label_row(deriv, table):
+    row_of, cat_index = table.row_of, table.cat_index
+    row = [cat_index[NOSEM]] * len(table.spans)
+    stack = [deriv]
+    while stack:
+        _, i, j, category, children = stack.pop()
+        row[row_of[i][j]] = cat_index[category]
+        stack += children
+    return tuple(row)
+
+
+def reference_estep(table, grammar, gold, schema):
+    """``(label row, score repr)`` of the reference E-step, or None."""
+    composition = schema.table
+    template, labels = composition.template(composition.intern(gold))
+    compiled = reference_compile(table.n, grammar, composition.programs[template],
+                                 schema)
+    best = reference_evaluate(compiled, table, labels)
+    return None if best is None else (reference_label_row(best, table), repr(best[0]))
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_the_flat_estep_matches_the_per_length_reference(ternary):
+    """The compiled E-step gives the reference's label row and score
+    ``repr``, and finds no tree exactly where it finds none: scan and geo
+    corpus golds, up to 6 tokens with the binary grammar and 5 with the
+    ternary one, on random tables, tables of exact ties (scores 0 or 1),
+    masked ones, and ones with NaN, +inf or -inf in the Join column or in
+    a gold constant's column, through a schema that keeps its charts
+    (warm) and through one whose charts are cleared before each call
+    (cold)."""
+    rng = random.Random(7)
+    grammar = Grammar(ternary=ternary)
+    bad = (float("nan"), float("inf"), -float("inf"))
+
+    def score(kind, c, names):
+        if kind == "ties":
+            return float(rng.randint(0, 1))
+        if kind == "masked" and c in names and rng.random() < 0.3:
+            return NEG_INF
+        if kind == "join" and c == JOIN and rng.random() < 0.2:
+            return rng.choice(bad)
+        if kind == "gold" and c in names and rng.random() < 0.2:
+            return rng.choice(bad)
+        return rng.gauss(0, 2)
+
+    outcomes = collections.Counter()
+    for make in (scan_schema, geo_schema):
+        warm, cold = make(), make()
+        golds = [g for g in corpus_golds(warm) if sum(1 for _ in g.subterms()) <= 4]
+        cats = warm.categories()
+        for gold in rng.sample(golds, 12):
+            names = {s.head.name for s in gold.subterms()}
+            for n in range(1, (5 if ternary else 6) + 1):
+                for kind in ("random", "ties", "masked", "join", "gold"):
+                    raw = np.array([[score(kind, c, names) for c in cats]
+                                    for _ in all_spans(n)])
+                    table = ScoreTable(n, cats, raw)
+                    want = reference_estep(table, grammar, gold, warm)
+                    cold.table.charts.clear()
+                    for schema in (warm, cold):
+                        result = constrained_parse(
+                            table, grammar, parse_program(str(gold), schema), schema)
+                        got = (None if result is None
+                               else (result.labels, repr(result.score)))
+                        assert got == want, (str(gold), n, kind)
+                    outcomes[kind, want is None,
+                             want is not None and want[1] in ("nan", "inf", "-inf")] += 1
+    # every kind of table both parses and fails somewhere, and the
+    # non-finite ones give non-finite scores
+    assert all(outcomes[kind, False, False] and outcomes[kind, True, False]
+               for kind in ("random", "ties", "masked")), outcomes
+    assert all(outcomes[kind, False, True] for kind in ("join", "gold")), outcomes
+
+
 def rename_program(program, sigma, schema):
     return Program(schema.constant(sigma.get(program.head.name, program.head.name)),
                    tuple(None if a is None else rename_program(a, sigma, schema)

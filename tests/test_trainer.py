@@ -1,6 +1,7 @@
 """Hard-EM trainer: configuration checks, E-step behavior, evaluation
 reports, and small end-to-end training runs on both domains."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 
 from spansem import scorer as scorer_module, trainer
 from spansem.cky import Grammar, ParseResult
-from spansem.core import SpanTree, Utterance, labeled_spans
+from spansem.core import JOIN, SpanTree, Utterance, labeled_spans
 from spansem.data.geo import (
     exec_funql,
     geo_lexicon_entries,
@@ -400,6 +401,34 @@ def test_train_stops_when_a_parameter_norm_overflows(scan_domain,
     assert str(raised.value) == (
         "parameter emb, mix0_W, mix0_b, mix1_W, mix1_b, W1, W2 diverged (its "
         "norm overflows) after epoch 0; lower lr")
+
+
+class NaNJoinScorer(SpanScorer):
+    """A fresh scorer whose Join row of ``W2`` is NaN: every span's Join
+    score is NaN and every other score is finite."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params["W2"][self.cat_index[JOIN]] = np.nan
+
+
+def test_a_nan_join_column_stops_training_on_the_batch_loss(
+        scan_domain, short_examples, monkeypatch):
+    """A NaN Join column makes E-step scores NaN but removes no item: the
+    E-step still finds a tree for each of 5 commands, their batch loss is
+    NaN, and train stops on it before the first step is taken."""
+    config = TrainConfig()
+    batch = short_examples[:5]
+    scorer = NaNJoinScorer(vocabulary(batch), scan_domain.schema.categories(),
+                           lam=config.lam, seed=config.seed)
+    with np.errstate(all="ignore"):
+        loss, used, skipped, _ = hard_em_step(scorer, batch, scan_domain,
+                                              Grammar(), config)
+    assert math.isnan(loss) and (used, skipped) == (5, 0)
+    monkeypatch.setattr(trainer, "SpanScorer", NaNJoinScorer)
+    with np.errstate(all="ignore"), pytest.raises(ConfigError) as raised:
+        train(batch, [], scan_domain, config)
+    assert str(raised.value) == "non-finite loss at epoch 0, batch 0; lower lr"
 
 
 def test_geo_training_on_simple_questions():
