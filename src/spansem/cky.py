@@ -66,7 +66,11 @@ Viterbi loops visit cells by increasing length, then start, and try a
 cell's rule sources in one order: the leaf constants, Join Join by split,
 Join NoSem by split, then the ternary rule by split pair; only a strictly
 greater score replaces, so an exact tie goes to the first source tried.
-The constrained chart scores every leaf before the first edge, which
+The K-best chart's pass follows a fill plan built once per length and
+grammar (``_plan``): each cell in that order with its table row and, per
+split and split pair, the table rows of its children, so a call does no
+index arithmetic; it keeps each cell's best score and derivation by table
+row.  The constrained chart scores every leaf before the first edge, which
 keeps that order, as a leaf depends on nothing; it tries its leaves in
 the order of the gold constants' first occurrence in the gold program's
 preorder, and within one split its edges by child state index (see
@@ -86,8 +90,10 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 
+import numpy as np
+
 from .core import JOIN, NOSEM, Span, SpanTree, all_spans
-from .scorer import ScoreTable, tree_from_labels
+from .scorer import ScoreTable, _geometry, tree_from_labels
 from .typesys import (
     CompositionFailure,
     DomainSchema,
@@ -155,6 +161,54 @@ class _Frontier:
     last: tuple | None = None
 
 
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """The Viterbi pass's fill order over ``n`` tokens with one grammar, in
+    table rows, shared by every chart of that length and grammar.
+
+    ``cells`` lists each cell in the order it is filled (by increasing
+    length, then start) as ``(row, (i, j), lefts, rights, triples)``: the
+    rows of the left and the right child of each split ``s``, ``(i, s)``
+    and ``(s + 1, j)``, by increasing ``s``, and ``triples``, which repeats
+    ``a, m, c``, the rows of the children of each ternary split pair in
+    the order they are tried (empty without the ternary rule).
+    ``nosems[r]`` is the NoSem derivation over the span of row ``r``, and
+    ``ends[s - 1]`` the row of ``(s, n)``.  Every row is the int object of
+    the table's ``row_of``, so a slot costs a pointer."""
+
+    cells: tuple
+    nosems: tuple
+    ends: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(n: int, ternary: bool) -> _Plan:
+    geometry = _geometry(n)
+    row_of = geometry.row_of
+    cells = []
+    for length in range(1, n + 1):
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            triples = () if not ternary else tuple(
+                r for s1 in range(i, j - 1) for s2 in range(s1 + 1, j)
+                for r in (row_of[i][s1], row_of[s1 + 1][s2], row_of[s2 + 1][j]))
+            cells.append((row_of[i][j], (i, j),
+                          tuple(row_of[i][s] for s in range(i, j)),
+                          tuple(row_of[s + 1][j] for s in range(i, j)), triples))
+    nosems = tuple((0.0, span.start, span.end, NOSEM, ()) for span in geometry.spans)
+    return _Plan(tuple(cells), nosems, tuple(row_of[s][n] for s in range(1, n + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _constants(categories: tuple) -> tuple:
+    """The constant labels of ``categories`` in label order, their columns
+    by a table's ``cat_index``, and those columns as an index array."""
+    column = {c: k for k, c in enumerate(categories)}
+    constants = sorted(c for c in categories if c not in (NOSEM, JOIN))
+    cols = tuple(column[c] for c in constants)
+    return constants, cols, np.array(cols, dtype=np.intp)
+
+
 class _Chart:
     """Best-first lists of up to K derivations for every Join cell and for
     the root, each extended only as far as it is read.
@@ -174,76 +228,71 @@ class _Chart:
         self.K = K
         self.row_of = table.row_of
         self.join_col = table.cat_index[JOIN]
-        self.constants = sorted(c for c in table.categories
-                                if c not in (NOSEM, JOIN))
-        self.const_cols = [table.cat_index[c] for c in self.constants]
+        self.constants, self.const_cols, self.const_index = _constants(
+            tuple(table.categories))
         self.cells: dict = {}  # (i, j) -> ranked derivations, best first
         self.frontiers: dict = {}  # key -> _Frontier, once rank 1 is asked for
         self.root = self._viterbi()
 
     def _viterbi(self) -> list:
-        """Keeps the best derivation of every cell; returns the root's list."""
-        table, n, row_of = self.table, self.table.n, self.row_of
+        """Keeps the best derivation of every cell; returns the root's list.
+        ``score[r]`` is the score of ``best[r]``, the best derivation of the
+        cell at table row ``r``, or None while it has none; until its cell
+        is filled, they hold its best leaf's score and label."""
+        table, n = self.table, self.table.n
+        plan = _plan(n, self.grammar.ternary)
         bases = table.shifted[:, self.join_col].tolist()
-        cols = self.const_cols
-        leaves = [None] * len(table.spans)
-        if cols:
+        score, best = [None] * len(bases), [None] * len(bases)
+        if self.constants:
             # argmax keeps the first best column: ties go to the lower label.
-            consts = table.shifted[:, cols]
-            for k, (score, c) in enumerate(zip(consts.max(axis=1).tolist(),
-                                               consts.argmax(axis=1).tolist())):
-                if score > NEG_INF / 2:
-                    leaves[k] = (score, self.constants[c])
-        ternary = self.grammar.ternary
-        best = [[None] * (n + 2) for _ in range(n + 2)]
-        for length in range(1, n + 1):
-            for i in range(1, n - length + 2):
-                j = i + length - 1
-                k = row_of[i][j]
-                base = bases[k]
-                top = key = None
-                if leaves[k] is not None:
-                    key = leaves[k][0]
-                    top = (key, i, j, leaves[k][1], ())
-                # Sources in merge order; only a greater key replaces.
-                for s in range(i, j):
-                    a, b = best[i][s], best[s + 1][j]
-                    if a is not None and b is not None:
-                        score = base + (a[0] + b[0])
-                        if top is None or score > key:
-                            key = score
-                            top = (base + a[0] + b[0], i, j, JOIN, (a, b))
-                for s in range(i, j):
-                    a = best[i][s]
-                    if a is not None and (top is None or base + a[0] > key):
-                        key = base + a[0]
-                        top = (base + a[0] + 0.0, i, j, JOIN,
-                               (a, (0.0, s + 1, j, NOSEM, ())))
-                if ternary:
-                    for s1 in range(i, j - 1):
-                        a = best[i][s1]
-                        if a is None:
-                            continue
-                        for s2 in range(s1 + 1, j):
-                            b, c = best[s1 + 1][s2], best[s2 + 1][j]
-                            if b is not None and c is not None:
-                                score = base + (a[0] + b[0] + c[0])
-                                if top is None or score > key:
-                                    key = score
-                                    top = (base + a[0] + b[0] + c[0], i, j,
-                                           JOIN, (a, b, c))
-                best[i][j] = top
-                self.cells[(i, j)] = [] if top is None else [top]
-
-        ends = [best[s][n] for s in range(1, n + 1)]  # the Joins over (s, n)
-        top = _root(bases[row_of[1][n]],
-                    [None if d is None else d[0] for d in ends])
+            consts = table.shifted[:, self.const_index]
+            for k, (leaf, c) in enumerate(zip(consts.max(axis=1).tolist(),
+                                              consts.argmax(axis=1).tolist())):
+                if leaf > NEG_INF / 2:
+                    score[k], best[k] = leaf, self.constants[c]
+        nosems, cells = plan.nosems, self.cells
+        for k, cell, lefts, rights, triples in plan.cells:
+            i, j = cell
+            base = bases[k]
+            top = key = score[k]
+            if top is not None:
+                top = (key, i, j, best[k], ())
+            # Sources in merge order; only a greater key replaces.
+            for a, b in zip(lefts, rights):
+                sa, sb = score[a], score[b]
+                if sa is not None and sb is not None:
+                    total = base + (sa + sb)
+                    if top is None or total > key:
+                        key = total
+                        top = (base + sa + sb, i, j, JOIN, (best[a], best[b]))
+            for a, b in zip(lefts, rights):
+                sa = score[a]
+                if sa is not None and (top is None or base + sa > key):
+                    key = base + sa
+                    top = (base + sa + 0.0, i, j, JOIN, (best[a], nosems[b]))
+            if triples:
+                rows = iter(triples)
+                for a, m, c in zip(rows, rows, rows):
+                    sa, sm, sc = score[a], score[m], score[c]
+                    if sa is not None and sm is not None and sc is not None:
+                        total = base + (sa + sm + sc)
+                        if top is None or total > key:
+                            key = total
+                            top = (base + sa + sm + sc, i, j, JOIN,
+                                   (best[a], best[m], best[c]))
+            if top is None:
+                cells[cell] = []
+            else:
+                score[k], best[k] = top[0], top
+                cells[cell] = [top]
+        ends = [best[r] for r in plan.ends]  # the Joins over (s, n)
+        top = _root(bases[plan.ends[0]], [score[r] for r in plan.ends])
         if top is None:
             return []
-        score, s = top
+        total, s = top
         if s == 0:
             return [ends[0]]
-        return [(score, 1, n, JOIN, ((0.0, 1, s, NOSEM, ()), ends[s]))]
+        return [(total, 1, n, JOIN, (plan.nosems[self.row_of[1][s]], ends[s]))]
 
     def at(self, key, r: int):
         """Rank ``r`` (0 is the best) of a list, or None past its end or K."""

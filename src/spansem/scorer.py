@@ -27,11 +27,16 @@ is refused too.  GEMM rounding depends on the row count, so an
 utterance's scores in a batch and scored alone can differ in the last
 bits (about 1e-15).
 
-What depends on the utterance length alone (the span list, the row of
-each (i, j), the start and end token of each row) is built once per
-length by ``_geometry`` and shared by every table and chart.  The lexicon
-memoizes its matches per token tuple, so the bonus of a seen utterance is
-a scatter.
+What depends on the utterance length alone is built once per length by
+``_geometry`` and shared by every table, chart and forward pass: the span
+list, the row of each (i, j), the start and end token of each row, and a
+lone utterance's encoder layout (its padded size, the padded row of each
+token and each token's window of padded rows).  A batch's layout is the
+lone layouts of its members, each shifted past those before it; a lone
+utterance's is its geometry's arrays as they are, so one code path serves
+both.  The lexicon memoizes, per token tuple, the flat (row, column)
+index of every cell its bonus raises, so the bonus of a seen utterance is
+one scatter of lambda into the raw scores.
 
 Loading the module tunes glibc's allocator for the process, forked
 ``eval --jobs`` workers included, through ``mallopt``: freed heap stays
@@ -57,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import JOIN, NOSEM, Span, SpanTree, Utterance, all_spans, span_map
+from .core import JOIN, NOSEM, Span, SpanTree, all_spans, span_map
 
 UNK = "<unk>"
 
@@ -102,8 +107,9 @@ class DimensionMismatch(ValueError):
 
 
 class _Geometry(NamedTuple):
-    """Span bookkeeping of every utterance of one length n.  Every table
-    and chart of that length shares it, so nothing in it is mutable."""
+    """Span bookkeeping and encoder layout of every utterance of one
+    length n.  Every table, chart and forward pass of that length shares
+    it, so nothing in it is mutable."""
 
     spans: tuple  # all_spans(n): row k of a table scores spans[k]
     row_of: tuple  # row_of[i][j]: the row of span (i, j), 1 <= i <= j <= n
@@ -112,6 +118,12 @@ class _Geometry(NamedTuple):
     # (2n, rows) of 0/1: times per-row values, row t sums those of the
     # spans that start at token t and row n + t those that end there.
     by_token: np.ndarray
+    # A lone utterance's encoder layout: ``WINDOW`` zero rows on either
+    # side of its n tokens, so ``size`` rows, token t at padded row
+    # ``pos[t]``, and ``window[t]`` the padded rows of its taps.
+    size: int
+    pos: np.ndarray
+    window: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,9 +137,20 @@ def _geometry(n: int) -> _Geometry:
     by_token = np.zeros((2 * n, len(spans)))
     by_token[ii, np.arange(len(spans))] = 1.0
     by_token[n + jj, np.arange(len(spans))] = 1.0
-    for array in (ii, jj, by_token):
+    pos = np.arange(WINDOW, WINDOW + n)
+    window = pos[:, None] + np.arange(-WINDOW, WINDOW + 1)
+    for array in (ii, jj, by_token, pos, window):
         array.flags.writeable = False
-    return _Geometry(spans, tuple(map(tuple, row_of)), ii, jj, by_token)
+    return _Geometry(spans, tuple(map(tuple, row_of)), ii, jj, by_token,
+                     n + 2 * WINDOW, pos, window)
+
+
+def _stacked(arrays: list, shifts: list) -> np.ndarray:
+    """``arrays[k] + shifts[k]``, concatenated.  The first shift is 0, so
+    a lone array is returned as it is."""
+    if len(arrays) == 1:
+        return arrays[0]
+    return np.concatenate([a + s for a, s in zip(arrays, shifts)])
 
 
 def _im2col(x: np.ndarray, layout: dict) -> np.ndarray:
@@ -136,7 +159,8 @@ def _im2col(x: np.ndarray, layout: dict) -> np.ndarray:
     padded = np.zeros((layout["size"], x.shape[1]))
     padded[layout["pos"]] = x
     window = layout["window"]
-    return padded[window].reshape(len(window), window.shape[1] * x.shape[1])
+    return padded.take(window.reshape(-1), axis=0).reshape(
+        len(window), window.shape[1] * x.shape[1])
 
 
 @dataclass
@@ -147,10 +171,14 @@ class Lexicon:
     entries: dict = field(default_factory=dict)
     _matches: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)  # tokens -> [(span row, name)]
+    # tokens -> (cat_index, flat cells), for the last category index asked
+    _cells: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def add(self, phrase: str, constant: str) -> None:
         self.entries.setdefault(phrase.lower(), set()).add(constant)
         self._matches.clear()
+        self._cells.clear()
 
     def matches(self, tokens: tuple) -> list:
         """``(row, name)`` for every span of ``tokens``, by its row in
@@ -164,6 +192,31 @@ class Lexicon:
                 for name in self.entries.get(
                     " ".join(tokens[span.start - 1:span.end]).lower(), ())]
         return hits
+
+    def bonus_cells(self, tokens: tuple, cat_index: dict) -> np.ndarray:
+        """The flat index ``row * len(cat_index) + column`` of every match
+        of ``tokens`` whose name ``cat_index`` gives a column, in a raw
+        score matrix of ``tokens``'s spans; memoized per token tuple for
+        the category index last asked with.  A ValueError when a match
+        names a reserved label, since the bonus would raise a NoSem or
+        Join column."""
+        memo = self._cells.get(tokens)
+        if memo is not None and memo[0] is cat_index:
+            return memo[1]
+        cells = []
+        for row, name in self.matches(tokens):
+            if name in (NOSEM, JOIN):
+                span = _geometry(len(tokens)).spans[row]
+                raise ValueError(
+                    f"lexicon phrase {' '.join(tokens[span.start - 1:span.end])!r} "
+                    f"names the reserved label {name!r}")
+            col = cat_index.get(name)
+            if col is not None:
+                cells.append(row * len(cat_index) + col)
+        cells = np.array(cells, dtype=np.intp)
+        cells.flags.writeable = False
+        self._cells[tokens] = cat_index, cells
+        return cells
 
     def merged_with(self, other: "Lexicon") -> "Lexicon":
         return Lexicon.from_pairs(_pairs(self.entries) + _pairs(other.entries))
@@ -284,8 +337,10 @@ class SpanScorer:
 
     # -- encoding ----------------------------------------------------------
 
-    def token_ids(self, utt: Utterance) -> np.ndarray:
-        return np.array([self.vocab.get(t, 0) for t in utt.tokens], dtype=int)
+    def token_ids(self, utterances: list) -> np.ndarray:
+        """The vocabulary id of every token of ``utterances``, in order."""
+        get = self.vocab.get
+        return np.array([get(t, 0) for u in utterances for t in u.tokens], dtype=int)
 
     def encode(self, utterances: list):
         """Contextual vectors of every token of ``utterances``, stacked in
@@ -294,23 +349,26 @@ class SpanScorer:
 
         The tokens sit in one padded layout with ``WINDOW`` zero rows
         before each utterance and after the last, so that no window reaches
-        a neighbour.  Each layer gathers every token's window from that
-        layout and mixes it in one GEMM with its taps stacked, (taps * d, d).
+        a neighbour: each utterance's lone layout (``_geometry``) shifted by
+        the tokens and the ``WINDOW`` gaps before it.  Each layer gathers
+        every token's window from that layout and mixes it in one GEMM with
+        its taps stacked, (taps * d, d).
         """
         w, d = WINDOW, H_DIM
-        lengths = [len(u) for u in utterances]
-        ids = np.concatenate([self.token_ids(u) for u in utterances])
-        pos = np.arange(len(ids)) + w * np.repeat(np.arange(1, len(lengths) + 1),
-                                                  lengths)
-        cache = {"ids": ids, "pos": pos,
-                 "window": pos[:, None] + np.arange(-w, w + 1),
-                 "size": len(ids) + w * (len(lengths) + 1),
-                 "layers": [self.params["emb"][ids]]}
+        geometries = [_geometry(len(u)) for u in utterances]
+        first = list(accumulate((len(u) for u in utterances), initial=0))  # tokens
+        shifts = [t + w * k for k, t in enumerate(first)]
+        ids = self.token_ids(utterances)
+        cache = {"ids": ids, "geometries": geometries, "first": first,
+                 "pos": _stacked([g.pos for g in geometries], shifts),
+                 "window": _stacked([g.window for g in geometries], shifts),
+                 "size": sum(g.size for g in geometries) - w * (len(geometries) - 1),
+                 "layers": [self.params["emb"].take(ids, axis=0)]}
         for layer in range(N_LAYERS):
-            cache["layers"].append(np.tanh(
-                _im2col(cache["layers"][-1], cache)
-                @ self.params[f"mix{layer}_W"].reshape(-1, d)
-                + self.params[f"mix{layer}_b"]))
+            W, b = self.params[f"mix{layer}_W"], self.params[f"mix{layer}_b"]
+            x = _im2col(cache["layers"][-1], cache) @ W.reshape(-1, d)
+            x += b  # the bias and tanh in place: the same sums as tanh(xW + b)
+            cache["layers"].append(np.tanh(x, out=x))
         return cache["layers"][-1], cache
 
     def _encode_backward(self, cache, dH, grads) -> None:
@@ -331,44 +389,29 @@ class SpanScorer:
 
     # -- scoring -----------------------------------------------------------
 
-    def lexicon_delta(self, utt: Utterance, lexicon: Lexicon | None) -> np.ndarray:
-        """1.0 at each (span row, category) the lexicon matches; a ValueError
-        when a match names a reserved label, since the bonus would raise a
-        NoSem or Join column."""
-        n = len(utt)
-        delta = np.zeros((n * (n + 1) // 2, len(self.categories)))
-        if lexicon is None:
-            return delta
-        for row, name in lexicon.matches(utt.tokens):
-            if name in (NOSEM, JOIN):
-                raise ValueError(
-                    f"lexicon phrase {utt.phrase(_geometry(n).spans[row])!r} "
-                    f"names the reserved label {name!r}")
-            col = self.cat_index.get(name)
-            if col is not None:
-                delta[row, col] = 1.0
-        return delta
-
     def score_spans(self, utterances: list, lexicon: Lexicon | None = None) -> list:
         """One ScoreTable per utterance, from one forward pass over them
         all.  Each table is a row slice of one raw matrix and carries the
         batch's forward cache, which ``loss_and_grads`` reads.  GEMM
         rounding depends on the batch, so a table's scores may differ from
-        those of the same utterance scored alone in the last bits."""
+        those of the same utterance scored alone in the last bits.  The
+        lexicon adds ``lam`` at each cell of ``Lexicon.bonus_cells``."""
         H, cache = self.encode(utterances)
         W1, d = self.params["W1"], H_DIM
-        geometries = [_geometry(len(u)) for u in utterances]
-        first = list(accumulate((len(u) for u in utterances), initial=0))  # tokens
+        geometries, first = cache["geometries"], cache["first"]
         offsets = list(accumulate((len(g.spans) for g in geometries), initial=0))  # rows
-        ii = np.concatenate([g.ii + t for g, t in zip(geometries, first)])
-        jj = np.concatenate([g.jj + t for g, t in zip(geometries, first)])
-        R = (H @ W1[:, :d].T)[ii]
-        R += (H @ W1[:, d:].T)[jj]
+        ii = _stacked([g.ii for g in geometries], first)
+        jj = _stacked([g.jj for g in geometries], first)
+        R = (H @ W1[:, :d].T).take(ii, axis=0)
+        R += (H @ W1[:, d:].T).take(jj, axis=0)
         np.maximum(R, 0.0, out=R)  # in place: R > 0 is the ReLU's mask
-        delta = np.concatenate([self.lexicon_delta(u, lexicon) for u in utterances])
-        raw = R @ self.params["W2"].T + self.lam * delta
-        cache.update(geometries=geometries, first=first, offsets=offsets,
-                     R=R, raw=raw, cat_index=self.cat_index)
+        raw = R @ self.params["W2"].T
+        if lexicon is not None:
+            width = len(self.cat_index)
+            raw.reshape(-1)[_stacked(
+                [lexicon.bonus_cells(u.tokens, self.cat_index) for u in utterances],
+                [lo * width for lo in offsets])] += self.lam
+        cache.update(offsets=offsets, R=R, raw=raw, cat_index=self.cat_index)
         return [ScoreTable(len(u), self.categories, raw[lo:hi], self.params,
                            cache, k)
                 for k, (u, lo, hi) in enumerate(zip(utterances, offsets,

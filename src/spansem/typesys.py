@@ -82,6 +82,22 @@ class Program:
         if len(self.args) != self.head.arity:
             raise ValueError(f"{self.head.name} takes {self.head.arity} args")
 
+    def __hash__(self) -> int:
+        # The dataclass's value, hash((head, args)), computed once per
+        # object: a lookup of a deep program no longer rehashes every
+        # subterm, and no set or dict order moves.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.head, self.args))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        # Rebuilt from its fields, so that no cached hash, which depends on
+        # the process's string hashing, crosses into another process.
+        return Program, (self.head, self.args)
+
     @property
     def result_type(self) -> str:
         return self.head.result_type

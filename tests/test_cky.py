@@ -218,6 +218,117 @@ def test_taking_a_prefix_of_candidates_matches_the_list(ternary):
             assert head == full[:k]
 
 
+def reference_viterbi(table, ternary):
+    """The K-best chart's Viterbi pass as it was written before its fill
+    plan, over ``best[i][j]`` and with the constants sorted per call:
+    ``(root list, cells)``."""
+    n, row_of = table.n, table.row_of
+    constants = sorted(c for c in table.categories if c not in (NOSEM, JOIN))
+    cols = [table.cat_index[c] for c in constants]
+    bases = table.shifted[:, table.cat_index[JOIN]].tolist()
+    leaves = [None] * len(table.spans)
+    if cols:
+        consts = table.shifted[:, cols]
+        for k, (score, c) in enumerate(zip(consts.max(axis=1).tolist(),
+                                           consts.argmax(axis=1).tolist())):
+            if score > NEG_INF / 2:
+                leaves[k] = (score, constants[c])
+    best = [[None] * (n + 2) for _ in range(n + 2)]
+    cells = {}
+    for length in range(1, n + 1):
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            k = row_of[i][j]
+            base = bases[k]
+            top = key = None
+            if leaves[k] is not None:
+                key = leaves[k][0]
+                top = (key, i, j, leaves[k][1], ())
+            for s in range(i, j):
+                a, b = best[i][s], best[s + 1][j]
+                if a is not None and b is not None:
+                    score = base + (a[0] + b[0])
+                    if top is None or score > key:
+                        key = score
+                        top = (base + a[0] + b[0], i, j, JOIN, (a, b))
+            for s in range(i, j):
+                a = best[i][s]
+                if a is not None and (top is None or base + a[0] > key):
+                    key = base + a[0]
+                    top = (base + a[0] + 0.0, i, j, JOIN,
+                           (a, (0.0, s + 1, j, NOSEM, ())))
+            if ternary:
+                for s1 in range(i, j - 1):
+                    a = best[i][s1]
+                    if a is None:
+                        continue
+                    for s2 in range(s1 + 1, j):
+                        b, c = best[s1 + 1][s2], best[s2 + 1][j]
+                        if b is not None and c is not None:
+                            score = base + (a[0] + b[0] + c[0])
+                            if top is None or score > key:
+                                key = score
+                                top = (base + a[0] + b[0] + c[0], i, j,
+                                       JOIN, (a, b, c))
+            best[i][j] = top
+            cells[(i, j)] = [] if top is None else [top]
+    ends = [best[s][n] for s in range(1, n + 1)]
+    top = cky._root(bases[row_of[1][n]],
+                    [None if d is None else d[0] for d in ends])
+    if top is None:
+        return [], cells
+    score, s = top
+    if s == 0:
+        return [ends[0]], cells
+    return [(score, 1, n, JOIN, ((0.0, 1, s, NOSEM, ()), ends[s]))], cells
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_the_planned_viterbi_matches_the_reference(ternary):
+    """After the Viterbi pass, the root's list and every cell's list have
+    the ``repr`` of the reference's, up to 12 tokens with the binary
+    grammar and 8 with the ternary one: random tables, tie-heavy ones,
+    tables of tenths (whose sums round differently in another order, so
+    that near ties turn on the order of summation), ones where most
+    constant leaves are masked to NEG_INF (so that whole cells have no
+    leaf and some none at all), ones with NaN, +inf or -inf in the Join
+    column or a constant's column, and ones with no constant category."""
+    rng = random.Random(53)
+    bad = (float("nan"), float("inf"), -float("inf"))
+
+    def table(kind, n):
+        if kind == "ties":
+            return tie_heavy_table(rng, n)
+        cats = toy_categories(0 if kind == "no constants" else 3)
+
+        def score(c):
+            if kind == "tenths":
+                return rng.randint(-9, 9) / 10
+            if kind == "masked" and c not in (NOSEM, JOIN) and rng.random() < 0.7:
+                return NEG_INF
+            if kind == "non-finite" and c != NOSEM and rng.random() < 0.1:
+                return rng.choice(bad)
+            return rng.gauss(0, 2)
+
+        return ScoreTable(n, cats, np.array([[score(c) for c in cats]
+                                             for _ in all_spans(n)]))
+
+    absent = collections.Counter()
+    for n in range(1, (8 if ternary else 12) + 1):
+        for kind in ("random", "ties", "tenths", "masked", "non-finite", "no constants"):
+            for _ in range(3):
+                t = table(kind, n)
+                chart = cky._Chart(t, Grammar(ternary=ternary), 5)
+                root, cells = reference_viterbi(t, ternary)
+                assert repr(chart.root) == repr(root), (kind, n)
+                assert chart.cells.keys() == cells.keys()
+                for key in cells:
+                    assert repr(chart.cells[key]) == repr(cells[key]), (kind, n, key)
+                absent[kind] += sum(not entries for entries in cells.values())
+    # the masked tables have cells without a derivation, the random ones none
+    assert absent["masked"] and not absent["random"], absent
+
+
 def test_dump_chart_bytes_are_pinned(tmp_path):
     """The dumped K = 5 chart of seeded tie-heavy tables, n <= 6, on both
     grammars: a change to tie order, to summation order or to the file's

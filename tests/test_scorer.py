@@ -101,7 +101,7 @@ def test_encoder_is_context_sensitive(tiny_scorer):
 
 def test_unknown_tokens_map_to_unk(tiny_scorer):
     scorer = tiny_scorer()
-    ids = scorer.token_ids(Utterance.from_text("walk sideways"))
+    ids = scorer.token_ids([Utterance.from_text("walk sideways")])
     assert ids[1] == 0 and ids[0] != 0
 
 
@@ -262,20 +262,49 @@ def test_loss_and_grads_rejects_a_table_of_other_parameters(tiny_scorer):
         scorer.loss_and_grads([ScoreTable(2, CATS, table.raw)], [labels])
 
 
-def test_lexicon_matches_are_memoized_and_add_clears_them(tiny_scorer):
-    scorer = tiny_scorer()
-    lex = Lexicon.from_pairs([("walk", "walk"), ("Right twice", "r")])
-    utt = Utterance.from_text("walk right twice walk")
-    hits = lex.matches(utt.tokens)
-    assert lex.matches(utt.tokens) is hits
-    lex.add("walk", "r")
-    assert lex.matches(utt.tokens) is not hits
-    delta = scorer.lexicon_delta(utt, lex)
-    want = np.zeros_like(delta)
+def lexicon_bonus(lex, utt, categories=CATS):
+    """1.0 at each (span row, category) where ``lex`` maps the span's
+    phrase to the category, by ``Lexicon.entries`` alone."""
+    want = np.zeros((len(all_spans(len(utt))), len(categories)))
     for row, span in enumerate(all_spans(len(utt))):
         for name in lex.entries.get(utt.phrase(span).lower(), ()):
-            want[row, CATS.index(name)] = 1.0
-    assert np.array_equal(delta, want) and want.sum() == 5
+            want[row, categories.index(name)] = 1.0
+    return want
+
+
+def test_lexicon_matches_are_memoized_and_add_clears_them(tiny_scorer):
+    """Matches and the bonus cells are memoized per token tuple; after
+    ``add`` the scores carry the new entry's bonus, one scorer gets each of
+    two lexicons' own bonus, whichever it scored with last, and two
+    scorers whose categories are in other orders each get their own
+    columns from one lexicon."""
+    scorer = tiny_scorer(lam=3.0)
+    lex = Lexicon.from_pairs([("walk", "walk"), ("Right twice", "r")])
+    utt = Utterance.from_text("walk right twice walk")
+    plain, = scorer.score_spans([utt])
+    hits = lex.matches(utt.tokens)
+    assert lex.matches(utt.tokens) is hits
+    cells = lex.bonus_cells(utt.tokens, scorer.cat_index)
+    assert lex.bonus_cells(utt.tokens, scorer.cat_index) is cells
+    assert np.array_equal(scorer.score_spans([utt], lex)[0].raw,
+                          plain.raw + 3.0 * lexicon_bonus(lex, utt))
+    lex.add("walk", "r")
+    assert lex.matches(utt.tokens) is not hits
+    assert lex.bonus_cells(utt.tokens, scorer.cat_index) is not cells
+    want = lexicon_bonus(lex, utt)
+    assert want.sum() == 5
+    assert np.array_equal(scorer.score_spans([utt], lex)[0].raw, plain.raw + 3.0 * want)
+    other = Lexicon.from_pairs([("twice walk", "walk"), ("right", "r")])
+    for _ in range(2):
+        for lexicon in (lex, other):
+            table, = scorer.score_spans([utt], lexicon)
+            assert np.array_equal(table.raw, plain.raw + 3.0 * lexicon_bonus(lexicon, utt))
+    flipped = SpanScorer(["walk", "right", "twice"], CATS[::-1], lam=3.0)
+    flipped_plain, = flipped.score_spans([utt])
+    for _ in range(2):
+        for s, base, cats in ((scorer, plain, CATS), (flipped, flipped_plain, CATS[::-1])):
+            table, = s.score_spans([utt], lex)
+            assert np.array_equal(table.raw, base.raw + 3.0 * lexicon_bonus(lex, utt, cats))
 
 
 def test_checkpoint_round_trip(tmp_path, tiny_scorer):
@@ -332,11 +361,15 @@ def test_heap_tuning_is_a_no_op_without_mallopt(monkeypatch, libc):
 
 @pytest.mark.parametrize("label", [JOIN, NOSEM])
 def test_a_lexicon_match_naming_a_reserved_label_is_refused(label, tiny_scorer):
+    """Every time, alone and in a batch, with the phrase as the utterance
+    spells it."""
     scorer = tiny_scorer()
     lex = Lexicon.from_pairs([("walk", "walk"), ("Right twice", label)])
-    with pytest.raises(ValueError, match=f"'right twice' names the reserved "
-                                         f"label '{label}'"):
-        scorer.score_spans([Utterance.from_text("walk right twice")], lex)
+    utt = Utterance.from_text("walk Right twice")
+    for batch in ([utt], [utt], [Utterance.from_text("walk"), utt]):
+        with pytest.raises(ValueError, match=f"^lexicon phrase 'Right twice' names "
+                                             f"the reserved label '{label}'$"):
+            scorer.score_spans(batch, lex)
 
 
 # --- batches ----------------------------------------------------------------
@@ -403,6 +436,80 @@ def test_a_batch_scores_and_backpropagates_as_its_members_alone(domains, name):
     none_loss, none_grads = scorer.loss_and_grads(tables, [None] * len(tables))
     assert none_loss == 0.0
     assert not any(g.any() for g in none_grads.values())
+
+
+def reference_forward(scorer, utterances, lexicon):
+    """The forward pass as it was written before the per-length layouts:
+    each call builds the padded layout and the span indices, a dense
+    (rows x categories) 0/1 lexicon matrix, and ``lam`` times it is added.
+    The raw and shifted scores of each utterance."""
+    w, d = scorer_module.WINDOW, scorer_module.H_DIM
+    lengths = [len(u) for u in utterances]
+    ids = np.concatenate([np.array([scorer.vocab.get(t, 0) for t in u.tokens], dtype=int)
+                          for u in utterances])
+    pos = np.arange(len(ids)) + w * np.repeat(np.arange(1, len(lengths) + 1), lengths)
+    window = pos[:, None] + np.arange(-w, w + 1)
+    size = len(ids) + w * (len(lengths) + 1)
+
+    def im2col(x):
+        padded = np.zeros((size, x.shape[1]))
+        padded[pos] = x
+        return padded[window].reshape(len(window), window.shape[1] * x.shape[1])
+
+    x = scorer.params["emb"][ids]
+    for layer in range(scorer_module.N_LAYERS):
+        x = np.tanh(im2col(x) @ scorer.params[f"mix{layer}_W"].reshape(-1, d)
+                    + scorer.params[f"mix{layer}_b"])
+    first = np.cumsum([0] + lengths)
+    spans = [(s, t) for n, t in zip(lengths, first) for s in all_spans(n)]
+    ii = np.array([s.start - 1 + t for s, t in spans], dtype=np.intp)
+    jj = np.array([s.end - 1 + t for s, t in spans], dtype=np.intp)
+    W1 = scorer.params["W1"]
+    R = (x @ W1[:, :d].T)[ii]
+    R += (x @ W1[:, d:].T)[jj]
+    np.maximum(R, 0.0, out=R)
+    deltas = []
+    for u in utterances:
+        delta = np.zeros((len(all_spans(len(u))), len(scorer.categories)))
+        for row, span in enumerate(all_spans(len(u)) if lexicon is not None else ()):
+            for name in lexicon.entries.get(u.phrase(span).lower(), ()):
+                if name in scorer.cat_index:
+                    delta[row, scorer.cat_index[name]] = 1.0
+        deltas.append(delta)
+    raw = R @ scorer.params["W2"].T + scorer.lam * np.concatenate(deltas)
+    nosem = scorer.cat_index[NOSEM]
+    out, lo = [], 0
+    for delta in deltas:
+        rows = raw[lo:lo + len(delta)]
+        out.append((rows, rows - rows[:, nosem:nosem + 1]))
+        lo += len(delta)
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.0, 10.0])
+@pytest.mark.parametrize("name", ["scan", "geo"])
+def test_the_forward_pass_keeps_the_reference_bytes(domains, name, lam):
+    """The raw and shifted scores are byte for byte those of the reference
+    forward pass: lone utterances of every length 1..12 (prefixes of the
+    corpus's utterances joined end to end) and mixed-length batches, with
+    no lexicon, the scorer's own domain's lexicon and the other domain's
+    (whose names are mostly not among the categories)."""
+    scorer, _, utts, _ = domains[name]
+    scorer = SpanScorer([t for t in scorer.vocab if t != scorer_module.UNK],
+                        scorer.categories, lam=lam, seed=5)
+    rng = random.Random(lam)
+    tokens = [t for u in rng.sample(utts, 40) for t in u.tokens]
+    lone = [[Utterance("", tuple(tokens[k:k + n]))] for k, n in
+            ((rng.randrange(len(tokens) - n), n) for n in range(1, 13))]
+    batches = [mixed_batch(utts, seed) for seed in range(3)] + [
+        [u for batch in lone[:6] for u in batch]]
+    for lexicon in (None, domains["scan"][1], domains["geo"][1]):
+        for batch in lone + batches:
+            tables = scorer.score_spans(batch, lexicon)
+            for table, (raw, shifted) in zip(tables, reference_forward(
+                    scorer, batch, lexicon), strict=True):
+                assert table.raw.tobytes() == raw.tobytes(), (len(batch), table.n)
+                assert table.shifted.tobytes() == shifted.tobytes()
 
 
 def test_batch_gradients_match_finite_differences(tiny_scorer):
