@@ -57,20 +57,23 @@ compiled chart in the schema's composition table for every later call, and
 takes the Viterbi max in one list of scores, reading only the table's Join
 column and, for each leaf slot, the gold constant's column.
 
-The K-best chart keeps derivations, the tuple ``(score, i, j, category,
-children)`` whose children are derivations (a NoSem child is ``(0.0, i,
-j, NoSem, ())``).  The constrained chart keeps a score per item and a
+Both charts index a cell by its table row alone.  The K-best chart keeps
+derivations, the tuple ``(score, row, category, children)`` whose children
+are derivations (a NoSem child is ``(0.0, row, NoSem, ())``); only
+``_tree`` and ``_Chart.to_json`` turn a row into its span, the table's
+shared ``Span``.  The constrained chart keeps a score per item and a
 backpointer to the edge that won it.  Both choose the root by ``_root``'s
 rule over the scores of the entries that end at the last token.  Both
 Viterbi loops visit cells by increasing length, then start, and try a
 cell's rule sources in one order: the leaf constants, Join Join by split,
 Join NoSem by split, then the ternary rule by split pair; only a strictly
 greater score replaces, so an exact tie goes to the first source tried.
-The K-best chart's pass follows a fill plan built once per length and
-grammar (``_plan``): each cell in that order with its table row and, per
-split and split pair, the table rows of its children, so a call does no
-index arithmetic; it keeps each cell's best score and derivation by table
-row.  The constrained chart scores every leaf before the first edge, which
+The K-best chart reads a plan built once per length and grammar
+(``_plan``): the fill order, and for each cell, by row, the rows of its
+children per split and split pair.  The Viterbi pass follows it, keeping
+each cell's best score and derivation by row, and the deeper ranks take
+every cell's rule sources from it, so neither does index arithmetic.  The
+constrained chart scores every leaf before the first edge, which
 keeps that order, as a leaf depends on nothing; it tries its leaves in
 the order of the gold constants' first occurrence in the gold program's
 preorder, and within one split its edges by child state index (see
@@ -92,7 +95,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import JOIN, NOSEM, Span, SpanTree, all_spans
+from .core import JOIN, NOSEM, SpanTree
 from .scorer import ScoreTable, _geometry, tree_from_labels
 from .typesys import (
     CompositionFailure,
@@ -104,7 +107,6 @@ from .typesys import (
 from .typesys import compose_candidates, program_of_tree  # noqa: F401
 
 NEG_INF = -1e9  # -infinity sentinel immune to NaN propagation
-_ROOT = "root"  # the root's key in a _Chart; a Join cell's key is (i, j)
 
 
 class EmptyInput(ValueError):
@@ -151,10 +153,12 @@ class GoldParse:
 
 @dataclass(slots=True)
 class _Frontier:
-    """The merge state of one list: its rule sources, the queued
-    combinations, every ``(source, ranks)`` queued so far, and the last pop,
-    whose successors are queued just before the next pop."""
+    """The merge state of one list: the table row its derivations span, its
+    rule sources, the queued combinations, every ``(source, ranks)`` queued
+    so far, and the last pop, whose successors are queued just before the
+    next pop."""
 
+    row: int
     sources: list
     heap: list = field(default_factory=list)
     seen: set = field(default_factory=set)
@@ -163,100 +167,101 @@ class _Frontier:
 
 @dataclass(frozen=True, slots=True)
 class _Plan:
-    """The Viterbi pass's fill order over ``n`` tokens with one grammar, in
+    """The K-best chart's cells over ``n`` tokens with one grammar, in
     table rows, shared by every chart of that length and grammar.
 
-    ``cells`` lists each cell in the order it is filled (by increasing
-    length, then start) as ``(row, (i, j), lefts, rights, triples)``: the
-    rows of the left and the right child of each split ``s``, ``(i, s)``
-    and ``(s + 1, j)``, by increasing ``s``, and ``triples``, which repeats
-    ``a, m, c``, the rows of the children of each ternary split pair in
-    the order they are tried (empty without the ternary rule).
-    ``nosems[r]`` is the NoSem derivation over the span of row ``r``, and
-    ``ends[s - 1]`` the row of ``(s, n)``.  Every row is the int object of
-    the table's ``row_of``, so a slot costs a pointer."""
+    ``order`` lists the rows in the order the Viterbi pass fills them (by
+    increasing length, then start).  ``cells[r]`` is ``(lefts, rights,
+    triples)`` for the cell at row ``r``, ``(i, j)``: the rows of the left
+    and the right child of each split ``s``, ``(i, s)`` and ``(s + 1, j)``,
+    by increasing ``s``, and ``triples``, which repeats ``a, m, c``, the
+    rows of the children of each ternary split pair in the order they are
+    tried (empty without the ternary rule).  The whole span's ``lefts`` and
+    ``rights`` are the root's NoSem and Join children.  ``nosems[r]`` is
+    the NoSem derivation over the span of row ``r``."""
 
+    order: tuple
     cells: tuple
     nosems: tuple
-    ends: tuple
 
 
 @functools.lru_cache(maxsize=None)
 def _plan(n: int, ternary: bool) -> _Plan:
     geometry = _geometry(n)
-    row_of = geometry.row_of
-    cells = []
-    for length in range(1, n + 1):
-        for i in range(1, n - length + 2):
-            j = i + length - 1
-            triples = () if not ternary else tuple(
-                r for s1 in range(i, j - 1) for s2 in range(s1 + 1, j)
-                for r in (row_of[i][s1], row_of[s1 + 1][s2], row_of[s2 + 1][j]))
-            cells.append((row_of[i][j], (i, j),
-                          tuple(row_of[i][s] for s in range(i, j)),
-                          tuple(row_of[s + 1][j] for s in range(i, j)), triples))
-    nosems = tuple((0.0, span.start, span.end, NOSEM, ()) for span in geometry.spans)
-    return _Plan(tuple(cells), nosems, tuple(row_of[s][n] for s in range(1, n + 1)))
+    row_of, spans = geometry.row_of, geometry.spans
+
+    def cell(i: int, j: int) -> tuple:
+        triples = () if not ternary else tuple(
+            r for s1 in range(i, j - 1) for s2 in range(s1 + 1, j)
+            for r in (row_of[i][s1], row_of[s1 + 1][s2], row_of[s2 + 1][j]))
+        return (tuple(row_of[i][s] for s in range(i, j)),
+                tuple(row_of[s + 1][j] for s in range(i, j)), triples)
+
+    rows = range(len(spans))
+    return _Plan(tuple(sorted(rows, key=lambda r: (len(spans[r]), spans[r].start))),
+                 tuple(cell(span.start, span.end) for span in spans),
+                 tuple((0.0, r, NOSEM, ()) for r in rows))
 
 
 @functools.lru_cache(maxsize=None)
 def _constants(categories: tuple) -> tuple:
-    """The constant labels of ``categories`` in label order, their columns
-    by a table's ``cat_index``, and those columns as an index array."""
+    """The constant labels of ``categories`` in label order, and their
+    columns by a table's ``cat_index`` as an index array."""
     column = {c: k for k, c in enumerate(categories)}
     constants = sorted(c for c in categories if c not in (NOSEM, JOIN))
-    cols = tuple(column[c] for c in constants)
-    return constants, cols, np.array(cols, dtype=np.intp)
+    return constants, np.array([column[c] for c in constants], dtype=np.intp)
 
 
 class _Chart:
     """Best-first lists of up to K derivations for every Join cell and for
     the root, each extended only as far as it is read.
 
-    The constructor runs the Viterbi pass, which keeps each list's best
-    derivation; ``at`` ranks deeper ones on demand.
-    A list's merge order is the key ``(-(base + (c1 + c2)), order, ranks)``:
-    its sum, then the rule source's ``(kind, splits)``, then the children's
-    ranks.
+    ``lists[r]`` is the list of the cell at table row ``r``, and the root's
+    is ``lists[root]``, the slot after the last row.  The constructor runs
+    the Viterbi pass, which keeps each list's best derivation; ``at`` ranks
+    deeper ones on demand.  A list's rule sources take their children from
+    the plan, and their Join base and leaf scores from the arrays the
+    Viterbi pass read.  A list's merge key is ``(-(base + (c1 + c2)),
+    order, ranks)``: its sum, then the source's ``(kind, split index)``,
+    then the children's ranks.  The kinds are 0 for the leaf constants
+    (the root's: the whole span's Join), 1 for Join Join, 2 for Join NoSem
+    (the root's: NoSem Join) and 3 for the ternary rule, whose split index
+    counts its split pairs in the order they are tried.
     """
 
     def __init__(self, table: ScoreTable, grammar: Grammar, K: int):
         if table.n < 1:
             raise EmptyInput("empty utterance")
         self.table = table
-        self.grammar = grammar
         self.K = K
-        self.row_of = table.row_of
-        self.join_col = table.cat_index[JOIN]
-        self.constants, self.const_cols, self.const_index = _constants(
-            tuple(table.categories))
-        self.cells: dict = {}  # (i, j) -> ranked derivations, best first
-        self.frontiers: dict = {}  # key -> _Frontier, once rank 1 is asked for
-        self.root = self._viterbi()
+        self.plan = _plan(table.n, grammar.ternary)
+        self.bases = table.shifted[:, table.cat_index[JOIN]].tolist()
+        self.constants, const_index = _constants(tuple(table.categories))
+        self.consts = table.shifted[:, const_index]
+        self.root = len(table.spans)
+        self.lists = self._viterbi()  # by row, best first, then the root's
+        self.frontiers = [None] * len(self.lists)  # once rank 1 is asked for
 
     def _viterbi(self) -> list:
-        """Keeps the best derivation of every cell; returns the root's list.
+        """Keeps the best derivation of every cell; returns every list.
         ``score[r]`` is the score of ``best[r]``, the best derivation of the
         cell at table row ``r``, or None while it has none; until its cell
         is filled, they hold its best leaf's score and label."""
-        table, n = self.table, self.table.n
-        plan = _plan(n, self.grammar.ternary)
-        bases = table.shifted[:, self.join_col].tolist()
+        plan, bases = self.plan, self.bases
         score, best = [None] * len(bases), [None] * len(bases)
         if self.constants:
             # argmax keeps the first best column: ties go to the lower label.
-            consts = table.shifted[:, self.const_index]
-            for k, (leaf, c) in enumerate(zip(consts.max(axis=1).tolist(),
-                                              consts.argmax(axis=1).tolist())):
+            for k, (leaf, c) in enumerate(zip(self.consts.max(axis=1).tolist(),
+                                              self.consts.argmax(axis=1).tolist())):
                 if leaf > NEG_INF / 2:
                     score[k], best[k] = leaf, self.constants[c]
-        nosems, cells = plan.nosems, self.cells
-        for k, cell, lefts, rights, triples in plan.cells:
-            i, j = cell
+        nosems = plan.nosems
+        for k in plan.order:
+            lefts, rights, triples = plan.cells[k]
             base = bases[k]
             top = key = score[k]
             if top is not None:
-                top = (key, i, j, best[k], ())
+                top = (key, k, best[k], ())
             # Sources in merge order; only a greater key replaces.
             for a, b in zip(lefts, rights):
                 sa, sb = score[a], score[b]
@@ -264,12 +269,12 @@ class _Chart:
                     total = base + (sa + sb)
                     if top is None or total > key:
                         key = total
-                        top = (base + sa + sb, i, j, JOIN, (best[a], best[b]))
+                        top = (base + sa + sb, k, JOIN, (best[a], best[b]))
             for a, b in zip(lefts, rights):
                 sa = score[a]
                 if sa is not None and (top is None or base + sa > key):
                     key = base + sa
-                    top = (base + sa + 0.0, i, j, JOIN, (best[a], nosems[b]))
+                    top = (base + sa + 0.0, k, JOIN, (best[a], nosems[b]))
             if triples:
                 rows = iter(triples)
                 for a, m, c in zip(rows, rows, rows):
@@ -278,77 +283,67 @@ class _Chart:
                         total = base + (sa + sm + sc)
                         if top is None or total > key:
                             key = total
-                            top = (base + sa + sm + sc, i, j, JOIN,
+                            top = (base + sa + sm + sc, k, JOIN,
                                    (best[a], best[m], best[c]))
-            if top is None:
-                cells[cell] = []
-            else:
+            if top is not None:
                 score[k], best[k] = top[0], top
-                cells[cell] = [top]
-        ends = [best[r] for r in plan.ends]  # the Joins over (s, n)
-        top = _root(bases[plan.ends[0]], [score[r] for r in plan.ends])
-        if top is None:
-            return []
-        total, s = top
-        if s == 0:
-            return [ends[0]]
-        return [(total, 1, n, JOIN, (plan.nosems[self.row_of[1][s]], ends[s]))]
+        whole = plan.order[-1]
+        lefts, rights, _ = plan.cells[whole]
+        top = _root(bases[whole], [score[whole]] + [score[r] for r in rights])
+        root = []
+        if top is not None:
+            total, s = top
+            root = [best[whole] if s == 0 else (
+                total, whole, JOIN, (nosems[lefts[s - 1]], best[rights[s - 1]]))]
+        return [[] if d is None else [d] for d in best] + [root]
 
-    def at(self, key, r: int):
+    def at(self, key: int, r: int):
         """Rank ``r`` (0 is the best) of a list, or None past its end or K."""
         if r >= self.K:
             return None
-        entries = self.root if key is _ROOT else self.cells[key]
+        entries = self.lists[key]
         while len(entries) <= r:
             if not self._extend(key, entries):
                 return None
         return entries[r]
 
-    def ranked(self, key):
+    def ranked(self, key: int):
         """A list's derivations, best first, each ranked when it is read."""
         r = 0
         while (entry := self.at(key, r)) is not None:
             yield entry
             r += 1
 
-    def _sources(self, key) -> list:
-        """A list's rule sources, ``(order, base, children)``.  A child is
+    def _sources(self, key: int) -> _Frontier:
+        """A list's frontier with its rule sources, ``(order, base,
+        children)``, where ``order`` is ``(kind, split index)``.  A child is
         ``(derivations, key)``: a cell's list with its key, extended on
         demand, or a complete list (leaf constants, one NoSem) with None."""
-        if key is _ROOT:
-            i, j = 1, self.table.n
-        else:
-            i, j = key
-        row = self.table.shifted[self.row_of[i][j]].tolist()
-        base = row[self.join_col]
-
-        def cell(a, b):
-            return self.cells[(a, b)], (a, b)
-
-        def nosem(a, b):
-            return [(0.0, a, b, NOSEM, ())], None
-
-        if key is _ROOT:
-            return [((0, ()), 0.0, [cell(1, j)])] + [
-                ((2, (s,)), base, [nosem(1, s), cell(s + 1, j)])
-                for s in range(1, j)]
+        plan, lists = self.plan, self.lists
+        if key == self.root:
+            whole = plan.order[-1]
+            lefts, rights, _ = plan.cells[whole]
+            base = self.bases[whole]
+            return _Frontier(whole, [((0, 0), 0.0, [(lists[whole], whole)])] + [
+                ((2, x), base, [([plan.nosems[a]], None), (lists[b], b)])
+                for x, (a, b) in enumerate(zip(lefts, rights))])
+        lefts, rights, triples = plan.cells[key]
+        base = self.bases[key]
         # A stable sort of the label-ordered constants (``reverse`` keeps
         # ties in order): ties go to the lower label, as in the Viterbi pass.
-        scores = [row[c] for c in self.const_cols]
+        scores = self.consts[key].tolist()
         top = sorted(range(len(scores)), key=scores.__getitem__,
                      reverse=True)[: self.K]
-        sources = [((0, ()), 0.0, [([(scores[k], i, j, self.constants[k], ())
-                                     for k in top if scores[k] > NEG_INF / 2],
-                                    None)])]
-        for s in range(i, j):
-            sources.append(((1, (s,)), base, [cell(i, s), cell(s + 1, j)]))
-            sources.append(((2, (s,)), base, [cell(i, s), nosem(s + 1, j)]))
-        if self.grammar.ternary:
-            sources.extend(
-                ((3, (s1, s2)), base,
-                 [cell(i, s1), cell(s1 + 1, s2), cell(s2 + 1, j)])
-                for s1 in range(i, j - 1) for s2 in range(s1 + 1, j))
-        return sources
+        sources = [((0, 0), 0.0, [([(scores[k], key, self.constants[k], ())
+                                    for k in top if scores[k] > NEG_INF / 2],
+                                   None)])]
+        for x, (a, b) in enumerate(zip(lefts, rights)):
+            sources.append(((1, x), base, [(lists[a], a), (lists[b], b)]))
+            sources.append(((2, x), base, [(lists[a], a), ([plan.nosems[b]], None)]))
+        rows = iter(triples)
+        sources += [((3, x), base, [(lists[a], a), (lists[m], m), (lists[c], c)])
+                    for x, (a, m, c) in enumerate(zip(rows, rows, rows))]
+        return _Frontier(key, sources)
 
     def _push(self, frontier: _Frontier, si: int, ranks: tuple) -> None:
         """Queues source ``si`` with its children at ``ranks``, once, when
@@ -369,13 +364,13 @@ class _Chart:
         heapq.heappush(frontier.heap, (-(base + total), order, ranks, si,
                                        tuple(children)))
 
-    def _extend(self, key, entries: list) -> bool:
+    def _extend(self, key: int, entries: list) -> bool:
         """Appends a list's next derivation; False when it has no more."""
-        frontier = self.frontiers.get(key)
+        frontier = self.frontiers[key]
         if frontier is None:
             # Every source's best combination; the first pop is the rank 0
             # that the Viterbi pass kept.
-            frontier = self.frontiers[key] = _Frontier(self._sources(key))
+            frontier = self.frontiers[key] = self._sources(key)
             for si, (_, _, refs) in enumerate(frontier.sources):
                 self._push(frontier, si, (0,) * len(refs))
             if frontier.heap:
@@ -396,23 +391,26 @@ class _Chart:
         score = frontier.sources[si][1]
         for child in children:  # base + c1 + c2 (+ c3), left to right
             score += child[0]
-        i, j = (1, self.table.n) if key is _ROOT else key
-        entries.append((score, i, j, JOIN, children))
+        entries.append((score, frontier.row, JOIN, children))
         return True
 
     def to_json(self) -> dict:
         """Every list ranked out to K."""
+        spans = self.table.spans
+
         def entry(deriv: tuple) -> dict:
-            score, i, j, category, children = deriv
-            out = {"score": score, "category": category, "span": [i, j]}
+            score, row, category, children = deriv
+            out = {"score": score, "category": category,
+                   "span": [spans[row].start, spans[row].end]}
             if children:
-                out["children"] = [[c[1], c[2], c[3]] for c in children]
+                out["children"] = [[spans[c[1]].start, spans[c[1]].end, c[2]]
+                                   for c in children]
             return out
 
-        cells = {f"{i},{j}": [entry(d) for d in self.ranked((i, j))]
-                 for i, j in sorted(self.cells)}
+        cells = {f"{span.start},{span.end}": [entry(d) for d in self.ranked(r)]
+                 for r, span in enumerate(spans)}
         return {"n": self.table.n, "K": self.K, "cells": cells,
-                "root": [entry(d) for d in self.ranked(_ROOT)]}
+                "root": [entry(d) for d in self.ranked(self.root)]}
 
 
 def _root(base: float, ends: list):
@@ -444,8 +442,8 @@ def _count(stats: dict | None, n: int, grammar: Grammar) -> None:
 
 def _tree(deriv: tuple, table: ScoreTable) -> SpanTree:
     """The derivation's tree, whose spans are the table's shared ones."""
-    _, i, j, category, children = deriv
-    return SpanTree(table.spans[table.row_of[i][j]], category,
+    _, row, category, children = deriv
+    return SpanTree(table.spans[row], category,
                     tuple([_tree(c, table) for c in children]) if children else ())
 
 
@@ -476,14 +474,10 @@ def parse_kbest(table: ScoreTable, grammar: Grammar, K: int,
     ``tree`` is read."""
     chart = _Chart(table, grammar, K)
     _count(stats, table.n, grammar)
-    return (Candidate(d, table) for d in chart.ranked(_ROOT))
+    return (Candidate(d, table) for d in chart.ranked(chart.root))
 
 
-_derivation_parts = itemgetter(3, 4)  # (category, children)
-
-
-def _derivation_span(deriv: tuple) -> Span:
-    return Span(deriv[1], deriv[2])
+_derivation_parts = itemgetter(2, 3)  # (category, children)
 
 
 def best_valid_tree(candidates, schema: DomainSchema):
@@ -493,9 +487,10 @@ def best_valid_tree(candidates, schema: DomainSchema):
     first valid one, and builds the tree of that one alone."""
     table = schema.table
     for cand in candidates:
+        spans = cand._table.spans
         try:
             pid = program_id(cand.derivation, table, _derivation_parts,
-                             _derivation_span)
+                             lambda deriv: spans[deriv[1]])
         except CompositionFailure:
             continue
         return ParseResult(cand.tree, cand.score, table.programs[pid])
@@ -656,16 +651,17 @@ def _compile(n: int, grammar: Grammar, template: Program,
         lengths.append((slots, joins, nosems, triples))
         gold_at.append(index.get(gold_id, -1))
 
-    rows = {(span.start, span.end): r for r, span in enumerate(all_spans(n))}
+    geometry = _geometry(n)
+    row_of = geometry.row_of
     offsets = [0]
-    for i, j in rows:  # in table row order
-        offsets.append(offsets[-1] + len(members[j - i]))
+    for span in geometry.spans:  # in table row order
+        offsets.append(offsets[-1] + len(members[len(span) - 1]))
     shared = list(range(offsets[-1] + 1))  # one int object per index
     nosem = shared[-1]
 
     def item(i: int, j: int, t: int) -> int:
         """State ``t`` of the cell ``(i, j)``."""
-        return shared[offsets[rows[i, j]] + t]
+        return shared[offsets[row_of[i][j]] + t]
 
     leaves = [[] for _ in by_head]
     cells, binaries, ternaries = [], [], []
@@ -674,9 +670,9 @@ def _compile(n: int, grammar: Grammar, template: Program,
         for i in range(1, n - length + 2):
             j = i + length - 1
             for t, k in slots:
-                leaves[k] += rows[i, j], item(i, j, t)
+                leaves[k] += row_of[i][j], item(i, j, t)
             if any(edges):
-                cells += rows[i, j], *edges
+                cells += row_of[i][j], *edges
             for d, p, q, t in joins:
                 binaries += item(i, i + d - 1, p), item(i + d, j, q), item(i, j, t)
             for d, p, t in nosems:

@@ -3,7 +3,9 @@ variant used during training."""
 
 import collections
 import hashlib
+import heapq
 import itertools
+import json
 import random
 from functools import lru_cache
 
@@ -283,50 +285,214 @@ def reference_viterbi(table, ternary):
     return [(score, 1, n, JOIN, ((0.0, 1, s, NOSEM, ()), ends[s]))], cells
 
 
-@pytest.mark.parametrize("ternary", [False, True])
-def test_the_planned_viterbi_matches_the_reference(ternary):
-    """After the Viterbi pass, the root's list and every cell's list have
-    the ``repr`` of the reference's, up to 12 tokens with the binary
-    grammar and 8 with the ternary one: random tables, tie-heavy ones,
-    tables of tenths (whose sums round differently in another order, so
-    that near ties turn on the order of summation), ones where most
-    constant leaves are masked to NEG_INF (so that whole cells have no
-    leaf and some none at all), ones with NaN, +inf or -inf in the Join
-    column or a constant's column, and ones with no constant category."""
-    rng = random.Random(53)
+def mixed_table(rng, kind, n):
+    """A table of one kind: random, tie-heavy ("ties"), of tenths (whose
+    sums round differently in another order, so that near ties turn on the
+    order of summation), "masked" (most constant leaves at NEG_INF, so that
+    whole cells have no leaf and some none at all), "non-finite" (NaN, +inf
+    or -inf in the Join column or a constant's column) or with "no
+    constants"."""
+    if kind == "ties":
+        return tie_heavy_table(rng, n)
+    cats = toy_categories(0 if kind == "no constants" else 3)
     bad = (float("nan"), float("inf"), -float("inf"))
 
-    def table(kind, n):
-        if kind == "ties":
-            return tie_heavy_table(rng, n)
-        cats = toy_categories(0 if kind == "no constants" else 3)
+    def score(c):
+        if kind == "tenths":
+            return rng.randint(-9, 9) / 10
+        if kind == "masked" and c not in (NOSEM, JOIN) and rng.random() < 0.7:
+            return NEG_INF
+        if kind == "non-finite" and c != NOSEM and rng.random() < 0.1:
+            return rng.choice(bad)
+        return rng.gauss(0, 2)
 
-        def score(c):
-            if kind == "tenths":
-                return rng.randint(-9, 9) / 10
-            if kind == "masked" and c not in (NOSEM, JOIN) and rng.random() < 0.7:
-                return NEG_INF
-            if kind == "non-finite" and c != NOSEM and rng.random() < 0.1:
-                return rng.choice(bad)
-            return rng.gauss(0, 2)
+    return ScoreTable(n, cats, np.array([[score(c) for c in cats]
+                                         for _ in all_spans(n)]))
 
-        return ScoreTable(n, cats, np.array([[score(c) for c in cats]
-                                             for _ in all_spans(n)]))
 
+TABLE_KINDS = ("random", "ties", "tenths", "masked", "non-finite", "no constants")
+
+
+def span_derivation(deriv, spans):
+    """A chart derivation, ``(score, row, category, children)``, written as
+    the reference writes it: ``(score, i, j, category, children)``."""
+    score, row, category, children = deriv
+    return (score, spans[row].start, spans[row].end, category,
+            tuple(span_derivation(c, spans) for c in children))
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_the_planned_viterbi_matches_the_reference(ternary):
+    """After the Viterbi pass, the root's list and every cell's list, with
+    their rows turned back into spans, have the ``repr`` of the
+    reference's, up to 12 tokens with the binary grammar and 8 with the
+    ternary one, on every kind of ``mixed_table``."""
+    rng = random.Random(53)
     absent = collections.Counter()
     for n in range(1, (8 if ternary else 12) + 1):
-        for kind in ("random", "ties", "tenths", "masked", "non-finite", "no constants"):
+        for kind in TABLE_KINDS:
             for _ in range(3):
-                t = table(kind, n)
+                t = mixed_table(rng, kind, n)
                 chart = cky._Chart(t, Grammar(ternary=ternary), 5)
                 root, cells = reference_viterbi(t, ternary)
-                assert repr(chart.root) == repr(root), (kind, n)
-                assert chart.cells.keys() == cells.keys()
-                for key in cells:
-                    assert repr(chart.cells[key]) == repr(cells[key]), (kind, n, key)
+                lists = [[span_derivation(d, t.spans) for d in entries]
+                         for entries in chart.lists]
+                assert repr(lists[chart.root]) == repr(root), (kind, n)
+                assert len(lists) == len(cells) + 1 == chart.root + 1
+                for (i, j), entries in cells.items():
+                    assert repr(lists[t.row_of[i][j]]) == repr(entries), (kind, n, i, j)
                 absent[kind] += sum(not entries for entries in cells.values())
     # the masked tables have cells without a derivation, the random ones none
     assert absent["masked"] and not absent["random"], absent
+
+
+class ReferenceChart:
+    """The K-best chart as it was written before it indexed its cells by
+    table row: its Viterbi pass is ``reference_viterbi``, its lists are
+    keyed by ``(i, j)`` and "root", each list's rule sources enumerate its
+    splits and read its table row, and a derivation is ``(score, i, j,
+    category, children)``."""
+
+    def __init__(self, table, ternary, K):
+        self.table, self.ternary, self.K = table, ternary, K
+        self.root, self.cells = reference_viterbi(table, ternary)
+        self.frontiers = {}
+
+    def at(self, key, r):
+        if r >= self.K:
+            return None
+        entries = self.root if key == "root" else self.cells[key]
+        while len(entries) <= r:
+            if not self._extend(key, entries):
+                return None
+        return entries[r]
+
+    def ranked(self, key):
+        r = 0
+        while (entry := self.at(key, r)) is not None:
+            yield entry
+            r += 1
+
+    def _sources(self, key):
+        table = self.table
+        i, j = (1, table.n) if key == "root" else key
+        row = table.shifted[table.row_of[i][j]].tolist()
+        base = row[table.cat_index[JOIN]]
+
+        def cell(a, b):
+            return self.cells[(a, b)], (a, b)
+
+        def nosem(a, b):
+            return [(0.0, a, b, NOSEM, ())], None
+
+        if key == "root":
+            return [((0, ()), 0.0, [cell(1, j)])] + [
+                ((2, (s,)), base, [nosem(1, s), cell(s + 1, j)])
+                for s in range(1, j)]
+        constants = sorted(c for c in table.categories if c not in (NOSEM, JOIN))
+        scores = [row[table.cat_index[c]] for c in constants]
+        top = sorted(range(len(scores)), key=scores.__getitem__,
+                     reverse=True)[: self.K]
+        sources = [((0, ()), 0.0, [([(scores[k], i, j, constants[k], ())
+                                     for k in top if scores[k] > NEG_INF / 2],
+                                    None)])]
+        for s in range(i, j):
+            sources.append(((1, (s,)), base, [cell(i, s), cell(s + 1, j)]))
+            sources.append(((2, (s,)), base, [cell(i, s), nosem(s + 1, j)]))
+        if self.ternary:
+            sources.extend(
+                ((3, (s1, s2)), base,
+                 [cell(i, s1), cell(s1 + 1, s2), cell(s2 + 1, j)])
+                for s1 in range(i, j - 1) for s2 in range(s1 + 1, j))
+        return sources
+
+    def _push(self, frontier, si, ranks):
+        if (si, ranks) in frontier["seen"]:
+            return
+        order, base, refs = frontier["sources"][si]
+        children = []
+        total = 0
+        for (entries, key), r in zip(refs, ranks):
+            if r < len(entries):
+                child = entries[r]
+            elif key is None or (child := self.at(key, r)) is None:
+                return
+            total += child[0]
+            children.append(child)
+        frontier["seen"].add((si, ranks))
+        heapq.heappush(frontier["heap"], (-(base + total), order, ranks, si,
+                                          tuple(children)))
+
+    def _extend(self, key, entries):
+        frontier = self.frontiers.get(key)
+        if frontier is None:
+            frontier = self.frontiers[key] = {
+                "sources": self._sources(key), "heap": [], "seen": set(), "last": None}
+            for si, (_, _, refs) in enumerate(frontier["sources"]):
+                self._push(frontier, si, (0,) * len(refs))
+            if frontier["heap"]:
+                frontier["last"] = heapq.heappop(frontier["heap"])
+        if frontier["last"] is not None:
+            _, _, ranks, si, _ = frontier["last"]
+            frontier["last"] = None
+            for pos in range(len(ranks)):
+                self._push(frontier, si,
+                           ranks[:pos] + (ranks[pos] + 1,) + ranks[pos + 1:])
+        if not frontier["heap"]:
+            return False
+        frontier["last"] = heapq.heappop(frontier["heap"])
+        _, _, _, si, children = frontier["last"]
+        if len(children) == 1:
+            entries.append(children[0])
+            return True
+        score = frontier["sources"][si][1]
+        for child in children:
+            score += child[0]
+        i, j = (1, self.table.n) if key == "root" else key
+        entries.append((score, i, j, JOIN, children))
+        return True
+
+    def to_json(self):
+        def entry(deriv):
+            score, i, j, category, children = deriv
+            out = {"score": score, "category": category, "span": [i, j]}
+            if children:
+                out["children"] = [[c[1], c[2], c[3]] for c in children]
+            return out
+
+        cells = {f"{i},{j}": [entry(d) for d in self.ranked((i, j))]
+                 for i, j in sorted(self.cells)}
+        return {"n": self.table.n, "K": self.K, "cells": cells,
+                "root": [entry(d) for d in self.ranked("root")]}
+
+
+def reference_chart(table, ternary, K):
+    """The reference's chart, every list ranked out to K, as ``dump_chart``
+    writes it."""
+    return json.dumps(ReferenceChart(table, ternary, K).to_json(), indent=2,
+                      sort_keys=True)
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_the_deeper_ranks_match_the_reference_chart(ternary):
+    """Every list ranked out to K, the root's included, is what the
+    reference ranks, byte for byte as ``dump_chart`` writes it, up to 10
+    tokens with the binary grammar and 7 with the ternary one, on every
+    kind of ``mixed_table`` and for K in {1, 5, 12}.  The tenths, masked
+    and non-finite tables put near ties, missing children and NaN sums into
+    the merge queues, where only the merge key's order and the queue's
+    push order decide."""
+    rng = random.Random(59)
+    deep = 0
+    for n in range(1, (7 if ternary else 10) + 1):
+        for kind in TABLE_KINDS:
+            for K in (1, 5, 12):
+                t = mixed_table(rng, kind, n)
+                got = cky._Chart(t, Grammar(ternary=ternary), K).to_json()
+                assert json.dumps(got, indent=2, sort_keys=True) == \
+                    reference_chart(t, ternary, K), (kind, n, K)
+                deep += sum(len(entries) > 1 for entries in got["cells"].values())
+    assert deep, "no list was ranked past its Viterbi entry"
 
 
 def test_dump_chart_bytes_are_pinned(tmp_path):
@@ -365,7 +531,7 @@ def test_nosem_neutrality():
 # -- semantic-validity filter ------------------------------------------------
 
 
-def test_best_valid_tree_skips_invalid():
+def test_best_valid_tree_skips_invalid(monkeypatch):
     schema = scan_schema()
     cats = schema.categories()
     ci = {c: k for k, c in enumerate(cats)}
@@ -383,9 +549,24 @@ def test_best_valid_tree_skips_invalid():
     top_program = lambda r: program_of_tree(r.tree, schema)
     with pytest.raises(Exception):
         top_program(candidates[0])
+    # the skipped candidate fails with the span of its node that composes
+    # to nothing, the whole utterance
+    failures = []
+    inner = cky.program_id
+
+    def recorded(*args):
+        try:
+            return inner(*args)
+        except CompositionFailure as failure:
+            failures.append(failure)
+            raise
+
+    monkeypatch.setattr(cky, "program_id", recorded)
     result = best_valid_tree(candidates, schema)
     assert result is not None
     assert str(result.program) == "walk(r)"
+    assert failures and all(f.span is table.spans[table.row_of[1][2]]
+                            for f in failures)
 
 
 def test_best_valid_tree_none_when_all_invalid():
