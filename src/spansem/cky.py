@@ -15,11 +15,12 @@ and each pop pushes the successors that take one child one rank deeper,
 extending the child cells only as far as that needs.  A caller that keeps
 the first candidate, as ``best_valid_tree`` does when it is valid, pays
 for the Viterbi pass alone.  The chart is approximate: a derivation
-outside some cell's top K is lost.  A candidate carries its derivation,
-and its tree is built when first read.  ``best_valid_tree`` judges each
-candidate by composing program ids over its derivation, with the leaf and
-node rule of ``program_of_tree`` (``typesys.program_id``), so only the
-candidate it returns becomes a tree.
+outside some cell's top K is lost.  A candidate carries its derivation;
+its label row and tree are built when read.  ``best_valid_tree`` judges
+each candidate by composing program ids over its derivation, with the
+leaf and node rule of ``program_of_tree`` (``typesys.program_id``), and
+walks the one it accepts into its label row: decoding returns a row, as
+the E-step does, and builds no tree.
 
 ``constrained_parse`` is an exact Viterbi whose nonterminals are program
 states: each cell keeps the best derivation per program its span can
@@ -30,8 +31,10 @@ a pair of programs is composed once per schema.  A node is kept only
 while its program is admissible against the gold program, so its best
 tree maps to gold and it returns None only when no tree does.  It builds
 no tree: it walks the winner's backpointers once and returns its label
-row, the per-span targets the M-step reads (``GoldParse``); the row fixes
-the tree, which ``GoldParse.tree`` rebuilds only when it is read.
+row, the per-span targets the M-step reads.  Both searches return a
+``ParseResult``: in this grammar the row fixes the tree, which
+``ParseResult.tree`` rebuilds only when it is read, through
+``scorer.tree_from_labels``, the package's one tree builder.
 Cells also drop every item that no tree with the gold program at its root
 contains, by an exact outside bound in the spirit of A* parsing (Klein &
 Manning 2003).  A program's ``weight`` counts its constants that are no
@@ -60,14 +63,15 @@ column and, for each leaf slot, the gold constant's column.
 Both charts index a cell by its table row alone.  The K-best chart keeps
 derivations, the tuple ``(score, row, category, children)`` whose children
 are derivations (a NoSem child is ``(0.0, row, NoSem, ())``); only
-``_tree`` and ``_Chart.to_json`` turn a row into its span, the table's
-shared ``Span``.  The constrained chart keeps a score per item and a
-backpointer to the edge that won it.  Both choose the root by ``_root``'s
-rule over the scores of the entries that end at the last token.  Both
-Viterbi loops visit cells by increasing length, then start, and try a
-cell's rule sources in one order: the leaf constants, Join Join by split,
-Join NoSem by split, then the ternary rule by split pair; only a strictly
-greater score replaces, so an exact tie goes to the first source tried.
+``_Chart.to_json`` and the failure span in ``best_valid_tree`` turn a row
+into its span, the table's shared ``Span``.  The constrained chart keeps a
+score per item and a backpointer to the edge that won it.  Both choose the
+root by ``_root``'s rule over the scores of the entries that end at the
+last token.  Both Viterbi loops visit cells by increasing length, then
+start, and try a cell's rule sources in one order: the leaf constants,
+Join Join by split, Join NoSem by split, then the ternary rule by split
+pair; only a strictly greater score replaces, so an exact tie goes to the
+first source tried.
 The K-best chart reads a plan built once per length and grammar
 (``_plan``): the fill order, and for each cell, by row, the rows of its
 children per split and split pair.  The Viterbi pass follows it, keeping
@@ -123,18 +127,12 @@ class Grammar:
 
 @dataclass(slots=True)
 class ParseResult:
-    tree: SpanTree
-    score: float
-    program: Program | None = None
-
-
-@dataclass(slots=True)
-class GoldParse:
-    """The E-step's result: the label row of the best tree that composes to
-    ``program`` (``labels``, one index into ``categories`` per span row, as
-    ``SpanScorer.labels_for_tree`` writes it), and its score.  It keeps
-    nothing of the chart or the score table.  ``tree`` rebuilds the tree
-    from the row on every read (``scorer.tree_from_labels``).
+    """A parse: the label row of its tree (``labels``, one index into
+    ``categories`` per span row, as ``SpanScorer.labels_for_tree`` writes
+    it), its score and its program.  Decoding (``best_valid_tree``) and the
+    E-step (``constrained_parse``) both return one.  It keeps nothing of
+    the chart or the score table.  ``tree`` rebuilds the tree from the row
+    on every read (``scorer.tree_from_labels``), the one tree builder.
 
     The row is a tuple of ints, not an array: a caller may keep many
     results (the benchmark keeps every one), and small objects reuse the
@@ -440,38 +438,45 @@ def _count(stats: dict | None, n: int, grammar: Grammar) -> None:
             + (math.comb(n + 1, 4) if grammar.ternary else 0))
 
 
-def _tree(deriv: tuple, table: ScoreTable) -> SpanTree:
-    """The derivation's tree, whose spans are the table's shared ones."""
-    _, row, category, children = deriv
-    return SpanTree(table.spans[row], category,
-                    tuple([_tree(c, table) for c in children]) if children else ())
+def _label_row(deriv: tuple, table: ScoreTable) -> tuple:
+    """The derivation's label row: each node's category index at its row,
+    NoSem at every other span."""
+    cat_index = table.cat_index
+    row = [cat_index[NOSEM]] * len(table.spans)
+    stack = [deriv]
+    while stack:
+        _, r, category, children = stack.pop()
+        row[r] = cat_index[category]
+        stack += children
+    return tuple(row)
 
 
 class Candidate:
-    """One K-best candidate: its derivation and score, and its tree, built
-    on the first read of ``tree``."""
+    """One K-best candidate: its derivation and score.  Its label row and
+    its tree are built when they are read."""
 
-    __slots__ = ("derivation", "score", "_table", "_tree")
+    __slots__ = ("derivation", "score", "_table")
 
     def __init__(self, derivation: tuple, table: ScoreTable):
         self.derivation = derivation
         self.score = derivation[0]
         self._table = table
-        self._tree = None
+
+    @property
+    def labels(self) -> tuple:
+        return _label_row(self.derivation, self._table)
 
     @property
     def tree(self) -> SpanTree:
-        if self._tree is None:
-            self._tree = _tree(self.derivation, self._table)
-        return self._tree
+        return tree_from_labels(self.labels, self._table.categories)
 
 
 def parse_kbest(table: ScoreTable, grammar: Grammar, K: int,
                 stats: dict | None = None):
     """An iterator over the top-K grammar-legal candidates for the whole
     utterance, best first.  The Viterbi pass runs in this call; each later
-    candidate is ranked when it is asked for, and its tree built when its
-    ``tree`` is read."""
+    candidate is ranked when it is asked for, and its label row and tree
+    built when they are read."""
     chart = _Chart(table, grammar, K)
     _count(stats, table.n, grammar)
     return (Candidate(d, table) for d in chart.ranked(chart.root))
@@ -481,10 +486,11 @@ _derivation_parts = itemgetter(2, 3)  # (category, children)
 
 
 def best_valid_tree(candidates, schema: DomainSchema):
-    """First candidate (descending score) whose derivation composes to a
-    program, by ``program_of_tree``'s rule over its derivation; None when
-    all of them are semantically invalid.  Reads no candidate past the
-    first valid one, and builds the tree of that one alone."""
+    """The ``ParseResult`` of the first candidate (descending score) whose
+    derivation composes to a program, by ``program_of_tree``'s rule over
+    its derivation; None when all of them are semantically invalid.  Reads
+    no candidate past the first valid one, and walks that one's derivation
+    into its label row; it builds no tree."""
     table = schema.table
     for cand in candidates:
         spans = cand._table.spans
@@ -493,7 +499,8 @@ def best_valid_tree(candidates, schema: DomainSchema):
                              lambda deriv: spans[deriv[1]])
         except CompositionFailure:
             continue
-        return ParseResult(cand.tree, cand.score, table.programs[pid])
+        return ParseResult(cand.labels, cand.score, table.programs[pid],
+                           cand._table.categories)
     return None
 
 
@@ -770,7 +777,7 @@ def _evaluate(compiled: _Compiled, table: ScoreTable, labels: tuple):
 def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
                       schema: DomainSchema, stats: dict | None = None):
     """The label row and score of the highest-scoring tree whose program
-    equals ``gold`` (a ``GoldParse``), or None when no grammar-legal tree
+    equals ``gold`` (a ``ParseResult``), or None when no grammar-legal tree
     maps to it.
 
     An exact Viterbi over (span, program state), in two steps.
@@ -814,7 +821,7 @@ def constrained_parse(table: ScoreTable, grammar: Grammar, gold: Program,
     best = _evaluate(compiled, table, labels)
     if best is None:
         return None
-    return GoldParse(best[1], best[0], gold, table.categories)
+    return ParseResult(best[1], best[0], gold, table.categories)
 
 
 def dump_chart(table: ScoreTable, grammar: Grammar, K: int, path) -> None:

@@ -93,8 +93,11 @@ def read_examples(path: Path, schema) -> list:
     UTF-8 among them, is a ConfigError naming the file and line; so is a tree
     that is not grammar-legal over its utterance (the ternary rule
     allowed), such as one whose spans run past it, or that carries a label
-    other than NoSem, Join and the schema's constants."""
+    other than NoSem, Join and the schema's constants.  The lines share one
+    ``parse_program`` memo, so a subterm common to many programs is parsed
+    once per file."""
     labels = set(schema.categories())
+    memo = {}
     out = []
     with read_file(path, functools.partial(open, mode="rb")) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -112,7 +115,7 @@ def read_examples(path: Path, schema) -> list:
             if not utt.tokens:
                 raise ConfigError(f"{where}: empty utterance")
             try:
-                program = parse_program(obj["program"], schema)
+                program = parse_program(obj["program"], schema, memo)
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"{where}: bad program ({exc})") from None
             tree = obj.get("tree")

@@ -1,16 +1,20 @@
-"""Evaluation metrics: labeled-span F1 counts."""
+"""Evaluation metrics: labeled-span F1 counts over label rows."""
 
 from __future__ import annotations
 
-from ..core import SpanTree, labeled_spans
 
-
-def span_f1_counts(pred_tree: SpanTree | None, gold_tree: SpanTree):
-    """(true positives, predicted, gold) over labeled spans, NoSem excluded;
-    a None prediction has no spans."""
-    pred = set() if pred_tree is None else labeled_spans(pred_tree)
-    gold = labeled_spans(gold_tree)
-    return len(pred & gold), len(pred), len(gold)
+def row_f1_counts(pred: tuple | None, gold: list, nosem: int):
+    """(true positives, predicted, gold) labeled spans of two label rows of
+    one utterance (one category index per span row, as
+    ``SpanScorer.labels_for_tree`` writes them), NoSem excluded; a None
+    prediction has no spans.  Each node of a grammar-legal tree has a span
+    of its own, so a row holds one entry per labeled node and these are
+    the counts over the trees' (span, category) sets."""
+    n_gold = len(gold) - gold.count(nosem)
+    if pred is None:
+        return 0, 0, n_gold
+    tp = sum(p == g != nosem for p, g in zip(pred, gold, strict=True))
+    return tp, len(pred) - pred.count(nosem), n_gold
 
 
 def f1_from_counts(tp: int, n_pred: int, n_gold: int) -> float:

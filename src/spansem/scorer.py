@@ -36,7 +36,9 @@ lone layouts of its members, each shifted past those before it; a lone
 utterance's is its geometry's arrays as they are, so one code path serves
 both.  The lexicon memoizes, per token tuple, the flat (row, column)
 index of every cell its bonus raises, so the bonus of a seen utterance is
-one scatter of lambda into the raw scores.
+one scatter of lambda into the raw scores; a new token tuple is matched by
+looking up its spans' lowercased tokens, up to the longest phrase's word
+count, in an index of the phrases built on the first match.
 
 Loading the module tunes glibc's allocator for the process, forked
 ``eval --jobs`` workers included, through ``mallopt``: freed heap stays
@@ -169,6 +171,10 @@ class Lexicon:
     token-joined, lowercased span string."""
 
     entries: dict = field(default_factory=dict)
+    # The entries keyed by their phrase's words, and the most words of a
+    # phrase; built on the first ``matches``.
+    _index: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
     _matches: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)  # tokens -> [(span row, name)]
     # tokens -> (cat_index, flat cells), for the last category index asked
@@ -177,20 +183,31 @@ class Lexicon:
 
     def add(self, phrase: str, constant: str) -> None:
         self.entries.setdefault(phrase.lower(), set()).add(constant)
+        self._index = None
         self._matches.clear()
         self._cells.clear()
 
     def matches(self, tokens: tuple) -> list:
         """``(row, name)`` for every span of ``tokens``, by its row in
-        ``all_spans`` order, whose phrase the lexicon maps to ``name``;
-        memoized per token tuple."""
+        ``all_spans`` order, whose phrase, its tokens joined by spaces and
+        lowercased, the lexicon maps to ``name``; memoized per token tuple.
+        Tokens hold no space, as ``core.tokenize`` makes them: a span is
+        looked up as its lowercased tokens among the phrases split at each
+        space, and only spans of at most the longest phrase's words are."""
         hits = self._matches.get(tokens)
         if hits is None:
+            if self._index is None:
+                index = {tuple(phrase.split(" ")): names
+                         for phrase, names in self.entries.items()}
+                self._index = index, max(map(len, index), default=0)
+            index, longest = self._index
+            words = [t.lower() for t in tokens]
+            row_of = _geometry(len(tokens)).row_of
             hits = self._matches[tokens] = [
-                (row, name)
-                for row, span in enumerate(_geometry(len(tokens)).spans)
-                for name in self.entries.get(
-                    " ".join(tokens[span.start - 1:span.end]).lower(), ())]
+                (row_of[i + 1][j], name)
+                for i in range(len(words))
+                for j in range(i + 1, min(i + longest, len(words)) + 1)
+                for name in index.get(tuple(words[i:j]), ())]
         return hits
 
     def bonus_cells(self, tokens: tuple, cat_index: dict) -> np.ndarray:
@@ -498,7 +515,9 @@ def tree_from_labels(labels, categories: list) -> SpanTree:
     internal node, and one labelled with a constant a leaf.  A Join node's
     children are its largest labelled proper sub-spans, left to right, and
     each gap between them is one NoSem leaf: no rule has two NoSem
-    children side by side, and a NoSem child is always a leaf."""
+    children side by side, and a NoSem child is always a leaf.  It is the
+    package's one tree builder: a parse result and a K-best candidate
+    carry a label row, and their ``tree`` is this over it."""
     names = [categories[k] for k in labels]
     n = (math.isqrt(8 * len(names) + 1) - 1) // 2
     geometry = _geometry(n)

@@ -19,6 +19,12 @@ their rows are used directly.  A batch takes one forward and one backward
 pass: its examples are scored together, each E-step reads its own table,
 and the M-step backpropagates the whole batch from the forward cache the
 tables share.
+
+Evaluation reads label rows too.  ``predict`` returns the decoded tree as
+its row (``cky.ParseResult``), and an example's labeled-span F1 counts
+compare that row with the gold tree's, so neither training nor
+evaluation builds a tree; ``ParseResult.tree`` builds one only for a
+caller that reads it.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .cky import Grammar, best_valid_tree, constrained_parse, parse_kbest
-from .core import SpanTree, Utterance
-from .data.metrics import f1_from_counts, span_f1_counts
+from .core import NOSEM, SpanTree, Utterance
+from .data.metrics import f1_from_counts, row_f1_counts
 from .scorer import Lexicon, ScoreTable, SpanScorer, sgd_step
 from .typesys import DomainSchema, Program
 
@@ -150,7 +156,8 @@ def hard_em_step(scorer: SpanScorer, batch: list, domain: Domain,
 
 def predict(scorer: SpanScorer, utt: Utterance, domain: Domain,
             grammar: Grammar, K: int):
-    """Best semantically valid tree for an utterance, or None."""
+    """The ``ParseResult`` of the best semantically valid tree for an
+    utterance, its label row and program, or None."""
     table, = scorer.score_spans([utt], domain.lexicon)
     return best_valid_tree(parse_kbest(table, grammar, K), domain.schema)
 
@@ -159,7 +166,8 @@ def evaluate_example(scorer: SpanScorer, domain: Domain, grammar: Grammar,
                      K: int, ex: TrainExample):
     """One example's report record, whether its prediction has no
     denotation (no valid tree, or an executor error), and its labeled-span
-    counts (None without a gold tree)."""
+    counts (None without a gold tree), compared as label rows: the
+    prediction's row against the gold tree's."""
     result = predict(scorer, ex.utterance, domain, grammar, K)
     denotation = domain.run(None if result is None else result.program)
     gold = ex.denotation if ex.denotation is not None else domain.run(ex.program)
@@ -171,7 +179,9 @@ def evaluate_example(scorer: SpanScorer, domain: Domain, grammar: Grammar,
     }
     counts = None
     if ex.tree is not None:
-        counts = span_f1_counts(None if result is None else result.tree, ex.tree)
+        gold_row = scorer.labels_for_tree(ex.tree, len(ex.utterance)).tolist()
+        counts = row_f1_counts(None if result is None else result.labels, gold_row,
+                               scorer.cat_index[NOSEM])
     return record, denotation is None, counts
 
 

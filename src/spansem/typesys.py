@@ -16,7 +16,9 @@ also keeps each program's template and the E-step charts compiled for it.
 
 The module also owns the programs' surface syntax: ``program_tokens`` is
 its one tokenizer, reading an entity ``fn('payload')`` as one token, and
-``parse_program`` and ``data.splits`` read programs through it.
+``parse_program`` and ``data.splits`` read programs through it.  A reader
+of many programs passes ``parse_program`` one memo for all of them, so
+each distinct subterm is parsed once and its program object shared.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ class Program:
             return value
 
     def __reduce__(self):
-        # Rebuilt from its fields, so that no cached hash, which depends on
-        # the process's string hashing, crosses into another process.
+        # Rebuilt from its fields, so that no cached value, the hash, which
+        # depends on the process's string hashing, or the text, crosses into
+        # another process.
         return Program, (self.head, self.args)
 
     @property
@@ -127,14 +130,20 @@ class Program:
                 yield from a.subterms()
 
     def __str__(self) -> str:
-        if self.head.kind == ENTITY:
-            return self.head.name
-        filled = self.filled
+        # Computed once per object, as the hash is: a subterm shared by
+        # many programs is written once.
+        try:
+            return self._str
+        except AttributeError:
+            pass
+        filled = () if self.head.kind == ENTITY else self.filled
         if not filled:
-            return self.head.name
-        last = filled[-1]
-        parts = ["·" if a is None else str(a) for a in self.args[: last + 1]]
-        return f"{self.head.name}({','.join(parts)})"
+            value = self.head.name
+        else:
+            parts = ["·" if a is None else str(a) for a in self.args[: filled[-1] + 1]]
+            value = f"{self.head.name}({','.join(parts)})"
+        object.__setattr__(self, "_str", value)
+        return value
 
 
 @dataclass
@@ -467,11 +476,34 @@ def program_tokens(text: str) -> list:
     return tokens
 
 
-def parse_program(text: str, schema: DomainSchema) -> Program:
-    """Parse the FunQL-style surface syntax, e.g. capital(stateid('utah'))."""
+def _closing(tokens: list) -> dict:
+    """The index of the ``)`` that matches each ``(``, by the ``(``'s."""
+    closing, opened = {}, []
+    for k, token in enumerate(tokens):
+        if token == "(":
+            opened.append(k)
+        elif token == ")" and opened:
+            closing[opened.pop()] = k
+    return closing
+
+
+def parse_program(text: str, schema: DomainSchema, memo: dict | None = None) -> Program:
+    """Parse the FunQL-style surface syntax, e.g. capital(stateid('utah')).
+
+    ``memo``, when given, maps the tokens of every subterm parsed so far to
+    its program, and a subterm found there is not parsed again: a reader
+    passes one dict per file, so the subterms its lines share are parsed
+    once and their programs are shared objects (hash-consing, as in
+    ``CompositionTable``).  A subterm's tokens are a name alone, when the
+    token after it is no ``(``, or a name up to the ``)`` that matches the
+    ``(`` after it: a subterm that parses is balanced, and parsing it reads
+    only its own tokens and the one after it.  So a stored program is what
+    parsing would give again.  Only subterms that parse are stored, so
+    every error, its message and its token index are those of a parse
+    without the memo."""
     tokens = program_tokens(text)
 
-    def parse(idx: int):
+    def read(idx: int):
         name = tokens[idx]
         idx += 1
         if idx < len(tokens) and tokens[idx] == "(":
@@ -496,6 +528,23 @@ def parse_program(text: str, schema: DomainSchema) -> Program:
                     raise ValueError(f"ill-typed application in {text!r}")
             return prog, idx
         return schema.atom(name), idx
+
+    parse = read
+    if memo is not None:
+        closing = _closing(tokens)
+
+        def parse(idx: int):
+            end = idx + 1
+            if end < len(tokens) and tokens[end] == "(":
+                end = closing.get(end, -2) + 1
+            if 0 < end <= len(tokens):  # else: an unclosed ``(``, or no token
+                key = tuple(tokens[idx:end])
+                program = memo.get(key)
+                if program is None:
+                    program, _ = read(idx)  # ends at ``end``, as it parsed
+                    memo[key] = program
+                return program, end
+            return read(idx)
 
     try:
         program, end = parse(0)

@@ -30,9 +30,11 @@ from spansem.core import (
     Span,
     SpanTree,
     all_spans,
+    labeled_spans,
     validate_tree,
 )
 from spansem.data.geo import geo_schema, mini_geo_corpus, mini_kb
+from spansem.data.metrics import row_f1_counts
 from spansem.data.scan import generate_scan_sp, scan_schema
 from spansem.scorer import ScoreTable, SpanScorer
 from spansem.typesys import (
@@ -528,6 +530,53 @@ def test_nosem_neutrality():
     assert s1 == pytest.approx(s2)
 
 
+def reference_tree(deriv, table):
+    """The derivation's tree, built node by node as the K-best chart built
+    it before candidates carried label rows; its spans are the table's."""
+    _, row, category, children = deriv
+    return SpanTree(table.spans[row], category,
+                    tuple([reference_tree(c, table) for c in children]) if children else ())
+
+
+def span_f1_counts(pred_tree, gold_tree):
+    """Reference: (true positives, predicted, gold) over the trees'
+    labeled-span sets, NoSem excluded; a None prediction has no spans."""
+    pred = set() if pred_tree is None else labeled_spans(pred_tree)
+    gold = labeled_spans(gold_tree)
+    return len(pred & gold), len(pred), len(gold)
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_candidate_rows_give_the_reference_trees_and_f1_counts(ternary):
+    """Every candidate's tree, read on demand from its label row, has the
+    ``repr`` of the tree built node by node from its derivation, on every
+    kind of ``mixed_table`` up to 8 tokens with the binary grammar and 6
+    with the ternary one, for K in {1, 5}.  On the same tables the row F1
+    counts of every pair of candidates, each taken once as the gold, are
+    the reference's over labeled-span sets, and a None prediction counts
+    every gold span as a miss."""
+    rng = random.Random(61)
+    nosem = toy_categories(3).index(NOSEM)
+    seen = collections.Counter()
+    for n in range(1, (6 if ternary else 8) + 1):
+        for kind in TABLE_KINDS:
+            for K in (1, 5):
+                t = mixed_table(rng, kind, n)
+                candidates = list(parse_kbest(t, Grammar(ternary=ternary), K))
+                trees = [reference_tree(c.derivation, t) for c in candidates]
+                for cand, tree in zip(candidates, trees):
+                    assert repr(cand.tree) == repr(tree), (kind, n, K)
+                for gold_cand, gold_tree in zip(candidates, trees):
+                    gold = list(gold_cand.labels)
+                    assert row_f1_counts(None, gold, nosem) == \
+                        (0, 0, len(labeled_spans(gold_tree)))
+                    for cand, tree in zip(candidates, trees):
+                        got = row_f1_counts(cand.labels, gold, nosem)
+                        assert got == span_f1_counts(tree, gold_tree), (kind, n, K)
+                        seen["partial" if 0 < got[0] < got[2] else "other"] += 1
+    assert seen["partial"] > 100, seen
+
+
 # -- semantic-validity filter ------------------------------------------------
 
 
@@ -620,13 +669,17 @@ def test_best_valid_tree_matches_the_tree_reference(ternary, monkeypatch):
     """``best_valid_tree``, which judges each candidate on its derivation,
     returns what the first candidate whose tree composes gives, on random
     and tie-heavy tables of the scan and geo schemas, n <= 6 and K in
-    {1, 3, 5, 8}; and it builds the tree of the returned candidate alone."""
+    {1, 3, 5, 8}; it builds no tree, and walks the derivation of the
+    returned candidate alone into its label row."""
     built = set()
-    inner = cky._tree
+    inner = cky._label_row
 
     def recorded(deriv, table):
         built.add(id(deriv))
         return inner(deriv, table)
+
+    def no_tree(*args):
+        raise AssertionError("best_valid_tree built a tree")
 
     rng = random.Random(53)
     outcomes = collections.Counter()
@@ -644,7 +697,8 @@ def test_best_valid_tree_matches_the_tree_reference(ternary, monkeypatch):
                     yield cand
 
             built.clear()
-            monkeypatch.setattr(cky, "_tree", recorded)
+            monkeypatch.setattr(cky, "_label_row", recorded)
+            monkeypatch.setattr(cky, "tree_from_labels", no_tree)
             got = best_valid_tree(
                 reading(parse_kbest(table, Grammar(ternary=ternary), K)), schema)
             monkeypatch.undo()
@@ -654,8 +708,10 @@ def test_best_valid_tree_matches_the_tree_reference(ternary, monkeypatch):
                 assert got is None
                 outcomes["none"] += 1
             else:
+                assert id(read[-1].derivation) in built
                 assert (got.tree, got.score, got.program) == want
-                assert got.tree is read[-1].tree
+                assert got.labels == read[-1].labels
+                assert repr(got.tree) == repr(reference_tree(read[-1].derivation, table))
                 outcomes["after a skip" if len(read) > 1 else "first"] += 1
     assert min(outcomes[k] for k in ("none", "first", "after a skip")) >= 10, outcomes
 

@@ -621,6 +621,32 @@ def test_non_utf8_dataset_line_is_config_error(exec_error_run, tiny_scan_dir,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("after(walk(r),twice(turn(l,op))", "truncated program"),
+    ("twice(turn(l,op)))", "trailing input in program"),
+    ("after(walk(r) twice(turn(l,op)))", "expected ',' or ')' at token 6"),
+    ("after(walk(r),walk(twice(turn(l,op))))", "ill-typed application in"),
+    ("after(walk(r),twice(fly(l)))", "'fly'"),
+    ("after(walk(r),twice(turn(l,op)))!", "cannot tokenize program at '!'"),
+])
+def test_a_bad_program_after_lines_that_share_its_subterms(tmp_path, bad, message):
+    """``read_examples`` parses every file with one subterm memo; a bad
+    program placed after lines that share its subterms gets the error of a
+    parse without the memo, its message and token index included."""
+    schema = scan_schema()
+    path = tmp_path / "data.jsonl"
+    good = ["after(walk(r),twice(turn(l,op)))", "twice(turn(l,op))", "walk(r)",
+            "and(walk(r),twice(turn(l,op)))"]
+    path.write_text("".join(json.dumps({"utterance": "walk", "program": p}) + "\n"
+                            for p in good + [bad]))
+    with pytest.raises((KeyError, ValueError)) as plain:
+        parse_program(bad, schema)
+    assert message in str(plain.value)
+    with pytest.raises(cli.ConfigError) as got:
+        cli.read_examples(path, schema)
+    assert str(got.value) == f"{path}:{len(good) + 1}: bad program ({plain.value})"
+
+
 def test_eval_rejects_empty_file(trained_run, tmp_path, tiny_scan_dir):
     empty = tiny_scan_dir / "empty.jsonl"
     empty.write_text("")

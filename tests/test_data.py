@@ -19,7 +19,7 @@ from spansem.data.geo import (
     render_denotation,
     save_kb,
 )
-from spansem.data.metrics import f1_from_counts, span_f1_counts
+from spansem.data.metrics import f1_from_counts, row_f1_counts
 from spansem.data.scan import (
     ExecError,
     exec_scan,
@@ -35,6 +35,7 @@ from spansem.data.splits import (
     split_scan_primitive,
     split_template,
 )
+from spansem.scorer import SpanScorer
 from spansem.typesys import (
     ENTITY,
     DomainConstant,
@@ -439,11 +440,14 @@ def test_f1_from_counts_cases():
 
 
 def test_span_f1_counts_on_trees(corpus):
-    """A tree against itself is all hits; a None prediction has no spans,
-    so its gold spans count as misses."""
+    """A tree's label row against itself is all hits; a None prediction has
+    no spans, so its gold spans count as misses."""
+    scorer = SpanScorer([], scan_schema().categories())
+    nosem = scorer.cat_index[NOSEM]
     ex = corpus[40]
     n = len(labeled_spans(ex.tree))
     assert n > 0
-    assert span_f1_counts(ex.tree, ex.tree) == (n, n, n)
-    assert span_f1_counts(None, ex.tree) == (0, 0, n)
+    gold = scorer.labels_for_tree(ex.tree, len(ex.utterance)).tolist()
+    assert row_f1_counts(tuple(gold), gold, nosem) == (n, n, n)
+    assert row_f1_counts(None, gold, nosem) == (0, 0, n)
     assert f1_from_counts(n, n, 2 * n) < 1.0

@@ -272,6 +272,35 @@ def lexicon_bonus(lex, utt, categories=CATS):
     return want
 
 
+def reference_matches(lex, tokens):
+    """Every span's phrase joined and lowercased, looked up in turn."""
+    return [(row, name) for row, span in enumerate(all_spans(len(tokens)))
+            for name in lex.entries.get(" ".join(tokens[span.start - 1:span.end]).lower(), ())]
+
+
+def test_lexicon_matches_equal_the_all_spans_reference():
+    """On random mixed-case tokens, empty ones among them, and lexicons of
+    one- to three-word phrases, an empty phrase and phrases with a double
+    or trailing space, ``matches`` gives the reference's ``(row, name)``
+    list, order included, before and after ``add`` grows the lexicon."""
+    rng = random.Random(67)
+    words = ["walk", "Walk", "LEFT", "left", "twice", "İ", "ΑΣ", "ας", "", "a"]
+    hits = 0
+    for _ in range(200):
+        phrases = [" ".join(rng.choice(words) for _ in range(rng.randint(1, 3)))
+                   for _ in range(rng.randint(0, 6))]
+        phrases += rng.sample(["", "walk  left", "walk ", " left", "a  a"], 2)
+        lex = Lexicon.from_pairs((p, rng.choice(["walk", "l", "twice"])) for p in phrases)
+        for _ in range(3):
+            tokens = tuple(rng.choice(words) for _ in range(rng.randint(1, 8)))
+            want = reference_matches(lex, tokens)
+            assert lex.matches(tokens) == want, (phrases, tokens)
+            hits += len(want)
+        lex.add(" ".join(tokens[-2:]).upper(), "op")  # at times a new longest phrase
+        assert lex.matches(tokens) == reference_matches(lex, tokens)
+    assert hits > 200
+
+
 def test_lexicon_matches_are_memoized_and_add_clears_them(tiny_scorer):
     """Matches and the bonus cells are memoized per token tuple; after
     ``add`` the scores carry the new entry's bonus, one scorer gets each of

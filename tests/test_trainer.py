@@ -24,6 +24,7 @@ from spansem.data.scan import (
     scan_lexicon_entries,
     scan_schema,
 )
+from spansem.data.splits import split_iid
 from spansem.scorer import Lexicon, SpanScorer, tree_from_labels
 from spansem.trainer import (
     ConfigError,
@@ -162,6 +163,34 @@ def test_the_estep_path_builds_no_tree(scan_domain, scan_corpus, monkeypatch):
     assert len(built) == sum(1 for _ in tree.nodes())
 
 
+def test_evaluation_builds_no_tree(scan_domain, scan_corpus, monkeypatch):
+    """Decoding returns label rows and the F1 counts compare rows: a model
+    trained for one epoch on 300 gold trees evaluates 300 held-out commands
+    of at most 9 tokens, with their gold trees, and no ``SpanTree`` is
+    built, by ``predict`` or by anything else ``evaluate`` calls."""
+    train_set, _, test_set = split_iid(scan_corpus, seed=1)
+    rng = random.Random(1)
+    config = TrainConfig(use_gold_trees=True, max_epochs=1)
+    scorer = train(rng.sample(train_set, 300), [], scan_domain, config).scorer
+    sample = rng.sample([ex for ex in test_set if len(ex.utterance) <= 9], 300)
+    built, results = [], []
+    init, inner = SpanTree.__init__, trainer.predict
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(SpanTree, "__init__", counted)
+    monkeypatch.setattr(trainer, "predict", recorded)
+    report = evaluate(scorer, sample, scan_domain, Grammar(), config.K)
+    assert len(results) == 300 and built == []
+    assert sum(r is not None for r in results) > 250 and report["f1"] > 0.5
+
+
 def test_hard_em_step_skips_unparseable_examples(scan_domain, short_examples):
     # a one-token utterance cannot host the three constants of this program
     program = parse_program("and(walk, jump)", scan_domain.schema)
@@ -265,13 +294,16 @@ def test_evaluate_counts_a_no_parse_as_a_miss(scan_domain, short_examples,
     """A None prediction is a failure that stays in the accuracy
     denominator, and its gold spans count as F1 misses."""
     examples = short_examples[:3]
+    scorer = fresh_scorer(short_examples, scan_domain, TrainConfig())
 
     def gold_except_first(scorer, utt, domain, grammar, K):
         ex = next(ex for ex in examples if ex.utterance == utt)
-        return None if ex is examples[0] else ParseResult(ex.tree, 0.0, ex.program)
+        row = tuple(scorer.labels_for_tree(ex.tree, len(utt)).tolist())
+        return None if ex is examples[0] else ParseResult(
+            row, 0.0, ex.program, scorer.categories)
 
     monkeypatch.setattr(trainer, "predict", gold_except_first)
-    report = evaluate(None, examples, scan_domain, Grammar(), TrainConfig.K)
+    report = evaluate(scorer, examples, scan_domain, Grammar(), TrainConfig.K)
     assert report["accuracy"] == pytest.approx(2 / 3)
     assert report["failures"] == 1
     hits = sum(len(labeled_spans(ex.tree)) for ex in examples[1:])

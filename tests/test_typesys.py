@@ -367,6 +367,24 @@ def test_subterm_heads_are_the_constant_multiset(scan):
     assert Counter(s.head.name for s in z.subterms()) == {"and": 1, "walk": 2}
 
 
+@pytest.mark.parametrize("name", ["scan", "geo"])
+def test_a_memo_reads_every_corpus_program_as_a_plain_parse(corpora, name):
+    """Reading the whole corpus with one memo gives the programs, and their
+    text, of a parse without it; the subterms the programs share are then
+    one object each."""
+    schema, programs, _ = corpora[name]
+    texts = [str(p) for p in programs]
+    memo = {}
+    read = [parse_program(t, schema, memo) for t in texts]
+    plain = [parse_program(t, schema) for t in texts]
+    assert read == plain == programs
+    assert [str(p) for p in read] == texts
+    shared = {}
+    for program in read:
+        for sub in program.subterms():
+            assert shared.setdefault(str(sub), sub) is sub
+
+
 def test_parse_program_round_trip(geo):
     text = "capital(loc_2(state(next_to_1(stateid('new york')))))"
     assert str(parse_program(text, geo)) == text
