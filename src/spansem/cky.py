@@ -9,18 +9,19 @@ then the middle.  Join also hosts bare constant leaves.
 ``parse_kbest`` ranks, per span, up to K derivations for Join (a span's
 NoSem entry is fixed at zero), lazily, after Huang & Chiang 2005 (*Better
 k-best parsing*, Algorithm 3).  One Viterbi pass keeps each cell's best
-derivation.  A cell's deeper ranks are computed only when a consumer asks
-for them: its rule sources' best combinations go into a priority queue,
-and each pop pushes the successors that take one child one rank deeper,
-extending the child cells only as far as that needs.  A caller that keeps
-the first candidate, as ``best_valid_tree`` does when it is valid, pays
-for the Viterbi pass alone.  The chart is approximate: a derivation
-outside some cell's top K is lost.  A candidate carries its derivation;
-its label row and tree are built when read.  ``best_valid_tree`` judges
-each candidate by composing program ids over its derivation, with the
-leaf and node rule of ``program_of_tree`` (``typesys.program_id``), and
-walks the one it accepts into its label row: decoding returns a row, as
-the E-step does, and builds no tree.
+derivation.  A cell's ranked list, and its deeper ranks, are built only
+when a consumer asks for them: its rule sources' best combinations go
+into a priority queue, and each pop pushes the successors that take one
+child one rank deeper, extending the child cells only as far as that
+needs.  A caller that keeps the first candidate, as ``best_valid_tree``
+does when it is valid, pays for the Viterbi pass alone and builds no
+list.  The chart is approximate: a derivation outside some cell's top K
+is lost.  A candidate carries its derivation; its label row and tree are
+built when read.  ``best_valid_tree`` judges each candidate by composing
+program ids over its derivation, with the leaf and node rule of
+``program_of_tree`` (``typesys.program_id``), and walks the one it
+accepts into its label row: decoding returns a row, as the E-step does,
+and builds no tree.
 
 ``constrained_parse`` is an exact Viterbi whose nonterminals are program
 states: each cell keeps the best derivation per program its span can
@@ -204,27 +205,36 @@ def _plan(n: int, ternary: bool) -> _Plan:
 @functools.lru_cache(maxsize=None)
 def _constants(categories: tuple) -> tuple:
     """The constant labels of ``categories`` in label order, and their
-    columns by a table's ``cat_index`` as an index array."""
+    columns by a table's ``cat_index``: a slice when they are contiguous,
+    as in every schema's category list (``[NoSem, Join]`` and the sorted
+    constants), so that a table's constant columns are a view; else an
+    index array."""
     column = {c: k for k, c in enumerate(categories)}
     constants = sorted(c for c in categories if c not in (NOSEM, JOIN))
-    return constants, np.array([column[c] for c in constants], dtype=np.intp)
+    columns = [column[c] for c in constants]
+    if columns and columns == list(range(columns[0], columns[0] + len(columns))):
+        return constants, slice(columns[0], columns[0] + len(columns))
+    return constants, np.array(columns, dtype=np.intp)
 
 
 class _Chart:
     """Best-first lists of up to K derivations for every Join cell and for
-    the root, each extended only as far as it is read.
+    the root, each built and extended only as far as it is read.
 
-    ``lists[r]`` is the list of the cell at table row ``r``, and the root's
-    is ``lists[root]``, the slot after the last row.  The constructor runs
-    the Viterbi pass, which keeps each list's best derivation; ``at`` ranks
-    deeper ones on demand.  A list's rule sources take their children from
-    the plan, and their Join base and leaf scores from the arrays the
-    Viterbi pass read.  A list's merge key is ``(-(base + (c1 + c2)),
-    order, ranks)``: its sum, then the source's ``(kind, split index)``,
-    then the children's ranks.  The kinds are 0 for the leaf constants
-    (the root's: the whole span's Join), 1 for Join Join, 2 for Join NoSem
-    (the root's: NoSem Join) and 3 for the ternary rule, whose split index
-    counts its split pairs in the order they are tried.
+    ``best[r]`` is the best derivation of the cell at table row ``r``, or
+    None, and the root's is ``best[root]``, the slot after the last row.
+    The constructor runs the Viterbi pass, which fills ``best``; ``at``
+    reads rank 0 there and ranks deeper ones on demand.  ``lists[key]`` is
+    None until a rank past 0 is read from it or from a list whose rule
+    sources it feeds; then it holds its derivations ranked so far, best
+    first.  A caller that keeps the root's rank 0 builds no list.  A list's rule sources take
+    their children from the plan, and their Join base and leaf scores from
+    the arrays the Viterbi pass read.  A list's merge key is ``(-(base +
+    (c1 + c2)), order, ranks)``: its sum, then the source's ``(kind, split
+    index)``, then the children's ranks.  The kinds are 0 for the leaf
+    constants (the root's: the whole span's Join), 1 for Join Join, 2 for
+    Join NoSem (the root's: NoSem Join) and 3 for the ternary rule, whose
+    split index counts its split pairs in the order they are tried.
     """
 
     def __init__(self, table: ScoreTable, grammar: Grammar, K: int):
@@ -234,23 +244,25 @@ class _Chart:
         self.K = K
         self.plan = _plan(table.n, grammar.ternary)
         self.bases = table.shifted[:, table.cat_index[JOIN]].tolist()
-        self.constants, const_index = _constants(tuple(table.categories))
-        self.consts = table.shifted[:, const_index]
+        self.constants, columns = _constants(tuple(table.categories))
+        self.consts = table.shifted[:, columns]
         self.root = len(table.spans)
-        self.lists = self._viterbi()  # by row, best first, then the root's
-        self.frontiers = [None] * len(self.lists)  # once rank 1 is asked for
+        self.best = self._viterbi()  # by row, then the root's
+        self.lists = [None] * len(self.best)  # each built on demand
+        self.frontiers = [None] * len(self.best)  # once rank 1 is asked for
 
     def _viterbi(self) -> list:
-        """Keeps the best derivation of every cell; returns every list.
-        ``score[r]`` is the score of ``best[r]``, the best derivation of the
-        cell at table row ``r``, or None while it has none; until its cell
-        is filled, they hold its best leaf's score and label."""
+        """The best derivation of every cell by row, then the root's, each
+        None when there is none.  ``score[r]`` is the score of ``best[r]``,
+        or None while it has none; until its cell is filled, they hold its
+        best leaf's score and label."""
         plan, bases = self.plan, self.bases
         score, best = [None] * len(bases), [None] * len(bases)
         if self.constants:
             # argmax keeps the first best column: ties go to the lower label.
-            for k, (leaf, c) in enumerate(zip(self.consts.max(axis=1).tolist(),
-                                              self.consts.argmax(axis=1).tolist())):
+            cols = self.consts.argmax(axis=1)
+            leaves = self.consts[np.arange(len(cols)), cols]
+            for k, (leaf, c) in enumerate(zip(leaves.tolist(), cols.tolist())):
                 if leaf > NEG_INF / 2:
                     score[k], best[k] = leaf, self.constants[c]
         nosems = plan.nosems
@@ -288,22 +300,38 @@ class _Chart:
         whole = plan.order[-1]
         lefts, rights, _ = plan.cells[whole]
         top = _root(bases[whole], [score[whole]] + [score[r] for r in rights])
-        root = []
+        root = None
         if top is not None:
             total, s = top
-            root = [best[whole] if s == 0 else (
-                total, whole, JOIN, (nosems[lefts[s - 1]], best[rights[s - 1]]))]
-        return [[] if d is None else [d] for d in best] + [root]
+            root = best[whole] if s == 0 else (
+                total, whole, JOIN, (nosems[lefts[s - 1]], best[rights[s - 1]]))
+        best.append(root)
+        return best
 
     def at(self, key: int, r: int):
         """Rank ``r`` (0 is the best) of a list, or None past its end or K."""
         if r >= self.K:
             return None
         entries = self.lists[key]
+        if entries is None:
+            # A NaN leaf can hide a cell's leaves from the Viterbi pass but
+            # not from its merge, so a list with no best entry is ranked.
+            if r == 0 and (best := self.best[key]) is not None:
+                return best
+            entries = self._list(key)
         while len(entries) <= r:
             if not self._extend(key, entries):
                 return None
         return entries[r]
+
+    def _list(self, key: int) -> list:
+        """A list's derivations ranked so far, built from its best one on
+        first use."""
+        entries = self.lists[key]
+        if entries is None:
+            best = self.best[key]
+            entries = self.lists[key] = [] if best is None else [best]
+        return entries
 
     def ranked(self, key: int):
         """A list's derivations, best first, each ranked when it is read."""
@@ -315,15 +343,16 @@ class _Chart:
     def _sources(self, key: int) -> _Frontier:
         """A list's frontier with its rule sources, ``(order, base,
         children)``, where ``order`` is ``(kind, split index)``.  A child is
-        ``(derivations, key)``: a cell's list with its key, extended on
-        demand, or a complete list (leaf constants, one NoSem) with None."""
-        plan, lists = self.plan, self.lists
+        ``(derivations, key)``: a cell's list with its key, built here if
+        it was not and extended on demand, or a complete list (leaf
+        constants, one NoSem) with None."""
+        plan, lists = self.plan, self._list
         if key == self.root:
             whole = plan.order[-1]
             lefts, rights, _ = plan.cells[whole]
             base = self.bases[whole]
-            return _Frontier(whole, [((0, 0), 0.0, [(lists[whole], whole)])] + [
-                ((2, x), base, [([plan.nosems[a]], None), (lists[b], b)])
+            return _Frontier(whole, [((0, 0), 0.0, [(lists(whole), whole)])] + [
+                ((2, x), base, [([plan.nosems[a]], None), (lists(b), b)])
                 for x, (a, b) in enumerate(zip(lefts, rights))])
         lefts, rights, triples = plan.cells[key]
         base = self.bases[key]
@@ -336,10 +365,10 @@ class _Chart:
                                     for k in top if scores[k] > NEG_INF / 2],
                                    None)])]
         for x, (a, b) in enumerate(zip(lefts, rights)):
-            sources.append(((1, x), base, [(lists[a], a), (lists[b], b)]))
-            sources.append(((2, x), base, [(lists[a], a), ([plan.nosems[b]], None)]))
+            sources.append(((1, x), base, [(lists(a), a), (lists(b), b)]))
+            sources.append(((2, x), base, [(lists(a), a), ([plan.nosems[b]], None)]))
         rows = iter(triples)
-        sources += [((3, x), base, [(lists[a], a), (lists[m], m), (lists[c], c)])
+        sources += [((3, x), base, [(lists(a), a), (lists(m), m), (lists(c), c)])
                     for x, (a, m, c) in enumerate(zip(rows, rows, rows))]
         return _Frontier(key, sources)
 

@@ -186,6 +186,12 @@ def tree_to_json(tree: SpanTree) -> dict:
 
 
 def tree_from_json(obj: dict) -> SpanTree:
+    """The tree of a JSON object; a ValueError when a span end is not an
+    int: a float or a bool (an int to Python) compares as a token index
+    but cannot index the utterance's tokens."""
     children = tuple(tree_from_json(c) for c in obj.get("children", []))
-    return SpanTree(Span(*obj["span"]), obj["category"], children)
+    span = Span(*obj["span"])
+    if type(span.start) is not int or type(span.end) is not int:
+        raise ValueError(f"span ends must be integers, not {obj['span']!r}")
+    return SpanTree(span, obj["category"], children)
 

@@ -13,32 +13,34 @@ is float64 numpy; gradients are hand-derived and checked against finite
 differences in the test suite.
 
 Scoring and backpropagation run on a batch.  ``score_spans`` scores a
-list of utterances in one forward pass: their tokens share one padded
-layout, each window-mix layer is one im2col gather and one GEMM, and
-``W1`` meets the token vectors by halves before the spans gather them,
-A = (H W1a^T)[ii] + (H W1b^T)[jj], so the (spans x 2d) input of the span
-network is never built.  It returns one ``ScoreTable`` per utterance, each
-a row slice of one raw matrix, all sharing the batch's forward cache and
-the parameter dict that produced it.  ``loss_and_grads`` backpropagates
-the tables of one call in one pass from that cache; a table scored with
-another parameter dict is refused.  ``sgd_step`` updates the arrays in
-place and returns a new dict over them, so a table scored before a step
-is refused too.  GEMM rounding depends on the row count, so an
-utterance's scores in a batch and scored alone can differ in the last
-bits (about 1e-15).
+list of utterances in one forward pass.  Each window-mix layer is one
+gather and one GEMM: every token's window is taken straight from the rows
+of the layer below (one row per token of the batch, then one zero row)
+through one index array, and ``W1`` meets the token vectors by halves
+before the spans gather them, A = (H W1a^T)[ii] + (H W1b^T)[jj], so the
+(spans x 2d) input of the span network is never built.  It returns one
+``ScoreTable`` per utterance, each a row slice of one raw matrix, all
+sharing the batch's forward cache and the parameter dict that produced
+it.  ``loss_and_grads`` backpropagates the tables of one call in one pass
+from that cache; a table scored with another parameter dict is refused.
+``sgd_step`` updates the arrays in place and returns a new dict over
+them, so a table scored before a step is refused too.  GEMM rounding
+depends on the row count, so an utterance's scores in a batch and scored
+alone can differ in the last bits (about 1e-15).
 
 What depends on the utterance length alone is built once per length by
 ``_geometry`` and shared by every table, chart and forward pass: the span
-list, the row of each (i, j), the start and end token of each row, and a
-lone utterance's encoder layout (its padded size, the padded row of each
-token and each token's window of padded rows).  A batch's layout is the
-lone layouts of its members, each shifted past those before it; a lone
-utterance's is its geometry's arrays as they are, so one code path serves
-both.  The lexicon memoizes, per token tuple, the flat (row, column)
-index of every cell its bonus raises, so the bonus of a seen utterance is
-one scatter of lambda into the raw scores; a new token tuple is matched by
-looking up its spans' lowercased tokens, up to the longest phrase's word
-count, in an index of the phrases built on the first match.
+list, the row of each (i, j), the start and end token of each row, and the
+encoder's taps, for each token and window offset the row it reads, -1 (the
+zero row) for an offset off the utterance.  A batch's taps are its
+members', each shifted past the tokens before it with -1 kept, so no
+window reaches a neighbour; a lone utterance's are its geometry's array as
+it is, so one code path serves both, and the backward pass gathers through
+the same array.  The lexicon memoizes, per token tuple, the flat (row,
+column) index of every cell its bonus raises, so the bonus of a seen
+utterance is one scatter of lambda into the raw scores; a new token tuple
+is matched by looking up its spans' lowercased tokens, up to the longest
+phrase's word count, in an index of the phrases built on the first match.
 
 Loading the module tunes glibc's allocator for the process, forked
 ``eval --jobs`` workers included, through ``mallopt``: freed heap stays
@@ -72,6 +74,7 @@ HIDDEN = 250  # classifier hidden width
 H_DIM = 64
 N_LAYERS = 2
 WINDOW = 3
+TAPS = 2 * WINDOW + 1  # an encoder window's width in tokens
 
 
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
@@ -109,9 +112,10 @@ class DimensionMismatch(ValueError):
 
 
 class _Geometry(NamedTuple):
-    """Span bookkeeping and encoder layout of every utterance of one
-    length n.  Every table, chart and forward pass of that length shares
-    it, so nothing in it is mutable."""
+    """Span bookkeeping and the encoder's gather of every utterance of one
+    length n: each layer takes every token's window through ``taps``, one
+    index array, in one gather.  Every table, chart and forward pass of
+    that length shares it, so nothing in it is mutable."""
 
     spans: tuple  # all_spans(n): row k of a table scores spans[k]
     row_of: tuple  # row_of[i][j]: the row of span (i, j), 1 <= i <= j <= n
@@ -120,12 +124,11 @@ class _Geometry(NamedTuple):
     # (2n, rows) of 0/1: times per-row values, row t sums those of the
     # spans that start at token t and row n + t those that end there.
     by_token: np.ndarray
-    # A lone utterance's encoder layout: ``WINDOW`` zero rows on either
-    # side of its n tokens, so ``size`` rows, token t at padded row
-    # ``pos[t]``, and ``window[t]`` the padded rows of its taps.
-    size: int
-    pos: np.ndarray
-    window: np.ndarray
+    # The rows an encoder layer gathers, flat: entries t * TAPS up to
+    # (t + 1) * TAPS are token t's window, tokens t - WINDOW .. t + WINDOW,
+    # with -1 (the zero row after the layer's rows) for a tap off the
+    # utterance.
+    taps: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,12 +142,11 @@ def _geometry(n: int) -> _Geometry:
     by_token = np.zeros((2 * n, len(spans)))
     by_token[ii, np.arange(len(spans))] = 1.0
     by_token[n + jj, np.arange(len(spans))] = 1.0
-    pos = np.arange(WINDOW, WINDOW + n)
-    window = pos[:, None] + np.arange(-WINDOW, WINDOW + 1)
-    for array in (ii, jj, by_token, pos, window):
+    taps = (np.arange(n)[:, None] + np.arange(-WINDOW, WINDOW + 1)).reshape(-1)
+    taps[(taps < 0) | (taps >= n)] = -1
+    for array in (ii, jj, by_token, taps):
         array.flags.writeable = False
-    return _Geometry(spans, tuple(map(tuple, row_of)), ii, jj, by_token,
-                     n + 2 * WINDOW, pos, window)
+    return _Geometry(spans, tuple(map(tuple, row_of)), ii, jj, by_token, taps)
 
 
 def _stacked(arrays: list, shifts: list) -> np.ndarray:
@@ -155,14 +157,28 @@ def _stacked(arrays: list, shifts: list) -> np.ndarray:
     return np.concatenate([a + s for a, s in zip(arrays, shifts)])
 
 
-def _im2col(x: np.ndarray, layout: dict) -> np.ndarray:
-    """Every token's window of ``x`` as one row: ``x`` is placed at rows
-    ``pos`` of a zero padded layout and rows ``window`` are gathered."""
-    padded = np.zeros((layout["size"], x.shape[1]))
-    padded[layout["pos"]] = x
-    window = layout["window"]
-    return padded.take(window.reshape(-1), axis=0).reshape(
-        len(window), window.shape[1] * x.shape[1])
+def _stacked_taps(geometries: list, first: list) -> np.ndarray:
+    """The batch's taps: each member's shifted by the tokens before it,
+    with -1, the zero row after the whole batch's rows, kept as it is."""
+    if len(geometries) == 1:
+        return geometries[0].taps
+    return np.concatenate([np.where(g.taps < 0, -1, g.taps + t)
+                           for g, t in zip(geometries, first)])
+
+
+def _with_zero_row(rows: int, width: int) -> np.ndarray:
+    """A (rows + 1, width) array whose last row is zero and the rest not
+    yet written: a layer's rows with the row that off-utterance taps
+    read."""
+    out = np.empty((rows + 1, width))
+    out[rows] = 0.0
+    return out
+
+
+def _im2col(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Every token's window of ``x`` as one row: ``x`` holds one row per
+    token and a zero row last, and ``taps`` names the rows to gather."""
+    return x.take(taps, axis=0).reshape(-1, TAPS * x.shape[1])
 
 
 @dataclass
@@ -340,7 +356,7 @@ class SpanScorer:
         self.lam = lam
         self.seed = seed
         rng = np.random.default_rng(seed)
-        d, taps = H_DIM, 2 * WINDOW + 1
+        d, taps = H_DIM, TAPS
         scale = 1.0 / np.sqrt(d)
         self.params = {"emb": rng.normal(0.0, 0.5, size=(len(self.vocab), d))}
         for layer in range(N_LAYERS):
@@ -361,46 +377,50 @@ class SpanScorer:
 
     def encode(self, utterances: list):
         """Contextual vectors of every token of ``utterances``, stacked in
-        order; returns (H, cache) with the cache holding the batch layout
+        order; returns (H, cache) with the cache holding the batch's taps
         and each layer's activations for the backward pass.
 
-        The tokens sit in one padded layout with ``WINDOW`` zero rows
-        before each utterance and after the last, so that no window reaches
-        a neighbour: each utterance's lone layout (``_geometry``) shifted by
-        the tokens and the ``WINDOW`` gaps before it.  Each layer gathers
-        every token's window from that layout and mixes it in one GEMM with
-        its taps stacked, (taps * d, d).
+        Each layer's rows are the batch's tokens in order and then one zero
+        row.  The next layer gathers every token's window from them
+        through the batch's taps (``_stacked_taps``), a tap off its
+        utterance reading the zero row, so that no window reaches a
+        neighbour, and mixes it in one GEMM with its taps stacked,
+        (taps * d, d).
         """
-        w, d = WINDOW, H_DIM
         geometries = [_geometry(len(u)) for u in utterances]
         first = list(accumulate((len(u) for u in utterances), initial=0))  # tokens
-        shifts = [t + w * k for k, t in enumerate(first)]
         ids = self.token_ids(utterances)
+        emb = self.params["emb"]
+        x = _with_zero_row(len(ids), emb.shape[1])
+        emb.take(ids, axis=0, out=x[:-1])
         cache = {"ids": ids, "geometries": geometries, "first": first,
-                 "pos": _stacked([g.pos for g in geometries], shifts),
-                 "window": _stacked([g.window for g in geometries], shifts),
-                 "size": sum(g.size for g in geometries) - w * (len(geometries) - 1),
-                 "layers": [self.params["emb"].take(ids, axis=0)]}
+                 "taps": _stacked_taps(geometries, first), "layers": [x]}
         for layer in range(N_LAYERS):
             W, b = self.params[f"mix{layer}_W"], self.params[f"mix{layer}_b"]
-            x = _im2col(cache["layers"][-1], cache) @ W.reshape(-1, d)
-            x += b  # the bias and tanh in place: the same sums as tanh(xW + b)
-            cache["layers"].append(np.tanh(x, out=x))
-        return cache["layers"][-1], cache
+            x = _with_zero_row(len(ids), W.shape[2])
+            h = x[:-1]
+            np.matmul(_im2col(cache["layers"][-1], cache["taps"]),
+                      W.reshape(-1, W.shape[2]), out=h)
+            h += b  # the bias and tanh in place: the same sums as tanh(xW + b)
+            np.tanh(h, out=h)
+            cache["layers"].append(x)
+        return cache["layers"][-1][:-1], cache
 
     def _encode_backward(self, cache, dH, grads) -> None:
-        dx = dH
+        dx, taps = dH, cache["taps"]
         for layer in reversed(range(N_LAYERS)):
             W = self.params[f"mix{layer}_W"]
-            dpre = dx * (1.0 - cache["layers"][layer + 1] ** 2)
-            grads[f"mix{layer}_b"] = dpre.sum(axis=0)
+            dpre = _with_zero_row(len(dx), dx.shape[1])
+            rows = dpre[:-1]
+            np.multiply(dx, 1.0 - cache["layers"][layer + 1][:-1] ** 2, out=rows)
+            grads[f"mix{layer}_b"] = rows.sum(axis=0)
             # The gathered windows are gathered again rather than kept:
             # they are (taps * d) wide per token.
-            columns = _im2col(cache["layers"][layer], cache)
-            grads[f"mix{layer}_W"] = (columns.T @ dpre).reshape(W.shape)
+            columns = _im2col(cache["layers"][layer], taps)
+            grads[f"mix{layer}_W"] = (columns.T @ rows).reshape(W.shape)
             # The gather's adjoint is the same gather with the taps
             # reversed: tap o of the token at offset o - w reads this one.
-            dx = _im2col(dpre, cache) @ W[::-1].transpose(0, 2, 1).reshape(-1, H_DIM)
+            dx = _im2col(dpre, taps) @ W[::-1].transpose(0, 2, 1).reshape(-1, W.shape[1])
         grads["emb"] = np.zeros_like(self.params["emb"])
         np.add.at(grads["emb"], cache["ids"], dx)
 
@@ -487,7 +507,7 @@ class SpanScorer:
         for g, t0, t1, lo, hi in zip(cache["geometries"], first, first[1:],
                                      offsets, offsets[1:]):
             G[:, t0:t1] = (g.by_token @ dA[lo:hi]).reshape(2, t1 - t0, dA.shape[1])
-        H, W1, d = cache["layers"][-1], self.params["W1"], H_DIM
+        H, W1, d = cache["layers"][-1][:-1], self.params["W1"], H_DIM
         grads["W1"] = np.empty_like(W1)
         np.matmul(G[0].T, H, out=grads["W1"][:, :d])
         np.matmul(G[1].T, H, out=grads["W1"][:, d:])

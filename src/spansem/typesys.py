@@ -271,6 +271,13 @@ def _node(children, compose_pair):
     one semantic child passes through, two compose by ``compose_pair``, and
     three compose the outer pair first, then the middle one.  None when the
     rule or ``compose_pair`` fails."""
+    if len(children) == 2:  # the binary rules, tried first as the commonest
+        left, right = children
+        if left is None:
+            return right
+        if right is None:
+            return left
+        return compose_pair(left, right)
     if len(children) == 3:
         if any(c is None for c in children):
             return None
@@ -314,6 +321,7 @@ class CompositionTable:
         self.composed: list = []  # x -> {y: compose(x, y)}
         self.templates: dict = {}  # x -> (template id, slot names)
         self.charts: dict = {}
+        self._pair = self._composed_or_none
         self.defaults = set(schema.type_defaults.values())
         self.classes: dict = {}  # signature -> its constants but defaults, by name
         for c in schema.sigma:
@@ -347,8 +355,13 @@ class CompositionTable:
 
     def compose_children(self, ids):
         """``compose_children`` over ids (None for NoSem): an id, or None."""
-        return _node(ids, lambda x, y: None if (pid := self.compose(x, y)) < 0
-                     else pid)
+        return _node(ids, self._pair)
+
+    def _composed_or_none(self, x: int, y: int):
+        """``compose(x, y)``, or None where it is -1: the pair rule that
+        ``compose_children`` hands ``_node``, bound once as ``_pair``."""
+        pid = self.compose(x, y)
+        return None if pid < 0 else pid
 
     def template(self, pid: int) -> tuple:
         """``(template id, slot names)`` of program ``pid``.

@@ -325,10 +325,11 @@ def span_derivation(deriv, spans):
 
 @pytest.mark.parametrize("ternary", [False, True])
 def test_the_planned_viterbi_matches_the_reference(ternary):
-    """After the Viterbi pass, the root's list and every cell's list, with
-    their rows turned back into spans, have the ``repr`` of the
-    reference's, up to 12 tokens with the binary grammar and 8 with the
-    ternary one, on every kind of ``mixed_table``."""
+    """After the Viterbi pass, the root's best derivation and every cell's
+    (``_Chart.best``, None for none), each as a list of at most one, with
+    their rows turned back into spans, have the ``repr`` of the reference's
+    lists, up to 12 tokens with the binary grammar and 8 with the ternary
+    one, on every kind of ``mixed_table``."""
     rng = random.Random(53)
     absent = collections.Counter()
     for n in range(1, (8 if ternary else 12) + 1):
@@ -337,8 +338,8 @@ def test_the_planned_viterbi_matches_the_reference(ternary):
                 t = mixed_table(rng, kind, n)
                 chart = cky._Chart(t, Grammar(ternary=ternary), 5)
                 root, cells = reference_viterbi(t, ternary)
-                lists = [[span_derivation(d, t.spans) for d in entries]
-                         for entries in chart.lists]
+                lists = [[] if d is None else [span_derivation(d, t.spans)]
+                         for d in chart.best]
                 assert repr(lists[chart.root]) == repr(root), (kind, n)
                 assert len(lists) == len(cells) + 1 == chart.root + 1
                 for (i, j), entries in cells.items():
@@ -483,18 +484,30 @@ def test_the_deeper_ranks_match_the_reference_chart(ternary):
     kind of ``mixed_table`` and for K in {1, 5, 12}.  The tenths, masked
     and non-finite tables put near ties, missing children and NaN sums into
     the merge queues, where only the merge key's order and the queue's
-    push order decide."""
+    push order decide.  The chart builds a list only when a rank past its
+    Viterbi entry is read, where the reference builds every list up front;
+    each table is ranked twice, once list by list and once with the root
+    ranked out to K first, as ``best_valid_tree`` reads it, so that the
+    cells' lists are built in the order its merge asks for them."""
     rng = random.Random(59)
-    deep = 0
+    deep = built = 0
     for n in range(1, (7 if ternary else 10) + 1):
         for kind in TABLE_KINDS:
             for K in (1, 5, 12):
                 t = mixed_table(rng, kind, n)
-                got = cky._Chart(t, Grammar(ternary=ternary), K).to_json()
-                assert json.dumps(got, indent=2, sort_keys=True) == \
-                    reference_chart(t, ternary, K), (kind, n, K)
+                want = reference_chart(t, ternary, K)
+                for root_first in (False, True):
+                    chart = cky._Chart(t, Grammar(ternary=ternary), K)
+                    assert chart.lists == [None] * (chart.root + 1)
+                    if root_first:
+                        list(chart.ranked(chart.root))
+                        built += sum(entries is not None for entries in chart.lists)
+                    got = chart.to_json()
+                    assert json.dumps(got, indent=2, sort_keys=True) == want, \
+                        (kind, n, K, root_first)
                 deep += sum(len(entries) > 1 for entries in got["cells"].values())
     assert deep, "no list was ranked past its Viterbi entry"
+    assert built, "ranking the roots built no list"
 
 
 def test_dump_chart_bytes_are_pinned(tmp_path):
@@ -670,8 +683,16 @@ def test_best_valid_tree_matches_the_tree_reference(ternary, monkeypatch):
     returns what the first candidate whose tree composes gives, on random
     and tie-heavy tables of the scan and geo schemas, n <= 6 and K in
     {1, 3, 5, 8}; it builds no tree, and walks the derivation of the
-    returned candidate alone into its label row."""
+    returned candidate alone into its label row.  When it accepts the first
+    candidate, the chart has built no list: rank 0 of the root is its
+    Viterbi entry."""
     built = set()
+    charts, make = [], cky._Chart
+
+    def chart(*args):
+        charts.append(make(*args))
+        return charts[-1]
+
     inner = cky._label_row
 
     def recorded(deriv, table):
@@ -697,6 +718,8 @@ def test_best_valid_tree_matches_the_tree_reference(ternary, monkeypatch):
                     yield cand
 
             built.clear()
+            charts.clear()
+            monkeypatch.setattr(cky, "_Chart", chart)
             monkeypatch.setattr(cky, "_label_row", recorded)
             monkeypatch.setattr(cky, "tree_from_labels", no_tree)
             got = best_valid_tree(
@@ -713,6 +736,8 @@ def test_best_valid_tree_matches_the_tree_reference(ternary, monkeypatch):
                 assert got.labels == read[-1].labels
                 assert repr(got.tree) == repr(reference_tree(read[-1].derivation, table))
                 outcomes["after a skip" if len(read) > 1 else "first"] += 1
+                if len(read) == 1:
+                    assert charts[0].lists == [None] * (charts[0].root + 1)
     assert min(outcomes[k] for k in ("none", "first", "after a skip")) >= 10, outcomes
 
 

@@ -385,6 +385,10 @@ def test_eval_rejects_malformed_lines(exec_error_run, capsys):
                  json.dumps({"utterance": "walk", "program": "walk",
                              "tree": {"span": [1, 3], "category": "walk"},
                              "denotation": ["WALK"]})] + [
+        # span ends that are not ints, though they compare as token indices
+        json.dumps({"utterance": "walk", "program": "walk",
+                    "tree": {"span": span, "category": "walk"},
+                    "denotation": ["WALK"]}) for span in ([1.0, 1.0], [True, True])] + [
         # labels other than NoSem, Join and the schema's constants
         json.dumps({"utterance": "walk", "program": "walk",
                     "tree": {"span": [1, 1], "category": label},
@@ -416,6 +420,27 @@ def test_dataset_tree_whose_children_do_not_tile_is_config_error(
     assert code == cli.EXIT_CONFIG
     assert (f"configuration error: {bad}:1: bad tree (ValueError('{message}'))"
             in capsys.readouterr().err)
+
+
+def test_train_gold_trees_refuses_float_span_ends(tiny_scan_dir, tmp_path, capsys):
+    """A tree whose span ends are JSON floats compares as token indices
+    but cannot index them: ``train --gold-trees`` refuses the line where
+    it is read, exit 3, before it trains (``eval`` reads data lines the
+    same way; ``test_eval_rejects_malformed_lines`` has the case)."""
+    tree = {"span": [1, 2], "category": "Join",
+            "children": [{"span": [1.0, 1.0], "category": "walk"},
+                         {"span": [2, 2], "category": "l"}]}
+    data = tmp_path / "data"
+    shutil.copytree(tiny_scan_dir, data)
+    train = data / "train.jsonl"
+    train.write_text(json.dumps({"utterance": "walk left", "program": "walk(l)",
+                                 "tree": tree, "denotation": ["LTURN", "WALK"]})
+                     + "\n" + train.read_text())
+    code = cli.main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--max-epochs", "1", "--gold-trees"])
+    assert code == cli.EXIT_CONFIG
+    assert (f"configuration error: {train}:1: bad tree (ValueError('span ends "
+            f"must be integers, not [1.0, 1.0]'))") in capsys.readouterr().err
 
 
 def test_checkpoint_must_match_dataset_schema(exec_error_run, tmp_path,

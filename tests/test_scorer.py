@@ -515,6 +515,152 @@ def reference_forward(scorer, utterances, lexicon):
     return out
 
 
+def padded_im2col(x, lengths):
+    """Every token's window of ``x`` (one row per token of utterances of
+    ``lengths``, stacked) as the encoder gathered it before it read the
+    layer below directly: ``WINDOW`` zero rows before each utterance and
+    after the last, each token placed at its padded row, and each token's
+    window of padded rows taken."""
+    w = scorer_module.WINDOW
+    pos = np.arange(len(x)) + w * np.repeat(np.arange(1, len(lengths) + 1), lengths)
+    window = pos[:, None] + np.arange(-w, w + 1)
+    padded = np.zeros((len(x) + w * (len(lengths) + 1), x.shape[1]))
+    padded[pos] = x
+    return padded[window].reshape(len(window), window.shape[1] * x.shape[1])
+
+
+def reference_pass(scorer, utterances, lexicon):
+    """``reference_forward``, keeping what the backward pass reads: the
+    token ids, each layer's rows, the span network's hidden rows ``R`` and
+    the raw scores."""
+    d = scorer_module.H_DIM
+    lengths = [len(u) for u in utterances]
+    ids = np.concatenate([np.array([scorer.vocab.get(t, 0) for t in u.tokens], dtype=int)
+                          for u in utterances])
+    layers = [scorer.params["emb"][ids]]
+    for layer in range(scorer_module.N_LAYERS):
+        layers.append(np.tanh(padded_im2col(layers[-1], lengths)
+                              @ scorer.params[f"mix{layer}_W"].reshape(-1, d)
+                              + scorer.params[f"mix{layer}_b"]))
+    first = np.cumsum([0] + lengths)
+    spans = [(s, t) for n, t in zip(lengths, first) for s in all_spans(n)]
+    ii = np.array([s.start - 1 + t for s, t in spans], dtype=np.intp)
+    jj = np.array([s.end - 1 + t for s, t in spans], dtype=np.intp)
+    W1 = scorer.params["W1"]
+    R = (layers[-1] @ W1[:, :d].T)[ii]
+    R += (layers[-1] @ W1[:, d:].T)[jj]
+    np.maximum(R, 0.0, out=R)
+    deltas = []
+    for u in utterances:
+        delta = np.zeros((len(all_spans(len(u))), len(scorer.categories)))
+        for row, span in enumerate(all_spans(len(u)) if lexicon is not None else ()):
+            for name in lexicon.entries.get(u.phrase(span).lower(), ()):
+                if name in scorer.cat_index:
+                    delta[row, scorer.cat_index[name]] = 1.0
+        deltas.append(delta)
+    raw = R @ scorer.params["W2"].T + scorer.lam * np.concatenate(deltas)
+    return ids, layers, R, raw
+
+
+def reference_loss_and_grads(scorer, utterances, labels, lexicon):
+    """``loss_and_grads`` of the scored batch as it was written before the
+    encoder gathered from each layer directly: the same arithmetic in the
+    same order over ``reference_pass``, its backward gathering through
+    ``padded_im2col``, and each utterance's start and end sums taken
+    through a 0/1 matrix built here."""
+    d = scorer_module.H_DIM
+    lengths = [len(u) for u in utterances]
+    ids, layers, R, raw = reference_pass(scorer, utterances, lexicon)
+    target = np.concatenate([np.full(len(all_spans(n)), -1) if rows is None else rows
+                             for n, rows in zip(lengths, labels)])
+    peak = raw.max(axis=1, keepdims=True)
+    expd = np.exp(raw - peak)
+    total = expd.sum(axis=1, keepdims=True)
+    rows = np.flatnonzero(target >= 0)
+    cols = target[rows]
+    loss = float((np.log(total[rows, 0]) + peak[rows, 0] - raw[rows, cols]).sum())
+    draw = expd / total
+    draw[rows, cols] -= 1.0
+    draw[target < 0] = 0.0
+    W1, W2 = scorer.params["W1"], scorer.params["W2"]
+    grads = {"W2": draw.T @ R}
+    dA = draw @ W2
+    dA *= R > 0
+    G, t0, lo = np.empty((2, sum(lengths), dA.shape[1])), 0, 0
+    for n in lengths:
+        spans = all_spans(n)
+        by_token = np.zeros((2 * n, len(spans)))
+        for k, span in enumerate(spans):
+            by_token[span.start - 1, k] = by_token[n + span.end - 1, k] = 1.0
+        G[:, t0:t0 + n] = (by_token @ dA[lo:lo + len(spans)]).reshape(2, n, dA.shape[1])
+        t0, lo = t0 + n, lo + len(spans)
+    grads["W1"] = np.empty_like(W1)
+    np.matmul(G[0].T, layers[-1], out=grads["W1"][:, :d])
+    np.matmul(G[1].T, layers[-1], out=grads["W1"][:, d:])
+    dx = G[0] @ W1[:, :d] + G[1] @ W1[:, d:]
+    for layer in reversed(range(scorer_module.N_LAYERS)):
+        W = scorer.params[f"mix{layer}_W"]
+        dpre = dx * (1.0 - layers[layer + 1] ** 2)
+        grads[f"mix{layer}_b"] = dpre.sum(axis=0)
+        grads[f"mix{layer}_W"] = (padded_im2col(layers[layer], lengths).T @ dpre).reshape(W.shape)
+        dx = padded_im2col(dpre, lengths) @ W[::-1].transpose(0, 2, 1).reshape(-1, d)
+    grads["emb"] = np.zeros_like(scorer.params["emb"])
+    np.add.at(grads["emb"], ids, dx)
+    return loss, grads
+
+
+def gather_batches(utts, seed):
+    """Lone utterances of every length 1..12 (prefixes of the corpus's
+    utterances joined end to end), a batch of one, mixed-length batches of
+    lengths 1..9 and one holding an empty utterance."""
+    rng = random.Random(seed)
+    tokens = [t for u in rng.sample(utts, 40) for t in u.tokens]
+    lone = [[Utterance("", tuple(tokens[k:k + n]))] for k, n in
+            ((rng.randrange(len(tokens) - n), n) for n in range(1, 13))]
+    return lone + [[rng.choice(utts)]] + [mixed_batch(utts, s) for s in range(3)] + [
+        [Utterance("", tuple(tokens[:4])), Utterance("", ()), Utterance("", tuple(tokens[4:7]))]]
+
+
+@pytest.mark.parametrize("name", ["scan", "geo"])
+def test_the_gather_takes_the_padded_windows(domains, name):
+    """One gather through a batch's taps, from rows with one zero row
+    after them, gives the columns of the padded layout's gather, byte for
+    byte: a tap off its utterance reads zeros and no window reaches a
+    neighbour."""
+    _, _, utts, _ = domains[name]
+    rng = np.random.default_rng(3)
+    for batch in gather_batches(utts, seed=3):
+        lengths = [len(u) for u in batch]
+        x = rng.normal(size=(sum(lengths), 5))
+        geometries = [scorer_module._geometry(n) for n in lengths]
+        taps = scorer_module._stacked_taps(geometries, np.cumsum([0] + lengths).tolist())
+        got = scorer_module._im2col(np.vstack([x, np.zeros((1, 5))]), taps)
+        assert got.tobytes() == padded_im2col(x, lengths).tobytes(), lengths
+
+
+@pytest.mark.parametrize("lam", [0.0, 10.0])
+@pytest.mark.parametrize("name", ["scan", "geo"])
+def test_the_backward_pass_keeps_the_reference_bytes(domains, name, lam):
+    """The loss and every gradient of ``loss_and_grads`` are byte for byte
+    those of the reference backward over the padded gather, on the batches
+    of ``test_the_gather_takes_the_padded_windows``, some members
+    labelled None."""
+    scorer, lexicon, utts, _ = domains[name]
+    scorer = SpanScorer([t for t in scorer.vocab if t != scorer_module.UNK],
+                        scorer.categories, lam=lam, seed=7)
+    rng = np.random.default_rng(int(lam))
+    for batch in gather_batches(utts, seed=4):
+        labels = [None if len(batch) > 1 and rng.random() < 0.25 else
+                  rng.integers(0, len(scorer.categories), len(all_spans(len(u))))
+                  for u in batch]
+        loss, grads = scorer.loss_and_grads(scorer.score_spans(batch, lexicon), labels)
+        want_loss, want = reference_loss_and_grads(scorer, batch, labels, lexicon)
+        assert repr(loss) == repr(want_loss), [len(u) for u in batch]
+        assert grads.keys() == want.keys()
+        for key in grads:
+            assert grads[key].tobytes() == want[key].tobytes(), (key, [len(u) for u in batch])
+
+
 @pytest.mark.parametrize("lam", [0.0, 10.0])
 @pytest.mark.parametrize("name", ["scan", "geo"])
 def test_the_forward_pass_keeps_the_reference_bytes(domains, name, lam):
