@@ -54,7 +54,6 @@ from .trainer import (
     Domain,
     TrainConfig,
     TrainExample,
-    evaluate,
     evaluate_example,
     evaluation_report,
     predict,
@@ -89,46 +88,65 @@ def write_jsonl(path: Path, records) -> None:
 
 
 def read_examples(path: Path, schema) -> list:
-    """The examples of a JSONL file.  A malformed line, one that is not
-    UTF-8 among them, is a ConfigError naming the file and line; so is a tree
+    """The examples of a JSONL file: ``examples_of_lines`` over all of its
+    lines, numbered from 1, so its programs share one ``parse_program``
+    memo."""
+    return examples_of_lines(path, file_lines(path), schema)
+
+
+def file_lines(path: Path) -> list:
+    """The lines of a file as bytes, split as iterating over the file in
+    binary mode splits them: at each newline, which the line keeps, so a
+    CRLF line keeps its carriage return and a last line may have no
+    newline.  A file that cannot be read is a ConfigError naming it."""
+    def readlines(p):
+        with open(p, "rb") as fh:
+            return fh.readlines()
+
+    return read_file(path, readlines)
+
+
+def examples_of_lines(path: Path, lines: list, schema, first: int = 1) -> list:
+    """The examples of ``lines`` of JSONL file ``path``, the first of them
+    its line number ``first``.  A malformed line, one that is not UTF-8
+    among them, is a ConfigError naming the file and line; so is a tree
     that is not grammar-legal over its utterance (the ternary rule
     allowed), such as one whose spans run past it, or that carries a label
     other than NoSem, Join and the schema's constants.  The lines share one
     ``parse_program`` memo, so a subterm common to many programs is parsed
-    once per file."""
+    once per call."""
     labels = set(schema.categories())
     memo = {}
     out = []
-    with read_file(path, functools.partial(open, mode="rb")) as fh:
-        for lineno, line in enumerate(fh, 1):
-            where = f"{path}:{lineno}"
+    for lineno, line in enumerate(lines, first):
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ConfigError(f"{where}: not UTF-8") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{where}: invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict) or not all(
+                isinstance(obj.get(k), str) for k in ("utterance", "program")):
+            raise ConfigError(f'{where}: needs string "utterance" and "program"')
+        utt = Utterance.from_text(obj["utterance"])
+        if not utt.tokens:
+            raise ConfigError(f"{where}: empty utterance")
+        try:
+            program = parse_program(obj["program"], schema, memo)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{where}: bad program ({exc})") from None
+        tree = obj.get("tree")
+        if tree is not None:
             try:
-                obj = json.loads(line.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise ConfigError(f"{where}: not UTF-8") from None
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{where}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict) or not all(
-                    isinstance(obj.get(k), str) for k in ("utterance", "program")):
-                raise ConfigError(f'{where}: needs string "utterance" and "program"')
-            utt = Utterance.from_text(obj["utterance"])
-            if not utt.tokens:
-                raise ConfigError(f"{where}: empty utterance")
-            try:
-                program = parse_program(obj["program"], schema, memo)
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(f"{where}: bad program ({exc})") from None
-            tree = obj.get("tree")
-            if tree is not None:
-                try:
-                    tree = tree_from_json(tree)
-                    validate_tree(tree, len(utt), ternary=True)
-                    for node in tree.nodes():
-                        if node.category not in labels:
-                            raise ValueError(f"unknown category {node.category!r}")
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                    raise ConfigError(f"{where}: bad tree ({exc!r})") from None
-            out.append(TrainExample(utt, program, tree))
+                tree = tree_from_json(tree)
+                validate_tree(tree, len(utt), ternary=True)
+                for node in tree.nodes():
+                    if node.category not in labels:
+                        raise ValueError(f"unknown category {node.category!r}")
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}: bad tree ({exc!r})") from None
+        out.append(TrainExample(utt, program, tree))
     return out
 
 
@@ -355,40 +373,69 @@ def cmd_train(args) -> int:
 
 # -- eval --------------------------------------------------------------------
 
-_worker_inputs = None  # (step, examples, size), set in each forked eval worker
+_worker_chunk = None  # cmd_eval's chunk function, set in each forked eval worker
 
 
-def _start_worker(step, examples, size) -> None:
-    global _worker_inputs
-    _worker_inputs = step, examples, size
+def _start_worker(chunk) -> None:
+    global _worker_chunk
+    _worker_chunk = chunk
 
 
-def _evaluate_chunk(lo: int) -> list:
-    step, examples, size = _worker_inputs
-    return [step(ex) for ex in examples[lo:lo + size]]
+def _run_chunk(lo: int):
+    return _worker_chunk(lo)
+
+
+def _evaluate_chunk(path, lines, schema, step, size, lo: int):
+    """``(lo, results)``: the ``size`` lines of ``path`` from index ``lo``,
+    all read and checked before any is evaluated, and then evaluated by
+    ``step``; or ``(lo, error)``, the ConfigError of the first bad line."""
+    try:
+        examples = examples_of_lines(path, lines[lo:lo + size], schema, lo + 1)
+    except ConfigError as exc:
+        return lo, exc
+    return lo, [step(ex) for ex in examples]
 
 
 def cmd_eval(args) -> int:
+    """Evaluates the checkpoint on the file in at most ``--jobs``
+    contiguous chunks of lines, each read, checked and evaluated by
+    ``_evaluate_chunk``, so each chunk parses its programs with a
+    ``parse_program`` memo of its own.  A single chunk runs in-process;
+    more run one per forked worker.  The first bad line in file order is
+    the ConfigError ``read_examples`` gives, and nothing is evaluated once
+    a chunk has reported one."""
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
     data_path = Path(args.data)
     scorer, domain, grammar, K = load_run(args.checkpoint, data_path.parent)
-    examples = read_examples(data_path, domain.schema)
-    if not examples:
+    lines = file_lines(data_path)
+    if not lines:
         raise ConfigError(f"empty evaluation file {data_path}")
-    size = math.ceil(len(examples) / args.jobs)
-    starts = range(0, len(examples), size)
-    if len(starts) > 1:
-        # One contiguous chunk per worker.  Forked workers inherit the
-        # initargs, so only chunk starts and result records are pickled.
-        step = functools.partial(evaluate_example, scorer, domain, grammar, K)
+    size = math.ceil(len(lines) / args.jobs)
+    starts = range(0, len(lines), size)
+    chunk = functools.partial(
+        _evaluate_chunk, data_path, lines, domain.schema,
+        functools.partial(evaluate_example, scorer, domain, grammar, K), size)
+    if len(starts) == 1:
+        done = dict([chunk(0)])  # its one (start, result) pair
+    else:
+        # One worker per chunk.  Forked workers inherit the initargs, so
+        # only chunk starts and results are pickled.  Leaving the block
+        # stops the pool, as soon as a chunk reports a bad line.
+        done = {}
         with multiprocessing.get_context("fork").Pool(
                 len(starts), initializer=_start_worker,
-                initargs=(step, examples, size)) as pool:
-            chunks = pool.map(_evaluate_chunk, starts)
-        report = evaluation_report([r for chunk in chunks for r in chunk])
-    else:
-        report = evaluate(scorer, examples, domain, grammar, K)
+                initargs=(chunk,)) as pool:
+            for lo, result in pool.imap_unordered(_run_chunk, starts):
+                done[lo] = result
+                if isinstance(result, ConfigError):
+                    break
+    for lo, result in sorted(done.items()):
+        if isinstance(result, ConfigError):
+            # A chunk before this one may hold an earlier bad line.
+            examples_of_lines(data_path, lines[:lo], domain.schema)
+            raise result
+    report = evaluation_report([r for lo in starts for r in done[lo]])
     if args.out:
         out = Path(args.out)
         make_dir(out.parent)

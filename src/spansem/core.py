@@ -124,19 +124,16 @@ def validate_tree(tree: SpanTree, n: int, ternary: bool = False) -> None:
 
     Rules: root -> Join Join | NoSem Join; Join -> Join Join | Join NoSem;
     plus Join -> Join Join Join when the ternary extension is on.  A bare
-    constant leaf may stand for a whole cell at any level.  Every node's
-    children must tile its span, left to right; that is checked first,
-    children before their parent.
+    constant leaf may stand for a whole cell at any level; no leaf carries
+    Join, and the root is no NoSem leaf.  Every node's children must tile
+    its span, left to right; that is checked first, children before their
+    parent, and the leaves last.
     """
     _check_tiling(tree)
     if tree.span != Span(1, n):
         raise ValueError("root does not cover the utterance")
 
     def check(node: SpanTree, at_root: bool) -> None:
-        if node.is_leaf:
-            if node.category == JOIN:
-                raise ValueError(f"leaf at {node.span} carries Join")
-            return
         if node.category != JOIN:
             raise ValueError(f"internal node at {node.span} is not Join")
         cats = [c.category for c in node.children]
@@ -159,7 +156,13 @@ def validate_tree(tree: SpanTree, n: int, ternary: bool = False) -> None:
             if not child.is_leaf:
                 check(child, at_root=False)
 
-    check(tree, at_root=True)
+    if not tree.is_leaf:
+        check(tree, at_root=True)
+    for node in tree.nodes():
+        if not node.children and node.category == JOIN:
+            raise ValueError(f"leaf at {node.span} carries Join")
+    if tree.is_leaf and tree.category == NOSEM:
+        raise ValueError("root is a NoSem leaf")
 
 
 def _check_tiling(node: SpanTree) -> None:

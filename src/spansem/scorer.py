@@ -348,6 +348,23 @@ class SpanScorer:
     """Reference encoder + span classifier with explicit parameters."""
 
     def __init__(self, vocab_tokens, categories, lam: float = 10.0, seed: int = 0):
+        self._init_sizes(vocab_tokens, categories, lam, seed)
+        rng = np.random.default_rng(seed)
+        self.params = {key: np.zeros(shape) if std is None
+                       else rng.normal(0.0, std, size=shape)
+                       for key, (shape, std) in self._param_specs().items()}
+
+    @classmethod
+    def _with_params(cls, vocab_tokens, categories, lam, seed, stored) -> "SpanScorer":
+        """A scorer whose parameter ``key`` is ``stored(key, shape)``, with
+        ``shape`` the one ``__init__`` builds: no parameter is drawn."""
+        scorer = cls.__new__(cls)
+        scorer._init_sizes(vocab_tokens, categories, lam, seed)
+        scorer.params = {key: stored(key, shape)
+                         for key, (shape, _) in scorer._param_specs().items()}
+        return scorer
+
+    def _init_sizes(self, vocab_tokens, categories, lam, seed) -> None:
         self.vocab = {UNK: 0}
         for tok in vocab_tokens:
             self.vocab.setdefault(tok, len(self.vocab))
@@ -355,18 +372,19 @@ class SpanScorer:
         self.cat_index = {c: k for k, c in enumerate(self.categories)}
         self.lam = lam
         self.seed = seed
-        rng = np.random.default_rng(seed)
+
+    def _param_specs(self) -> dict:
+        """Each parameter's shape and the standard deviation of its normal
+        initialization (None: zeros), in the order ``__init__`` draws them."""
         d, taps = H_DIM, TAPS
         scale = 1.0 / np.sqrt(d)
-        self.params = {"emb": rng.normal(0.0, 0.5, size=(len(self.vocab), d))}
+        specs = {"emb": ((len(self.vocab), d), 0.5)}
         for layer in range(N_LAYERS):
-            self.params[f"mix{layer}_W"] = rng.normal(
-                0.0, scale / np.sqrt(taps), size=(taps, d, d))
-            self.params[f"mix{layer}_b"] = np.zeros(d)
-        self.params["W1"] = rng.normal(0.0, 1.0 / np.sqrt(2 * d),
-                                       size=(HIDDEN, 2 * d))
-        self.params["W2"] = rng.normal(0.0, 1.0 / np.sqrt(HIDDEN),
-                                       size=(len(self.categories), HIDDEN))
+            specs[f"mix{layer}_W"] = ((taps, d, d), scale / np.sqrt(taps))
+            specs[f"mix{layer}_b"] = ((d,), None)
+        specs["W1"] = ((HIDDEN, 2 * d), 1.0 / np.sqrt(2 * d))
+        specs["W2"] = ((len(self.categories), HIDDEN), 1.0 / np.sqrt(HIDDEN))
+        return specs
 
     # -- encoding ----------------------------------------------------------
 
@@ -639,20 +657,22 @@ def load_checkpoint(path):
                 raise ValueError(f"lam must be finite, not {lam!r}")
             if lam < 0:
                 raise ValueError("lam must be nonnegative")
-            scorer = SpanScorer(
-                vocab_tokens=[t for t in meta["vocab"] if t != UNK],
-                categories=meta["categories"],
-                lam=lam,
-                seed=meta["seed"],
-            )
-            for key, built in scorer.params.items():
-                stored = blob[f"param_{key}"]
-                if stored.shape != built.shape:
+            # No parameter is drawn, but the seed must still be one that
+            # SpanScorer could draw them from.
+            np.random.SeedSequence(meta["seed"])
+
+            def stored(key, shape):
+                array = blob[f"param_{key}"]
+                if array.shape != shape:
                     raise ValueError(f"checkpoint parameter {key} has shape "
-                                     f"{stored.shape}, its sizes give {built.shape}")
-                if not np.isfinite(stored).all():
+                                     f"{array.shape}, its sizes give {shape}")
+                if not np.isfinite(array).all():
                     raise ValueError(f"checkpoint parameter {key} is not finite")
-                scorer.params[key] = stored
+                return array
+
+            scorer = SpanScorer._with_params(
+                [t for t in meta["vocab"] if t != UNK], meta["categories"],
+                lam, meta["seed"], stored)
     # What zipfile raises for a damaged archive (an encryption flag is a
     # RuntimeError), and what NumPy's .npy header parser lets out.
     except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError,

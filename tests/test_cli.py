@@ -306,9 +306,11 @@ def eval_report_bytes(checkpoint, data, out, jobs):
 
 
 def test_eval_pool_pickles_no_example_or_scorer(trained_run, tiny_scan_dir,
-                                                tmp_path, monkeypatch):
-    """Workers are forked with the scorer and the examples: neither is
-    pickled, and an uneven split (chunks of 3, 3 and 1) keeps file order."""
+                                                tmp_path, monkeypatch, capsys):
+    """Workers are forked with the scorer and the file's lines: neither a
+    scorer nor an example is pickled, an uneven split (chunks of 3, 3 and
+    1) keeps file order, and a worker's bad line comes back as its
+    error."""
     def unpicklable(self, protocol):
         raise pickle.PicklingError(f"{type(self).__name__} was pickled")
 
@@ -325,6 +327,12 @@ def test_eval_pool_pickles_no_example_or_scorer(trained_run, tiny_scan_dir,
     utterances = [json.loads(line)["utterance"] for line in lines[:7]]
     per_example = json.loads(pooled)["per_example"]
     assert [r["utterance"] for r in per_example] == utterances
+    # A bad line comes back from its worker as the error alone.
+    seven.write_text("".join(lines[:6]) + "{not json\n")
+    for jobs in ("1", "3"):
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(seven),
+                         "--jobs", jobs]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count(f"configuration error: {seven}:7: invalid JSON") == 2
 
 
 def test_eval_forks_one_worker_per_chunk(exec_error_run, tmp_path, monkeypatch):
@@ -349,6 +357,69 @@ def test_eval_forks_one_worker_per_chunk(exec_error_run, tmp_path, monkeypatch):
         assert (eval_report_bytes(checkpoint, data, tmp_path / "pooled.json", jobs)
                 == eval_report_bytes(checkpoint, data, tmp_path / "serial.json", 1))
     assert forked == [3, 2]
+
+
+def test_eval_report_bytes_at_every_jobs_count(exec_error_run, tmp_path):
+    """Each chunk reads its own lines as file iteration splits them: CRLF
+    line ends, a last line without a newline, and a file of one line, so
+    more jobs than lines, give the report bytes of --jobs 1 at --jobs 2, 3
+    and 4, and the bytes of the same records with plain line ends."""
+    checkpoint = exec_error_run / "model.npz"
+    records = (exec_error_run / "test.jsonl").read_text().splitlines()
+    cases = {"crlf": (records * 2)[:7], "unended": records + records[:1],
+             "one": records[:1]}
+    for name, lines in cases.items():
+        plain = exec_error_run / f"{name}-plain.jsonl"
+        plain.write_text("".join(line + "\n" for line in lines))
+        data = exec_error_run / f"{name}.jsonl"
+        if name == "crlf":
+            data.write_bytes(b"".join(line.encode() + b"\r\n" for line in lines))
+        elif name == "unended":
+            data.write_text("\n".join(lines))
+        else:
+            data = plain
+        want = eval_report_bytes(checkpoint, plain, tmp_path / "plain.json", 1)
+        for jobs in (1, 2, 3, 4):
+            assert eval_report_bytes(checkpoint, data, tmp_path / "got.json",
+                                     jobs) == want, (name, jobs)
+
+
+@pytest.mark.parametrize("bad", [(1,), (5,), (9,), (2, 8), (4, 9), (3, 7)])
+def test_eval_names_the_first_bad_line_at_every_jobs_count(exec_error_run, capsys,
+                                                           bad):
+    """A bad line in the first, a middle or the last chunk, or two in
+    different chunks, exits 3 at --jobs 1 to 4 with the message of --jobs 1,
+    which names the first bad line in file order."""
+    checkpoint = exec_error_run / "model.npz"
+    records = (exec_error_run / "test.jsonl").read_text().splitlines()
+    lines = (records * 3)[:9]
+    for lineno in bad:
+        lines[lineno - 1] = json.dumps({"utterance": "walk", "program": f"bad{lineno}("})
+    data = exec_error_run / "nine.jsonl"
+    data.write_text("".join(line + "\n" for line in lines))
+    errors = []
+    for jobs in ("1", "2", "3", "4"):
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                         "--jobs", jobs]) == cli.EXIT_CONFIG
+        errors.append(capsys.readouterr().err)
+    assert f"configuration error: {data}:{bad[0]}: bad program" in errors[0]
+    assert errors == errors[:1] * 4
+
+
+def test_eval_checks_a_chunk_before_evaluating_it(exec_error_run, monkeypatch):
+    """A chunk reads and checks all its lines before it evaluates any: with
+    a bad line in every chunk, nothing is evaluated, in-process or in the
+    workers."""
+    def evaluated(*args):
+        raise AssertionError("a line was evaluated")
+
+    monkeypatch.setattr(cli, "evaluate_example", evaluated)
+    records = (exec_error_run / "test.jsonl").read_text().splitlines()
+    data = exec_error_run / "bad-ends.jsonl"
+    data.write_text(f"{records[0]}\n{{\n{records[1]}\n{{\n")
+    for jobs in ("1", "2"):  # one chunk of 4, then two of 2: each ends badly
+        assert cli.main(["eval", "--checkpoint", str(exec_error_run / "model.npz"),
+                         "--data", str(data), "--jobs", jobs]) == cli.EXIT_CONFIG
 
 
 def test_eval_rejects_jobs_below_one(exec_error_run, capsys):
@@ -392,15 +463,30 @@ def test_eval_rejects_malformed_lines(exec_error_run, capsys):
         # labels other than NoSem, Join and the schema's constants
         json.dumps({"utterance": "walk", "program": "walk",
                     "tree": {"span": [1, 1], "category": label},
-                    "denotation": ["WALK"]}) for label in ("foo", 5)]
+                    "denotation": ["WALK"]}) for label in ("foo", 5)] + [
+        # trees that no rule derives: a Join leaf below the root, and a
+        # root that is a NoSem leaf
+        json.dumps({"utterance": "walk walk", "program": "walk",
+                    "tree": {"span": [1, 2], "category": "Join", "children": [
+                        {"span": [1, 1], "category": "Join"},
+                        {"span": [2, 2], "category": "walk"}]},
+                    "denotation": ["WALK"]}),
+        json.dumps({"utterance": "walk walk walk", "program": "walk",
+                    "tree": {"span": [1, 3], "category": "NoSem"},
+                    "denotation": ["WALK"]})]
     bad = exec_error_run / "bad.jsonl"
     for line in bad_lines:
         bad.write_text(good + "\n" + line + "\n")
-        code = cli.main(["eval",
-                         "--checkpoint", str(exec_error_run / "model.npz"),
-                         "--data", str(bad)])
-        assert code == cli.EXIT_CONFIG, line
-        assert f"configuration error: {bad}:2:" in capsys.readouterr().err
+        errors = []
+        for jobs in ("1", "2"):  # at --jobs 2 the second worker finds it
+            code = cli.main(["eval",
+                             "--checkpoint", str(exec_error_run / "model.npz"),
+                             "--data", str(bad), "--jobs", jobs])
+            assert code == cli.EXIT_CONFIG, line
+            errors.append(capsys.readouterr().err)
+        assert f"configuration error: {bad}:2:" in errors[0]
+        assert errors[1] == errors[0]
+    assert "bad tree (ValueError('root is a NoSem leaf'))" in errors[0]
 
 
 @pytest.mark.parametrize("children, message", [

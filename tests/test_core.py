@@ -1,6 +1,7 @@
 """Span trees, the span <-> category map, and serialization."""
 
 import json
+import re
 
 import pytest
 
@@ -135,3 +136,79 @@ def test_reserved_category_names():
         with pytest.raises(ValueError, match="reserved"):
             schema.add(DomainConstant(name, ENTITY, "e"))
     assert schema.constants == {}
+
+
+@pytest.mark.parametrize("tree, n, message", [
+    (SpanTree(Span(1, 2), JOIN, (leaf(1, 1, JOIN), leaf(2, 2, "walk"))), 2,
+     "leaf at Span(start=1, end=1) carries Join"),
+    (leaf(1, 3, NOSEM), 3, "root is a NoSem leaf")])
+def test_validate_tree_refuses_a_join_leaf_and_a_nosem_root(tree, n, message):
+    """A Join leaf below the root and a root that is a NoSem leaf derive
+    from no rule."""
+    for ternary in (False, True):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            validate_tree(tree, n, ternary=ternary)
+
+
+# The grammar as data: each symbol's right-hand sides.  A one-symbol side
+# is a unary rule that adds no node; a constant leaf stands for Join.
+RULES = {"root": [(JOIN,), (NOSEM, JOIN)],
+         JOIN: [(JOIN, JOIN), (JOIN, NOSEM)]}
+TERNARY_RULE = (JOIN, JOIN, JOIN)
+CONSTANT = "walk"
+
+
+def tilings(i, j, parts):
+    """Every way to cut span (i, j) into ``parts`` contiguous spans."""
+    if parts == 1:
+        return [[(i, j)]]
+    return [[(i, k)] + rest for k in range(i, j)
+            for rest in tilings(k + 1, j, parts - 1)]
+
+
+def derived(symbol, i, j, ternary):
+    """Every tree over (i, j) that the rules derive from ``symbol``."""
+    if symbol == NOSEM:
+        return [leaf(i, j, NOSEM)]
+    out = [leaf(i, j, CONSTANT)] if symbol == JOIN else []
+    for rhs in RULES[symbol] + ([TERNARY_RULE] if symbol == JOIN and ternary else []):
+        if len(rhs) == 1:
+            out += derived(rhs[0], i, j, ternary)
+            continue
+        for parts in tilings(i, j, len(rhs)):
+            choices = [[]]
+            for sym, (a, b) in zip(rhs, parts):
+                choices = [c + [t] for c in choices for t in derived(sym, a, b, ternary)]
+            out += [SpanTree(Span(i, j), JOIN, tuple(c)) for c in choices]
+    return out
+
+
+def every_tree(i, j):
+    """Every tree over (i, j) whose nodes tile their parents, split in two
+    or more children, labelled NoSem, Join or the constant."""
+    out = [leaf(i, j, label) for label in (NOSEM, JOIN, CONSTANT)]
+    for parts in range(2, j - i + 2):
+        for cut in tilings(i, j, parts):
+            choices = [[]]
+            for a, b in cut:
+                choices = [c + [t] for c in choices for t in every_tree(a, b)]
+            out += [SpanTree(Span(i, j), label, tuple(c))
+                    for label in (NOSEM, JOIN, CONSTANT) for c in choices]
+    return out
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_validate_tree_accepts_exactly_the_derived_trees(ternary):
+    """Brute force over n <= 4 (16,608 trees at n = 4): ``validate_tree``
+    accepts a tree exactly when the rules derive it from the root."""
+    for n in range(1, 5):
+        legal = derived("root", 1, n, ternary)
+        assert len(set(legal)) == len(legal)
+        accepted = []
+        for tree in every_tree(1, n):
+            try:
+                validate_tree(tree, n, ternary=ternary)
+            except ValueError:
+                continue
+            accepted.append(tree)
+        assert set(accepted) == set(legal), n

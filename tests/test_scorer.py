@@ -347,6 +347,61 @@ def test_checkpoint_round_trip(tmp_path, tiny_scorer):
                           again.score_spans([utt])[0].raw)
 
 
+def reference_params(scorer, seed):
+    """The parameters a scorer of ``scorer``'s sizes draws from ``seed``,
+    written out draw by draw."""
+    rng = np.random.default_rng(seed)
+    d, taps = scorer_module.H_DIM, scorer_module.TAPS
+    params = {"emb": rng.normal(0.0, 0.5, size=(len(scorer.vocab), d))}
+    for layer in range(scorer_module.N_LAYERS):
+        params[f"mix{layer}_W"] = rng.normal(0.0, 1.0 / np.sqrt(d) / np.sqrt(taps),
+                                             size=(taps, d, d))
+        params[f"mix{layer}_b"] = np.zeros(d)
+    params["W1"] = rng.normal(0.0, 1.0 / np.sqrt(2 * d),
+                              size=(scorer_module.HIDDEN, 2 * d))
+    params["W2"] = rng.normal(0.0, 1.0 / np.sqrt(scorer_module.HIDDEN),
+                              size=(len(scorer.categories), scorer_module.HIDDEN))
+    return params
+
+
+def same_arrays(got: dict, want: dict) -> bool:
+    return list(got) == list(want) and all(
+        got[k].dtype == want[k].dtype and got[k].shape == want[k].shape
+        and got[k].tobytes() == want[k].tobytes() for k in want)
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_scorer_draws_its_parameters_in_a_fixed_order(tiny_scorer, seed):
+    scorer = tiny_scorer(seed=seed)
+    assert same_arrays(scorer.params, reference_params(scorer, seed))
+
+
+def test_checkpoint_loads_its_stored_arrays_without_drawing(tmp_path, tiny_scorer,
+                                                           monkeypatch):
+    """``load_checkpoint`` takes every parameter from the file, with the
+    shape the sizes give: it draws none, so it loads with the generator
+    gone, and still refuses a seed no generator takes."""
+    scorer = tiny_scorer(seed=9, lam=3.0)
+    scorer.params["W2"] += 1.0  # no longer what the seed draws
+    path = tmp_path / "model.npz"
+    save_checkpoint(scorer, path)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a parameter was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    again, _ = load_checkpoint(path)
+    with np.load(path) as blob:
+        stored = {key: blob[f"param_{key}"] for key in scorer.params}
+    assert same_arrays(again.params, stored)
+    assert (again.vocab, again.categories, again.lam, again.seed) == \
+        (scorer.vocab, scorer.categories, 3.0, 9)
+    scorer.seed = -1
+    save_checkpoint(scorer, path)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("lam, message", [
     ("x", "lam must be a float, not 'x'"), (None, "lam must be a float, not None"),
     (True, "lam must be a float, not True"),
