@@ -255,7 +255,8 @@ class _Chart:
         """The best derivation of every cell by row, then the root's, each
         None when there is none.  ``score[r]`` is the score of ``best[r]``,
         or None while it has none; until its cell is filled, they hold its
-        best leaf's score and label."""
+        best leaf's score and label, the first of ``_live_leaves``: a NaN
+        constant is no leaf, in this pass as in the merge."""
         plan, bases = self.plan, self.bases
         score, best = [None] * len(bases), [None] * len(bases)
         if self.constants:
@@ -265,6 +266,10 @@ class _Chart:
             for k, (leaf, c) in enumerate(zip(leaves.tolist(), cols.tolist())):
                 if leaf > NEG_INF / 2:
                     score[k], best[k] = leaf, self.constants[c]
+                elif leaf != leaf:  # argmax stops at a NaN: the best live leaf
+                    row = self.consts[k].tolist()
+                    if live := _live_leaves(row):
+                        score[k], best[k] = row[live[0]], self.constants[live[0]]
         nosems = plan.nosems
         for k in plan.order:
             lefts, rights, triples = plan.cells[k]
@@ -314,10 +319,8 @@ class _Chart:
             return None
         entries = self.lists[key]
         if entries is None:
-            # A NaN leaf can hide a cell's leaves from the Viterbi pass but
-            # not from its merge, so a list with no best entry is ranked.
-            if r == 0 and (best := self.best[key]) is not None:
-                return best
+            if r == 0:
+                return self.best[key]
             entries = self._list(key)
         while len(entries) <= r:
             if not self._extend(key, entries):
@@ -356,13 +359,9 @@ class _Chart:
                 for x, (a, b) in enumerate(zip(lefts, rights))])
         lefts, rights, triples = plan.cells[key]
         base = self.bases[key]
-        # A stable sort of the label-ordered constants (``reverse`` keeps
-        # ties in order): ties go to the lower label, as in the Viterbi pass.
         scores = self.consts[key].tolist()
-        top = sorted(range(len(scores)), key=scores.__getitem__,
-                     reverse=True)[: self.K]
         sources = [((0, 0), 0.0, [([(scores[k], key, self.constants[k], ())
-                                    for k in top if scores[k] > NEG_INF / 2],
+                                    for k in _live_leaves(scores)[: self.K]],
                                    None)])]
         for x, (a, b) in enumerate(zip(lefts, rights)):
             sources.append(((1, x), base, [(lists(a), a), (lists(b), b)]))
@@ -438,6 +437,17 @@ class _Chart:
                  for r, span in enumerate(spans)}
         return {"n": self.table.n, "K": self.K, "cells": cells,
                 "root": [entry(d) for d in self.ranked(self.root)]}
+
+
+def _live_leaves(scores: list) -> list:
+    """The constants whose leaf scores lie above ``NEG_INF / 2``, NaN
+    excluded, best first, by their index in ``scores``, the label order: a
+    stable sort (``reverse`` keeps ties in order), so ties go to the lower
+    label, as ``argmax`` breaks them in the Viterbi pass."""
+    floor = NEG_INF / 2
+    live = [k for k, s in enumerate(scores) if s > floor]
+    live.sort(key=scores.__getitem__, reverse=True)
+    return live
 
 
 def _root(base: float, ends: list):
@@ -637,7 +647,7 @@ def _compile(n: int, grammar: Grammar, template: Program,
         if row is None:
             row = partners[x, length] = [
                 (q, r) for q, y in enumerate(members[length - 1])
-                if (r := compose(x, y)) >= 0 and need(r) is not None]
+                if (r := compose(x, y)) is not None and need(r) is not None]
         return row
 
     # Per length L, by state index: its leaves as (t, slot), and its edges:

@@ -65,6 +65,12 @@ EXIT_OK = 0
 EXIT_NO_PARSE = 2
 EXIT_CONFIG = 3
 
+# The longest utterance that parse, eval and train read.  The chart's fill
+# plans and the scorer's geometry are cached per length, and this bounds
+# them: those of every length up to 32 hold 14.3 MB (by tracemalloc), and
+# up to 64 they would hold 305.5 MB.
+MAX_TOKENS = 32
+
 SCAN_SPLITS = ("iid", "right", "aroundRight")
 GEO_SPLITS = ("iid", "template", "length")
 
@@ -108,13 +114,13 @@ def file_lines(path: Path) -> list:
 
 def examples_of_lines(path: Path, lines: list, schema, first: int = 1) -> list:
     """The examples of ``lines`` of JSONL file ``path``, the first of them
-    its line number ``first``.  A malformed line, one that is not UTF-8
-    among them, is a ConfigError naming the file and line; so is a tree
-    that is not grammar-legal over its utterance (the ternary rule
-    allowed), such as one whose spans run past it, or that carries a label
-    other than NoSem, Join and the schema's constants.  The lines share one
-    ``parse_program`` memo, so a subterm common to many programs is parsed
-    once per call."""
+    its line number ``first``.  A malformed line, among them one that is
+    not UTF-8 or whose utterance ``utterance_of`` refuses, is a ConfigError
+    naming the file and line; so is a tree that is not grammar-legal over
+    its utterance (the ternary rule allowed), such as one whose spans run
+    past it, or that carries a label other than NoSem, Join and the
+    schema's constants.  The lines share one ``parse_program`` memo, so a
+    subterm common to many programs is parsed once per call."""
     labels = set(schema.categories())
     memo = {}
     out = []
@@ -129,9 +135,7 @@ def examples_of_lines(path: Path, lines: list, schema, first: int = 1) -> list:
         if not isinstance(obj, dict) or not all(
                 isinstance(obj.get(k), str) for k in ("utterance", "program")):
             raise ConfigError(f'{where}: needs string "utterance" and "program"')
-        utt = Utterance.from_text(obj["utterance"])
-        if not utt.tokens:
-            raise ConfigError(f"{where}: empty utterance")
+        utt = utterance_of(obj["utterance"], f"{where}: ")
         try:
             program = parse_program(obj["program"], schema, memo)
         except (KeyError, ValueError) as exc:
@@ -148,6 +152,19 @@ def examples_of_lines(path: Path, lines: list, schema, first: int = 1) -> list:
                 raise ConfigError(f"{where}: bad tree ({exc!r})") from None
         out.append(TrainExample(utt, program, tree))
     return out
+
+
+def utterance_of(text: str, where: str = "") -> Utterance:
+    """The utterance of ``text``.  An empty one, or one of more than
+    ``MAX_TOKENS`` tokens, is a ConfigError whose message starts with
+    ``where``."""
+    utt = Utterance.from_text(text)
+    if not utt.tokens:
+        raise ConfigError(f"{where}empty utterance")
+    if len(utt) > MAX_TOKENS:
+        raise ConfigError(f"{where}utterance of {len(utt)} tokens, "
+                          f"more than {MAX_TOKENS}")
+    return utt
 
 
 def load_domain(data_dir: Path, no_lexicon: bool) -> Domain:
@@ -401,9 +418,9 @@ def cmd_eval(args) -> int:
     contiguous chunks of lines, each read, checked and evaluated by
     ``_evaluate_chunk``, so each chunk parses its programs with a
     ``parse_program`` memo of its own.  A single chunk runs in-process;
-    more run one per forked worker.  The first bad line in file order is
-    the ConfigError ``read_examples`` gives, and nothing is evaluated once
-    a chunk has reported one."""
+    more run one per forked worker.  Every chunk reports before the first
+    bad line in file order, the ConfigError ``read_examples`` gives, is
+    raised."""
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
     data_path = Path(args.data)
@@ -420,21 +437,17 @@ def cmd_eval(args) -> int:
         done = dict([chunk(0)])  # its one (start, result) pair
     else:
         # One worker per chunk.  Forked workers inherit the initargs, so
-        # only chunk starts and results are pickled.  Leaving the block
-        # stops the pool, as soon as a chunk reports a bad line.
-        done = {}
+        # only chunk starts and results are pickled.  The block is left
+        # only once every chunk has reported: it terminates the workers,
+        # and one killed while it sends its results can leave the result
+        # queue's lock held, on which the pool's exit then waits for good.
         with multiprocessing.get_context("fork").Pool(
                 len(starts), initializer=_start_worker,
                 initargs=(chunk,)) as pool:
-            for lo, result in pool.imap_unordered(_run_chunk, starts):
-                done[lo] = result
-                if isinstance(result, ConfigError):
-                    break
-    for lo, result in sorted(done.items()):
-        if isinstance(result, ConfigError):
-            # A chunk before this one may hold an earlier bad line.
-            examples_of_lines(data_path, lines[:lo], domain.schema)
-            raise result
+            done = dict(pool.imap_unordered(_run_chunk, starts))
+    for lo in starts:  # a chunk's error is its first bad line
+        if isinstance(done[lo], ConfigError):
+            raise done[lo]
     report = evaluation_report([r for lo in starts for r in done[lo]])
     if args.out:
         out = Path(args.out)
@@ -453,9 +466,7 @@ def cmd_eval(args) -> int:
 
 def cmd_parse(args) -> int:
     scorer, domain, grammar, K = load_run(args.checkpoint, args.data)
-    utt = Utterance.from_text(args.utterance)
-    if not utt.tokens:
-        raise ConfigError("empty utterance")
+    utt = utterance_of(args.utterance)
     if args.dump_chart:
         make_dir(Path(args.dump_chart).parent)
         table, = scorer.score_spans([utt], domain.lexicon)

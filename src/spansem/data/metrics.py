@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 
-def row_f1_counts(pred: tuple | None, gold: list, nosem: int):
+def row_f1_counts(pred: tuple | None, gold: tuple, nosem: int):
     """(true positives, predicted, gold) labeled spans of two label rows of
-    one utterance (one category index per span row, as
-    ``SpanScorer.labels_for_tree`` writes them), NoSem excluded; a None
-    prediction has no spans.  Each node of a grammar-legal tree has a span
-    of its own, so a row holds one entry per labeled node and these are
-    the counts over the trees' (span, category) sets."""
+    one utterance (tuples of one category index per span row, as
+    ``SpanScorer.labels_for_tree`` and the charts write them), NoSem
+    excluded; a None prediction has no spans.  Each node of a grammar-legal
+    tree has a span of its own, so a row holds one entry per labeled node
+    and these are the counts over the trees' (span, category) sets."""
     n_gold = len(gold) - gold.count(nosem)
     if pred is None:
         return 0, 0, n_gold

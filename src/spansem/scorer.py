@@ -485,8 +485,8 @@ class SpanScorer:
         ``tables`` must be the tables of one ``score_spans`` call, in the
         order it returned them, under the current parameter dict; else
         ValueError.  ``labels[k]`` holds one category index per span of
-        ``tables[k]``, in all_spans order (an array, or a tuple as the
-        E-step writes it), or is None: then that example adds no loss and
+        ``tables[k]``, in all_spans order (the tuple ``labels_for_tree`` and
+        the E-step write), or is None: then that example adds no loss and
         no gradient.
         """
         if any(t.params is not self.params for t in tables):
@@ -533,15 +533,16 @@ class SpanScorer:
         self._encode_backward(cache, dH, grads)
         return loss, grads
 
-    def labels_for_tree(self, tree: SpanTree, n: int) -> np.ndarray:
-        """One category index per span of an n-token utterance, in
-        all_spans order: NoSem, then each node's category at its row."""
+    def labels_for_tree(self, tree: SpanTree, n: int) -> tuple:
+        """The tree's label row, a tuple as both charts write it: one
+        category index per span of an n-token utterance, in all_spans
+        order, NoSem where no node is."""
         geometry = _geometry(n)
-        labels = np.full(len(geometry.spans), self.cat_index[NOSEM])
+        labels = [self.cat_index[NOSEM]] * len(geometry.spans)
         for node in tree.nodes():
             labels[geometry.row_of[node.span.start][node.span.end]] = \
                 self.cat_index[node.category]
-        return labels
+        return tuple(labels)
 
 
 def tree_from_labels(labels, categories: list) -> SpanTree:

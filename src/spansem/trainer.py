@@ -9,16 +9,17 @@ gold template, grammar), a template being the gold program with its
 constants renamed within their signature classes, and kept in the
 schema's composition table; every later example of that length and
 template, in any epoch or ``train`` call on the schema, only evaluates it
-over new scores.  The M-step reads a tree only as its label row, one
-category index per span (NoSem where no node is), so the E-step builds no
-tree and hands over the row it writes from its chart; ``target_labels`` is
-the one place that picks an example's row.  The M-step treats the rows as
-supervision and takes one momentum-SGD step on the summed per-span
-cross-entropy.  When gold trees are available the E-step is bypassed and
-their rows are used directly.  A batch takes one forward and one backward
-pass: its examples are scored together, each E-step reads its own table,
-and the M-step backpropagates the whole batch from the forward cache the
-tables share.
+over new scores.  The M-step reads a tree only as its label row, a tuple
+of one category index per span (NoSem where no node is), so the E-step
+builds no tree and hands over the row it writes from its chart;
+``target_labels`` is the one place that picks an example's row.  The
+M-step treats the rows as supervision and takes one momentum-SGD step on
+the summed per-span cross-entropy.  When gold trees are available the
+E-step is bypassed and their rows (``SpanScorer.labels_for_tree``) are
+used directly.  A batch takes one forward and one backward pass: its
+examples are scored together, each E-step reads its own table, and the
+M-step backpropagates the whole batch from the forward cache the tables
+share.
 
 Evaluation reads label rows too.  ``predict`` returns the decoded tree as
 its row (``cky.ParseResult``), and an example's labeled-span F1 counts
@@ -127,7 +128,7 @@ def vocabulary(examples) -> list:
 
 def target_labels(scorer: SpanScorer, table: ScoreTable, ex: TrainExample,
                   domain: Domain, grammar: Grammar,
-                  config: TrainConfig) -> np.ndarray | tuple | None:
+                  config: TrainConfig) -> tuple | None:
     """Supervision for one example scored as ``table``, one category index
     per span row: the gold tree's row when configured and present,
     otherwise the row the constrained parse writes for its best tree (None
@@ -179,8 +180,8 @@ def evaluate_example(scorer: SpanScorer, domain: Domain, grammar: Grammar,
     }
     counts = None
     if ex.tree is not None:
-        gold_row = scorer.labels_for_tree(ex.tree, len(ex.utterance)).tolist()
-        counts = row_f1_counts(None if result is None else result.labels, gold_row,
+        counts = row_f1_counts(None if result is None else result.labels,
+                               scorer.labels_for_tree(ex.tree, len(ex.utterance)),
                                scorer.cat_index[NOSEM])
     return record, denotation is None, counts
 

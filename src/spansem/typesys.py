@@ -10,9 +10,10 @@ Each schema owns one ``CompositionTable``, built on first use: programs are
 hash-consed to ints (Filliâtre & Conchon 2006, *Type-safe modular
 hash-consing*) and composition is memoized over id pairs, so a pair of
 programs is composed once per schema however many parses, examples and
-epochs meet it.  A miss composes through ``compose_children``.  The table
-also keeps each program's template and the E-step charts compiled for it.
-``DomainSchema.add`` clears the table.
+epochs meet it.  A failed composition is None, over programs and ids
+alike, and a miss composes through the module-level ``compose``.  The
+table also keeps each program's template and the E-step charts compiled
+for it.  ``DomainSchema.add`` clears the table.
 
 The module also owns the programs' surface syntax: ``program_tokens`` is
 its one tokenizer, reading an entity ``fn('payload')`` as one token, and
@@ -268,9 +269,10 @@ def compose(a: Program, b: Program, schema: DomainSchema):
 
 def _node(children, compose_pair):
     """The internal-node rule over programs or their ids (None for NoSem):
-    one semantic child passes through, two compose by ``compose_pair``, and
-    three compose the outer pair first, then the middle one.  None when the
-    rule or ``compose_pair`` fails."""
+    of two children, a NoSem one passes the other through and two semantic
+    ones compose by ``compose_pair``; three compose the outer pair first,
+    then the middle one.  None for any other arity, as no rule has one, and
+    when the rule or ``compose_pair`` fails."""
     if len(children) == 2:  # the binary rules, tried first as the commonest
         left, right = children
         if left is None:
@@ -283,11 +285,6 @@ def _node(children, compose_pair):
             return None
         outer = compose_pair(children[0], children[2])
         return None if outer is None else compose_pair(outer, children[1])
-    semantic = [c for c in children if c is not None]
-    if len(semantic) == 1:
-        return semantic[0]
-    if len(semantic) == 2:
-        return compose_pair(*semantic)
     return None
 
 
@@ -297,12 +294,15 @@ def compose_children(programs, schema: DomainSchema):
     return _node(programs, lambda a, b: compose(a, b, schema))
 
 
+_MISSING = object()  # a pair the table has not composed yet
+
+
 class CompositionTable:
     """One schema's programs interned to ints, with composition memoized
     over pairs of ids.
 
     ``programs[x]`` is the program of id ``x``.  ``compose(x, y)`` is the
-    id of ``compose_children([programs[x], programs[y]])``, or -1 when it
+    id of ``compose(programs[x], programs[y], schema)``, or None when that
     is None; the first call for a pair composes, later ones look it up.
     Ids follow first use, so they differ between a cold table and a warm
     one: nothing may be ordered by them.
@@ -318,10 +318,9 @@ class CompositionTable:
         self.programs: list = []
         self.ids: dict = {}  # program -> id
         self.atoms: dict = {}  # constant name -> id of its bare program
-        self.composed: list = []  # x -> {y: compose(x, y)}
+        self.composed: list = []  # x -> {y: compose(x, y), None if failed}
         self.templates: dict = {}  # x -> (template id, slot names)
         self.charts: dict = {}
-        self._pair = self._composed_or_none
         self.defaults = set(schema.type_defaults.values())
         self.classes: dict = {}  # signature -> its constants but defaults, by name
         for c in schema.sigma:
@@ -344,24 +343,17 @@ class CompositionTable:
             pid = self.atoms[name] = self.intern(self.schema.atom(name))
         return pid
 
-    def compose(self, x: int, y: int) -> int:
+    def compose(self, x: int, y: int) -> int | None:
         memo = self.composed[x]
-        pid = memo.get(y)
-        if pid is None:
-            program = compose_children([self.programs[x], self.programs[y]],
-                                       self.schema)
-            pid = memo[y] = -1 if program is None else self.intern(program)
+        pid = memo.get(y, _MISSING)
+        if pid is _MISSING:
+            program = compose(self.programs[x], self.programs[y], self.schema)
+            pid = memo[y] = None if program is None else self.intern(program)
         return pid
 
     def compose_children(self, ids):
         """``compose_children`` over ids (None for NoSem): an id, or None."""
-        return _node(ids, self._pair)
-
-    def _composed_or_none(self, x: int, y: int):
-        """``compose(x, y)``, or None where it is -1: the pair rule that
-        ``compose_children`` hands ``_node``, bound once as ``_pair``."""
-        pid = self.compose(x, y)
-        return None if pid < 0 else pid
+        return _node(ids, self.compose)
 
     def template(self, pid: int) -> tuple:
         """``(template id, slot names)`` of program ``pid``.

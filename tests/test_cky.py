@@ -137,6 +137,22 @@ def test_single_token_leaf():
     assert [r.score for r in results] == pytest.approx([2.0, 1.0])
 
 
+def test_a_nan_constant_hides_no_other_leaf():
+    """A NaN in a constant's column is no leaf, and the cell keeps its
+    other leaves, best first, in the Viterbi pass, in its ranked list and
+    in the reference chart, with either grammar."""
+    cats = toy_categories(3)
+    table = ScoreTable(1, cats, np.array([[0.0, -5.0, float("nan"), 1.0, 2.0]]))
+    for ternary in (False, True):
+        chart = cky._Chart(table, Grammar(ternary=ternary), 5)
+        assert chart.best[0][:3] == (2.0, 0, "c2")
+        assert [d[:3] for d in chart.ranked(0)] == [(2.0, 0, "c2"), (1.0, 0, "c1")]
+        results = list(parse_kbest(table, Grammar(ternary=ternary), 5))
+        assert [(r.score, r.tree.category) for r in results] == [(2.0, "c2"), (1.0, "c1")]
+        assert json.dumps(chart.to_json(), indent=2, sort_keys=True) == \
+            reference_chart(table, ternary, 5)
+
+
 def test_empty_input_rejected():
     cats = toy_categories(1)
     with pytest.raises(EmptyInput):
@@ -225,7 +241,8 @@ def test_taking_a_prefix_of_candidates_matches_the_list(ternary):
 def reference_viterbi(table, ternary):
     """The K-best chart's Viterbi pass as it was written before its fill
     plan, over ``best[i][j]`` and with the constants sorted per call:
-    ``(root list, cells)``."""
+    ``(root list, cells)``.  A cell whose best constant is NaN takes its
+    best other one above ``NEG_INF / 2``, the lowest label on ties."""
     n, row_of = table.n, table.row_of
     constants = sorted(c for c in table.categories if c not in (NOSEM, JOIN))
     cols = [table.cat_index[c] for c in constants]
@@ -237,6 +254,12 @@ def reference_viterbi(table, ternary):
                                            consts.argmax(axis=1).tolist())):
             if score > NEG_INF / 2:
                 leaves[k] = (score, constants[c])
+            elif score != score:
+                row = consts[k].tolist()
+                live = [c for c, s in enumerate(row) if s > NEG_INF / 2]
+                if live:
+                    c = max(live, key=row.__getitem__)  # the first of ties
+                    leaves[k] = (row[c], constants[c])
     best = [[None] * (n + 2) for _ in range(n + 2)]
     cells = {}
     for length in range(1, n + 1):
@@ -354,7 +377,8 @@ class ReferenceChart:
     table row: its Viterbi pass is ``reference_viterbi``, its lists are
     keyed by ``(i, j)`` and "root", each list's rule sources enumerate its
     splits and read its table row, and a derivation is ``(score, i, j,
-    category, children)``."""
+    category, children)``.  A cell's leaves are its constants above
+    ``NEG_INF / 2``, NaN excluded, before they are sorted and cut to K."""
 
     def __init__(self, table, ternary, K):
         self.table, self.ternary, self.K = table, ternary, K
@@ -394,11 +418,10 @@ class ReferenceChart:
                 for s in range(1, j)]
         constants = sorted(c for c in table.categories if c not in (NOSEM, JOIN))
         scores = [row[table.cat_index[c]] for c in constants]
-        top = sorted(range(len(scores)), key=scores.__getitem__,
-                     reverse=True)[: self.K]
+        live = [k for k in range(len(scores)) if scores[k] > NEG_INF / 2]
+        top = sorted(live, key=scores.__getitem__, reverse=True)[: self.K]
         sources = [((0, ()), 0.0, [([(scores[k], i, j, constants[k], ())
-                                     for k in top if scores[k] > NEG_INF / 2],
-                                    None)])]
+                                     for k in top], None)])]
         for s in range(i, j):
             sources.append(((1, (s,)), base, [cell(i, s), cell(s + 1, j)]))
             sources.append(((2, (s,)), base, [cell(i, s), nosem(s + 1, j)]))
@@ -979,10 +1002,11 @@ def test_constrained_parse_matches_gold_oracle(ternary):
 def test_estep_row_is_the_best_gold_trees_label_row(ternary):
     """The E-step's label row is ``labels_for_tree`` of a best tree that
     maps to gold, by the oracle's enumeration, and its ``tree`` is that
-    tree.  Half the tables score in small integers, so that several trees
-    often tie for the best score; the row is then one of theirs, and with
-    a single best tree it is that tree's.  Scan and geo programs, up to 5
-    tokens with the binary grammar and 4 with the ternary one."""
+    tree; both rows are tuples and compare equal as they are.  Half the
+    tables score in small integers, so that several trees often tie for
+    the best score; the row is then one of theirs, and with a single best
+    tree it is that tree's.  Scan and geo programs, up to 5 tokens with
+    the binary grammar and 4 with the ternary one."""
     rng = random.Random(43)
     longest = 4 if ternary else 5
     scan, geo = scan_schema(), geo_schema()
@@ -1014,13 +1038,14 @@ def test_estep_row_is_the_best_gold_trees_label_row(ternary):
                 continue
             top = max(score for score, _ in trees)
             best = [tree for score, tree in trees if score == top]
-            rows = [scorer.labels_for_tree(tree, n).tolist() for tree in best]
+            rows = [scorer.labels_for_tree(tree, n) for tree in best]
+            assert all(type(row) is tuple for row in rows)
             assert result.score == top
-            assert list(result.labels) in rows
+            assert result.labels in rows
             assert result.tree in best
-            assert scorer.labels_for_tree(result.tree, n).tolist() == list(result.labels)
+            assert scorer.labels_for_tree(result.tree, n) == result.labels
             found += 1
-            tied += len(set(map(tuple, rows))) > 1
+            tied += len(set(rows)) > 1
     assert found > 40 and tied > 5
 
 
@@ -1115,7 +1140,7 @@ def test_composition_adds_weights():
     def check(schema, x, y):
         table = schema.table
         r = table.compose(x, y)
-        if r < 0:
+        if r is None:
             return False
         px, py, pr = table.programs[x], table.programs[y], table.programs[r]
         assert weight(pr, schema) == weight(px, schema) + weight(py, schema)
@@ -1342,7 +1367,7 @@ def reference_compile(n, grammar, template, schema):
         if row is None:
             row = partners[x, length] = [
                 (q, r) for q, y in enumerate(members[length - 1])
-                if (r := compose(x, y)) >= 0 and need(r) is not None]
+                if (r := compose(x, y)) is not None and need(r) is not None]
         return row
 
     lengths, gold_at = [], []

@@ -489,6 +489,53 @@ def test_eval_rejects_malformed_lines(exec_error_run, capsys):
     assert "bad tree (ValueError('root is a NoSem leaf'))" in errors[0]
 
 
+def test_an_utterance_past_the_length_limit_is_config_error(
+        exec_error_run, tiny_scan_dir, tmp_path, capsys):
+    """``eval`` at ``--jobs 1`` and ``2``, ``train`` and ``parse`` refuse an
+    utterance of ``MAX_TOKENS + 1`` tokens with exit 3, and read one of
+    ``MAX_TOKENS``; a line's earlier faults keep their own message."""
+    checkpoint = str(exec_error_run / "model.npz")
+    longest = " ".join(["walk"] * cli.MAX_TOKENS)
+    refused = f"utterance of {cli.MAX_TOKENS + 1} tokens, more than {cli.MAX_TOKENS}"
+
+    def line(text, **fields):
+        return json.dumps({"utterance": text, "program": "walk", "tree": None,
+                           "denotation": ["WALK"], **fields})
+
+    data = exec_error_run / "long.jsonl"
+    data.write_text(line("walk") + "\n" + line(longest) + "\n")
+    assert run_all([["eval", "--checkpoint", checkpoint, "--data", str(data),
+                     "--jobs", jobs] for jobs in ("1", "2")], capsys)[0] == [0, 0]
+    data.write_text(line("walk") + "\n" + line(longest + " walk") + "\n")
+    errors = []
+    for jobs in ("1", "2"):
+        codes, err = run_all([["eval", "--checkpoint", checkpoint,
+                               "--data", str(data), "--jobs", jobs]], capsys)
+        assert codes == [cli.EXIT_CONFIG]
+        errors.append(err)
+    assert f"configuration error: {data}:2: {refused}" in errors[0]
+    assert errors[1] == errors[0]
+    data.write_text(line(longest + " walk", program=5) + "\n")
+    codes, err = run_all([["eval", "--checkpoint", checkpoint, "--data", str(data)]],
+                         capsys)
+    assert codes == [cli.EXIT_CONFIG] and 'needs string "utterance"' in err
+
+    train_dir = copy_without(tiny_scan_dir, tmp_path / "data")
+    with open(train_dir / "train.jsonl", "a") as fh:
+        fh.write(line(longest + " walk") + "\n")
+    codes, err = run_all([["train", "--data", str(train_dir),
+                           "--out", str(tmp_path / "run")]], capsys)
+    assert codes == [cli.EXIT_CONFIG]
+    assert f"{train_dir / 'train.jsonl'}:81: {refused}" in err
+    assert not (tmp_path / "run" / "log.jsonl").exists()
+
+    codes, err = run_all([["parse", text, "--checkpoint", checkpoint]
+                          for text in (longest, longest + " walk")], capsys)
+    assert codes[0] in (cli.EXIT_OK, cli.EXIT_NO_PARSE)
+    assert codes[1] == cli.EXIT_CONFIG
+    assert f"configuration error: {refused}" in err
+
+
 @pytest.mark.parametrize("children, message", [
     ([[1, 1], [3, 3]], "children are not contiguous"),
     ([[1, 1], [2, 2]], "children do not cover the parent span")])

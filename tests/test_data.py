@@ -447,7 +447,7 @@ def test_span_f1_counts_on_trees(corpus):
     ex = corpus[40]
     n = len(labeled_spans(ex.tree))
     assert n > 0
-    gold = scorer.labels_for_tree(ex.tree, len(ex.utterance)).tolist()
-    assert row_f1_counts(tuple(gold), gold, nosem) == (n, n, n)
+    gold = scorer.labels_for_tree(ex.tree, len(ex.utterance))
+    assert row_f1_counts(gold, gold, nosem) == (n, n, n)
     assert row_f1_counts(None, gold, nosem) == (0, 0, n)
     assert f1_from_counts(n, n, 2 * n) < 1.0

@@ -807,7 +807,7 @@ def test_labels_for_tree_matches_the_span_map(domains, name):
     for tree, n in trees:
         mapping = span_map(tree, n)
         want = [scorer.cat_index[mapping[s]] for s in all_spans(n)]
-        assert scorer.labels_for_tree(tree, n).tolist() == want
+        assert scorer.labels_for_tree(tree, n) == tuple(want)
 
 
 def legal_trees(n, ternary, constant):

@@ -298,7 +298,7 @@ def test_evaluate_counts_a_no_parse_as_a_miss(scan_domain, short_examples,
 
     def gold_except_first(scorer, utt, domain, grammar, K):
         ex = next(ex for ex in examples if ex.utterance == utt)
-        row = tuple(scorer.labels_for_tree(ex.tree, len(utt)).tolist())
+        row = scorer.labels_for_tree(ex.tree, len(utt))
         return None if ex is examples[0] else ParseResult(
             row, 0.0, ex.program, scorer.categories)
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spansem.cky import Grammar, parse_kbest
-from spansem.core import JOIN, NOSEM, Span, SpanTree, all_spans
+from spansem import typesys
+from spansem.core import JOIN, NOSEM, Span, SpanTree, all_spans, validate_tree
 from spansem.scorer import ScoreTable
 from spansem.typesys import (
     CompositionFailure,
@@ -237,7 +238,7 @@ def test_program_of_tree_through_table_matches_reference(corpora, name):
 
 def test_schema_add_clears_its_table(scan):
     walk = scan.table.atom("walk")
-    assert scan.table.compose(walk, scan.table.atom("l")) >= 0
+    assert scan.table.compose(walk, scan.table.atom("l")) is not None
     assert len(scan.table.programs) >= 2
     table = scan.table
     scan.add(DomainConstant("hop", "predicate", "act", ("dir", "man"), min_args=0))
@@ -356,6 +357,46 @@ def test_program_of_tree_failure_carries_span(scan):
         with pytest.raises(CompositionFailure) as err:
             program_of_tree(tree, scan)
         assert err.value.span == Span(1, 2)
+
+
+def test_program_of_tree_fails_at_a_node_of_another_arity(scan):
+    """Only the grammar's arities compose: a unary node and a 4-ary one
+    fail at their own spans, though the unary node's child and two of the
+    4-ary node's children compose, and ``validate_tree`` refuses both
+    trees."""
+    pair = SpanTree(Span(1, 2), JOIN, (leaf(1, 1, "walk"), leaf(2, 2, "r")))
+    unary = SpanTree(Span(1, 2), JOIN, (pair,))
+    quaternary = SpanTree(Span(1, 4), JOIN, (
+        leaf(1, 1, "walk"), leaf(2, 2, "r"), leaf(3, 3, NOSEM), leaf(4, 4, NOSEM)))
+    assert str(program_of_tree(pair, scan)) == "walk(r)"
+    for node in (unary, quaternary):
+        end = node.span.end + 1
+        tree = SpanTree(Span(1, end), JOIN, (node, leaf(end, end, "twice")))
+        with pytest.raises(CompositionFailure) as err:
+            program_of_tree(tree, scan)
+        assert err.value.span == node.span
+        with pytest.raises(ValueError, match="has arity"):
+            validate_tree(tree, end, ternary=True)
+
+
+def test_table_composes_a_failed_pair_once_to_none(scan, monkeypatch):
+    """A pair that composes in neither orientation is None on the first
+    call and on the memoized one, and is composed only once; a pair that
+    composes is an id, also composed once."""
+    calls = Counter()
+
+    def counted(a, b, schema):
+        calls[str(a), str(b)] += 1
+        return compose_candidates(a, b, schema)
+
+    monkeypatch.setattr(typesys, "compose_candidates", counted)
+    table = scan.table
+    left, right, walk = table.atom("l"), table.atom("r"), table.atom("walk")
+    assert [table.compose(left, right) for _ in range(2)] == [None, None]
+    pid = table.compose(walk, right)
+    assert pid is not None and table.compose(walk, right) == pid
+    assert str(table.programs[pid]) == "walk(r)"
+    assert calls == {("l", "r"): 1, ("walk", "r"): 1}
 
 
 def test_subterm_heads_are_the_constant_multiset(scan):
